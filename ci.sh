@@ -73,6 +73,18 @@ cargo test -q --test assign_properties
 echo "==> concurrent assign/recommend fan-out coalescing: cargo test --test assign_concurrency"
 cargo test -q --test assign_concurrency
 
+echo "==> per-request filter/rank vs the per-candidate reference: cargo test --test filter_rank_equivalence"
+cargo test -q --test filter_rank_equivalence
+
+echo "==> request strings stay out of the global interner: cargo test --test interner_bound"
+cargo test -q --test interner_bound
+
+# The benchmark program is a package of its own that calls crate APIs
+# (merge_profiles, Minaret, the registry's report fan-out) for its traced
+# replays; build and test it so an API change breaks CI, not the bench.
+echo "==> benchmark program builds and passes its tests: perfbench/"
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> streaming smoke: minaret synth streams a 10^5-scholar snapshot"
 SYNTH_DIR="$(mktemp -d)"
 trap 'rm -rf "$SYNTH_DIR"' EXIT

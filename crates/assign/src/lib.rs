@@ -35,9 +35,9 @@
 
 use std::collections::HashMap;
 
-use minaret_core::filter::filter_candidate;
+use minaret_core::filter::CandidateFilter;
 use minaret_core::par::chunked_map;
-use minaret_core::rank::score_candidate;
+use minaret_core::rank::CandidateScorer;
 use minaret_core::{ManuscriptDetails, Minaret, MinaretError, PaperCandidate};
 use minaret_synth::{ground_truth_relevance_all, ScholarId, SubmissionSpec, World};
 use minaret_telemetry::Telemetry;
@@ -386,20 +386,21 @@ impl Assigner {
                     matches.truncate(cap);
                     matches.sort_by_key(|c| c.pool_index);
                 }
+                // The paper's side of filtering and scoring is prepared
+                // once, then shared by every candidate in its slice.
+                let filter = CandidateFilter::new(&paper.author_records, &config);
+                let scorer = CandidateScorer::new(
+                    &paper.expansion_sets,
+                    &manuscripts[i].target_venue,
+                    &config,
+                );
                 let mut row: Vec<(usize, f64)> = Vec::new();
                 for cand in matches {
                     let merged = &ext.pool[cand.pool_index];
-                    if !filter_candidate(merged, cand.keyword_score, &paper.author_records, &config)
-                        .kept()
-                    {
+                    if !filter.decide(merged, cand.keyword_score).kept() {
                         continue;
                     }
-                    let breakdown = score_candidate(
-                        merged,
-                        &paper.expansion_sets,
-                        &manuscripts[i].target_venue,
-                        &config,
-                    );
+                    let breakdown = scorer.score(merged);
                     row.push((cand.pool_index, breakdown.total(&config.weights)));
                 }
                 row

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use minaret_bench::stack;
-use minaret_core::rank::{score_candidate, KeywordExpansionSet};
+use minaret_core::rank::{CandidateScorer, KeywordExpansionSet};
 use minaret_core::EditorConfig;
 use minaret_ontology::{normalize_label, KeywordExpander};
 use minaret_scholarly::merge_profiles;
@@ -38,11 +38,10 @@ fn bench_e5(c: &mut Criterion) {
 
     c.bench_function("e5_weights/score_candidate_pool", |b| {
         b.iter(|| {
+            let scorer = CandidateScorer::new(&expansions, &s.manuscript.target_venue, &config);
             let mut total = 0.0f64;
             for cand in &candidates {
-                let breakdown =
-                    score_candidate(cand, &expansions, &s.manuscript.target_venue, &config);
-                total += breakdown.total(&config.weights);
+                total += scorer.score(cand).total(&config.weights);
             }
             std::hint::black_box(total)
         })

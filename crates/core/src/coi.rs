@@ -7,33 +7,68 @@
 //! affiliations on the level of the university or country, as configured
 //! by the editor."
 
-use minaret_disambig::evidence::token_jaccard;
-use minaret_disambig::name::parse_name;
-use minaret_ontology::normalize_label;
+use std::collections::HashSet;
+use std::sync::Arc;
+
+use minaret_disambig::evidence::TokenSet;
+use minaret_disambig::name::{parse_name, NameList, ParsedName};
+use minaret_ontology::{normalize_label, NormalizedLabels};
 use minaret_scholarly::intern;
 use minaret_scholarly::MergedCandidate;
-use std::sync::Arc;
 
 use crate::config::{AffiliationMatchLevel, CoiConfig};
 
 /// Everything the COI check knows about one manuscript author: what the
 /// editor typed plus whatever was extracted from the author's verified
 /// profile.
-#[derive(Debug, Clone, Default)]
+///
+/// A request checks every retrieved candidate against the same authors,
+/// so the record holds the author side in comparison form, derived once
+/// when it is built: the parsed name and co-author names, a set of
+/// normalized publication titles, and each institution's token set.
+#[derive(Debug, Clone)]
 pub struct AuthorRecord {
-    /// Author name as typed.
-    pub name: String,
-    /// Institution name strings the author is/was affiliated with.
-    pub institutions: Vec<String>,
-    /// Countries the author is/was affiliated in.
-    pub countries: Vec<String>,
-    /// Normalized titles of the author's publications.
-    pub publication_titles: Vec<String>,
-    /// Display names of the author's co-authors.
-    pub coauthor_names: Vec<String>,
+    name: String,
+    parsed_name: Option<ParsedName>,
+    institutions: Vec<TokenSet>,
+    countries: Vec<String>,
+    publication_titles: HashSet<String>,
+    coauthors: NameList,
 }
 
 impl AuthorRecord {
+    /// Builds a record from raw fields: institution names, countries,
+    /// publication titles (countries and titles are normalized here) and
+    /// co-author display names.
+    pub fn new<S: AsRef<str>>(
+        name: &str,
+        institutions: &[S],
+        countries: &[S],
+        publication_titles: &[S],
+        coauthor_names: &[S],
+    ) -> Self {
+        let mut countries: Vec<String> = countries
+            .iter()
+            .map(|c| normalize_label(c.as_ref()))
+            .collect();
+        countries.sort();
+        countries.dedup();
+        AuthorRecord {
+            name: name.to_string(),
+            parsed_name: parse_name(name),
+            institutions: institutions
+                .iter()
+                .map(|i| TokenSet::new(i.as_ref()))
+                .collect(),
+            countries,
+            publication_titles: publication_titles
+                .iter()
+                .map(|t| normalize_label(t.as_ref()))
+                .collect(),
+            coauthors: NameList::parse(coauthor_names.iter().map(AsRef::as_ref)),
+        }
+    }
+
     /// Builds a record from the typed form fields plus an optional
     /// verified profile.
     pub fn from_parts(
@@ -42,37 +77,28 @@ impl AuthorRecord {
         typed_country: Option<&str>,
         profile: Option<&MergedCandidate>,
     ) -> Self {
-        let mut rec = AuthorRecord {
-            name: name.to_string(),
-            ..Default::default()
-        };
-        if let Some(a) = typed_affiliation {
-            rec.institutions.push(a.to_string());
-        }
-        if let Some(c) = typed_country {
-            rec.countries.push(normalize_label(c));
-        }
+        let mut institutions: Vec<&str> = typed_affiliation.into_iter().collect();
+        let mut countries: Vec<&str> = typed_country.into_iter().collect();
+        let mut titles: Vec<&str> = Vec::new();
+        let mut coauthors: Vec<&str> = Vec::new();
         if let Some(p) = profile {
-            if let Some(a) = &p.affiliation {
-                rec.institutions.push(a.clone());
-            }
-            if let Some(c) = &p.country {
-                rec.countries.push(normalize_label(c));
-            }
+            institutions.extend(p.affiliation.as_deref());
+            countries.extend(p.country.as_deref());
             for h in &p.affiliation_history {
-                rec.institutions.push(h.institution.clone());
-                rec.countries.push(normalize_label(&h.country));
+                institutions.push(&h.institution);
+                countries.push(&h.country);
             }
             for publ in &p.publications {
-                rec.publication_titles.push(normalize_label(&publ.title));
-                for co in &publ.coauthor_names {
-                    rec.coauthor_names.push(co.clone());
-                }
+                titles.push(&publ.title);
+                coauthors.extend(publ.coauthor_names.iter().map(String::as_str));
             }
         }
-        rec.countries.sort();
-        rec.countries.dedup();
-        rec
+        Self::new(name, &institutions, &countries, &titles, &coauthors)
+    }
+
+    /// The author's name as typed.
+    pub fn name(&self) -> &str {
+        &self.name
     }
 }
 
@@ -124,42 +150,17 @@ pub fn check_coi(
 ) -> CoiVerdict {
     let mut reasons = Vec::new();
     let cand_name = parse_name(&candidate.display_name);
-    // Interned + memoized: the same candidate profiles recur across
-    // recommendations, so warm COI checks clone Arcs instead of
-    // re-normalizing every publication title.
-    let cand_titles: Vec<Arc<str>> = candidate
-        .publications
-        .iter()
-        .map(|p| intern::normalized(&p.title))
-        .collect();
-    let cand_coauthors: Vec<_> = candidate
-        .publications
-        .iter()
-        .flat_map(|p| p.coauthor_names.iter())
-        .filter_map(|n| parse_name(n))
-        .collect();
-    let mut cand_institutions: Vec<String> = Vec::new();
-    if let Some(a) = &candidate.affiliation {
-        cand_institutions.push(a.clone());
-    }
-    for h in &candidate.affiliation_history {
-        cand_institutions.push(h.institution.clone());
-    }
-    let mut cand_countries: Vec<Arc<str>> = Vec::new();
-    if let Some(c) = &candidate.country {
-        cand_countries.push(intern::normalized(c));
-    }
-    for h in &candidate.affiliation_history {
-        cand_countries.push(intern::normalized(&h.country));
-    }
-    cand_countries.sort();
-    cand_countries.dedup();
+    // The candidate side is derived at most once per check, and only
+    // when some author reaches the signal that reads it.
+    let mut cand_coauthors: Option<NameList> = None;
+    let mut cand_titles: Option<NormalizedLabels> = None;
+    let mut cand_institutions: Option<Vec<(&str, TokenSet)>> = None;
+    let mut cand_countries: Option<Vec<Arc<str>>> = None;
 
     for author in authors {
         // The candidate *is* the author: trivially conflicted, reported
         // as co-authorship (an author may appear in search results).
-        let author_name = parse_name(&author.name);
-        let same_person = match (&cand_name, &author_name) {
+        let same_person = match (&cand_name, &author.parsed_name) {
             (Some(a), Some(b)) => a.compatible(b),
             _ => false,
         };
@@ -168,25 +169,30 @@ pub fn check_coi(
             // Signal 1: the author appears among the candidate's listed
             // co-authors (or vice versa).
             let name_link = same_person
-                || author_name
+                || author.parsed_name.as_ref().is_some_and(|an| {
+                    cand_coauthors
+                        .get_or_insert_with(|| {
+                            NameList::parse(
+                                candidate
+                                    .publications
+                                    .iter()
+                                    .flat_map(|p| p.coauthor_names.iter().map(String::as_str)),
+                            )
+                        })
+                        .any_compatible(an)
+                })
+                || cand_name
                     .as_ref()
-                    .is_some_and(|an| cand_coauthors.iter().any(|cn| cn.compatible(an)))
-                || cand_name.as_ref().is_some_and(|cn| {
-                    author
-                        .coauthor_names
-                        .iter()
-                        .filter_map(|n| parse_name(n))
-                        .any(|an| an.compatible(cn))
-                });
+                    .is_some_and(|cn| author.coauthors.any_compatible(cn));
             // Signal 2: they share a publication title — distinct sources
             // may list the same paper under each of them.
             let title_link = !author.publication_titles.is_empty()
-                && cand_titles.iter().any(|t| {
-                    author
-                        .publication_titles
-                        .iter()
-                        .any(|at| at.as_str() == t.as_ref())
-                });
+                && cand_titles
+                    .get_or_insert_with(|| {
+                        NormalizedLabels::new(candidate.publications.iter().map(|p| &*p.title))
+                    })
+                    .iter()
+                    .any(|t| author.publication_titles.contains(t));
             if name_link || title_link {
                 reasons.push(CoiReason::CoAuthorship {
                     author: author.name.clone(),
@@ -194,55 +200,61 @@ pub fn check_coi(
                 continue; // one reason per author is enough
             }
         }
-        match config.affiliation_level {
-            AffiliationMatchLevel::Off => {}
-            AffiliationMatchLevel::University => {
-                if let Some(inst) = shared_institution(
-                    &cand_institutions,
-                    &author.institutions,
-                    config.institution_similarity,
-                ) {
-                    reasons.push(CoiReason::SharedInstitution {
-                        author: author.name.clone(),
-                        institution: inst,
-                    });
-                }
-            }
-            AffiliationMatchLevel::Country => {
-                if let Some(inst) = shared_institution(
-                    &cand_institutions,
-                    &author.institutions,
-                    config.institution_similarity,
-                ) {
-                    reasons.push(CoiReason::SharedInstitution {
-                        author: author.name.clone(),
-                        institution: inst,
-                    });
-                } else if let Some(country) = author
-                    .countries
+        if config.affiliation_level == AffiliationMatchLevel::Off {
+            continue;
+        }
+        let institutions = cand_institutions.get_or_insert_with(|| {
+            candidate
+                .affiliation
+                .iter()
+                .chain(candidate.affiliation_history.iter().map(|h| &h.institution))
+                .map(|i| (i.as_str(), TokenSet::new(i)))
+                .collect()
+        });
+        if let Some(inst) = shared_institution(
+            institutions,
+            &author.institutions,
+            config.institution_similarity,
+        ) {
+            reasons.push(CoiReason::SharedInstitution {
+                author: author.name.clone(),
+                institution: inst.to_string(),
+            });
+        } else if config.affiliation_level == AffiliationMatchLevel::Country {
+            let countries = cand_countries.get_or_insert_with(|| {
+                candidate
+                    .country
                     .iter()
-                    .find(|c| cand_countries.iter().any(|cc| cc.as_ref() == c.as_str()))
-                {
-                    reasons.push(CoiReason::SharedCountry {
-                        author: author.name.clone(),
-                        country: country.clone(),
-                    });
-                }
+                    .chain(candidate.affiliation_history.iter().map(|h| &h.country))
+                    .map(|c| intern::normalized(c))
+                    .collect()
+            });
+            if let Some(country) = author
+                .countries
+                .iter()
+                .find(|c| countries.iter().any(|cc| cc.as_ref() == c.as_str()))
+            {
+                reasons.push(CoiReason::SharedCountry {
+                    author: author.name.clone(),
+                    country: country.clone(),
+                });
             }
         }
     }
     CoiVerdict { reasons }
 }
 
-fn shared_institution(a: &[String], b: &[String], min_similarity: f64) -> Option<String> {
-    for x in a {
-        for y in b {
-            if token_jaccard(x, y) >= min_similarity {
-                return Some(x.clone());
-            }
-        }
-    }
-    None
+/// The first candidate institution whose tokens overlap any of the
+/// author's by at least `min_similarity`.
+fn shared_institution<'c>(
+    candidate: &[(&'c str, TokenSet)],
+    author: &[TokenSet],
+    min_similarity: f64,
+) -> Option<&'c str> {
+    candidate
+        .iter()
+        .find(|(_, x)| author.iter().any(|y| x.jaccard(y) >= min_similarity))
+        .map(|&(name, _)| name)
 }
 
 #[cfg(test)]
@@ -306,10 +318,13 @@ mod tests {
         let mut cand = candidate("Ada Lovelace", None, None);
         cand.publications
             .push(pub_with("Notes on the Analytical Engine", &[]));
-        let mut author = AuthorRecord::from_parts("Luigi Menabrea", None, None, None);
-        author
-            .publication_titles
-            .push(normalize_label("Notes on the Analytical Engine"));
+        let author = AuthorRecord::new(
+            "Luigi Menabrea",
+            &[],
+            &[],
+            &["Notes on the Analytical Engine"],
+            &[],
+        );
         let v = check_coi(&cand, &[author], &CoiConfig::default());
         assert!(v.conflicted());
     }
@@ -418,13 +433,13 @@ mod tests {
                 from_year: 2005,
                 to_year: 2010,
             });
-        let mut author = AuthorRecord::from_parts(
+        let author = AuthorRecord::new(
             "Author Y",
-            Some("University of Tartu"),
-            Some("Estonia"),
-            None,
+            &["University of Tartu", "University of Tartu"],
+            &["Estonia"],
+            &[],
+            &[],
         );
-        author.institutions.push("University of Tartu".into());
         let v = check_coi(&cand, std::slice::from_ref(&author), &CoiConfig::default());
         assert!(v.conflicted(), "history-based overlap missed");
         assert!(matches!(v.reasons[0], CoiReason::SharedInstitution { .. }));

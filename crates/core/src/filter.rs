@@ -1,7 +1,7 @@
 //! The filtering phase (§2.2): COI, keyword-score threshold, expertise
 //! constraints, and the conference-mode PC filter (§3).
 
-use minaret_disambig::name::parse_name;
+use minaret_disambig::name::{parse_name, NameList};
 use minaret_scholarly::MergedCandidate;
 
 use crate::coi::{check_coi, AuthorRecord, CoiVerdict};
@@ -42,43 +42,63 @@ impl FilterDecision {
     }
 }
 
-/// Applies the full §2.2 filter chain to one candidate.
-///
-/// `keyword_score` is the candidate's best similarity to any expanded
-/// manuscript keyword (1.0 when they registered an original keyword
-/// verbatim). Checks run cheapest-first; the first violation is returned.
-pub fn filter_candidate(
-    candidate: &MergedCandidate,
-    keyword_score: f64,
-    authors: &[AuthorRecord],
-    config: &EditorConfig,
-) -> FilterDecision {
-    if keyword_score < config.keyword_score_threshold {
-        return FilterDecision::Removed(FilterReason::KeywordScoreBelowThreshold {
-            score: keyword_score,
-            threshold: config.keyword_score_threshold,
-        });
-    }
-    if !config.expertise.admits(
-        candidate.metrics.citations,
-        candidate.metrics.h_index,
-        candidate.reviews.len() as u32,
-    ) {
-        return FilterDecision::Removed(FilterReason::ExpertiseConstraint);
-    }
-    if let Some(pc) = &config.pc_members {
-        if !is_pc_member(candidate, pc) {
-            return FilterDecision::Removed(FilterReason::NotOnProgrammeCommittee);
-        }
-    }
-    let verdict = check_coi(candidate, authors, &config.coi);
-    if verdict.conflicted() {
-        return FilterDecision::Removed(FilterReason::ConflictOfInterest(verdict));
-    }
-    FilterDecision::Kept
+/// The §2.2 filter chain prepared for one manuscript: its authors and
+/// the editor configuration, with the conference-mode PC list parsed
+/// once instead of once per candidate.
+pub struct CandidateFilter<'a> {
+    authors: &'a [AuthorRecord],
+    config: &'a EditorConfig,
+    pc_members: Option<NameList>,
 }
 
-/// Applies [`filter_candidate`] to every candidate, in parallel over
+impl<'a> CandidateFilter<'a> {
+    /// Prepares the chain for candidates of a manuscript by `authors`.
+    pub fn new(authors: &'a [AuthorRecord], config: &'a EditorConfig) -> Self {
+        CandidateFilter {
+            authors,
+            config,
+            pc_members: config
+                .pc_members
+                .as_ref()
+                .map(|pc| NameList::parse(pc.iter().map(String::as_str))),
+        }
+    }
+
+    /// Applies the chain to one candidate.
+    ///
+    /// `keyword_score` is the candidate's best similarity to any expanded
+    /// manuscript keyword (1.0 when they registered an original keyword
+    /// verbatim). Checks run cheapest-first; the first violation is
+    /// returned.
+    pub fn decide(&self, candidate: &MergedCandidate, keyword_score: f64) -> FilterDecision {
+        let config = self.config;
+        if keyword_score < config.keyword_score_threshold {
+            return FilterDecision::Removed(FilterReason::KeywordScoreBelowThreshold {
+                score: keyword_score,
+                threshold: config.keyword_score_threshold,
+            });
+        }
+        if !config.expertise.admits(
+            candidate.metrics.citations,
+            candidate.metrics.h_index,
+            candidate.reviews.len() as u32,
+        ) {
+            return FilterDecision::Removed(FilterReason::ExpertiseConstraint);
+        }
+        if let Some(pc) = &self.pc_members {
+            if !is_pc_member(candidate, pc) {
+                return FilterDecision::Removed(FilterReason::NotOnProgrammeCommittee);
+            }
+        }
+        let verdict = check_coi(candidate, self.authors, &config.coi);
+        if verdict.conflicted() {
+            return FilterDecision::Removed(FilterReason::ConflictOfInterest(verdict));
+        }
+        FilterDecision::Kept
+    }
+}
+
+/// Applies the filter chain to every candidate, in parallel over
 /// contiguous chunks (`parallelism` threads; `0` = all cores). Each
 /// decision is a pure function of its candidate, so the output vector is
 /// element-for-element identical to a sequential loop — callers
@@ -89,21 +109,17 @@ pub fn filter_decisions(
     config: &EditorConfig,
     parallelism: usize,
 ) -> Vec<FilterDecision> {
+    let filter = CandidateFilter::new(authors, config);
     crate::par::chunked_map(candidates, parallelism, |cand| {
-        filter_candidate(&cand.merged, cand.keyword_score, authors, config)
+        filter.decide(&cand.merged, cand.keyword_score)
     })
 }
 
 /// Conference mode (§3): "only candidate reviewers who belong to the
 /// programme committee are retained". Matching is by name compatibility
 /// so "L. Zhou" on the PC list matches candidate "Lei Zhou".
-pub fn is_pc_member(candidate: &MergedCandidate, pc: &[String]) -> bool {
-    let Some(cand) = parse_name(&candidate.display_name) else {
-        return false;
-    };
-    pc.iter()
-        .filter_map(|n| parse_name(n))
-        .any(|member| member.compatible(&cand))
+fn is_pc_member(candidate: &MergedCandidate, pc: &NameList) -> bool {
+    parse_name(&candidate.display_name).is_some_and(|cand| pc.any_compatible(&cand))
 }
 
 #[cfg(test)]
@@ -136,6 +152,15 @@ mod tests {
             keys: vec![],
             truths: vec![],
         }
+    }
+
+    fn filter_candidate(
+        candidate: &MergedCandidate,
+        keyword_score: f64,
+        authors: &[AuthorRecord],
+        config: &EditorConfig,
+    ) -> FilterDecision {
+        CandidateFilter::new(authors, config).decide(candidate, keyword_score)
     }
 
     #[test]
@@ -213,8 +238,9 @@ mod tests {
 
     #[test]
     fn pc_matching_handles_unparseable_names() {
-        let pc = vec!["Lei Zhou".to_string()];
+        let pc = NameList::parse(["Lei Zhou", "Cher"]);
         assert!(!is_pc_member(&candidate("??"), &pc));
         assert!(!is_pc_member(&candidate("Cher"), &pc));
+        assert!(is_pc_member(&candidate("L Zhou"), &pc));
     }
 }

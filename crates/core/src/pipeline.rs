@@ -878,7 +878,7 @@ impl Minaret {
         // embeds its source's prefix), and keying by the key alone keeps
         // every merged profile's matches even when a name collision
         // conflates two same-source profiles into one candidate.
-        let mut matched: HashMap<String, Vec<(String, f64)>> = HashMap::new();
+        let mut matched: HashMap<String, Vec<(&str, f64)>> = HashMap::new();
         let mut coverage = SourceCoverage::default();
         if !sorted_labels.is_empty() {
             let label_names: Vec<String> = sorted_labels
@@ -911,7 +911,7 @@ impl Minaret {
                     matched
                         .entry(p.key.clone())
                         .or_default()
-                        .push((label.clone(), *score));
+                        .push((label.as_str(), *score));
                     profiles.push(p);
                 }
             }
@@ -924,24 +924,28 @@ impl Minaret {
         let candidates = merged
             .into_iter()
             .map(|m| {
-                let mut label_scores: HashMap<String, f64> = HashMap::new();
+                let mut label_scores: HashMap<&str, f64> = HashMap::new();
                 for key in &m.keys {
                     if let Some(ls) = matched.get(key) {
-                        for (l, s) in ls {
+                        for &(l, s) in ls {
                             label_scores
-                                .entry(l.clone())
-                                .and_modify(|cur| *cur = cur.max(*s))
-                                .or_insert(*s);
+                                .entry(l)
+                                .and_modify(|cur| *cur = cur.max(s))
+                                .or_insert(s);
                         }
                     }
                 }
-                let mut matched_keywords: Vec<(String, f64)> = label_scores.into_iter().collect();
+                let mut matched_keywords: Vec<(&str, f64)> = label_scores.into_iter().collect();
                 matched_keywords.sort_by(|a, b| {
                     b.1.partial_cmp(&a.1)
                         .unwrap_or(std::cmp::Ordering::Equal)
-                        .then_with(|| a.0.cmp(&b.0))
+                        .then_with(|| a.0.cmp(b.0))
                 });
                 let keyword_score = matched_keywords.first().map(|(_, s)| *s).unwrap_or(0.0);
+                let matched_keywords = matched_keywords
+                    .into_iter()
+                    .map(|(l, s)| (l.to_string(), s))
+                    .collect();
                 CandidateProfile {
                     merged: m,
                     matched_keywords,

@@ -4,9 +4,9 @@
 
 use std::collections::HashMap;
 
+use minaret_ontology::normalize_label;
 use minaret_scholarly::intern;
 use minaret_scholarly::MergedCandidate;
-use std::sync::Arc;
 
 use crate::config::{EditorConfig, ImpactMetric, RankingWeights};
 
@@ -27,15 +27,6 @@ pub struct KeywordExpansionSet {
     pub original: String,
     /// normalized expanded label -> similarity score in [0, 1].
     pub scores: HashMap<String, f64>,
-}
-
-impl KeywordExpansionSet {
-    /// Best similarity of any of `labels` (normalized) to this keyword.
-    pub fn best_match(&self, labels: impl Iterator<Item = impl AsRef<str>>) -> f64 {
-        labels
-            .filter_map(|l| self.scores.get(l.as_ref()).copied())
-            .fold(0.0, f64::max)
-    }
 }
 
 /// Per-component scores for one candidate — the drill-down MINARET shows
@@ -82,34 +73,6 @@ fn log_norm(value: f64, cap: f64) -> f64 {
     }
 }
 
-/// Topic coverage: how much of the manuscript's keyword set the
-/// candidate's registered interests (and publication keywords) cover.
-///
-/// §2.3's example: with paper keywords {Semantic Web, Big Data}, a
-/// reviewer interested in {Semantic Web, Big Data} must outrank one
-/// interested in {Semantic Web, Ontologies, RDF} — coverage averages the
-/// best match *per manuscript keyword*, so covering more keywords wins.
-pub fn topic_coverage(candidate: &MergedCandidate, expansions: &[KeywordExpansionSet]) -> f64 {
-    if expansions.is_empty() {
-        return 0.0;
-    }
-    // Interned + memoized normalization: the same interests and keywords
-    // recur across every candidate of every recommendation, so the warm
-    // path clones `Arc<str>`s instead of re-allocating normalized strings.
-    let mut labels: Vec<Arc<str>> = candidate
-        .interests
-        .iter()
-        .map(|i| intern::normalized(i))
-        .collect();
-    for p in &candidate.publications {
-        for k in &p.keywords {
-            labels.push(intern::normalized(k));
-        }
-    }
-    let total: f64 = expansions.iter().map(|e| e.best_match(labels.iter())).sum();
-    total / expansions.len() as f64
-}
-
 /// Scientific impact from the candidate's best available metrics.
 pub fn scientific_impact(candidate: &MergedCandidate, metric: ImpactMetric) -> f64 {
     match metric {
@@ -123,62 +86,10 @@ pub fn scientific_impact(candidate: &MergedCandidate, metric: ImpactMetric) -> f
     }
 }
 
-/// Recency: reviewers who *recently* published on the manuscript's topics
-/// rank above those whose related work is old (§2.3, citing \[5\]).
-/// For each manuscript keyword, the best `similarity × 2^(-age/half_life)`
-/// over the candidate's publications; averaged over keywords.
-pub fn recency(
-    candidate: &MergedCandidate,
-    expansions: &[KeywordExpansionSet],
-    current_year: u32,
-    half_life_years: f64,
-) -> f64 {
-    if expansions.is_empty() || half_life_years <= 0.0 {
-        return 0.0;
-    }
-    let mut total = 0.0;
-    for e in expansions {
-        let mut best = 0.0f64;
-        for p in &candidate.publications {
-            let sim = e.best_match(p.keywords.iter().map(|k| intern::normalized(k)));
-            if sim <= 0.0 {
-                continue;
-            }
-            let age = (current_year as f64 - p.year as f64).max(0.0);
-            best = best.max(sim * 0.5f64.powf(age / half_life_years));
-        }
-        total += best;
-    }
-    total / expansions.len() as f64
-}
-
 /// Review experience: log-scaled count of prior manuscript reviews
 /// (obtained from the Publons-like profile data).
 pub fn review_experience(candidate: &MergedCandidate) -> f64 {
     log_norm(candidate.reviews.len() as f64, REVIEW_CAP)
-}
-
-/// Familiarity with the target outlet: reviews previously conducted for
-/// it plus papers published in it (§2.3's two sub-components),
-/// log-scaled together.
-pub fn outlet_familiarity(candidate: &MergedCandidate, target_venue: &str) -> f64 {
-    let target = intern::normalized(target_venue);
-    if target.is_empty() {
-        return 0.0;
-    }
-    // Interned venue names make the match a pointer comparison on the
-    // warm path (the interner maps equal content to one Arc).
-    let reviews_for = candidate
-        .reviews
-        .iter()
-        .filter(|r| Arc::ptr_eq(&intern::normalized(&r.venue_name), &target))
-        .count() as f64;
-    let pubs_in = candidate
-        .publications
-        .iter()
-        .filter(|p| Arc::ptr_eq(&intern::normalized(&p.venue_name), &target))
-        .count() as f64;
-    log_norm(reviews_for + pubs_in, FAMILIARITY_CAP)
 }
 
 /// Turnaround faster than this many days scores full speed credit.
@@ -215,25 +126,141 @@ pub fn responsiveness(candidate: &MergedCandidate, current_year: u32) -> f64 {
     0.6 * speed + 0.4 * activity
 }
 
-/// Computes the full breakdown for one candidate.
-pub fn score_candidate(
-    candidate: &MergedCandidate,
-    expansions: &[KeywordExpansionSet],
-    target_venue: &str,
-    config: &EditorConfig,
-) -> ScoreBreakdown {
-    ScoreBreakdown {
-        coverage: topic_coverage(candidate, expansions),
-        impact: scientific_impact(candidate, config.impact_metric),
-        recency: recency(
-            candidate,
-            expansions,
-            config.current_year,
-            config.recency_half_life_years,
-        ),
-        experience: review_experience(candidate),
-        familiarity: outlet_familiarity(candidate, target_venue),
-        responsiveness: responsiveness(candidate, config.current_year),
+/// The manuscript side of §2.3 scoring, prepared once per request so
+/// that scoring a candidate only reads the candidate.
+///
+/// Every expanded label maps to its similarity under each keyword set it
+/// belongs to, so a candidate's label is looked up once, not once per
+/// set. Nothing here is interned: the labels, typed keywords and target
+/// outlet come from the request, and the global interner never evicts.
+pub struct CandidateScorer<'a> {
+    config: &'a EditorConfig,
+    /// Number of keyword sets.
+    sets: usize,
+    /// normalized label -> `(keyword set index, similarity)` for every
+    /// set holding the label.
+    labels: HashMap<&'a str, Vec<(usize, f64)>>,
+    /// The normalized target outlet name.
+    target_venue: String,
+}
+
+impl<'a> CandidateScorer<'a> {
+    /// Prepares scoring against `expansions` for a manuscript submitted
+    /// to `target_venue`.
+    pub fn new(
+        expansions: &'a [KeywordExpansionSet],
+        target_venue: &str,
+        config: &'a EditorConfig,
+    ) -> Self {
+        let mut labels: HashMap<&str, Vec<(usize, f64)>> = HashMap::new();
+        for (set, e) in expansions.iter().enumerate() {
+            for (label, &score) in &e.scores {
+                labels.entry(label.as_str()).or_default().push((set, score));
+            }
+        }
+        CandidateScorer {
+            config,
+            sets: expansions.len(),
+            labels,
+            target_venue: normalize_label(target_venue),
+        }
+    }
+
+    /// Computes the full breakdown for one candidate.
+    pub fn score(&self, candidate: &MergedCandidate) -> ScoreBreakdown {
+        let (coverage, recency) = self.topic_scores(candidate);
+        ScoreBreakdown {
+            coverage,
+            impact: scientific_impact(candidate, self.config.impact_metric),
+            recency,
+            experience: review_experience(candidate),
+            familiarity: self.outlet_familiarity(candidate),
+            responsiveness: responsiveness(candidate, self.config.current_year),
+        }
+    }
+
+    /// Topic coverage and recency, from one pass over the candidate's
+    /// normalized labels.
+    ///
+    /// Coverage: how much of the manuscript's keyword set the candidate's
+    /// registered interests (and publication keywords) cover. §2.3's
+    /// example: with paper keywords {Semantic Web, Big Data}, a reviewer
+    /// interested in {Semantic Web, Big Data} must outrank one interested
+    /// in {Semantic Web, Ontologies, RDF} — coverage averages the best
+    /// match *per manuscript keyword*, so covering more keywords wins.
+    ///
+    /// Recency: reviewers who *recently* published on the manuscript's
+    /// topics rank above those whose related work is old (§2.3, citing
+    /// \[5\]). For each manuscript keyword, the best
+    /// `similarity × 2^(-age/half_life)` over the candidate's
+    /// publications, where a publication's similarity is its best keyword
+    /// match; averaged over keywords.
+    fn topic_scores(&self, candidate: &MergedCandidate) -> (f64, f64) {
+        if self.sets == 0 {
+            return (0.0, 0.0);
+        }
+        // Interned + memoized normalization: the same interests and
+        // keywords recur across every candidate of every recommendation.
+        let lookup = |raw: &str| self.labels.get(intern::normalized(raw).as_ref());
+        let mut coverage = vec![0.0f64; self.sets];
+        for hits in candidate.interests.iter().filter_map(|i| lookup(i)) {
+            for &(set, score) in hits {
+                coverage[set] = coverage[set].max(score);
+            }
+        }
+        let half_life = self.config.recency_half_life_years;
+        let with_recency = half_life > 0.0;
+        let mut recent = vec![0.0f64; self.sets];
+        let mut similarity = vec![0.0f64; self.sets];
+        for p in &candidate.publications {
+            similarity.fill(0.0);
+            for hits in p.keywords.iter().filter_map(|k| lookup(k)) {
+                for &(set, score) in hits {
+                    coverage[set] = coverage[set].max(score);
+                    similarity[set] = similarity[set].max(score);
+                }
+            }
+            if !with_recency {
+                continue;
+            }
+            let age = (self.config.current_year as f64 - p.year as f64).max(0.0);
+            let decay = 0.5f64.powf(age / half_life);
+            for (best, &sim) in recent.iter_mut().zip(&similarity) {
+                if sim > 0.0 {
+                    *best = best.max(sim * decay);
+                }
+            }
+        }
+        let coverage = coverage.iter().copied().sum::<f64>() / self.sets as f64;
+        if !with_recency {
+            return (coverage, 0.0);
+        }
+        let mut total = 0.0;
+        for best in recent {
+            total += best;
+        }
+        (coverage, total / self.sets as f64)
+    }
+
+    /// Familiarity with the target outlet: reviews previously conducted
+    /// for it plus papers published in it (§2.3's two sub-components),
+    /// log-scaled together.
+    fn outlet_familiarity(&self, candidate: &MergedCandidate) -> f64 {
+        let target = self.target_venue.as_str();
+        if target.is_empty() {
+            return 0.0;
+        }
+        let reviews_for = candidate
+            .reviews
+            .iter()
+            .filter(|r| intern::normalized(&r.venue_name).as_ref() == target)
+            .count() as f64;
+        let pubs_in = candidate
+            .publications
+            .iter()
+            .filter(|p| intern::normalized(&p.venue_name).as_ref() == target)
+            .count() as f64;
+        log_norm(reviews_for + pubs_in, FAMILIARITY_CAP)
     }
 }
 
@@ -251,8 +278,9 @@ pub fn score_candidates(
     config: &EditorConfig,
     parallelism: usize,
 ) -> Vec<(ScoreBreakdown, f64)> {
+    let scorer = CandidateScorer::new(expansions, target_venue, config);
     crate::par::chunked_map(candidates, parallelism, |cand| {
-        let breakdown = score_candidate(&cand.merged, expansions, target_venue, config);
+        let breakdown = scorer.score(&cand.merged);
         let total = breakdown.total(&config.weights);
         (breakdown, total)
     })
@@ -261,9 +289,37 @@ pub fn score_candidates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minaret_ontology::normalize_label;
     use minaret_scholarly::{SourceMetrics, SourcePublication, SourceReview};
     use proptest::prelude::*;
+    use std::sync::Arc;
+
+    fn topic_coverage(c: &MergedCandidate, expansions: &[KeywordExpansionSet]) -> f64 {
+        CandidateScorer::new(expansions, "", &EditorConfig::default())
+            .score(c)
+            .coverage
+    }
+
+    fn recency(
+        c: &MergedCandidate,
+        expansions: &[KeywordExpansionSet],
+        current_year: u32,
+        recency_half_life_years: f64,
+    ) -> f64 {
+        let config = EditorConfig {
+            current_year,
+            recency_half_life_years,
+            ..Default::default()
+        };
+        CandidateScorer::new(expansions, "", &config)
+            .score(c)
+            .recency
+    }
+
+    fn outlet_familiarity(c: &MergedCandidate, target_venue: &str) -> f64 {
+        CandidateScorer::new(&[], target_venue, &EditorConfig::default())
+            .score(c)
+            .familiarity
+    }
 
     fn expansion(original: &str, pairs: &[(&str, f64)]) -> KeywordExpansionSet {
         let mut scores: HashMap<String, f64> = pairs

@@ -61,14 +61,43 @@ impl Evidence {
 
 /// Jaccard similarity of the token sets of two strings.
 pub fn token_jaccard(a: &str, b: &str) -> f64 {
-    let ta: std::collections::HashSet<String> = tokenize(a).into_iter().collect();
-    let tb: std::collections::HashSet<String> = tokenize(b).into_iter().collect();
-    if ta.is_empty() && tb.is_empty() {
-        return 0.0;
+    TokenSet::new(a).jaccard(&TokenSet::new(b))
+}
+
+/// A string's normalized word tokens, sorted and deduplicated, so that
+/// one side of many [`token_jaccard`] comparisons is tokenized once.
+#[derive(Debug, Clone)]
+pub struct TokenSet(Vec<String>);
+
+impl TokenSet {
+    /// Tokenizes `s`.
+    pub fn new(s: &str) -> Self {
+        let mut tokens = tokenize(s);
+        tokens.sort_unstable();
+        tokens.dedup();
+        TokenSet(tokens)
     }
-    let inter = ta.intersection(&tb).count() as f64;
-    let union = ta.union(&tb).count() as f64;
-    inter / union
+
+    /// Jaccard similarity of the two sets; `0.0` when both are empty.
+    pub fn jaccard(&self, other: &TokenSet) -> f64 {
+        let (a, b) = (&self.0, &other.0);
+        if a.is_empty() && b.is_empty() {
+            return 0.0;
+        }
+        let (mut i, mut j, mut inter) = (0, 0, 0usize);
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    inter += 1;
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        inter as f64 / (a.len() + b.len() - inter) as f64
+    }
 }
 
 /// Collects the evidence for `candidate` given what the editor typed.

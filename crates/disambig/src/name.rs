@@ -1,6 +1,6 @@
 //! Name normalization, variants, and compatibility.
 
-use minaret_ontology::normalize_label;
+use minaret_ontology::normalize_label_onto;
 
 /// A parsed personal name.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -15,24 +15,59 @@ pub struct ParsedName {
 ///
 /// Returns `None` for empty or single-token names without a comma.
 pub fn parse_name(raw: &str) -> Option<ParsedName> {
+    let mut buf = String::new();
+    let (given, family) = parse_onto(raw, &mut buf)?;
+    Some(ParsedName {
+        given: buf[given.0..given.1].to_string(),
+        family: buf[family.0..family.1].to_string(),
+    })
+}
+
+/// Byte span `(start, end)` of one name part inside a buffer.
+type Span = (usize, usize);
+
+/// Parses `raw` the way [`parse_name`] does, normalizing onto the end of
+/// `buf` and returning the spans of the given and family names. On
+/// `None`, `buf` is left as it was.
+fn parse_onto(raw: &str, buf: &mut String) -> Option<(Span, Span)> {
+    let start = buf.len();
     if let Some((family, given)) = raw.split_once(',') {
-        let family = normalize_label(family);
-        let given = normalize_label(given);
-        if family.is_empty() || given.is_empty() {
+        normalize_label_onto(given, buf);
+        let mid = buf.len();
+        normalize_label_onto(family, buf);
+        if mid == start || buf.len() == mid {
+            buf.truncate(start);
             return None;
         }
-        return Some(ParsedName { given, family });
+        return Some(((start, mid), (mid, buf.len())));
     }
-    let norm = normalize_label(raw);
-    let mut parts: Vec<&str> = norm.split(' ').filter(|s| !s.is_empty()).collect();
-    if parts.len() < 2 {
-        return None;
+    // Normalized text has single spaces between tokens and none at either
+    // end, so the last space splits the family name from the given names.
+    normalize_label_onto(raw, buf);
+    match buf[start..].rfind(' ') {
+        Some(i) => Some(((start, start + i), (start + i + 1, buf.len()))),
+        None => {
+            buf.truncate(start);
+            None
+        }
     }
-    let family = parts.pop().expect("len >= 2").to_string();
-    Some(ParsedName {
-        given: parts.join(" "),
-        family,
-    })
+}
+
+/// True when `(given, family)` name pairs can denote the same person:
+/// family names equal and given names equal, or one is the initial of
+/// the other.
+fn parts_compatible(a: (&str, &str), b: (&str, &str)) -> bool {
+    if a.1 != b.1 {
+        return false;
+    }
+    if a.0 == b.0 {
+        return true;
+    }
+    let abbreviated = |given: &str| given.chars().count() == 1;
+    match (a.0.chars().next(), b.0.chars().next()) {
+        (Some(x), Some(y)) if x == y => abbreviated(a.0) || abbreviated(b.0),
+        _ => false,
+    }
 }
 
 impl ParsedName {
@@ -64,16 +99,39 @@ impl ParsedName {
     /// names equal and given names equal, or one is the initial of the
     /// other.
     pub fn compatible(&self, other: &ParsedName) -> bool {
-        if self.family != other.family {
-            return false;
+        parts_compatible(self.parts(), other.parts())
+    }
+
+    fn parts(&self) -> (&str, &str) {
+        (&self.given, &self.family)
+    }
+}
+
+/// Many parsed names stored back to back in one buffer: parsing a list
+/// of names costs one growing allocation, not several per name.
+/// Unparseable names are skipped, as `filter_map(parse_name)` would.
+#[derive(Debug, Clone, Default)]
+pub struct NameList {
+    buf: String,
+    names: Vec<(Span, Span)>,
+}
+
+impl NameList {
+    /// Parses every name in `raws`.
+    pub fn parse<'a>(raws: impl IntoIterator<Item = &'a str>) -> Self {
+        let mut list = NameList::default();
+        for raw in raws {
+            list.names.extend(parse_onto(raw, &mut list.buf));
         }
-        if self.given == other.given {
-            return true;
-        }
-        match (self.initial(), other.initial()) {
-            (Some(a), Some(b)) if a == b => self.is_abbreviated() || other.is_abbreviated(),
-            _ => false,
-        }
+        list
+    }
+
+    /// True when any listed name is [compatible](ParsedName::compatible)
+    /// with `name`.
+    pub fn any_compatible(&self, name: &ParsedName) -> bool {
+        self.names.iter().any(|&(g, f)| {
+            parts_compatible((&self.buf[g.0..g.1], &self.buf[f.0..f.1]), name.parts())
+        })
     }
 }
 
@@ -142,5 +200,35 @@ mod tests {
         // But two abbreviated forms with the same initial are.
         let abbr2 = parse_name("L Zhou").unwrap();
         assert!(abbr.compatible(&abbr2));
+    }
+
+    #[test]
+    fn name_list_matches_one_by_one_parsing() {
+        let raws = [
+            "Lei Zhou",
+            "Zhou, L.",
+            "Cher",
+            ", Lei",
+            "Mohamed R. Moawad",
+            "",
+            "Ming  Zhou!",
+        ];
+        let list = NameList::parse(raws);
+        let parsed: Vec<ParsedName> = raws.iter().filter_map(|r| parse_name(r)).collect();
+        for probe in [
+            "L. Zhou",
+            "Lei Zhou",
+            "Li Zhou",
+            "M Moawad",
+            "Ming Zhou",
+            "Lei Cher",
+        ] {
+            let probe = parse_name(probe).unwrap();
+            assert_eq!(
+                list.any_compatible(&probe),
+                parsed.iter().any(|p| p.compatible(&probe)),
+                "{probe:?}"
+            );
+        }
     }
 }

@@ -4,7 +4,7 @@
 
 use std::collections::HashMap;
 
-use minaret_core::{rank, KeywordExpansionSet};
+use minaret_core::{rank, EditorConfig, KeywordExpansionSet};
 use minaret_ontology::normalize_label;
 use minaret_scholarly::{MergedCandidate, SourceMetrics};
 
@@ -59,8 +59,10 @@ pub fn run_e2() -> E2Result {
         .collect();
     let a = reviewer(&["Semantic Web", "Ontologies", "RDF"]);
     let b = reviewer(&["Semantic Web", "Big Data"]);
-    let coverage_a = rank::topic_coverage(&a, &expansions);
-    let coverage_b = rank::topic_coverage(&b, &expansions);
+    let config = EditorConfig::default();
+    let scorer = rank::CandidateScorer::new(&expansions, "", &config);
+    let coverage_a = scorer.score(&a).coverage;
+    let coverage_b = scorer.score(&b).coverage;
     let example_holds = coverage_b > coverage_a;
     let mut table = TextTable::new(&["reviewer", "interests", "coverage"]);
     table.row(&[

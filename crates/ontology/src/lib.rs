@@ -37,5 +37,5 @@ mod topic;
 pub use error::OntologyError;
 pub use expand::{ExpandedKeyword, ExpansionConfig, KeywordExpander};
 pub use graph::{Ontology, OntologyBuilder, OntologyStats, OntologyTables, TopicRow};
-pub use normalize::{normalize_label, tokenize};
+pub use normalize::{normalize_label, normalize_label_onto, tokenize, NormalizedLabels};
 pub use topic::{Topic, TopicId};

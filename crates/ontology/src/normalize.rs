@@ -16,10 +16,25 @@
 /// ```
 pub fn normalize_label(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    normalize_label_onto(s, &mut out);
+    out
+}
+
+/// Appends [`normalize_label`]`(s)` to `out`, so a caller normalizing
+/// many strings can reuse one buffer instead of allocating per string.
+///
+/// ```
+/// use minaret_ontology::normalize_label_onto;
+/// let mut buf = String::from("kept|");
+/// normalize_label_onto(" Big--Data ", &mut buf);
+/// assert_eq!(buf, "kept|big data");
+/// ```
+pub fn normalize_label_onto(s: &str, out: &mut String) {
+    let start = out.len();
     let mut pending_space = false;
     for ch in s.chars() {
         if ch.is_alphanumeric() {
-            if pending_space && !out.is_empty() {
+            if pending_space && out.len() > start {
                 out.push(' ');
             }
             pending_space = false;
@@ -30,7 +45,40 @@ pub fn normalize_label(s: &str) -> String {
             pending_space = true;
         }
     }
-    out
+}
+
+/// Many strings normalized back to back into one buffer: normalizing a
+/// list costs one growing allocation, not one per string.
+///
+/// ```
+/// use minaret_ontology::NormalizedLabels;
+/// let labels = NormalizedLabels::new(["Big-Data", " RDF "]);
+/// assert_eq!(labels.iter().collect::<Vec<_>>(), vec!["big data", "rdf"]);
+/// ```
+#[derive(Debug, Default)]
+pub struct NormalizedLabels {
+    buf: String,
+    ends: Vec<usize>,
+}
+
+impl NormalizedLabels {
+    /// Normalizes every string of `raws`, in order.
+    pub fn new<'a>(raws: impl IntoIterator<Item = &'a str>) -> Self {
+        let mut labels = NormalizedLabels::default();
+        for raw in raws {
+            normalize_label_onto(raw, &mut labels.buf);
+            labels.ends.push(labels.buf.len());
+        }
+        labels
+    }
+
+    /// The normalized strings, in input order.
+    pub fn iter(&self) -> impl Iterator<Item = &str> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| &self.buf[start..end])
+    }
 }
 
 /// Splits a string into normalized word tokens.

@@ -7,14 +7,17 @@
 //! verification exists to catch. The evaluation harness measures how often
 //! that happens using the profiles' ground-truth labels.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
+use minaret_ontology::NormalizedLabels;
 use minaret_synth::ScholarId;
 use parking_lot::RwLock;
 
 use crate::intern;
-use crate::record::{AffiliationRecord, SourceMetrics, SourceProfile, SourceReview};
+use crate::record::{
+    AffiliationRecord, SourceMetrics, SourceProfile, SourcePublication, SourceReview,
+};
 use crate::spec::SourceKind;
 
 /// A candidate reviewer assembled from one or more source profiles.
@@ -109,17 +112,15 @@ pub fn merge_profiles(profiles: Vec<Arc<SourceProfile>>) -> Vec<MergedCandidate>
     }
     let mut out: Vec<MergedCandidate> = buckets.into_values().map(merge_bucket).collect();
     // Deterministic order for downstream phases regardless of input
-    // permutation. (display_name, keys) almost always suffices, but two
-    // candidates *can* tie on both — e.g. duplicate per-source keys with
-    // conflicting affiliations from a misbehaving source — so fall back
-    // to a total structural order via the Debug rendering.
-    out.sort_by_cached_key(|c| {
-        (
-            c.display_name.clone(),
-            c.keys.clone(),
-            c.affiliation.clone(),
-            format!("{c:?}"),
-        )
+    // permutation. (display_name, keys, affiliation) almost always
+    // suffices; for a pair that ties on all three, fall back to a total
+    // structural order via the Debug rendering. That rendering spells out
+    // every publication and review, so it is built only for such a pair,
+    // never per candidate.
+    out.sort_by(|a, b| {
+        (&a.display_name, &a.keys, &a.affiliation)
+            .cmp(&(&b.display_name, &b.keys, &b.affiliation))
+            .then_with(|| format!("{a:?}").cmp(&format!("{b:?}")))
     });
     out
 }
@@ -128,8 +129,9 @@ fn merge_bucket(mut profiles: Vec<Arc<SourceProfile>>) -> MergedCandidate {
     profiles.sort_by(|a, b| a.source.cmp(&b.source).then(a.key.cmp(&b.key)));
     let display_name = profiles
         .iter()
-        .map(|p| p.display_name.clone())
+        .map(|p| &p.display_name)
         .max_by_key(|n| n.len())
+        .cloned()
         .unwrap_or_default();
     let affiliation = profiles.iter().find_map(|p| p.affiliation.clone());
     let country = profiles.iter().find_map(|p| p.country.clone());
@@ -143,9 +145,9 @@ fn merge_bucket(mut profiles: Vec<Arc<SourceProfile>>) -> MergedCandidate {
         }
     }
 
-    // Memoized normalization: these loops revisit the same interest and
-    // title strings on every merge of every recommendation, so the warm
-    // path is interner hits, not fresh normalize allocations.
+    // Memoized normalization: this loop revisits the same interest
+    // strings on every merge of every recommendation, so the warm path is
+    // interner hits, not fresh normalize allocations.
     let mut interests: BTreeSet<Arc<str>> = BTreeSet::new();
     for p in &profiles {
         for i in &p.interests {
@@ -153,15 +155,19 @@ fn merge_bucket(mut profiles: Vec<Arc<SourceProfile>>) -> MergedCandidate {
         }
     }
 
-    let mut publications = Vec::new();
-    let mut seen_titles: BTreeSet<Arc<str>> = BTreeSet::new();
-    for p in &profiles {
-        for publ in &p.publications {
-            if seen_titles.insert(intern::normalized(&publ.title)) {
-                publications.push(publ.clone());
-            }
-        }
-    }
+    // Publications dedupe by normalized title. The titles are normalized
+    // into one buffer first, so the seen-set can borrow them (and titles,
+    // the largest vocabulary, stay out of the interner).
+    let listed: Vec<&Arc<SourcePublication>> =
+        profiles.iter().flat_map(|p| &p.publications).collect();
+    let titles = NormalizedLabels::new(listed.iter().map(|p| &*p.title));
+    let mut seen_titles: HashSet<&str> = HashSet::with_capacity(listed.len());
+    let publications = listed
+        .iter()
+        .zip(titles.iter())
+        .filter(|&(_, title)| seen_titles.insert(title))
+        .map(|(&publ, _)| publ.clone())
+        .collect();
 
     let metrics = SourceMetrics {
         citations: profiles.iter().filter_map(|p| p.metrics.citations).max(),

@@ -132,25 +132,30 @@ fn apply_config_overrides(cfg: &Value, config: &mut EditorConfig) -> Result<(), 
         config.weights.familiarity = read("familiarity", config.weights.familiarity)?;
         config.weights.responsiveness = read("responsiveness", config.weights.responsiveness)?;
     }
-    let u64_field = |key: &str| cfg.get(key).and_then(Value::as_u64);
-    if let Some(v) = u64_field("min_citations") {
-        config.expertise.min_citations = Some(v);
-    }
-    if let Some(v) = u64_field("max_citations") {
-        config.expertise.max_citations = Some(v);
-    }
-    if let Some(v) = u64_field("min_h_index") {
-        config.expertise.min_h_index = Some(v as u32);
-    }
-    if let Some(v) = u64_field("max_h_index") {
-        config.expertise.max_h_index = Some(v as u32);
-    }
-    if let Some(v) = u64_field("min_reviews") {
-        config.expertise.min_reviews = Some(v as u32);
-    }
-    if let Some(v) = u64_field("max_reviews") {
-        config.expertise.max_reviews = Some(v as u32);
-    }
+    // Expertise bounds are non-negative integers that fit their field; a
+    // value that does not is rejected, never truncated or ignored. `null`
+    // leaves the bound as it is, like an absent key. JSON numbers are
+    // exact integers only up to 2^53, the ceiling of the u64 fields.
+    let bound = |key: &str, max: u64| -> Result<Option<u64>, String> {
+        match cfg.get(key) {
+            None | Some(Value::Null) => Ok(None),
+            Some(v) => v
+                .as_u64()
+                .filter(|&n| n <= max)
+                .map(Some)
+                .ok_or_else(|| format!("{key} must be an integer in [0, {max}]")),
+        }
+    };
+    let bound_u32 = |key: &str| -> Result<Option<u32>, String> {
+        Ok(bound(key, u32::MAX.into())?.map(|n| n as u32))
+    };
+    let e = &mut config.expertise;
+    e.min_citations = bound("min_citations", 1 << 53)?.or(e.min_citations);
+    e.max_citations = bound("max_citations", 1 << 53)?.or(e.max_citations);
+    e.min_h_index = bound_u32("min_h_index")?.or(e.min_h_index);
+    e.max_h_index = bound_u32("max_h_index")?.or(e.max_h_index);
+    e.min_reviews = bound_u32("min_reviews")?.or(e.min_reviews);
+    e.max_reviews = bound_u32("max_reviews")?.or(e.max_reviews);
     if let Some(pc) = cfg.get("pc_members").and_then(Value::as_array) {
         let members = pc
             .iter()
@@ -442,5 +447,44 @@ mod tests {
                 "accepted bad payload {bad}"
             );
         }
+    }
+
+    #[test]
+    fn rejects_out_of_range_expertise_bounds() {
+        let with = |field: &str, value: &str| {
+            parse(&format!(
+                r#"{{"title":"T","keywords":["k"],"authors":[{{"name":"A"}}],
+                    "target_venue":"J","config":{{"{field}":{value}}}}}"#
+            ))
+            .unwrap()
+        };
+        for field in ["min_h_index", "max_h_index", "min_reviews", "max_reviews"] {
+            // 2^32 used to wrap to 0; -1 and 1.5 used to be ignored.
+            for value in ["4294967296", "-1", "1.5", "\"7\""] {
+                let err = manuscript_from_json(&with(field, value), &base())
+                    .expect_err(&format!("accepted {field}: {value}"));
+                assert!(err.contains(field), "{err}");
+            }
+            let (_, cfg) = manuscript_from_json(&with(field, "4294967295"), &base()).unwrap();
+            assert_ne!(cfg, base(), "{field} at u32::MAX applies");
+        }
+        for field in ["min_citations", "max_citations"] {
+            let err = manuscript_from_json(&with(field, "-1"), &base()).unwrap_err();
+            assert!(err.contains("[0, 9007199254740992]"), "{err}");
+            let (_, cfg) = manuscript_from_json(&with(field, "9007199254740992"), &base()).unwrap();
+            assert_ne!(cfg, base(), "{field} at 2^53 applies");
+        }
+        // `null` keeps the configured bound, as an absent key does.
+        let (_, cfg) = manuscript_from_json(&with("max_h_index", "null"), &base()).unwrap();
+        assert_eq!(cfg, base());
+        let (_, cfg) = manuscript_from_json(&with("max_h_index", "60"), &base()).unwrap();
+        assert_eq!(cfg.expertise.max_h_index, Some(60));
+        let batch = parse(
+            r#"{"manuscripts":[{"title":"T","keywords":["k"],
+                "authors":[{"name":"A B"}],"target_venue":"J"}],
+                "config":{"max_h_index":4294967296}}"#,
+        )
+        .unwrap();
+        assert!(assign_request_from_json(&batch, &base()).is_err());
     }
 }

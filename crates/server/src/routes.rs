@@ -843,6 +843,19 @@ mod tests {
         body = body.replace("\"reviewers_per_paper\":2", "\"reviewers_per_paper\":0");
         let resp = router.dispatch(&request(Method::Post, "/assign", &[], &body));
         assert_eq!(resp.status, 422, "{}", String::from_utf8_lossy(&resp.body));
+        // Expertise bounds outside u32 are rejected on both routes, not
+        // wrapped (2^32 would become 0 and drop every cited candidate).
+        let config = r#""config":{"max_h_index":4294967296}"#;
+        let body = assign_body(&state, 1, 2, 3);
+        let body = format!("{},{config}}}", body.strip_suffix('}').unwrap());
+        let resp = router.dispatch(&request(Method::Post, "/assign", &[], &body));
+        assert_eq!(resp.status, 422, "{}", String::from_utf8_lossy(&resp.body));
+        let body = format!(
+            r#"{{"title":"T","keywords":["RDF"],"authors":[{{"name":"A B"}}],
+                "target_venue":"J",{config}}}"#
+        );
+        let resp = router.dispatch(&request(Method::Post, "/recommend", &[], &body));
+        assert_eq!(resp.status, 422, "{}", String::from_utf8_lossy(&resp.body));
     }
 
     #[test]
