@@ -16,6 +16,11 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
+# The root manifest has a [package], so plain `cargo test` runs only the
+# root package; this runs every member crate's unit and doc tests too.
+echo "==> every workspace member's tests: cargo test --workspace"
+cargo test -q --workspace
+
 echo "==> fault injection: cargo test --test failure_injection"
 cargo test -q --test failure_injection
 

@@ -43,8 +43,8 @@ impl Recommender for ExactKeywordRecommender {
         }
         let mut profiles = Vec::new();
         let mut matched: HashMap<(minaret_scholarly::SourceKind, String), usize> = HashMap::new();
-        for kw in &keywords {
-            let (found, _errors) = self.registry.search_by_interest(kw);
+        // One batched fan-out; a hit counts once per keyword position.
+        for (_, found) in self.registry.search_by_interests_report(&keywords).by_label {
             for p in found {
                 *matched.entry((p.source, p.key.clone())).or_insert(0) += 1;
                 profiles.push(p);
@@ -153,6 +153,19 @@ mod tests {
                 normalize_label(&c.name),
                 normalize_label(&m.authors[0].name)
             );
+        }
+    }
+
+    #[test]
+    fn a_repeated_keyword_counts_at_each_position() {
+        let (world, rec) = setup();
+        let mut m = manuscript(&world);
+        m.keywords.truncate(1);
+        m.keywords.push(m.keywords[0].to_uppercase());
+        let out = rec.recommend(&m, 50);
+        assert!(!out.is_empty());
+        for c in &out {
+            assert_eq!(c.score, 1.0, "{} matched one of two positions", c.name);
         }
     }
 

@@ -17,7 +17,10 @@ fn bench_e3(c: &mut Criterion) {
         .iter()
         .find(|sc| s.world.papers_of(sc.id).len() >= 3)
         .unwrap();
-    let (profiles, _) = s.registry.search_by_name(&author_scholar.full_name());
+    let profiles = s
+        .registry
+        .search_by_name_report(&author_scholar.full_name())
+        .profiles;
     let author_profile = merge_profiles(profiles).into_iter().next();
     let inst = s.world.institution(author_scholar.current_affiliation());
     let author = AuthorRecord::from_parts(
@@ -30,7 +33,11 @@ fn bench_e3(c: &mut Criterion) {
 
     // Candidates: crawl one interest.
     let label = s.world.ontology.label(author_scholar.interests[0]);
-    let (found, _) = s.registry.search_by_interest(label);
+    let (_, found) = s
+        .registry
+        .search_by_interests_report(&[label.to_string()])
+        .by_label
+        .remove(0);
     let candidates = merge_profiles(found);
     assert!(!candidates.is_empty());
 

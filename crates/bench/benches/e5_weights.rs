@@ -31,7 +31,11 @@ fn bench_e5(c: &mut Criterion) {
             }
         })
         .collect();
-    let (profiles, _) = s.registry.search_by_interest(&s.manuscript.keywords[0]);
+    let (_, profiles) = s
+        .registry
+        .search_by_interests_report(&s.manuscript.keywords[..1])
+        .by_label
+        .remove(0);
     let candidates = merge_profiles(profiles);
     assert!(!candidates.is_empty());
     let config = EditorConfig::default();

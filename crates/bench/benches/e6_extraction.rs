@@ -67,10 +67,10 @@ fn bench_e6(c: &mut Criterion) {
         if dead {
             // Trip the breaker before timing: the steady state under a
             // permanent outage is the open breaker short-circuiting.
-            let _ = reg.search_by_name(&name);
+            let _ = reg.search_by_name_report(&name);
         }
         group.bench_function(label, |b| {
-            b.iter(|| std::hint::black_box(reg.search_by_name(&name)))
+            b.iter(|| std::hint::black_box(reg.search_by_name_report(&name)))
         });
     }
     group.finish();

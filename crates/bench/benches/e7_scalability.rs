@@ -31,7 +31,8 @@ fn bench_e7(c: &mut Criterion) {
     batch.finish();
 
     // Label-set sweep: the same labels retrieved as one batched fan-out
-    // vs. one fan-out per label (the pre-batching pipeline's cost model).
+    // vs. one single-label fan-out per label (the pre-batching
+    // pipeline's cost model).
     // Sources carry scraping-scale latency — per-label retrieval pays
     // one policed round trip per label, batched pays one per batch.
     let s = latency_stack(500, 500);
@@ -57,7 +58,10 @@ fn bench_e7(c: &mut Criterion) {
         sweep.bench_with_input(BenchmarkId::new("per_label", n), &set, |b, set| {
             b.iter(|| {
                 for label in set {
-                    std::hint::black_box(s.registry.search_by_interest_report(label));
+                    std::hint::black_box(
+                        s.registry
+                            .search_by_interests_report(std::slice::from_ref(label)),
+                    );
                 }
             })
         });

@@ -22,8 +22,10 @@ fn bench_f2(c: &mut Criterion) {
     });
     group.bench_function("interest_search_fanout", |b| {
         b.iter(|| {
-            let (profiles, _) = s.registry.search_by_interest(&s.manuscript.keywords[0]);
-            std::hint::black_box(profiles)
+            std::hint::black_box(
+                s.registry
+                    .search_by_interests_report(&s.manuscript.keywords[..1]),
+            )
         })
     });
     group.finish();

@@ -57,9 +57,12 @@ fn bench_index(c: &mut Criterion) {
 
 fn bench_merge_and_normalize(c: &mut Criterion) {
     let s = stack(300);
-    let (profiles, _) = s
+    let label = s.world.ontology.label(s.world.scholars()[0].interests[0]);
+    let (_, profiles) = s
         .registry
-        .search_by_interest(s.world.ontology.label(s.world.scholars()[0].interests[0]));
+        .search_by_interests_report(&[label.to_string()])
+        .by_label
+        .remove(0);
     c.bench_function("substrates/merge_profiles", |b| {
         b.iter(|| std::hint::black_box(merge_profiles(profiles.clone())))
     });

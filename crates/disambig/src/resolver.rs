@@ -155,8 +155,7 @@ impl<'r> IdentityResolver<'r> {
         };
         let mut profiles = Vec::new();
         for variant in parsed.search_variants() {
-            let (mut found, _errors) = self.registry.search_by_name(&variant);
-            profiles.append(&mut found);
+            profiles.append(&mut self.registry.search_by_name_report(&variant).profiles);
         }
         // The same profile may return under several variants; dedupe by
         // (source, key) before merging.

@@ -173,8 +173,9 @@ pub fn run_e7_addendum(scholars: usize, runs: usize) -> E7AddendumResult {
 
     // (a) Batched vs. per-label retrieval. Inject scraping-scale latency
     // so the cost model matches the paper's on-the-fly design: each
-    // policed source call pays a round trip, and the per-label path pays
-    // `labels` round trips where the batched path pays one.
+    // policed source call pays a round trip, and the per-label path (one
+    // single-label fan-out per label) pays `labels` round trips where the
+    // batched path pays one.
     let mut scenario = ScenarioConfig::sized(scholars);
     scenario.source_latency_micros = 200;
     let ctx = EvalContext::build(scenario);
@@ -199,7 +200,9 @@ pub fn run_e7_addendum(scholars: usize, runs: usize) -> E7AddendumResult {
         for _ in 0..runs {
             let t = std::time::Instant::now();
             for label in set {
-                let _ = ctx.registry.search_by_interest_report(label);
+                let _ = ctx
+                    .registry
+                    .search_by_interests_report(std::slice::from_ref(label));
             }
             per_label_total += t.elapsed();
             let t = std::time::Instant::now();

@@ -60,7 +60,6 @@ pub struct CachingSource {
     telemetry: Telemetry,
     by_name: ShardedMap<String, Vec<Arc<SourceProfile>>>,
     by_interest: ShardedMap<Arc<str>, Vec<Arc<SourceProfile>>>,
-    by_key: ShardedMap<String, Arc<SourceProfile>>,
     hits: AtomicU64,
     misses: AtomicU64,
     errors: AtomicU64,
@@ -93,7 +92,6 @@ impl CachingSource {
             telemetry,
             by_name: ShardedMap::new(),
             by_interest: ShardedMap::new(),
-            by_key: ShardedMap::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             errors: AtomicU64::new(0),
@@ -114,8 +112,7 @@ impl CachingSource {
     /// Drops all cached entries (a new recommendation run starting from
     /// scratch, per the paper's freshness requirement).
     pub fn clear(&self) {
-        let evicted =
-            (self.by_name.clear() + self.by_interest.clear() + self.by_key.clear()) as u64;
+        let evicted = (self.by_name.clear() + self.by_interest.clear()) as u64;
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
         self.cache_counter("evictions").inc_by(evicted);
     }
@@ -169,26 +166,13 @@ impl ScholarSource for CachingSource {
         Ok(result)
     }
 
-    fn search_by_interest(&self, keyword: &str) -> Result<Vec<Arc<SourceProfile>>, SourceError> {
-        if let Some(hit) = self.by_interest.get(keyword) {
-            self.on_hit();
-            return Ok(hit);
-        }
-        let result = self.inner.search_by_interest(keyword);
-        self.on_fetch(&result);
-        let result = result?;
-        self.by_interest
-            .insert(crate::intern::intern(keyword), result.clone());
-        Ok(result)
-    }
-
     /// Per-label caching over the batched search: labels already cached
-    /// (from earlier batches *or* single-label queries) are served from
-    /// the cache, and only the missing ones go to the inner source — as
-    /// one batch. Each cached label counts a hit, each fetched label a
-    /// miss; a failed fetch-through counts one error and caches nothing,
-    /// so a later retry can still succeed — and labels already cached
-    /// before the failure stay cached.
+    /// by earlier batches are served from the cache, and only the missing
+    /// ones go to the inner source — as one batch. Each cached label
+    /// counts a hit, each fetched label a miss; a failed fetch-through
+    /// counts one error and caches nothing, so a later retry can still
+    /// succeed — and labels already cached before the failure stay
+    /// cached.
     fn search_by_interests(
         &self,
         labels: &[Arc<str>],
@@ -240,18 +224,6 @@ impl ScholarSource for CachingSource {
             .map(|(label, hits)| (label.clone(), hits.expect("every label resolved")))
             .collect())
     }
-
-    fn fetch_profile(&self, key: &str) -> Result<Arc<SourceProfile>, SourceError> {
-        if let Some(hit) = self.by_key.get(key) {
-            self.on_hit();
-            return Ok(hit);
-        }
-        let result = self.inner.fetch_profile(key);
-        self.on_fetch(&result);
-        let result = result?;
-        self.by_key.insert(key.to_string(), result.clone());
-        Ok(result)
-    }
 }
 
 #[cfg(test)]
@@ -291,6 +263,15 @@ mod tests {
             }
         }
         labels
+    }
+
+    /// The hits for `label` alone, asked as a one-label batch.
+    fn search_one(
+        c: &CachingSource,
+        label: &Arc<str>,
+    ) -> Result<Vec<Arc<SourceProfile>>, SourceError> {
+        c.search_by_interests(std::slice::from_ref(label))
+            .map(|mut hits| hits.remove(0).1)
     }
 
     #[test]
@@ -364,8 +345,8 @@ mod tests {
         let (c, w) = cached(SourceKind::GoogleScholar);
         let labels = world_labels(&w, 3);
         assert_eq!(labels.len(), 3);
-        // Warm one label through the single-label path.
-        let warm = c.search_by_interest(&labels[0]).unwrap();
+        // Warm one label through a one-label batch.
+        let warm = search_one(&c, &labels[0]).unwrap();
         assert_eq!(c.stats().misses, 1);
         // The batch serves it from cache and fetches only the others.
         let batch = c.search_by_interests(&labels).unwrap();
@@ -386,8 +367,8 @@ mod tests {
         let labels = world_labels(&w, 4);
         assert_eq!(labels.len(), 4);
         // Warm labels 1 and 3 so the batch interleaves hit/miss/hit/miss.
-        c.search_by_interest(&labels[1]).unwrap();
-        c.search_by_interest(&labels[3]).unwrap();
+        search_one(&c, &labels[1]).unwrap();
+        search_one(&c, &labels[3]).unwrap();
         let mixed = vec![
             labels[0].clone(),
             labels[1].clone(),
@@ -405,8 +386,8 @@ mod tests {
         assert_eq!(s.hits, 2, "two pre-warmed labels hit");
         assert_eq!(s.misses, 2 + 2, "two warmups + two batch fetches");
         assert_eq!(s.errors, 0);
-        // Cached hits are the same Arcs the single-label path returned.
-        let single = c.search_by_interest(&labels[1]).unwrap();
+        // Cached hits are the same Arcs a one-label batch returns.
+        let single = search_one(&c, &labels[1]).unwrap();
         let batched = &batch[1].1;
         assert_eq!(&single, batched);
     }
@@ -432,7 +413,7 @@ mod tests {
         ));
         let c = CachingSource::new(flaky);
         // Inner call 0 succeeds and caches label 0.
-        let cached_hits = c.search_by_interest(&labels[0]).unwrap();
+        let cached_hits = search_one(&c, &labels[0]).unwrap();
         // The batch hits label 0 in cache and fetches only label 1 —
         // inner call 1, which is scripted to fail.
         let before = c.stats();
@@ -442,7 +423,7 @@ mod tests {
         assert_eq!(after.hits, before.hits + 1, "cached label still hits");
         assert_eq!(after.misses, before.misses, "failure caches nothing");
         // The previously cached label is still served from cache.
-        let again = c.search_by_interest(&labels[0]).unwrap();
+        let again = search_one(&c, &labels[0]).unwrap();
         assert_eq!(again, cached_hits);
         assert_eq!(c.stats().hits, after.hits + 1);
     }

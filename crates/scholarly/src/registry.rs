@@ -23,6 +23,7 @@ use std::sync::{Arc, OnceLock};
 
 use crossbeam::channel;
 use minaret_concurrent::{ConcurrentMap, ShardedMap};
+use minaret_ontology::{normalize_label_onto, NormalizedLabels};
 use minaret_telemetry::Telemetry;
 // parking_lot throughout (no std lock poisoning): a leader that panics
 // inside a source call must not wedge the coalescing map or its cells
@@ -31,7 +32,6 @@ use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::clock::{Clock, SystemClock};
 use crate::error::SourceError;
-use crate::intern;
 use crate::record::SourceProfile;
 use crate::resilience::{BreakerState, CircuitBreaker, ResilienceConfig};
 use crate::sim::ScholarSource;
@@ -117,7 +117,7 @@ pub struct FanOutReport {
 }
 
 impl FanOutReport {
-    /// The per-source errors (legacy tuple-API view).
+    /// The per-source errors.
     pub fn errors(&self) -> Vec<SourceError> {
         self.outcomes
             .iter()
@@ -125,23 +125,6 @@ impl FanOutReport {
                 SourceStatus::Failed(e) => Some(e.clone()),
                 _ => None,
             })
-            .collect()
-    }
-
-    /// Sources that answered successfully.
-    pub fn responded(&self) -> Vec<SourceKind> {
-        self.outcomes
-            .iter()
-            .filter(|o| o.status == SourceStatus::Ok)
-            .map(|o| o.source)
-            .collect()
-    }
-
-    /// Outcomes of sources that failed (were not skipped).
-    pub fn failed(&self) -> Vec<&SourceOutcome> {
-        self.outcomes
-            .iter()
-            .filter(|o| matches!(o.status, SourceStatus::Failed(_)))
             .collect()
     }
 }
@@ -157,8 +140,10 @@ impl FanOutReport {
 pub struct BatchFanOutReport {
     /// Hits per requested label, in input order. A label nobody
     /// registered gets an empty vector. Within one label, profiles are
-    /// concatenated in source-registration order (deterministic).
-    /// Labels are interned `Arc<str>`s and profiles are `Arc`-shared
+    /// concatenated in source-registration order (deterministic). A
+    /// label repeated in the input (up to normalization) is asked once,
+    /// and its hits fill every position that carries it. Each label is
+    /// the caller's string as an `Arc<str>`; profiles are `Arc`-shared
     /// with the sources that produced them.
     pub by_label: Vec<(Arc<str>, Vec<Arc<SourceProfile>>)>,
     /// One outcome per registered source, in registration order. A
@@ -176,11 +161,6 @@ impl BatchFanOutReport {
                 _ => None,
             })
             .collect()
-    }
-
-    /// Total profiles across all labels (before any dedup).
-    pub fn profile_count(&self) -> usize {
-        self.by_label.iter().map(|(_, hits)| hits.len()).sum()
     }
 }
 
@@ -484,9 +464,9 @@ impl RegistryShared {
 /// hash of the **sorted, deduplicated, normalized** label set, so two
 /// concurrent fan-outs asking the same question — regardless of label
 /// order or raw spelling — share one in-flight computation per source.
-fn batch_fanout_key(labels: &[String]) -> u64 {
-    let mut normalized: Vec<Arc<str>> = labels.iter().map(|l| intern::normalized(l)).collect();
-    normalized.sort();
+fn batch_fanout_key<'a>(normalized: impl IntoIterator<Item = &'a str>) -> u64 {
+    let mut normalized: Vec<&str> = normalized.into_iter().collect();
+    normalized.sort_unstable();
     normalized.dedup();
     let mut h: u64 = 0xcbf29ce484222325;
     for label in &normalized {
@@ -652,6 +632,24 @@ impl Drop for WorkerPool {
 /// One slot per source: `None` when `applies` skipped it, otherwise the
 /// call result plus the attempt count.
 type Slot<T> = Option<(Result<T, SourceError>, u32)>;
+
+/// Folds one source's fan-out slot into its outcome line, handing a
+/// successful answer to `accept`.
+fn fold_slot<T>(kind: SourceKind, slot: Slot<T>, accept: impl FnOnce(T)) -> SourceOutcome {
+    let (status, attempts) = match slot {
+        None => (SourceStatus::Skipped, 0),
+        Some((Ok(answer), attempts)) => {
+            accept(answer);
+            (SourceStatus::Ok, attempts)
+        }
+        Some((Err(e), attempts)) => (SourceStatus::Failed(e), attempts),
+    };
+    SourceOutcome {
+        source: kind,
+        status,
+        attempts,
+    }
+}
 
 /// The set of scholarly sources MINARET queries, with uniform fan-out.
 ///
@@ -899,96 +897,33 @@ impl SourceRegistry {
         slots
     }
 
-    /// Folds fan-out slots into the merged-profile report shape.
-    fn collect_profile_report(
-        slots: Vec<(SourceKind, Slot<Vec<Arc<SourceProfile>>>)>,
-    ) -> FanOutReport {
-        let mut profiles = Vec::new();
-        let mut outcomes = Vec::new();
-        for (kind, slot) in slots {
-            let outcome = match slot {
-                None => SourceOutcome {
-                    source: kind,
-                    status: SourceStatus::Skipped,
-                    attempts: 0,
-                },
-                Some((Ok(mut v), attempts)) => {
-                    profiles.append(&mut v);
-                    SourceOutcome {
-                        source: kind,
-                        status: SourceStatus::Ok,
-                        attempts,
-                    }
-                }
-                Some((Err(e), attempts)) => SourceOutcome {
-                    source: kind,
-                    status: SourceStatus::Failed(e),
-                    attempts,
-                },
-            };
-            outcomes.push(outcome);
-        }
-        FanOutReport { profiles, outcomes }
-    }
-
     /// Searches all sources by scholar name, with per-source outcomes.
     pub fn search_by_name_report(&self, name: &str) -> FanOutReport {
         let clock = self.shared.clock();
         let started = clock.now_micros();
         let name = name.to_string();
-        let report = Self::collect_profile_report(self.fan_out(
-            |_| true,
-            move |s| s.search_by_name(&name),
-            None,
-        ));
+        let mut profiles = Vec::new();
+        let outcomes = self
+            .fan_out(|_| true, move |s| s.search_by_name(&name), None)
+            .into_iter()
+            .map(|(kind, slot)| fold_slot(kind, slot, |mut found| profiles.append(&mut found)))
+            .collect();
         self.shared
             .telemetry
             .histogram("minaret_fanout_micros", &[("query", "name")])
             .observe(clock.now_micros().saturating_sub(started));
-        report
-    }
-
-    /// Searches all sources by scholar name (legacy tuple view).
-    pub fn search_by_name(&self, name: &str) -> (Vec<Arc<SourceProfile>>, Vec<SourceError>) {
-        let report = self.search_by_name_report(name);
-        let errors = report.errors();
-        (report.profiles, errors)
-    }
-
-    /// Searches all interest-capable sources by research-interest
-    /// keyword, with per-source outcomes; incapable sources are marked
-    /// [`SourceStatus::Skipped`] (their absence is expected, not an
-    /// error condition).
-    pub fn search_by_interest_report(&self, keyword: &str) -> FanOutReport {
-        let clock = self.shared.clock();
-        let started = clock.now_micros();
-        let keyword = keyword.to_string();
-        let report = Self::collect_profile_report(self.fan_out(
-            |s| s.supports_interest_search(),
-            move |s| s.search_by_interest(&keyword),
-            None,
-        ));
-        self.shared
-            .telemetry
-            .histogram("minaret_fanout_micros", &[("query", "interest")])
-            .observe(clock.now_micros().saturating_sub(started));
-        report
-    }
-
-    /// Searches all interest-capable sources (legacy tuple view).
-    pub fn search_by_interest(&self, keyword: &str) -> (Vec<Arc<SourceProfile>>, Vec<SourceError>) {
-        let report = self.search_by_interest_report(keyword);
-        let errors = report.errors();
-        (report.profiles, errors)
+        FanOutReport { profiles, outcomes }
     }
 
     /// Issues the whole label set as **one batched fan-out**: every
     /// interest-capable source receives one
     /// [`ScholarSource::search_by_interests`] call carrying all labels,
     /// under one application of the resilience policy (deadline, budget,
-    /// breaker, retries). This is the per-`recommend()` retrieval path —
+    /// breaker, retries). Incapable sources are marked
+    /// [`SourceStatus::Skipped`] (their absence is expected, not an
+    /// error condition). This is the retrieval path of every caller —
     /// one fan-out regardless of how many labels expansion produced,
-    /// where the per-label API would pay `labels × sources` policed
+    /// where a fan-out per label would pay `labels × sources` policed
     /// calls and as many fan-out latencies.
     pub fn search_by_interests_report(&self, labels: &[String]) -> BatchFanOutReport {
         let clock = self.shared.clock();
@@ -997,65 +932,69 @@ impl SourceRegistry {
             .telemetry
             .histogram("minaret_batch_labels", &[])
             .observe(labels.len() as u64);
-        // Intern once per fan-out: the batch travels as shared `Arc<str>`s
-        // through the worker pool, every source, any cache layer, and back
-        // out in the report — zero label-string allocations past this
-        // point on a warm interner.
-        let query: Vec<Arc<str>> = labels.iter().map(|l| intern::intern(l)).collect();
-        let key = batch_fanout_key(labels);
-        let call_query = query.clone();
-        let slots = self.fan_out(
+        // Sources answer labels up to normalization, so each distinct
+        // normalized label is asked once: `slots` maps every input
+        // position to its distinct label, and `first` each distinct
+        // label to the position that introduced it. The normalized forms
+        // share one buffer; no request string reaches the interner.
+        let normalized = NormalizedLabels::new(labels.iter().map(String::as_str));
+        let mut slot_of: HashMap<&str, usize> = HashMap::with_capacity(labels.len());
+        let mut first: Vec<usize> = Vec::with_capacity(labels.len());
+        let slots: Vec<usize> = normalized
+            .iter()
+            .enumerate()
+            .map(|(i, norm)| {
+                *slot_of.entry(norm).or_insert_with(|| {
+                    first.push(i);
+                    first.len() - 1
+                })
+            })
+            .collect();
+        let query: Vec<Arc<str>> = first
+            .iter()
+            .map(|&i| Arc::from(labels[i].as_str()))
+            .collect();
+        let key = batch_fanout_key(slot_of.keys().copied());
+        let mut by_label: Vec<(Arc<str>, Vec<Arc<SourceProfile>>)> = labels
+            .iter()
+            .zip(&slots)
+            .map(|(label, &j)| {
+                // An exact repeat shares the query's `Arc`.
+                let label = if *query[j] == **label {
+                    query[j].clone()
+                } else {
+                    Arc::from(label.as_str())
+                };
+                (label, Vec::new())
+            })
+            .collect();
+        let answers = self.fan_out(
             |s| s.supports_interest_search(),
-            move |s| s.search_by_interests(&call_query),
+            move |s| s.search_by_interests(&query),
             Some(key),
         );
-        // Exact label match first (the usual case: the echo *is* the
-        // caller's Arc). A coalesced follower whose raw spelling differs
-        // from the leader's still maps correctly via the normalized form,
-        // since sources answer labels up to normalization anyway.
-        let index_of: HashMap<&str, usize> = labels
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (l.as_str(), i))
-            .collect();
-        let index_of_norm: HashMap<Arc<str>, usize> = labels
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (intern::normalized(l), i))
-            .collect();
-        let mut by_label: Vec<(Arc<str>, Vec<Arc<SourceProfile>>)> =
-            query.iter().map(|l| (l.clone(), Vec::new())).collect();
-        let mut outcomes = Vec::new();
-        for (kind, slot) in slots {
-            let outcome = match slot {
-                None => SourceOutcome {
-                    source: kind,
-                    status: SourceStatus::Skipped,
-                    attempts: 0,
-                },
-                Some((Ok(pairs), attempts)) => {
+        // Echoes map back by normalized form: a coalesced follower
+        // receives its leader's answer, whose spelling may differ.
+        let mut echo = String::new();
+        let outcomes = answers
+            .into_iter()
+            .map(|(kind, slot)| {
+                fold_slot(kind, slot, |pairs| {
                     for (label, mut hits) in pairs {
-                        let slot = index_of
-                            .get(label.as_ref())
-                            .or_else(|| index_of_norm.get(&intern::normalized(&label)))
-                            .copied();
-                        if let Some(i) = slot {
-                            by_label[i].1.append(&mut hits);
+                        echo.clear();
+                        normalize_label_onto(&label, &mut echo);
+                        if let Some(&j) = slot_of.get(echo.as_str()) {
+                            by_label[first[j]].1.append(&mut hits);
                         }
                     }
-                    SourceOutcome {
-                        source: kind,
-                        status: SourceStatus::Ok,
-                        attempts,
-                    }
-                }
-                Some((Err(e), attempts)) => SourceOutcome {
-                    source: kind,
-                    status: SourceStatus::Failed(e),
-                    attempts,
-                },
-            };
-            outcomes.push(outcome);
+                })
+            })
+            .collect();
+        // A repeated label's later positions copy the hits of its first.
+        for (i, &j) in slots.iter().enumerate() {
+            if first[j] != i {
+                by_label[i].1 = by_label[first[j]].1.clone();
+            }
         }
         self.shared
             .telemetry
@@ -1076,7 +1015,7 @@ mod tests {
     use super::*;
     use crate::clock::SimulatedClock;
     use crate::resilience::BreakerConfig;
-    use crate::sim::{FaultSchedule, SimulatedSource};
+    use crate::sim::{FaultSchedule, LabeledHits, SimulatedSource};
     use crate::spec::SourceSpec;
     use minaret_synth::{World, WorldConfig, WorldGenerator};
 
@@ -1115,11 +1054,12 @@ mod tests {
         let w = world();
         let reg = full_registry(&w, true);
         let name = w.scholars()[0].full_name();
-        let (profiles, errors) = reg.search_by_name(&name);
-        assert!(errors.is_empty());
+        let report = reg.search_by_name_report(&name);
+        assert!(report.errors().is_empty());
         // The scholar is covered by several sources, so multiple profiles
         // with the same truth id come back.
-        let truth_hits = profiles
+        let truth_hits = report
+            .profiles
             .iter()
             .filter(|p| p.truth == w.scholars()[0].id)
             .count();
@@ -1135,8 +1075,8 @@ mod tests {
         let reg_c = full_registry(&w, true);
         let reg_s = full_registry(&w, false);
         let name = w.scholars()[5].full_name();
-        let (mut a, _) = reg_c.search_by_name(&name);
-        let (mut b, _) = reg_s.search_by_name(&name);
+        let mut a = reg_c.search_by_name_report(&name).profiles;
+        let mut b = reg_s.search_by_name_report(&name).profiles;
         let key = |p: &Arc<SourceProfile>| (p.source, p.key.clone());
         a.sort_by_key(key);
         b.sort_by_key(key);
@@ -1147,11 +1087,11 @@ mod tests {
     fn interest_search_skips_unsupporting_sources() {
         let w = world();
         let reg = full_registry(&w, true);
-        let label = w.ontology.label(w.scholars()[0].interests[0]);
-        let report = reg.search_by_interest_report(label);
+        let label = w.ontology.label(w.scholars()[0].interests[0]).to_string();
+        let report = reg.search_by_interests_report(&[label]);
         assert!(report.errors().is_empty());
         // Only GS and Publons support interest search.
-        for p in &report.profiles {
+        for p in &report.by_label[0].1 {
             assert!(matches!(
                 p.source,
                 SourceKind::GoogleScholar | SourceKind::Publons
@@ -1220,26 +1160,28 @@ mod tests {
     }
 
     #[test]
-    fn batched_fanout_matches_per_label_fanouts() {
+    fn a_repeated_label_is_asked_once_and_answered_at_every_position() {
         let w = world();
-        let reg_batched = full_registry(&w, true);
-        let reg_loop = full_registry(&w, false);
-        let labels: Vec<String> = w
-            .scholars()
-            .iter()
-            .take(8)
-            .map(|s| w.ontology.label(s.interests[0]).to_string())
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        let batch = reg_batched.search_by_interests_report(&labels);
-        for (label, hits) in &batch.by_label {
-            let single = reg_loop.search_by_interest_report(label);
+        let label = w.ontology.label(w.scholars()[0].interests[0]).to_string();
+        let want = full_registry(&w, true)
+            .search_by_interests_report(std::slice::from_ref(&label))
+            .by_label
+            .remove(0)
+            .1;
+        assert!(!want.is_empty());
+        let reg = full_registry(&w, true);
+        let spellings = [label.clone(), label.to_uppercase(), label];
+        let report = reg.search_by_interests_report(&spellings);
+        assert_eq!(report.by_label.len(), spellings.len());
+        for ((got, hits), sent) in report.by_label.iter().zip(&spellings) {
             assert_eq!(
-                hits, &single.profiles,
-                "batched hits for {label} diverge from the per-label fan-out"
+                got.as_ref(),
+                sent.as_str(),
+                "each position echoes its input"
             );
+            assert_eq!(hits, &want, "every position gets the label's own hits");
         }
+        assert_eq!(reg.stats().calls, 2, "one call per capable source");
     }
 
     #[test]
@@ -1311,19 +1253,13 @@ mod tests {
             fn search_by_name(&self, _name: &str) -> Result<Vec<Arc<SourceProfile>>, SourceError> {
                 panic!("scripted pool panic");
             }
-            fn search_by_interest(
+            fn search_by_interests(
                 &self,
-                _keyword: &str,
-            ) -> Result<Vec<Arc<SourceProfile>>, SourceError> {
+                _labels: &[Arc<str>],
+            ) -> Result<LabeledHits, SourceError> {
                 Err(SourceError::Unsupported {
                     source: SourceKind::Orcid,
                     operation: "interest search",
-                })
-            }
-            fn fetch_profile(&self, key: &str) -> Result<Arc<SourceProfile>, SourceError> {
-                Err(SourceError::NotFound {
-                    source: SourceKind::Orcid,
-                    key: key.to_string(),
                 })
             }
         }
@@ -1374,8 +1310,7 @@ mod tests {
         let mut failures = 0;
         for i in 0..30 {
             let name = w.scholars()[i].full_name();
-            let (_, errors) = reg.search_by_name(&name);
-            failures += errors.len();
+            failures += reg.search_by_name_report(&name).errors().len();
         }
         // 0.4^7 per call chain — all calls should eventually succeed.
         assert_eq!(failures, 0);
@@ -1404,7 +1339,7 @@ mod tests {
             w.clone(),
         )));
         for i in 0..20 {
-            let _ = reg.search_by_name(&w.scholars()[i].full_name());
+            let _ = reg.search_by_name_report(&w.scholars()[i].full_name());
         }
         let stats = reg.stats();
         let text = telemetry.encode_prometheus();
@@ -1452,9 +1387,9 @@ mod tests {
         let mut spec = SourceSpec::for_kind(SourceKind::GoogleScholar);
         spec.failure_rate = 1.0;
         reg.register(Arc::new(SimulatedSource::new(spec, w.clone())));
-        let (profiles, errors) = reg.search_by_name("anyone");
-        assert!(profiles.is_empty());
-        assert_eq!(errors.len(), 1);
+        let report = reg.search_by_name_report("anyone");
+        assert!(report.profiles.is_empty());
+        assert_eq!(report.errors().len(), 1);
         assert!(reg.stats().gave_up >= 1);
     }
 
@@ -1483,8 +1418,8 @@ mod tests {
                 .with_clock(clock.clone()),
         ));
         // Two fan-outs x two attempts = 4 consecutive failures >= 3.
-        let _ = reg.search_by_name("a");
-        let _ = reg.search_by_name("b");
+        let _ = reg.search_by_name_report("a");
+        let _ = reg.search_by_name_report("b");
         assert_eq!(
             reg.breaker_state(SourceKind::GoogleScholar),
             Some(BreakerState::Open)
@@ -1564,22 +1499,10 @@ mod tests {
         fn search_by_name(&self, name: &str) -> Result<Vec<Arc<SourceProfile>>, SourceError> {
             self.inner.search_by_name(name)
         }
-        fn search_by_interest(
-            &self,
-            keyword: &str,
-        ) -> Result<Vec<Arc<SourceProfile>>, SourceError> {
-            self.inner.search_by_interest(keyword)
-        }
-        fn search_by_interests(
-            &self,
-            labels: &[Arc<str>],
-        ) -> Result<crate::sim::LabeledHits, SourceError> {
+        fn search_by_interests(&self, labels: &[Arc<str>]) -> Result<LabeledHits, SourceError> {
             self.inner_calls.fetch_add(1, Ordering::Relaxed);
             self.wait_for_release();
             self.inner.search_by_interests(labels)
-        }
-        fn fetch_profile(&self, key: &str) -> Result<Arc<SourceProfile>, SourceError> {
-            self.inner.fetch_profile(key)
         }
     }
 
@@ -1810,22 +1733,10 @@ mod tests {
         fn search_by_name(&self, name: &str) -> Result<Vec<Arc<SourceProfile>>, SourceError> {
             self.inner.search_by_name(name)
         }
-        fn search_by_interest(
-            &self,
-            keyword: &str,
-        ) -> Result<Vec<Arc<SourceProfile>>, SourceError> {
-            self.inner.search_by_interest(keyword)
-        }
-        fn search_by_interests(
-            &self,
-            labels: &[Arc<str>],
-        ) -> Result<crate::sim::LabeledHits, SourceError> {
+        fn search_by_interests(&self, labels: &[Arc<str>]) -> Result<LabeledHits, SourceError> {
             self.inner_calls.fetch_add(1, Ordering::Relaxed);
             self.gate.arrive_and_wait();
             self.inner.search_by_interests(labels)
-        }
-        fn fetch_profile(&self, key: &str) -> Result<Arc<SourceProfile>, SourceError> {
-            self.inner.fetch_profile(key)
         }
     }
 
@@ -1842,7 +1753,7 @@ mod tests {
         let shard_of = |label: &String| {
             let key = (
                 SourceKind::GoogleScholar,
-                batch_fanout_key(std::slice::from_ref(label)),
+                batch_fanout_key([minaret_ontology::normalize_label(label).as_str()]),
             );
             reg.shared.inflight.shard_index(&key)
         };
@@ -1940,16 +1851,7 @@ mod tests {
             fn search_by_name(&self, name: &str) -> Result<Vec<Arc<SourceProfile>>, SourceError> {
                 self.inner.search_by_name(name)
             }
-            fn search_by_interest(
-                &self,
-                keyword: &str,
-            ) -> Result<Vec<Arc<SourceProfile>>, SourceError> {
-                self.inner.search_by_interest(keyword)
-            }
-            fn search_by_interests(
-                &self,
-                labels: &[Arc<str>],
-            ) -> Result<crate::sim::LabeledHits, SourceError> {
+            fn search_by_interests(&self, labels: &[Arc<str>]) -> Result<LabeledHits, SourceError> {
                 if self.calls.fetch_add(1, Ordering::Relaxed) == 0 {
                     let (flag, cv) = &*self.release;
                     let mut open = flag.lock();
@@ -1959,9 +1861,6 @@ mod tests {
                     panic!("scripted leader panic");
                 }
                 self.inner.search_by_interests(labels)
-            }
-            fn fetch_profile(&self, key: &str) -> Result<Arc<SourceProfile>, SourceError> {
-                self.inner.fetch_profile(key)
             }
         }
         let w = world();

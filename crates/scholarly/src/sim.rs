@@ -4,11 +4,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use minaret_ontology::normalize_label;
+use minaret_ontology::{normalize_label, normalize_label_onto};
 use minaret_synth::{LazyWorld, ScholarId, World, WorldHandle, WorldScope};
 use minaret_telemetry::Telemetry;
-
-use crate::intern;
 
 use crate::clock::{Clock, SystemClock};
 use crate::error::SourceError;
@@ -18,7 +16,7 @@ use crate::record::{
 use crate::spec::{SourceKind, SourceSpec};
 
 /// Per-label hit lists from a batched interest search: each queried
-/// label (echoed as the caller's interned `Arc<str>`) paired with its
+/// label (echoed as the caller's own `Arc<str>`) paired with its
 /// possibly-empty, `Arc`-shared profile hits, in input order.
 pub type LabeledHits = Vec<(Arc<str>, Vec<Arc<SourceProfile>>)>;
 
@@ -33,7 +31,7 @@ pub trait ScholarSource: Send + Sync {
     /// Which service this is.
     fn kind(&self) -> SourceKind;
 
-    /// Whether [`ScholarSource::search_by_interest`] is supported.
+    /// Whether [`ScholarSource::search_by_interests`] is supported.
     fn supports_interest_search(&self) -> bool;
 
     /// Finds profiles whose display name matches `name` (normalized,
@@ -43,37 +41,13 @@ pub trait ScholarSource: Send + Sync {
     /// hold hits from overlapping queries cheaply.
     fn search_by_name(&self, name: &str) -> Result<Vec<Arc<SourceProfile>>, SourceError>;
 
-    /// Finds profiles that register `keyword` among their research
-    /// interests — the paper queries Google Scholar and Publons this way
-    /// to retrieve candidate reviewers (§2.1).
-    fn search_by_interest(&self, keyword: &str) -> Result<Vec<Arc<SourceProfile>>, SourceError>;
-
-    /// Answers a whole label set in one call, returning the hits per
-    /// label in input order. Retrieval is fundamentally a batched,
-    /// index-backed operation; issuing the expanded keyword set as one
-    /// request lets a source amortize its per-call cost across every
-    /// label instead of paying it per keyword. Labels travel as interned
-    /// `Arc<str>` so a batch echoed back (and cached, and re-batched)
-    /// never re-allocates its label strings.
-    ///
-    /// The default implementation loops [`search_by_interest`] per label
-    /// (propagating the first error), so third-party sources keep
-    /// working unchanged; sources with an interest index should override
-    /// it to pay their per-call cost once.
-    ///
-    /// [`search_by_interest`]: ScholarSource::search_by_interest
-    fn search_by_interests(&self, labels: &[Arc<str>]) -> Result<LabeledHits, SourceError> {
-        labels
-            .iter()
-            .map(|label| {
-                self.search_by_interest(label)
-                    .map(|hits| (label.clone(), hits))
-            })
-            .collect()
-    }
-
-    /// Fetches one profile by its per-source key.
-    fn fetch_profile(&self, key: &str) -> Result<Arc<SourceProfile>, SourceError>;
+    /// Finds, for every label of `labels`, the profiles that register it
+    /// among their research interests — the paper queries Google Scholar
+    /// and Publons this way to retrieve candidate reviewers (§2.1).
+    /// Returns the hits per label in input order, each label echoed as
+    /// the caller's `Arc<str>`. The whole label set is one request, so a
+    /// source pays its per-call cost once per batch, not once per label.
+    fn search_by_interests(&self, labels: &[Arc<str>]) -> Result<LabeledHits, SourceError>;
 }
 
 /// A lazily-built, per-source store of [`Arc`]-shared profiles.
@@ -433,6 +407,21 @@ impl SimulatedSource {
         Some(id)
     }
 
+    /// Fetches one profile by its per-source key (see [`Self::key_for`]).
+    /// Pays one call, like a search.
+    pub fn fetch_profile(&self, key: &str) -> Result<Arc<SourceProfile>, SourceError> {
+        self.pay_call()?;
+        let not_found = || SourceError::NotFound {
+            source: self.spec.kind,
+            key: key.to_string(),
+        };
+        let id = self.scholar_from_key(key).ok_or_else(not_found)?;
+        if !Self::covered_static(self.salt, self.spec.coverage, id) {
+            return Err(not_found());
+        }
+        Ok(self.profile(id))
+    }
+
     /// Simulates per-call cost and failure; every public operation calls
     /// this exactly once. Scripted faults ([`FaultSchedule`]) are applied
     /// first — they are deterministic in the call sequence number — then
@@ -651,26 +640,10 @@ impl ScholarSource for SimulatedSource {
 
     fn search_by_name(&self, name: &str) -> Result<Vec<Arc<SourceProfile>>, SourceError> {
         self.pay_call()?;
-        let needle = intern::normalized(name);
+        let needle = normalize_label(name);
         // Iterate the index slice in place — no per-lookup id-vector
         // clone — and hand out memoized profiles, one page's worth.
-        let hits = match self.name_index.get(needle.as_ref()) {
-            Some(ids) => self.page(ids),
-            None => Vec::new(),
-        };
-        Ok(hits)
-    }
-
-    fn search_by_interest(&self, keyword: &str) -> Result<Vec<Arc<SourceProfile>>, SourceError> {
-        if !self.spec.supports_interest_search {
-            return Err(SourceError::Unsupported {
-                source: self.spec.kind,
-                operation: "search by research interest",
-            });
-        }
-        self.pay_call()?;
-        let needle = intern::normalized(keyword);
-        let hits = match self.interest_index.get(needle.as_ref()) {
+        let hits = match self.name_index.get(&needle) {
             Some(ids) => self.page(ids),
             None => Vec::new(),
         };
@@ -679,10 +652,9 @@ impl ScholarSource for SimulatedSource {
 
     /// One `pay_call` answers the whole batch: the interest index is
     /// precomputed, so per-label lookups are free once the (simulated)
-    /// request cost is paid. This is the batched-retrieval win the
-    /// per-label default cannot express. Echoed labels are the caller's
-    /// own interned `Arc<str>`s — no string clone per label — and
-    /// normalization is memoized across the loop.
+    /// request cost is paid. Echoed labels are the caller's own
+    /// `Arc<str>`s — no string clone per label — and every label is
+    /// normalized into one reused buffer.
     fn search_by_interests(&self, labels: &[Arc<str>]) -> Result<LabeledHits, SourceError> {
         if !self.spec.supports_interest_search {
             return Err(SourceError::Unsupported {
@@ -691,34 +663,19 @@ impl ScholarSource for SimulatedSource {
             });
         }
         self.pay_call()?;
+        let mut needle = String::new();
         Ok(labels
             .iter()
             .map(|label| {
-                let needle = intern::normalized(label);
-                let hits = match self.interest_index.get(needle.as_ref()) {
+                needle.clear();
+                normalize_label_onto(label, &mut needle);
+                let hits = match self.interest_index.get(&needle) {
                     Some(ids) => self.page(ids),
                     None => Vec::new(),
                 };
                 (label.clone(), hits)
             })
             .collect())
-    }
-
-    fn fetch_profile(&self, key: &str) -> Result<Arc<SourceProfile>, SourceError> {
-        self.pay_call()?;
-        let id = self
-            .scholar_from_key(key)
-            .ok_or_else(|| SourceError::NotFound {
-                source: self.spec.kind,
-                key: key.to_string(),
-            })?;
-        if !Self::covered_static(self.salt, self.spec.coverage, id) {
-            return Err(SourceError::NotFound {
-                source: self.spec.kind,
-                key: key.to_string(),
-            });
-        }
-        Ok(self.profile(id))
     }
 }
 
@@ -739,6 +696,15 @@ mod tests {
 
     fn source(kind: SourceKind) -> SimulatedSource {
         SimulatedSource::new(SourceSpec::for_kind(kind), world())
+    }
+
+    /// The hits for `label` alone, asked as a one-label batch.
+    fn search_one(s: &SimulatedSource, label: &str) -> Vec<Arc<SourceProfile>> {
+        let (_, hits) = s
+            .search_by_interests(&[Arc::from(label)])
+            .unwrap()
+            .remove(0);
+        hits
     }
 
     #[test]
@@ -842,28 +808,10 @@ mod tests {
         // Take some scholar's interest and search for it.
         let sc = &w.scholars()[0];
         let label = w.ontology.label(sc.interests[0]);
-        let hits = s.search_by_interest(label).unwrap();
+        let hits = search_one(&s, label);
         for h in &hits {
             let normalized: Vec<String> = h.interests.iter().map(|i| normalize_label(i)).collect();
             assert!(normalized.contains(&normalize_label(label)));
-        }
-    }
-
-    #[test]
-    fn batched_interest_search_matches_per_label_results() {
-        let s = source(SourceKind::GoogleScholar);
-        let w = world();
-        let labels: Vec<Arc<str>> = w
-            .scholars()
-            .iter()
-            .take(4)
-            .map(|sc| intern::intern(w.ontology.label(sc.interests[0])))
-            .collect();
-        let batched = s.search_by_interests(&labels).unwrap();
-        assert_eq!(batched.len(), labels.len());
-        for (label, hits) in &batched {
-            let single = s.search_by_interest(label).unwrap();
-            assert_eq!(hits, &single, "batched hits diverge for {label}");
         }
     }
 
@@ -874,9 +822,7 @@ mod tests {
         // second batch (and everything after) succeeds.
         let s = SimulatedSource::new(SourceSpec::for_kind(SourceKind::GoogleScholar), world())
             .with_fault(FaultSchedule::FailThenRecover { failures: 1 });
-        let labels: Vec<Arc<str>> = (0..10)
-            .map(|i| intern::intern(&format!("label {i}")))
-            .collect();
+        let labels: Vec<Arc<str>> = (0..10).map(|i| Arc::from(format!("label {i}"))).collect();
         assert!(s.search_by_interests(&labels).is_err(), "first call fails");
         assert!(
             s.search_by_interests(&labels).is_ok(),
@@ -885,14 +831,14 @@ mod tests {
     }
 
     #[test]
-    fn batched_interest_search_echoes_the_callers_interned_labels() {
+    fn batched_interest_search_echoes_the_callers_labels() {
         let s = source(SourceKind::GoogleScholar);
         let w = world();
         let labels: Vec<Arc<str>> = w
             .scholars()
             .iter()
             .take(3)
-            .map(|sc| intern::intern(w.ontology.label(sc.interests[0])))
+            .map(|sc| Arc::from(w.ontology.label(sc.interests[0])))
             .collect();
         let batched = s.search_by_interests(&labels).unwrap();
         for ((echoed, _), sent) in batched.iter().zip(&labels) {
@@ -907,16 +853,7 @@ mod tests {
     fn batched_interest_search_rejected_by_incapable_source() {
         let s = source(SourceKind::Dblp);
         assert!(matches!(
-            s.search_by_interests(&[intern::intern("databases")]),
-            Err(SourceError::Unsupported { .. })
-        ));
-    }
-
-    #[test]
-    fn dblp_rejects_interest_search() {
-        let s = source(SourceKind::Dblp);
-        assert!(matches!(
-            s.search_by_interest("databases"),
+            s.search_by_interests(&[Arc::from("databases")]),
             Err(SourceError::Unsupported { .. })
         ));
     }
@@ -1188,7 +1125,7 @@ mod tests {
             .find(|(_, ids)| ids.len() > 2)
             .map(|(l, ids)| (l.clone(), ids.clone()))
             .expect("some interest is popular enough");
-        let page = s.search_by_interest(&label).unwrap();
+        let page = search_one(&s, &label);
         assert_eq!(page.len(), 2, "page cap must truncate");
         // Deterministic first-K in scholar-id order.
         let got: Vec<ScholarId> = page.iter().map(|p| p.truth).collect();
@@ -1196,10 +1133,7 @@ mod tests {
         // An uncapped source returns every match.
         spec.max_hits = 0;
         let unbounded = SimulatedSource::new(spec, w);
-        assert_eq!(
-            unbounded.search_by_interest(&label).unwrap().len(),
-            all_ids.len()
-        );
+        assert_eq!(search_one(&unbounded, &label).len(), all_ids.len());
     }
 
     fn lazy_source_pair(
@@ -1259,10 +1193,7 @@ mod tests {
             lazy.search_by_name(&sc.full_name()).unwrap()
         );
         let label = w.ontology.label(sc.interests[0]);
-        assert_eq!(
-            eager.search_by_interest(label).unwrap(),
-            lazy.search_by_interest(label).unwrap()
-        );
+        assert_eq!(search_one(&eager, label), search_one(&lazy, label));
         drop(lazy);
         std::fs::remove_dir_all(dir).unwrap();
     }

@@ -230,10 +230,14 @@ fn measure() -> Measured {
         filler += 1;
     }
 
+    // Per-label retrieval: one single-label fan-out per label, which
+    // pays labels × sources policed calls.
     let per_label = min_of(RUNS, || {
         let t = Instant::now();
         for label in &labels {
-            let _ = ctx.registry.search_by_interest_report(label);
+            let _ = ctx
+                .registry
+                .search_by_interests_report(std::slice::from_ref(label));
         }
         t.elapsed()
     });

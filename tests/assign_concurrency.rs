@@ -81,16 +81,10 @@ impl ScholarSource for GatedSource {
     fn search_by_name(&self, name: &str) -> Result<Vec<Arc<SourceProfile>>, SourceError> {
         self.inner.search_by_name(name)
     }
-    fn search_by_interest(&self, keyword: &str) -> Result<Vec<Arc<SourceProfile>>, SourceError> {
-        self.inner.search_by_interest(keyword)
-    }
     fn search_by_interests(&self, labels: &[Arc<str>]) -> Result<LabeledHits, SourceError> {
         self.batched.fetch_add(1, Ordering::SeqCst);
         self.gate.pass();
         self.inner.search_by_interests(labels)
-    }
-    fn fetch_profile(&self, key: &str) -> Result<Arc<SourceProfile>, SourceError> {
-        self.inner.fetch_profile(key)
     }
 }
 

@@ -283,11 +283,10 @@ fn golden_assignment_is_identical_across_parallelism_and_world_backends() {
     );
 }
 
-/// Wraps a source and counts batched vs. per-label interest queries.
+/// Wraps a source and counts its batched interest queries.
 struct CountingSource {
     inner: SimulatedSource,
     batched: AtomicUsize,
-    single: AtomicUsize,
 }
 
 impl ScholarSource for CountingSource {
@@ -300,16 +299,9 @@ impl ScholarSource for CountingSource {
     fn search_by_name(&self, name: &str) -> Result<Vec<Arc<SourceProfile>>, SourceError> {
         self.inner.search_by_name(name)
     }
-    fn search_by_interest(&self, keyword: &str) -> Result<Vec<Arc<SourceProfile>>, SourceError> {
-        self.single.fetch_add(1, Ordering::Relaxed);
-        self.inner.search_by_interest(keyword)
-    }
     fn search_by_interests(&self, labels: &[Arc<str>]) -> Result<LabeledHits, SourceError> {
         self.batched.fetch_add(1, Ordering::Relaxed);
         self.inner.search_by_interests(labels)
-    }
-    fn fetch_profile(&self, key: &str) -> Result<Arc<SourceProfile>, SourceError> {
-        self.inner.fetch_profile(key)
     }
 }
 
@@ -345,7 +337,7 @@ fn manuscript_json(m: &ManuscriptDetails) -> Value {
 /// The tentpole acceptance pin: a conference-scale batch — 50
 /// manuscripts over a 10^4-scholar world — completes one `POST /assign`
 /// with exactly one batched interest fan-out per interest-capable
-/// source and zero legacy per-label queries.
+/// source.
 #[test]
 fn a_batch_of_fifty_is_one_fanout_per_source() {
     let world = Arc::new(WorldGenerator::new(WorldConfig::sized(10_000)).generate());
@@ -355,7 +347,6 @@ fn a_batch_of_fifty_is_one_fanout_per_source() {
         let counting = Arc::new(CountingSource {
             inner: SimulatedSource::new(spec, world.clone()),
             batched: AtomicUsize::new(0),
-            single: AtomicUsize::new(0),
         });
         counters.push(counting.clone());
         registry.register(counting);
@@ -401,12 +392,6 @@ fn a_batch_of_fifty_is_one_fanout_per_source() {
         "every paper came back assigned"
     );
     for source in &counters {
-        assert_eq!(
-            source.single.load(Ordering::Relaxed),
-            0,
-            "{:?} was queried per-label; batch retrieval must be batched",
-            source.kind()
-        );
         let want = usize::from(source.supports_interest_search());
         assert_eq!(
             source.batched.load(Ordering::Relaxed),

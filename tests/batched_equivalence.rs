@@ -15,12 +15,10 @@ use minaret::prelude::*;
 use minaret::scholarly::{ScholarSource, SourceError, SourceProfile};
 use minaret_synth::SubmissionGenerator;
 
-/// Wraps a source and counts how it is queried for interests: batched
-/// calls vs. legacy per-label calls.
+/// Wraps a source and counts its batched interest calls.
 struct CountingSource {
     inner: SimulatedSource,
     batched: AtomicUsize,
-    single: AtomicUsize,
 }
 
 impl CountingSource {
@@ -28,7 +26,6 @@ impl CountingSource {
         Self {
             inner,
             batched: AtomicUsize::new(0),
-            single: AtomicUsize::new(0),
         }
     }
 }
@@ -43,19 +40,12 @@ impl ScholarSource for CountingSource {
     fn search_by_name(&self, name: &str) -> Result<Vec<Arc<SourceProfile>>, SourceError> {
         self.inner.search_by_name(name)
     }
-    fn search_by_interest(&self, keyword: &str) -> Result<Vec<Arc<SourceProfile>>, SourceError> {
-        self.single.fetch_add(1, Ordering::Relaxed);
-        self.inner.search_by_interest(keyword)
-    }
     fn search_by_interests(
         &self,
         labels: &[Arc<str>],
     ) -> Result<minaret_scholarly::LabeledHits, SourceError> {
         self.batched.fetch_add(1, Ordering::Relaxed);
         self.inner.search_by_interests(labels)
-    }
-    fn fetch_profile(&self, key: &str) -> Result<Arc<SourceProfile>, SourceError> {
-        self.inner.fetch_profile(key)
     }
 }
 
@@ -103,13 +93,6 @@ fn one_recommend_is_exactly_one_fanout() {
     minaret.recommend(&m).expect("pipeline succeeds");
     for source in &counters {
         let batched = source.batched.load(Ordering::Relaxed);
-        let single = source.single.load(Ordering::Relaxed);
-        assert_eq!(
-            single,
-            0,
-            "{:?} was queried per-label; retrieval must be batched",
-            source.kind()
-        );
         if source.supports_interest_search() {
             assert_eq!(
                 batched,

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use minaret::prelude::*;
-use minaret::scholarly::{ScholarSource, SourceError, SourceProfile, SourceStatus};
+use minaret::scholarly::{LabeledHits, ScholarSource, SourceError, SourceProfile, SourceStatus};
 use minaret_synth::SubmissionGenerator;
 
 fn world(scholars: usize) -> Arc<World> {
@@ -218,7 +218,9 @@ fn rate_limit_bursts_are_absorbed_by_retries() {
     // Every third call is rate-limited; one retry always lands in the
     // next allowed window, so every query succeeds.
     for i in 0..10 {
-        let (_, errors) = registry.search_by_name(&w.scholars()[i].full_name());
+        let errors = registry
+            .search_by_name_report(&w.scholars()[i].full_name())
+            .errors();
         assert!(errors.is_empty(), "query {i}: {errors:?}");
     }
     let stats = registry.stats();
@@ -240,16 +242,10 @@ impl ScholarSource for PanickingSource {
     fn search_by_name(&self, _name: &str) -> Result<Vec<Arc<SourceProfile>>, SourceError> {
         panic!("injected panic in source thread");
     }
-    fn search_by_interest(&self, _keyword: &str) -> Result<Vec<Arc<SourceProfile>>, SourceError> {
+    fn search_by_interests(&self, _labels: &[Arc<str>]) -> Result<LabeledHits, SourceError> {
         Err(SourceError::Unsupported {
             source: SourceKind::ResearcherId,
             operation: "interest search",
-        })
-    }
-    fn fetch_profile(&self, key: &str) -> Result<Arc<SourceProfile>, SourceError> {
-        Err(SourceError::NotFound {
-            source: SourceKind::ResearcherId,
-            key: key.to_string(),
         })
     }
 }

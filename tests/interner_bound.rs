@@ -3,7 +3,9 @@
 //! structures of the filter and rank phases are built from exactly such
 //! strings: typed keywords and their expanded labels, author names, the
 //! conference-mode PC list and the target outlet. This pins that building
-//! and using them interns none of them.
+//! and using them interns none of them, and that a whole recommendation —
+//! the name searches and the interest fan-out included — interns none of
+//! them either.
 //!
 //! The suite is a single test on purpose: the interner is global, so a
 //! second test running in parallel would move its length.
@@ -15,6 +17,7 @@ use minaret::core::coi::{check_coi, AuthorRecord};
 use minaret::core::filter::CandidateFilter;
 use minaret::core::rank::CandidateScorer;
 use minaret::core::{AffiliationMatchLevel, CoiConfig, EditorConfig, KeywordExpansionSet};
+use minaret::prelude::*;
 use minaret::scholarly::{
     intern, AffiliationRecord, MergedCandidate, SourceMetrics, SourcePublication, SourceReview,
 };
@@ -111,6 +114,31 @@ fn serve(cand: &MergedCandidate, tag: &str) {
     assert!(!check_coi(cand, &authors, &config.coi).conflicted());
 }
 
+/// One recommendation over the real sources: `N` unseen keywords beside
+/// one world keyword (so candidates exist), unseen author names,
+/// affiliations and countries, and an unseen outlet, all generated from
+/// `tag`.
+fn recommend(minaret: &Minaret, world_keyword: &str, tag: &str) {
+    let mut keywords: Vec<String> = (0..N)
+        .map(|i| format!("Unseen Keyword {tag} {i}"))
+        .collect();
+    keywords.push(world_keyword.to_string());
+    let manuscript = ManuscriptDetails {
+        title: format!("Unseen Title {tag}"),
+        keywords,
+        authors: (0..3)
+            .map(|i| {
+                AuthorInput::named(format!("Unseen{i} Author{tag}"))
+                    .with_affiliation(format!("Unseen Institute {tag} {i}"))
+                    .with_country(format!("Unseen Country {tag} {i}"))
+            })
+            .collect(),
+        target_venue: format!("Unseen Venue {tag}"),
+    };
+    let report = minaret.recommend(&manuscript).expect("recommend succeeds");
+    assert!(report.candidates_retrieved > 0, "the world keyword matches");
+}
+
 #[test]
 fn request_strings_never_reach_the_global_interner() {
     let cand = candidate();
@@ -124,5 +152,28 @@ fn request_strings_never_reach_the_global_interner() {
         intern::global().len(),
         before,
         "request keywords, author names or PC names were interned"
+    );
+
+    let world = Arc::new(WorldGenerator::new(WorldConfig::sized(200)).generate());
+    let mut registry = SourceRegistry::new(RegistryConfig::default());
+    for spec in SourceSpec::all_defaults() {
+        registry.register(Arc::new(SimulatedSource::new(spec, world.clone())));
+    }
+    let minaret = Minaret::new(
+        Arc::new(registry),
+        Arc::new(minaret::ontology::seed::curated_cs_ontology()),
+        EditorConfig::default(),
+    );
+    let world_keyword = world.ontology.label(world.scholars()[0].interests[0]);
+    // The retrieved candidates are world vocabulary too.
+    recommend(&minaret, world_keyword, "warm-up");
+    let before = intern::global().len();
+    for round in 0..3 {
+        recommend(&minaret, world_keyword, &format!("round-{round}"));
+    }
+    assert_eq!(
+        intern::global().len(),
+        before,
+        "a recommendation interned request keywords or author names"
     );
 }

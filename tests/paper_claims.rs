@@ -171,7 +171,7 @@ fn s3_conference_mode_pc_restriction() {
 /// registry accepts any further source).
 #[test]
 fn s2_1_six_sources_and_extensibility() {
-    use minaret::scholarly::{ScholarSource, SourceError, SourceProfile};
+    use minaret::scholarly::{LabeledHits, ScholarSource, SourceError, SourceProfile};
     let world = Arc::new(WorldGenerator::new(WorldConfig::sized(100)).generate());
     let mut registry = SourceRegistry::new(RegistryConfig::default());
     for spec in SourceSpec::all_defaults() {
@@ -196,21 +196,12 @@ fn s2_1_six_sources_and_extensibility() {
         ) -> Result<Vec<std::sync::Arc<SourceProfile>>, SourceError> {
             Ok(vec![])
         }
-        fn search_by_interest(
-            &self,
-            _: &str,
-        ) -> Result<Vec<std::sync::Arc<SourceProfile>>, SourceError> {
-            Ok(vec![])
-        }
-        fn fetch_profile(&self, key: &str) -> Result<std::sync::Arc<SourceProfile>, SourceError> {
-            Err(SourceError::NotFound {
-                source: self.kind(),
-                key: key.to_string(),
-            })
+        fn search_by_interests(&self, labels: &[Arc<str>]) -> Result<LabeledHits, SourceError> {
+            Ok(labels.iter().map(|l| (l.clone(), vec![])).collect())
         }
     }
     registry.register(Arc::new(EmptySource));
     assert_eq!(registry.len(), 7);
-    let (_, errors) = registry.search_by_interest("databases");
-    assert!(errors.is_empty());
+    let report = registry.search_by_interests_report(&["databases".to_string()]);
+    assert!(report.errors().is_empty());
 }

@@ -30,17 +30,9 @@ impl ScholarSource for CountingSource {
         self.calls.fetch_add(1, Ordering::SeqCst);
         self.inner.search_by_name(name)
     }
-    fn search_by_interest(&self, keyword: &str) -> Result<Vec<Arc<SourceProfile>>, SourceError> {
-        self.calls.fetch_add(1, Ordering::SeqCst);
-        self.inner.search_by_interest(keyword)
-    }
     fn search_by_interests(&self, labels: &[Arc<str>]) -> Result<LabeledHits, SourceError> {
         self.calls.fetch_add(1, Ordering::SeqCst);
         self.inner.search_by_interests(labels)
-    }
-    fn fetch_profile(&self, key: &str) -> Result<Arc<SourceProfile>, SourceError> {
-        self.calls.fetch_add(1, Ordering::SeqCst);
-        self.inner.fetch_profile(key)
     }
 }
 

@@ -74,9 +74,10 @@ fn lazy_search_results_match_eager_for_names_and_interests() {
                 s.full_name()
             );
             let label = eager_world.ontology.label(s.interests[0]);
+            let one_label = [Arc::from(label)];
             assert_eq!(
-                eager.search_by_interest(label).unwrap(),
-                lazy.search_by_interest(label).unwrap(),
+                eager.search_by_interests(&one_label).unwrap(),
+                lazy.search_by_interests(&one_label).unwrap(),
                 "{kind}: interest search diverges for {label}"
             );
         }
