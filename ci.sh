@@ -81,7 +81,7 @@ cargo test -q --test assign_concurrency
 echo "==> per-request filter/rank vs the per-candidate reference: cargo test --test filter_rank_equivalence"
 cargo test -q --test filter_rank_equivalence
 
-echo "==> request strings stay out of the global interner: cargo test --test interner_bound"
+echo "==> request strings never grow a source's vocabulary table or profile store: cargo test --test interner_bound"
 cargo test -q --test interner_bound
 
 # The benchmark program is a package of its own that calls crate APIs

@@ -34,10 +34,10 @@ impl TpmsRecommender {
             let interests = cand.interests.join(" ");
             let mut pub_text = String::new();
             for p in &cand.publications {
-                pub_text.push_str(&p.title);
+                pub_text.push_str(p.title());
                 pub_text.push(' ');
-                for k in &p.keywords {
-                    pub_text.push_str(k);
+                for k in p.keywords() {
+                    pub_text.push_str(k.text());
                     pub_text.push(' ');
                 }
             }

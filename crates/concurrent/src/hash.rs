@@ -4,7 +4,7 @@
 //! which is the right call for maps keyed by untrusted input but makes
 //! shard placement unobservable: a test cannot construct "two keys on
 //! the same shard". MINARET's concurrent maps key internal data
-//! (interned labels, fingerprints, source kinds), so a fixed-seed
+//! (vocabulary labels, fingerprints, source kinds), so a fixed-seed
 //! FNV-1a — fast on the short keys these maps carry — is both safe and
 //! what makes the deterministic concurrency suites possible.
 

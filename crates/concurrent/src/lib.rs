@@ -1,7 +1,7 @@
 //! Sharded concurrent maps for MINARET's hot shared state.
 //!
 //! The serving layer runs many worker threads against a handful of
-//! shared structures — the string interner, per-source caches, the
+//! shared structures — per-source caches and vocabulary tables, the
 //! result cache, the single-flight coalescing map. Guarding each with
 //! one process-wide lock serializes every worker on every touch; this
 //! crate provides the [`ConcurrentMap`] abstraction those structures

@@ -8,12 +8,10 @@
 //! by the editor."
 
 use std::collections::HashSet;
-use std::sync::Arc;
 
 use minaret_disambig::evidence::TokenSet;
-use minaret_disambig::name::{parse_name, NameList, ParsedName};
-use minaret_ontology::{normalize_label, NormalizedLabels};
-use minaret_scholarly::intern;
+use minaret_ontology::normalize_label;
+use minaret_scholarly::name::{parse_name, NameList, ParsedName};
 use minaret_scholarly::MergedCandidate;
 
 use crate::config::{AffiliationMatchLevel, CoiConfig};
@@ -89,8 +87,8 @@ impl AuthorRecord {
                 countries.push(&h.country);
             }
             for publ in &p.publications {
-                titles.push(&publ.title);
-                coauthors.extend(publ.coauthor_names.iter().map(String::as_str));
+                titles.push(publ.title());
+                coauthors.extend(publ.coauthor_names().iter().map(|n| n.text()));
             }
         }
         Self::new(name, &institutions, &countries, &titles, &coauthors)
@@ -143,6 +141,12 @@ impl CoiVerdict {
 }
 
 /// Checks one candidate reviewer against all manuscript authors.
+///
+/// The candidate's publications carry their co-authors' parsed names and
+/// their normalized titles, built once with the profile, so the
+/// co-authorship signals only compare. They read the publications the
+/// merge kept: a copy it dropped as a duplicate title contributes no
+/// co-authors.
 pub fn check_coi(
     candidate: &MergedCandidate,
     authors: &[AuthorRecord],
@@ -150,12 +154,10 @@ pub fn check_coi(
 ) -> CoiVerdict {
     let mut reasons = Vec::new();
     let cand_name = parse_name(&candidate.display_name);
-    // The candidate side is derived at most once per check, and only
+    // The affiliation side is derived at most once per check, and only
     // when some author reaches the signal that reads it.
-    let mut cand_coauthors: Option<NameList> = None;
-    let mut cand_titles: Option<NormalizedLabels> = None;
     let mut cand_institutions: Option<Vec<(&str, TokenSet)>> = None;
-    let mut cand_countries: Option<Vec<Arc<str>>> = None;
+    let mut cand_countries: Option<Vec<String>> = None;
 
     for author in authors {
         // The candidate *is* the author: trivially conflicted, reported
@@ -170,30 +172,27 @@ pub fn check_coi(
             // co-authors (or vice versa).
             let name_link = same_person
                 || author.parsed_name.as_ref().is_some_and(|an| {
-                    cand_coauthors
-                        .get_or_insert_with(|| {
-                            NameList::parse(
-                                candidate
-                                    .publications
-                                    .iter()
-                                    .flat_map(|p| p.coauthor_names.iter().map(String::as_str)),
-                            )
-                        })
-                        .any_compatible(an)
+                    candidate
+                        .publications
+                        .iter()
+                        .flat_map(|p| p.coauthor_names())
+                        .filter_map(|n| n.parsed())
+                        .any(|cn| cn.compatible(an))
                 })
                 || cand_name
                     .as_ref()
                     .is_some_and(|cn| author.coauthors.any_compatible(cn));
-            // Signal 2: they share a publication title — distinct sources
-            // may list the same paper under each of them.
-            let title_link = !author.publication_titles.is_empty()
-                && cand_titles
-                    .get_or_insert_with(|| {
-                        NormalizedLabels::new(candidate.publications.iter().map(|p| &*p.title))
-                    })
-                    .iter()
-                    .any(|t| author.publication_titles.contains(t));
-            if name_link || title_link {
+            // Signal 2, checked only when the names do not link: they
+            // share a publication title — distinct sources may list the
+            // same paper under each of them.
+            let title_link = || {
+                !author.publication_titles.is_empty()
+                    && candidate
+                        .publications
+                        .iter()
+                        .any(|p| author.publication_titles.contains(p.normalized_title()))
+            };
+            if name_link || title_link() {
                 reasons.push(CoiReason::CoAuthorship {
                     author: author.name.clone(),
                 });
@@ -226,14 +225,10 @@ pub fn check_coi(
                     .country
                     .iter()
                     .chain(candidate.affiliation_history.iter().map(|h| &h.country))
-                    .map(|c| intern::normalized(c))
+                    .map(|c| normalize_label(c))
                     .collect()
             });
-            if let Some(country) = author
-                .countries
-                .iter()
-                .find(|c| countries.iter().any(|cc| cc.as_ref() == c.as_str()))
-            {
+            if let Some(country) = author.countries.iter().find(|c| countries.contains(c)) {
                 reasons.push(CoiReason::SharedCountry {
                     author: author.name.clone(),
                     country: country.clone(),
@@ -260,7 +255,11 @@ fn shared_institution<'c>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minaret_scholarly::{SourceMetrics, SourcePublication};
+    use minaret_scholarly::{
+        merge_profiles, SourceKind, SourceMetrics, SourceProfile, SourcePublication, Vocabulary,
+    };
+    use minaret_synth::ScholarId;
+    use std::sync::Arc;
 
     fn candidate(name: &str, aff: Option<&str>, country: Option<&str>) -> MergedCandidate {
         MergedCandidate {
@@ -279,14 +278,15 @@ mod tests {
     }
 
     fn pub_with(title: &str, coauthors: &[&str]) -> Arc<SourcePublication> {
-        Arc::new(SourcePublication {
-            title: title.into(),
-            year: 2016,
-            venue_name: "J".into(),
-            coauthor_names: coauthors.iter().map(|s| s.to_string()).collect(),
-            keywords: vec![],
-            citations: None,
-        })
+        let v = Vocabulary::new();
+        Arc::new(SourcePublication::new(
+            title.into(),
+            2016,
+            v.label("J"),
+            coauthors.iter().map(|c| v.name(c)).collect(),
+            vec![],
+            None,
+        ))
     }
 
     #[test]
@@ -327,6 +327,52 @@ mod tests {
         );
         let v = check_coi(&cand, &[author], &CoiConfig::default());
         assert!(v.conflicted());
+    }
+
+    #[test]
+    fn a_publication_the_merge_drops_contributes_no_coauthors() {
+        // Two profiles of one person list one paper, under titles equal
+        // after normalization but with different co-authors. The merge
+        // keeps the first copy: Google Scholar sorts before DBLP.
+        let profile = |source: SourceKind, title: &str, coauthor: &str| {
+            let mut p = SourceProfile::new(
+                source,
+                format!("{}:1", source.prefix()),
+                "Ada Lovelace".into(),
+                Some("U Tartu".into()),
+                vec![],
+                ScholarId(1),
+            );
+            p.publications.push(pub_with(title, &[coauthor]));
+            Arc::new(p)
+        };
+        let merged = merge_profiles(vec![
+            profile(
+                SourceKind::Dblp,
+                "notes on the  analytical engine",
+                "Grace Hopper",
+            ),
+            profile(
+                SourceKind::GoogleScholar,
+                "Notes on the Analytical Engine",
+                "Charles Babbage",
+            ),
+        ]);
+        assert_eq!(merged.len(), 1);
+        let cand = &merged[0];
+        assert_eq!(cand.publications.len(), 1);
+        let check = |name: &str| {
+            let authors = [AuthorRecord::from_parts(name, None, None, None)];
+            check_coi(cand, &authors, &CoiConfig::default())
+        };
+        assert!(matches!(
+            check("Charles Babbage").reasons[..],
+            [CoiReason::CoAuthorship { .. }]
+        ));
+        assert!(
+            !check("Grace Hopper").conflicted(),
+            "a co-author of the dropped copy conflicts"
+        );
     }
 
     #[test]

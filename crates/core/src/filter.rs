@@ -1,7 +1,7 @@
 //! The filtering phase (§2.2): COI, keyword-score threshold, expertise
 //! constraints, and the conference-mode PC filter (§3).
 
-use minaret_disambig::name::{parse_name, NameList};
+use minaret_scholarly::name::{parse_name, NameList};
 use minaret_scholarly::MergedCandidate;
 
 use crate::coi::{check_coi, AuthorRecord, CoiVerdict};
@@ -126,7 +126,7 @@ fn is_pc_member(candidate: &MergedCandidate, pc: &NameList) -> bool {
 mod tests {
     use super::*;
     use crate::config::ExpertiseConstraints;
-    use minaret_scholarly::{SourceMetrics, SourceReview};
+    use minaret_scholarly::{Label, SourceMetrics, SourceReview};
     use std::sync::Arc;
 
     fn candidate(name: &str) -> MergedCandidate {
@@ -142,12 +142,12 @@ mod tests {
                 h_index: Some(12),
                 i10_index: None,
             },
-            reviews: vec![Arc::new(SourceReview {
-                venue_name: "J".into(),
-                year: 2017,
-                turnaround_days: 20,
-                quality: Some(3),
-            })],
+            reviews: vec![Arc::new(SourceReview::new(
+                Arc::new(Label::new("J")),
+                2017,
+                20,
+                Some(3),
+            ))],
             sources: vec![],
             keys: vec![],
             truths: vec![],

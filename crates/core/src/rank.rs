@@ -5,7 +5,6 @@
 use std::collections::HashMap;
 
 use minaret_ontology::normalize_label;
-use minaret_scholarly::intern;
 use minaret_scholarly::MergedCandidate;
 
 use crate::config::{EditorConfig, ImpactMetric, RankingWeights};
@@ -131,8 +130,8 @@ pub fn responsiveness(candidate: &MergedCandidate, current_year: u32) -> f64 {
 ///
 /// Every expanded label maps to its similarity under each keyword set it
 /// belongs to, so a candidate's label is looked up once, not once per
-/// set. Nothing here is interned: the labels, typed keywords and target
-/// outlet come from the request, and the global interner never evicts.
+/// set. The candidate side needs no preparing: merged interests,
+/// publication keywords and venue names carry their normalized forms.
 pub struct CandidateScorer<'a> {
     config: &'a EditorConfig,
     /// Number of keyword sets.
@@ -199,9 +198,9 @@ impl<'a> CandidateScorer<'a> {
         if self.sets == 0 {
             return (0.0, 0.0);
         }
-        // Interned + memoized normalization: the same interests and
-        // keywords recur across every candidate of every recommendation.
-        let lookup = |raw: &str| self.labels.get(intern::normalized(raw).as_ref());
+        // Interests and keywords are in normal form already, so a lookup
+        // is one hash probe.
+        let lookup = |label: &str| self.labels.get(label);
         let mut coverage = vec![0.0f64; self.sets];
         for hits in candidate.interests.iter().filter_map(|i| lookup(i)) {
             for &(set, score) in hits {
@@ -214,7 +213,7 @@ impl<'a> CandidateScorer<'a> {
         let mut similarity = vec![0.0f64; self.sets];
         for p in &candidate.publications {
             similarity.fill(0.0);
-            for hits in p.keywords.iter().filter_map(|k| lookup(k)) {
+            for hits in p.keywords().iter().filter_map(|k| lookup(k.normalized())) {
                 for &(set, score) in hits {
                     coverage[set] = coverage[set].max(score);
                     similarity[set] = similarity[set].max(score);
@@ -253,12 +252,12 @@ impl<'a> CandidateScorer<'a> {
         let reviews_for = candidate
             .reviews
             .iter()
-            .filter(|r| intern::normalized(&r.venue_name).as_ref() == target)
+            .filter(|r| r.venue_name().normalized() == target)
             .count() as f64;
         let pubs_in = candidate
             .publications
             .iter()
-            .filter(|p| intern::normalized(&p.venue_name).as_ref() == target)
+            .filter(|p| p.venue_name().normalized() == target)
             .count() as f64;
         log_norm(reviews_for + pubs_in, FAMILIARITY_CAP)
     }
@@ -289,9 +288,43 @@ pub fn score_candidates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minaret_scholarly::{SourceMetrics, SourcePublication, SourceReview};
+    use minaret_scholarly::{
+        NormalizedLabel, SourceMetrics, SourcePublication, SourceReview, Vocabulary,
+    };
     use proptest::prelude::*;
     use std::sync::Arc;
+
+    fn publication(
+        title: &str,
+        year: u32,
+        venue: &str,
+        keywords: &[&str],
+    ) -> Arc<SourcePublication> {
+        let v = Vocabulary::new();
+        Arc::new(SourcePublication::new(
+            title.into(),
+            year,
+            v.label(venue),
+            vec![],
+            keywords.iter().map(|k| v.label(k)).collect(),
+            None,
+        ))
+    }
+
+    fn review(
+        venue: &str,
+        year: u32,
+        turnaround_days: u32,
+        quality: Option<u8>,
+    ) -> Arc<SourceReview> {
+        let v = Vocabulary::new();
+        Arc::new(SourceReview::new(
+            v.label(venue),
+            year,
+            turnaround_days,
+            quality,
+        ))
+    }
 
     fn topic_coverage(c: &MergedCandidate, expansions: &[KeywordExpansionSet]) -> f64 {
         CandidateScorer::new(expansions, "", &EditorConfig::default())
@@ -339,7 +372,7 @@ mod tests {
             affiliation: None,
             country: None,
             affiliation_history: vec![],
-            interests: interests.iter().map(|s| normalize_label(s)).collect(),
+            interests: interests.iter().map(|s| NormalizedLabel::new(s)).collect(),
             publications: vec![],
             metrics: SourceMetrics::default(),
             reviews: vec![],
@@ -378,14 +411,7 @@ mod tests {
     fn coverage_counts_publication_keywords_too() {
         let expansions = vec![expansion("RDF", &[])];
         let mut c = with_interests(&[]);
-        c.publications.push(Arc::new(SourcePublication {
-            title: "t".into(),
-            year: 2017,
-            venue_name: "J".into(),
-            coauthor_names: vec![],
-            keywords: vec!["RDF".into()],
-            citations: None,
-        }));
+        c.publications.push(publication("t", 2017, "J", &["RDF"]));
         assert!((topic_coverage(&c, &expansions) - 1.0).abs() < 1e-9);
     }
 
@@ -420,14 +446,9 @@ mod tests {
     fn recent_work_beats_old_work() {
         let expansions = vec![expansion("RDF", &[])];
         let mut fresh = with_interests(&[]);
-        fresh.publications.push(Arc::new(SourcePublication {
-            title: "new".into(),
-            year: 2018,
-            venue_name: "J".into(),
-            coauthor_names: vec![],
-            keywords: vec!["rdf".into()],
-            citations: None,
-        }));
+        fresh
+            .publications
+            .push(publication("new", 2018, "J", &["rdf"]));
         let mut stale = fresh.clone();
         Arc::make_mut(&mut stale.publications[0]).year = 2005;
         let rf = recency(&fresh, &expansions, 2018, 5.0);
@@ -450,20 +471,10 @@ mod tests {
         let mut a = with_interests(&[]);
         let mut b = with_interests(&[]);
         for i in 0..3 {
-            a.reviews.push(Arc::new(SourceReview {
-                venue_name: format!("V{i}"),
-                year: 2016,
-                turnaround_days: 20,
-                quality: Some(3),
-            }));
+            a.reviews.push(review(&format!("V{i}"), 2016, 20, Some(3)));
         }
         for i in 0..30 {
-            b.reviews.push(Arc::new(SourceReview {
-                venue_name: format!("V{i}"),
-                year: 2016,
-                turnaround_days: 20,
-                quality: Some(3),
-            }));
+            b.reviews.push(review(&format!("V{i}"), 2016, 20, Some(3)));
         }
         assert!(review_experience(&b) > review_experience(&a));
         assert!(review_experience(&a) > 0.0);
@@ -473,26 +484,10 @@ mod tests {
     #[test]
     fn familiarity_counts_reviews_and_pubs_for_target_only() {
         let mut c = with_interests(&[]);
-        c.reviews.push(Arc::new(SourceReview {
-            venue_name: "Journal of X".into(),
-            year: 2017,
-            turnaround_days: 15,
-            quality: Some(3),
-        }));
-        c.reviews.push(Arc::new(SourceReview {
-            venue_name: "Other Venue".into(),
-            year: 2017,
-            turnaround_days: 15,
-            quality: Some(3),
-        }));
-        c.publications.push(Arc::new(SourcePublication {
-            title: "t".into(),
-            year: 2015,
-            venue_name: "journal of x".into(),
-            coauthor_names: vec![],
-            keywords: vec![],
-            citations: None,
-        }));
+        c.reviews.push(review("Journal of X", 2017, 15, Some(3)));
+        c.reviews.push(review("Other Venue", 2017, 15, Some(3)));
+        c.publications
+            .push(publication("t", 2015, "journal of x", &[]));
         let f = outlet_familiarity(&c, "Journal of X");
         assert!((f - log_norm(2.0, FAMILIARITY_CAP)).abs() < 1e-9);
         assert_eq!(outlet_familiarity(&c, "Nowhere"), 0.0);
@@ -541,19 +536,9 @@ mod tests {
     #[test]
     fn responsiveness_rewards_fast_recent_reviewers() {
         let mut fast = with_interests(&[]);
-        fast.reviews.push(Arc::new(SourceReview {
-            venue_name: "J".into(),
-            year: 2018,
-            turnaround_days: 7,
-            quality: Some(3),
-        }));
+        fast.reviews.push(review("J", 2018, 7, Some(3)));
         let mut slow = with_interests(&[]);
-        slow.reviews.push(Arc::new(SourceReview {
-            venue_name: "J".into(),
-            year: 2018,
-            turnaround_days: 90,
-            quality: Some(3),
-        }));
+        slow.reviews.push(review("J", 2018, 90, Some(3)));
         let rf = responsiveness(&fast, 2018);
         let rs = responsiveness(&slow, 2018);
         assert!(rf > rs, "fast {rf} vs slow {rs}");
@@ -567,12 +552,7 @@ mod tests {
     #[test]
     fn responsiveness_decays_with_idle_years() {
         let mut recent = with_interests(&[]);
-        recent.reviews.push(Arc::new(SourceReview {
-            venue_name: "J".into(),
-            year: 2018,
-            turnaround_days: 7,
-            quality: Some(3),
-        }));
+        recent.reviews.push(review("J", 2018, 7, Some(3)));
         let mut dormant = recent.clone();
         Arc::make_mut(&mut dormant.reviews[0]).year = 2009;
         assert!(responsiveness(&recent, 2018) > responsiveness(&dormant, 2018));

@@ -118,19 +118,18 @@ pub fn collect_evidence(
     let topical = if context_keywords.is_empty() {
         0.0
     } else {
-        let mut hay: std::collections::HashSet<String> = candidate
-            .interests
-            .iter()
-            .map(|i| normalize_label(i))
-            .collect();
+        // Merged interests and publication keywords are already in
+        // normal form.
+        let mut hay: std::collections::HashSet<&str> =
+            candidate.interests.iter().map(|i| i.as_str()).collect();
         for p in &candidate.publications {
-            for k in &p.keywords {
-                hay.insert(normalize_label(k));
+            for k in p.keywords() {
+                hay.insert(k.normalized());
             }
         }
         let hits = context_keywords
             .iter()
-            .filter(|k| hay.contains(&normalize_label(k)))
+            .filter(|k| hay.contains(normalize_label(k).as_str()))
             .count();
         hits as f64 / context_keywords.len() as f64
     };
@@ -147,7 +146,20 @@ pub fn collect_evidence(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minaret_scholarly::SourceMetrics;
+    use minaret_scholarly::{NormalizedLabel, SourceMetrics, SourcePublication, Vocabulary};
+    use std::sync::Arc;
+
+    fn publication(i: usize, keywords: &[&str]) -> Arc<SourcePublication> {
+        let v = Vocabulary::new();
+        Arc::new(SourcePublication::new(
+            format!("p{i}"),
+            2015,
+            v.label("J"),
+            vec![],
+            keywords.iter().map(|k| v.label(k)).collect(),
+            None,
+        ))
+    }
 
     fn candidate(aff: &str, country: &str, interests: &[&str], pubs: usize) -> MergedCandidate {
         MergedCandidate {
@@ -155,19 +167,8 @@ mod tests {
             affiliation: Some(aff.into()),
             country: Some(country.into()),
             affiliation_history: vec![],
-            interests: interests.iter().map(|s| s.to_string()).collect(),
-            publications: (0..pubs)
-                .map(|i| {
-                    std::sync::Arc::new(minaret_scholarly::SourcePublication {
-                        title: format!("p{i}"),
-                        year: 2015,
-                        venue_name: "J".into(),
-                        coauthor_names: vec![],
-                        keywords: vec![],
-                        citations: None,
-                    })
-                })
-                .collect(),
+            interests: interests.iter().map(|s| NormalizedLabel::new(s)).collect(),
+            publications: (0..pubs).map(|i| publication(i, &[])).collect(),
             metrics: SourceMetrics::default(),
             reviews: vec![],
             sources: vec![],
@@ -203,7 +204,7 @@ mod tests {
     #[test]
     fn topical_overlap_counts_interests_and_pub_keywords() {
         let mut c = candidate("U", "X", &["semantic web"], 1);
-        std::sync::Arc::make_mut(&mut c.publications[0]).keywords = vec!["Big Data".into()];
+        c.publications[0] = publication(0, &["Big Data"]);
         let kw = vec![
             "Semantic Web".to_string(),
             "big-data".to_string(),

@@ -9,7 +9,8 @@
 //! This crate resolves a manuscript author (name + affiliation as typed
 //! into the details form) against the scholarly sources:
 //!
-//! 1. name variants are generated ([`name`]) and searched across sources;
+//! 1. name variants are generated ([`minaret_scholarly::name`]) and
+//!    searched across sources;
 //! 2. per-source profiles are merged into candidates;
 //! 3. each candidate is scored on evidence — affiliation match, country
 //!    match, topical overlap with the manuscript keywords, publication
@@ -22,7 +23,6 @@
 #![forbid(unsafe_code)]
 
 pub mod evidence;
-pub mod name;
 mod resolver;
 
 pub use resolver::{

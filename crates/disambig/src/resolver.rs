@@ -1,10 +1,10 @@
 //! The identity resolver: search → merge → score → resolve.
 
+use minaret_scholarly::name::parse_name;
 use minaret_scholarly::{merge_profiles, MergedCandidate, SourceRegistry};
 use minaret_telemetry::Telemetry;
 
 use crate::evidence::{collect_evidence, Evidence, EvidenceWeights};
-use crate::name::parse_name;
 
 /// What the editor typed about one author in the manuscript form.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -164,7 +164,7 @@ impl<'r> IdentityResolver<'r> {
         // Keep only name-compatible profiles (an initial search can pull
         // in other scholars sharing the initial).
         profiles.retain(|p| {
-            parse_name(&p.display_name)
+            parse_name(p.display_name())
                 .map(|n| n.compatible(&parsed))
                 .unwrap_or(false)
         });

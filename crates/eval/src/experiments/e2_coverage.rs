@@ -6,7 +6,7 @@ use std::collections::HashMap;
 
 use minaret_core::{rank, EditorConfig, KeywordExpansionSet};
 use minaret_ontology::normalize_label;
-use minaret_scholarly::{MergedCandidate, SourceMetrics};
+use minaret_scholarly::{MergedCandidate, NormalizedLabel, SourceMetrics};
 
 use crate::table::{f3, TextTable};
 
@@ -29,7 +29,7 @@ fn reviewer(interests: &[&str]) -> MergedCandidate {
         affiliation: None,
         country: None,
         affiliation_history: vec![],
-        interests: interests.iter().map(|i| normalize_label(i)).collect(),
+        interests: interests.iter().map(|i| NormalizedLabel::new(i)).collect(),
         publications: vec![],
         metrics: SourceMetrics::default(),
         reviews: vec![],

@@ -50,10 +50,10 @@ pub fn run_e8(scholars: usize) -> E8Result {
     // on the PC list admits candidate "Lei Zhou").
     let pc_parsed: Vec<_> = pc
         .iter()
-        .filter_map(|p| minaret_disambig::name::parse_name(p))
+        .filter_map(|p| minaret_scholarly::name::parse_name(p))
         .collect();
     let pc_respected = restricted.recommendations.iter().all(|r| {
-        minaret_disambig::name::parse_name(&r.name)
+        minaret_scholarly::name::parse_name(&r.name)
             .map(|n| pc_parsed.iter().any(|m| m.compatible(&n)))
             .unwrap_or(false)
     });

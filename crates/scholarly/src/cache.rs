@@ -229,7 +229,6 @@ impl ScholarSource for CachingSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::intern;
     use crate::sim::SimulatedSource;
     use crate::spec::SourceSpec;
     use minaret_synth::{WorldConfig, WorldGenerator};
@@ -253,7 +252,7 @@ mod tests {
         let mut labels: Vec<Arc<str>> = Vec::new();
         for s in w.scholars() {
             for &i in &s.interests {
-                let label = intern::intern(w.ontology.label(i));
+                let label: Arc<str> = Arc::from(w.ontology.label(i));
                 if !labels.contains(&label) {
                     labels.push(label);
                 }
@@ -440,7 +439,7 @@ mod tests {
         let mut spec = SourceSpec::for_kind(SourceKind::GoogleScholar);
         spec.failure_rate = 1.0;
         let c = CachingSource::new(Arc::new(SimulatedSource::new(spec, world)));
-        let labels = vec![intern::intern("databases"), intern::intern("data mining")];
+        let labels: Vec<Arc<str>> = vec![Arc::from("databases"), Arc::from("data mining")];
         assert!(c.search_by_interests(&labels).is_err());
         let s = c.stats();
         assert_eq!(s.errors, 1, "one failed batch fetch-through = one error");

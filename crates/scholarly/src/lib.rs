@@ -35,6 +35,11 @@
 //!   bursts), replacing dice with exact, reproducible fault timelines.
 //! * [`merge_profiles`] — merges per-source profiles into candidate
 //!   records by (normalized name, affiliation), the way a scraper must.
+//! * [`Vocabulary`] — each source's table of shared vocabulary entries
+//!   (venue names, topic labels, co-author names), each holding its
+//!   printed text and comparison form, so merge, COI and ranking compare
+//!   forms built once per profile instead of re-deriving them per
+//!   request. Names parse through [`name`].
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -42,19 +47,19 @@
 mod cache;
 mod clock;
 mod error;
-pub mod intern;
 mod merge;
+pub mod name;
 pub mod persist;
 mod record;
 mod registry;
 mod resilience;
 mod sim;
 mod spec;
+mod vocab;
 
 pub use cache::{CacheStats, CachingSource};
 pub use clock::{Clock, SimulatedClock, SystemClock};
 pub use error::SourceError;
-pub use intern::Interner;
 pub use merge::{merge_profiles, MergedCandidate};
 pub use record::{
     AffiliationRecord, SourceMetrics, SourceProfile, SourcePublication, SourceReview,
@@ -68,3 +73,4 @@ pub use resilience::{
 };
 pub use sim::{FaultSchedule, LabeledHits, ProfileStore, ScholarSource, SimulatedSource};
 pub use spec::{SourceKind, SourceSpec};
+pub use vocab::{Label, NormalizedLabel, PersonName, Vocabulary};

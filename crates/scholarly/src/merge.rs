@@ -8,17 +8,16 @@
 //! that happens using the profiles' ground-truth labels.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use minaret_ontology::NormalizedLabels;
+use minaret_concurrent::FnvBuildHasher;
+use minaret_ontology::normalize_label;
 use minaret_synth::ScholarId;
-use parking_lot::RwLock;
 
-use crate::intern;
-use crate::record::{
-    AffiliationRecord, SourceMetrics, SourceProfile, SourcePublication, SourceReview,
-};
+use crate::name::parse_name;
+use crate::record::{AffiliationRecord, SourceMetrics, SourceProfile, SourceReview};
 use crate::spec::SourceKind;
+use crate::vocab::NormalizedLabel;
 
 /// A candidate reviewer assembled from one or more source profiles.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,8 +31,9 @@ pub struct MergedCandidate {
     /// Union of affiliation histories (ORCID usually the sole
     /// contributor).
     pub affiliation_history: Vec<AffiliationRecord>,
-    /// Union of research interests across sources (normalized, deduped).
-    pub interests: Vec<String>,
+    /// Union of research interests across sources (normalized, deduped,
+    /// sorted).
+    pub interests: Vec<NormalizedLabel>,
     /// Union of publications, deduplicated by normalized title.
     /// `Arc`-shared with the source profiles that contributed them.
     pub publications: Vec<Arc<crate::record::SourcePublication>>,
@@ -66,49 +66,36 @@ impl MergedCandidate {
     }
 }
 
-/// Pointer-keyed memo for [`merge_key`]: interned `(name, affiliation)`
-/// pairs map to their interned composite key. The global interner never
-/// frees, so interned `Arc<str>` data addresses are stable and unique
-/// per content — a `(usize, usize)` address pair identifies the inputs
-/// without hashing their bytes, and a warm merge allocates nothing.
-type MergeKeyMemo = HashMap<(usize, usize), Arc<str>>;
-static MERGE_KEYS: OnceLock<RwLock<MergeKeyMemo>> = OnceLock::new();
-
-fn merge_key(p: &SourceProfile) -> Arc<str> {
-    // Family-name + first initial + affiliation: abbreviated display
-    // names ("L. Zhou") must land in the same bucket as "Lei Zhou" at the
-    // same institution, while "Lei Zhou" at another university stays
-    // separate (until country-level checks catch it later).
-    let name = intern::normalized(&p.display_name);
-    let aff = match p.affiliation.as_deref() {
-        Some(a) => intern::normalized(a),
-        None => intern::intern(""),
+/// The merge key of a profile: first initial of the given name, family
+/// name and normalized affiliation, as `initial|family|affiliation`.
+/// [`SourceProfile::new`] stores it on the profile.
+///
+/// Abbreviated display names ("L. Zhou") and comma forms ("Zhou, Lei")
+/// land in the same bucket as "Lei Zhou" at the same institution, while
+/// "Lei Zhou" at another university stays separate (until country-level
+/// checks catch it later). A name [`parse_name`] rejects keys on its
+/// last normalized token, with initial `?`.
+pub(crate) fn merge_key(display_name: &str, affiliation: Option<&str>) -> String {
+    let (initial, family) = match parse_name(display_name) {
+        Some(name) => (name.initial().unwrap_or('?'), name.family),
+        None => {
+            let norm = normalize_label(display_name);
+            let last = norm.rsplit(' ').next().unwrap_or_default().to_string();
+            ('?', last)
+        }
     };
-    let memo = MERGE_KEYS.get_or_init(|| RwLock::new(HashMap::new()));
-    let addr = (
-        name.as_ref().as_ptr() as usize,
-        aff.as_ref().as_ptr() as usize,
-    );
-    if let Some(hit) = memo.read().get(&addr) {
-        return hit.clone();
-    }
-    let mut parts: Vec<&str> = name.split(' ').filter(|s| !s.is_empty()).collect();
-    let family = parts.pop().unwrap_or("");
-    let initial = parts.first().and_then(|s| s.chars().next()).unwrap_or('?');
-    let key = intern::intern(&format!("{initial}|{family}|{aff}"));
-    memo.write().entry(addr).or_insert_with(|| key.clone());
-    key
+    let aff = affiliation.map(normalize_label).unwrap_or_default();
+    format!("{initial}|{family}|{aff}")
 }
 
 /// Merges source profiles into candidates keyed by
 /// (name-initial, family name, affiliation). Input profiles are
-/// `Arc`-shared (the shape every source hands out), so bucketing moves
-/// pointers; the per-profile cost of a merge is two memoized interner
-/// lookups, not a rebuilt key string.
+/// `Arc`-shared (the shape every source hands out) and carry their merge
+/// key, so bucketing borrows; no key string is built per merge.
 pub fn merge_profiles(profiles: Vec<Arc<SourceProfile>>) -> Vec<MergedCandidate> {
-    let mut buckets: HashMap<Arc<str>, Vec<Arc<SourceProfile>>> = HashMap::new();
-    for p in profiles {
-        buckets.entry(merge_key(&p)).or_default().push(p);
+    let mut buckets: HashMap<&str, Vec<&SourceProfile>> = HashMap::new();
+    for p in &profiles {
+        buckets.entry(p.merge_key()).or_default().push(p);
     }
     let mut out: Vec<MergedCandidate> = buckets.into_values().map(merge_bucket).collect();
     // Deterministic order for downstream phases regardless of input
@@ -125,15 +112,18 @@ pub fn merge_profiles(profiles: Vec<Arc<SourceProfile>>) -> Vec<MergedCandidate>
     out
 }
 
-fn merge_bucket(mut profiles: Vec<Arc<SourceProfile>>) -> MergedCandidate {
+fn merge_bucket(mut profiles: Vec<&SourceProfile>) -> MergedCandidate {
     profiles.sort_by(|a, b| a.source.cmp(&b.source).then(a.key.cmp(&b.key)));
     let display_name = profiles
         .iter()
-        .map(|p| &p.display_name)
+        .map(|p| p.display_name())
         .max_by_key(|n| n.len())
-        .cloned()
-        .unwrap_or_default();
-    let affiliation = profiles.iter().find_map(|p| p.affiliation.clone());
+        .unwrap_or_default()
+        .to_string();
+    let affiliation = profiles
+        .iter()
+        .find_map(|p| p.affiliation())
+        .map(str::to_string);
     let country = profiles.iter().find_map(|p| p.country.clone());
 
     let mut affiliation_history = Vec::new();
@@ -145,29 +135,26 @@ fn merge_bucket(mut profiles: Vec<Arc<SourceProfile>>) -> MergedCandidate {
         }
     }
 
-    // Memoized normalization: this loop revisits the same interest
-    // strings on every merge of every recommendation, so the warm path is
-    // interner hits, not fresh normalize allocations.
-    let mut interests: BTreeSet<Arc<str>> = BTreeSet::new();
-    for p in &profiles {
-        for i in &p.interests {
-            interests.insert(intern::normalized(i));
+    // Interests union by their stored normal form; cloning one shares
+    // its text.
+    let interests: BTreeSet<&NormalizedLabel> = profiles
+        .iter()
+        .flat_map(|p| p.interests())
+        .map(|i| i.normalized())
+        .collect();
+
+    // Publications dedupe by their stored normalized title; the first
+    // listed copy is kept. Titles are source data, not request input, so
+    // the seen-set hashes with FNV, sized for every listed copy.
+    let listed: usize = profiles.iter().map(|p| p.publications.len()).sum();
+    let mut seen_titles: HashSet<&str, FnvBuildHasher> =
+        HashSet::with_capacity_and_hasher(listed, FnvBuildHasher::default());
+    let mut publications = Vec::with_capacity(listed);
+    for publ in profiles.iter().flat_map(|p| &p.publications) {
+        if seen_titles.insert(publ.normalized_title()) {
+            publications.push(publ.clone());
         }
     }
-
-    // Publications dedupe by normalized title. The titles are normalized
-    // into one buffer first, so the seen-set can borrow them (and titles,
-    // the largest vocabulary, stay out of the interner).
-    let listed: Vec<&Arc<SourcePublication>> =
-        profiles.iter().flat_map(|p| &p.publications).collect();
-    let titles = NormalizedLabels::new(listed.iter().map(|p| &*p.title));
-    let mut seen_titles: HashSet<&str> = HashSet::with_capacity(listed.len());
-    let publications = listed
-        .iter()
-        .zip(titles.iter())
-        .filter(|&(_, title)| seen_titles.insert(title))
-        .map(|(&publ, _)| publ.clone())
-        .collect();
 
     let metrics = SourceMetrics {
         citations: profiles.iter().filter_map(|p| p.metrics.citations).max(),
@@ -202,7 +189,7 @@ fn merge_bucket(mut profiles: Vec<Arc<SourceProfile>>) -> MergedCandidate {
         affiliation,
         country,
         affiliation_history,
-        interests: interests.iter().map(|i| i.to_string()).collect(),
+        interests: interests.into_iter().cloned().collect(),
         publications,
         metrics,
         reviews,
@@ -216,25 +203,45 @@ fn merge_bucket(mut profiles: Vec<Arc<SourceProfile>>) -> MergedCandidate {
 mod tests {
     use super::*;
     use crate::record::SourcePublication;
+    use crate::vocab::Vocabulary;
 
     fn arcs(ps: Vec<SourceProfile>) -> Vec<Arc<SourceProfile>> {
         ps.into_iter().map(Arc::new).collect()
     }
 
-    fn profile(source: SourceKind, name: &str, aff: &str, truth: u32) -> SourceProfile {
-        SourceProfile {
+    fn with_interests(
+        source: SourceKind,
+        name: &str,
+        aff: &str,
+        truth: u32,
+        interests: &[&str],
+    ) -> SourceProfile {
+        let v = Vocabulary::new();
+        let mut p = SourceProfile::new(
             source,
-            key: format!("{}:{truth}", source.prefix()),
-            display_name: name.to_string(),
-            affiliation: Some(aff.to_string()),
-            country: Some("Estonia".into()),
-            affiliation_history: vec![],
-            interests: vec![],
-            publications: vec![],
-            metrics: SourceMetrics::default(),
-            reviews: vec![],
-            truth: ScholarId(truth),
-        }
+            format!("{}:{truth}", source.prefix()),
+            name.to_string(),
+            Some(aff.to_string()),
+            interests.iter().map(|i| v.label(i)).collect(),
+            ScholarId(truth),
+        );
+        p.country = Some("Estonia".into());
+        p
+    }
+
+    fn profile(source: SourceKind, name: &str, aff: &str, truth: u32) -> SourceProfile {
+        with_interests(source, name, aff, truth, &[])
+    }
+
+    fn publication(title: &str, year: u32, citations: Option<u32>) -> Arc<SourcePublication> {
+        Arc::new(SourcePublication::new(
+            title.into(),
+            year,
+            Vocabulary::new().label("J"),
+            vec![],
+            vec![],
+            citations,
+        ))
     }
 
     #[test]
@@ -268,6 +275,38 @@ mod tests {
         let merged = merge_profiles(arcs(vec![a, b]));
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0].display_name, "Lei Zhou"); // longest wins
+    }
+
+    #[test]
+    fn comma_form_names_merge_with_full_names() {
+        let a = profile(
+            SourceKind::GoogleScholar,
+            "Lei Zhou",
+            "University of Tartu",
+            1,
+        );
+        let b = profile(SourceKind::Dblp, "Zhou, Lei", "University of Tartu", 1);
+        let c = profile(SourceKind::AcmDl, "Zhou, L.", "University of Tartu", 1);
+        let merged = merge_profiles(arcs(vec![a, b, c]));
+        assert_eq!(merged.len(), 1, "{merged:?}");
+        assert_eq!(
+            merged[0].sources,
+            vec![
+                SourceKind::GoogleScholar,
+                SourceKind::Dblp,
+                SourceKind::AcmDl
+            ]
+        );
+    }
+
+    #[test]
+    fn unparseable_names_key_on_their_last_token() {
+        assert_eq!(merge_key("Cher", Some("U Tartu")), "?|cher|u tartu");
+        assert_eq!(merge_key("Zhou,", None), "?|zhou|");
+        assert_eq!(merge_key("", None), "?||");
+        // Names without a comma key as before: initial, last token.
+        assert_eq!(merge_key("L. Zhou", Some("U")), "l|zhou|u");
+        assert_eq!(merge_key("Mohamed R. Moawad", None), "m|moawad|");
     }
 
     #[test]
@@ -306,33 +345,16 @@ mod tests {
     #[test]
     fn publications_dedupe_by_title_and_metrics_take_max() {
         let mut a = profile(SourceKind::GoogleScholar, "A B", "U", 1);
-        a.publications.push(Arc::new(SourcePublication {
-            title: "Shared Result".into(),
-            year: 2015,
-            venue_name: "J".into(),
-            coauthor_names: vec![],
-            keywords: vec![],
-            citations: Some(5),
-        }));
+        a.publications
+            .push(publication("Shared Result", 2015, Some(5)));
         a.metrics.citations = Some(100);
         a.metrics.h_index = Some(5);
         let mut b = profile(SourceKind::AcmDl, "A B", "U", 1);
-        b.publications.push(Arc::new(SourcePublication {
-            title: "shared   result".into(), // same title, different text
-            year: 2015,
-            venue_name: "J".into(),
-            coauthor_names: vec![],
-            keywords: vec![],
-            citations: Some(3),
-        }));
-        b.publications.push(Arc::new(SourcePublication {
-            title: "Unique Result".into(),
-            year: 2016,
-            venue_name: "J".into(),
-            coauthor_names: vec![],
-            keywords: vec![],
-            citations: None,
-        }));
+        // Same title, different text.
+        b.publications
+            .push(publication("shared   result", 2015, Some(3)));
+        b.publications
+            .push(publication("Unique Result", 2016, None));
         b.metrics.citations = Some(80);
         b.metrics.h_index = Some(7);
         let merged = merge_profiles(arcs(vec![a, b]));
@@ -344,10 +366,20 @@ mod tests {
 
     #[test]
     fn interests_union_normalized() {
-        let mut a = profile(SourceKind::GoogleScholar, "A B", "U", 1);
-        a.interests = vec!["Semantic Web".into(), "Big-Data".into()];
-        let mut b = profile(SourceKind::Publons, "A B", "U", 1);
-        b.interests = vec!["semantic web".into(), "Databases".into()];
+        let a = with_interests(
+            SourceKind::GoogleScholar,
+            "A B",
+            "U",
+            1,
+            &["Semantic Web", "Big-Data"],
+        );
+        let b = with_interests(
+            SourceKind::Publons,
+            "A B",
+            "U",
+            1,
+            &["semantic web", "Databases"],
+        );
         let merged = merge_profiles(arcs(vec![a, b]));
         assert_eq!(
             merged[0].interests,

@@ -24,6 +24,7 @@ use crate::record::{
     AffiliationRecord, SourceMetrics, SourceProfile, SourcePublication, SourceReview,
 };
 use crate::spec::SourceKind;
+use crate::vocab::Vocabulary;
 
 /// Envelope tag for encoded scholar profiles.
 pub const TAG_PROFILE: u8 = 0x70; // 'p'
@@ -59,14 +60,15 @@ fn kind_from_byte(b: u8) -> Result<SourceKind, StoreError> {
 /// Every field round-trips exactly — strings verbatim, options via
 /// presence bytes — so a decoded profile is indistinguishable from the
 /// freshly built one and recommendations computed from either are
-/// byte-identical.
+/// byte-identical. Vocabulary entries are written as their printed
+/// text; comparison forms are not persisted.
 #[must_use]
 pub fn encode_profile(p: &SourceProfile) -> Vec<u8> {
     let mut w = Writer::versioned(TAG_PROFILE, PROFILE_FORMAT_VERSION);
     w.u8(kind_to_byte(p.source));
     w.str(&p.key);
-    w.str(&p.display_name);
-    w.opt_str(p.affiliation.as_deref());
+    w.str(p.display_name());
+    w.opt_str(p.affiliation());
     w.opt_str(p.country.as_deref());
     w.u32(p.affiliation_history.len() as u32);
     for a in &p.affiliation_history {
@@ -75,22 +77,22 @@ pub fn encode_profile(p: &SourceProfile) -> Vec<u8> {
         w.u32(a.from_year);
         w.u32(a.to_year);
     }
-    w.u32(p.interests.len() as u32);
-    for i in &p.interests {
-        w.str(i);
+    w.u32(p.interests().len() as u32);
+    for i in p.interests() {
+        w.str(i.text());
     }
     w.u32(p.publications.len() as u32);
     for pubrec in &p.publications {
-        w.str(&pubrec.title);
+        w.str(pubrec.title());
         w.u32(pubrec.year);
-        w.str(&pubrec.venue_name);
-        w.u32(pubrec.coauthor_names.len() as u32);
-        for c in &pubrec.coauthor_names {
-            w.str(c);
+        w.str(pubrec.venue_name().text());
+        w.u32(pubrec.coauthor_names().len() as u32);
+        for c in pubrec.coauthor_names() {
+            w.str(c.text());
         }
-        w.u32(pubrec.keywords.len() as u32);
-        for k in &pubrec.keywords {
-            w.str(k);
+        w.u32(pubrec.keywords().len() as u32);
+        for k in pubrec.keywords() {
+            w.str(k.text());
         }
         w.opt_u32(pubrec.citations);
     }
@@ -99,7 +101,7 @@ pub fn encode_profile(p: &SourceProfile) -> Vec<u8> {
     w.opt_u32(p.metrics.i10_index);
     w.u32(p.reviews.len() as u32);
     for r in &p.reviews {
-        w.str(&r.venue_name);
+        w.str(r.venue_name().text());
         w.u32(r.year);
         w.u32(r.turnaround_days);
         match r.quality {
@@ -114,8 +116,10 @@ pub fn encode_profile(p: &SourceProfile) -> Vec<u8> {
     w.finish()
 }
 
-/// Decodes a profile previously written by [`encode_profile`].
-pub fn decode_profile(bytes: &[u8]) -> Result<SourceProfile, StoreError> {
+/// Decodes a profile previously written by [`encode_profile`],
+/// resolving venue names, topic labels and co-author names through
+/// `vocab`, the decoding source's table.
+pub fn decode_profile(bytes: &[u8], vocab: &Vocabulary) -> Result<SourceProfile, StoreError> {
     let (mut r, _version) = Reader::versioned(
         "scholar profile",
         bytes,
@@ -140,33 +144,33 @@ pub fn decode_profile(bytes: &[u8]) -> Result<SourceProfile, StoreError> {
     let n = r.u32()? as usize;
     let mut interests = Vec::with_capacity(n);
     for _ in 0..n {
-        interests.push(r.str()?.to_string());
+        interests.push(vocab.label(r.str()?));
     }
     let n = r.u32()? as usize;
     let mut publications = Vec::with_capacity(n);
     for _ in 0..n {
         let title = r.str()?.to_string();
         let year = r.u32()?;
-        let venue_name = r.str()?.to_string();
+        let venue_name = vocab.label(r.str()?);
         let m = r.u32()? as usize;
         let mut coauthor_names = Vec::with_capacity(m);
         for _ in 0..m {
-            coauthor_names.push(r.str()?.to_string());
+            coauthor_names.push(vocab.name(r.str()?));
         }
         let m = r.u32()? as usize;
         let mut keywords = Vec::with_capacity(m);
         for _ in 0..m {
-            keywords.push(r.str()?.to_string());
+            keywords.push(vocab.label(r.str()?));
         }
         let citations = r.opt_u32()?;
-        publications.push(Arc::new(SourcePublication {
+        publications.push(Arc::new(SourcePublication::new(
             title,
             year,
             venue_name,
             coauthor_names,
             keywords,
             citations,
-        }));
+        )));
     }
     let metrics = SourceMetrics {
         citations: r.opt_u64()?,
@@ -176,7 +180,7 @@ pub fn decode_profile(bytes: &[u8]) -> Result<SourceProfile, StoreError> {
     let n = r.u32()? as usize;
     let mut reviews = Vec::with_capacity(n);
     for _ in 0..n {
-        let venue_name = r.str()?.to_string();
+        let venue_name = vocab.label(r.str()?);
         let year = r.u32()?;
         let turnaround_days = r.u32()?;
         let quality = match r.u8()? {
@@ -189,28 +193,22 @@ pub fn decode_profile(bytes: &[u8]) -> Result<SourceProfile, StoreError> {
                 })
             }
         };
-        reviews.push(Arc::new(SourceReview {
+        reviews.push(Arc::new(SourceReview::new(
             venue_name,
             year,
             turnaround_days,
             quality,
-        }));
+        )));
     }
     let truth = ScholarId(r.u32()?);
     r.expect_end()?;
-    Ok(SourceProfile {
-        source,
-        key,
-        display_name,
-        affiliation,
-        country,
-        affiliation_history,
-        interests,
-        publications,
-        metrics,
-        reviews,
-        truth,
-    })
+    let mut profile = SourceProfile::new(source, key, display_name, affiliation, interests, truth);
+    profile.country = country;
+    profile.affiliation_history = affiliation_history;
+    profile.publications = publications;
+    profile.metrics = metrics;
+    profile.reviews = reviews;
+    Ok(profile)
 }
 
 #[cfg(test)]
@@ -218,55 +216,72 @@ mod tests {
     use super::*;
 
     fn rich_profile() -> SourceProfile {
-        SourceProfile {
-            source: SourceKind::Orcid,
-            key: "orcid:0000-0002".into(),
-            display_name: "L. Zhou".into(),
-            affiliation: Some("University of Tartu".into()),
-            country: None,
-            affiliation_history: vec![AffiliationRecord {
-                institution: "MIT".into(),
-                country: "USA".into(),
-                from_year: 2001,
-                to_year: 2008,
-            }],
-            interests: vec!["semantic web".into(), "databases".into()],
-            publications: vec![Arc::new(SourcePublication {
-                title: "Linked Data at Scale".into(),
-                year: 2017,
-                venue_name: "EDBT".into(),
-                coauthor_names: vec!["A. Author".into()],
-                keywords: vec!["rdf".into()],
-                citations: None,
-            })],
-            metrics: SourceMetrics {
-                citations: Some(12_345),
-                h_index: None,
-                i10_index: Some(9),
-            },
-            reviews: vec![
-                Arc::new(SourceReview {
-                    venue_name: "VLDB".into(),
-                    year: 2018,
-                    turnaround_days: 14,
-                    quality: Some(5),
-                }),
-                Arc::new(SourceReview {
-                    venue_name: "EDBT".into(),
-                    year: 2019,
-                    turnaround_days: 30,
-                    quality: None,
-                }),
-            ],
-            truth: ScholarId(42),
-        }
+        let v = Vocabulary::new();
+        let mut p = SourceProfile::new(
+            SourceKind::Orcid,
+            "orcid:0000-0002".into(),
+            "L. Zhou".into(),
+            Some("University of Tartu".into()),
+            vec![v.label("semantic web"), v.label("databases")],
+            ScholarId(42),
+        );
+        p.affiliation_history = vec![AffiliationRecord {
+            institution: "MIT".into(),
+            country: "USA".into(),
+            from_year: 2001,
+            to_year: 2008,
+        }];
+        p.publications = vec![Arc::new(SourcePublication::new(
+            "Linked Data at Scale".into(),
+            2017,
+            v.label("EDBT"),
+            vec![v.name("A. Author")],
+            vec![v.label("rdf")],
+            None,
+        ))];
+        p.metrics = SourceMetrics {
+            citations: Some(12_345),
+            h_index: None,
+            i10_index: Some(9),
+        };
+        p.reviews = vec![
+            Arc::new(SourceReview::new(v.label("VLDB"), 2018, 14, Some(5))),
+            Arc::new(SourceReview::new(v.label("EDBT"), 2019, 30, None)),
+        ];
+        p
     }
 
     #[test]
     fn profile_round_trips_exactly() {
         let p = rich_profile();
-        let decoded = decode_profile(&encode_profile(&p)).unwrap();
+        let bytes = encode_profile(&p);
+        let vocab = Vocabulary::new();
+        let decoded = decode_profile(&bytes, &vocab).unwrap();
+        // Equality covers the forms too: the merge key, the normalized
+        // titles and every entry's normalized label or parsed name.
         assert_eq!(decoded, p);
+        assert_eq!(decoded.merge_key(), "l|zhou|university of tartu");
+        assert_eq!(
+            decoded.publications[0].normalized_title(),
+            "linked data at scale"
+        );
+        // Equal printed strings decoded through one table share one
+        // entry: within a profile, and across decodes.
+        let again = decode_profile(&bytes, &vocab).unwrap();
+        let venue = decoded.publications[0].venue_name();
+        assert!(Arc::ptr_eq(venue, decoded.reviews[1].venue_name()));
+        assert!(Arc::ptr_eq(venue, again.publications[0].venue_name()));
+        assert!(Arc::ptr_eq(&decoded.interests()[1], &again.interests()[1]));
+        assert!(Arc::ptr_eq(
+            &decoded.publications[0].keywords()[0],
+            &again.publications[0].keywords()[0]
+        ));
+        assert!(Arc::ptr_eq(
+            &decoded.publications[0].coauthor_names()[0],
+            &again.publications[0].coauthor_names()[0]
+        ));
+        // Five labels (two interests, two venues, one keyword), one name.
+        assert_eq!(vocab.len(), 6);
     }
 
     #[test]
@@ -274,7 +289,8 @@ mod tests {
         for kind in SourceKind::ALL {
             let mut p = rich_profile();
             p.source = kind;
-            assert_eq!(decode_profile(&encode_profile(&p)).unwrap().source, kind);
+            let decoded = decode_profile(&encode_profile(&p), &Vocabulary::new()).unwrap();
+            assert_eq!(decoded.source, kind);
         }
     }
 
@@ -283,7 +299,7 @@ mod tests {
         let p = rich_profile();
         let mut bytes = encode_profile(&p);
         bytes[2] = PROFILE_FORMAT_VERSION + 1; // bump the version byte
-        let err = decode_profile(&bytes).unwrap_err();
+        let err = decode_profile(&bytes, &Vocabulary::new()).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("scholar profile"), "{msg}");
         assert!(msg.contains("format version"), "{msg}");
@@ -292,8 +308,12 @@ mod tests {
     #[test]
     fn truncated_profile_is_an_error_not_a_panic() {
         let bytes = encode_profile(&rich_profile());
+        let vocab = Vocabulary::new();
         for cut in 0..bytes.len() {
-            assert!(decode_profile(&bytes[..cut]).is_err(), "cut at {cut}");
+            assert!(
+                decode_profile(&bytes[..cut], &vocab).is_err(),
+                "cut at {cut}"
+            );
         }
     }
 

@@ -1,9 +1,14 @@
 //! The record shapes sources return — the "scraped page" equivalents.
 
-use minaret_synth::ScholarId;
+use std::fmt;
 use std::sync::Arc;
 
+use minaret_ontology::normalize_label;
+use minaret_synth::ScholarId;
+
+use crate::merge::merge_key;
 use crate::spec::SourceKind;
+use crate::vocab::{Label, PersonName};
 
 /// Citation metrics as exposed by metric-bearing sources.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -17,34 +22,121 @@ pub struct SourceMetrics {
 }
 
 /// One publication as listed on a profile page.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Built through [`SourcePublication::new`], which also sets the
+/// normalized title. The fields that carry text in comparison form are
+/// private, so no form can disagree with its text; `year` and
+/// `citations` are plain data.
+#[derive(Clone, PartialEq, Eq)]
 pub struct SourcePublication {
-    /// Title string.
-    pub title: String,
+    title: String,
+    normalized_title: String,
     /// Publication year.
     pub year: u32,
-    /// Venue name string (not an id — sources expose text).
-    pub venue_name: String,
-    /// Co-author display names as printed on the page.
-    pub coauthor_names: Vec<String>,
-    /// Topic keywords attached to the publication, when the source
-    /// exposes them.
-    pub keywords: Vec<String>,
+    venue_name: Arc<Label>,
+    coauthor_names: Vec<Arc<PersonName>>,
+    keywords: Vec<Arc<Label>>,
     /// Citation count of this publication, when exposed.
     pub citations: Option<u32>,
+}
+
+impl SourcePublication {
+    /// A publication titled `title`, in the venue `venue_name`, with
+    /// the co-authors and topic keywords the source prints for it.
+    pub fn new(
+        title: String,
+        year: u32,
+        venue_name: Arc<Label>,
+        coauthor_names: Vec<Arc<PersonName>>,
+        keywords: Vec<Arc<Label>>,
+        citations: Option<u32>,
+    ) -> Self {
+        SourcePublication {
+            normalized_title: normalize_label(&title),
+            title,
+            year,
+            venue_name,
+            coauthor_names,
+            keywords,
+            citations,
+        }
+    }
+
+    /// Title string.
+    pub fn title(&self) -> &str {
+        &self.title
+    }
+
+    /// The title in normal form: what deduplication and the shared-title
+    /// COI signal compare.
+    pub fn normalized_title(&self) -> &str {
+        &self.normalized_title
+    }
+
+    /// Venue name (not an id — sources expose text).
+    pub fn venue_name(&self) -> &Arc<Label> {
+        &self.venue_name
+    }
+
+    /// Co-author display names as printed on the page.
+    pub fn coauthor_names(&self) -> &[Arc<PersonName>] {
+        &self.coauthor_names
+    }
+
+    /// Topic keywords attached to the publication, when the source
+    /// exposes them.
+    pub fn keywords(&self) -> &[Arc<Label>] {
+        &self.keywords
+    }
+}
+
+/// Prints the text fields only; the normalized title is a function of
+/// the title.
+impl fmt::Debug for SourcePublication {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SourcePublication")
+            .field("title", &self.title)
+            .field("year", &self.year)
+            .field("venue_name", &self.venue_name)
+            .field("coauthor_names", &self.coauthor_names)
+            .field("keywords", &self.keywords)
+            .field("citations", &self.citations)
+            .finish()
+    }
 }
 
 /// One review record (Publons-style).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SourceReview {
-    /// Venue reviewed for, as text.
-    pub venue_name: String,
+    venue_name: Arc<Label>,
     /// Year of the review.
     pub year: u32,
     /// Days from invitation to submitted review.
     pub turnaround_days: u32,
     /// Review quality (1–5 stars), when the source exposes it (Publons).
     pub quality: Option<u8>,
+}
+
+impl SourceReview {
+    /// A review for `venue_name`.
+    pub fn new(
+        venue_name: Arc<Label>,
+        year: u32,
+        turnaround_days: u32,
+        quality: Option<u8>,
+    ) -> Self {
+        SourceReview {
+            venue_name,
+            year,
+            turnaround_days,
+            quality,
+        }
+    }
+
+    /// Venue reviewed for, as text.
+    pub fn venue_name(&self) -> &Arc<Label> {
+        &self.venue_name
+    }
 }
 
 /// One entry of an affiliation history (ORCID-style).
@@ -64,6 +156,10 @@ pub struct AffiliationRecord {
 ///
 /// This is the unit the extraction phase works with: text fields, partial
 /// lists, per-source keys — the shape of a scraped profile page.
+///
+/// Built through [`SourceProfile::new`], which also sets the merge key.
+/// The fields that feed a comparison form are private and set only
+/// there; the rest are plain data, filled in after construction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SourceProfile {
     /// Which source produced this profile.
@@ -71,18 +167,15 @@ pub struct SourceProfile {
     /// Opaque per-source profile key (e.g. `"gs:1f3a"`). Stable across
     /// calls; different sources use unrelated keys for the same person.
     pub key: String,
-    /// Display name as rendered by the source — may be abbreviated
-    /// ("L. Zhou") depending on the source's name noise.
-    pub display_name: String,
-    /// Current affiliation as text, when known.
-    pub affiliation: Option<String>,
+    display_name: String,
+    affiliation: Option<String>,
+    merge_key: String,
     /// Country of the current affiliation, when known.
     pub country: Option<String>,
     /// Full affiliation history (ORCID exposes this; others leave it
     /// empty).
     pub affiliation_history: Vec<AffiliationRecord>,
-    /// Research-interest keywords registered on the profile.
-    pub interests: Vec<String>,
+    interests: Vec<Arc<Label>>,
     /// Publications listed on the profile (subset of the truth).
     /// `Arc`-shared: merged candidates borrow these records instead of
     /// deep-copying title/venue/keyword strings every recommendation.
@@ -102,6 +195,54 @@ pub struct SourceProfile {
 }
 
 impl SourceProfile {
+    /// A profile of `display_name` at `affiliation`, registering
+    /// `interests`, with no country, history, publications, metrics or
+    /// reviews yet.
+    pub fn new(
+        source: SourceKind,
+        key: String,
+        display_name: String,
+        affiliation: Option<String>,
+        interests: Vec<Arc<Label>>,
+        truth: ScholarId,
+    ) -> Self {
+        SourceProfile {
+            source,
+            key,
+            merge_key: merge_key(&display_name, affiliation.as_deref()),
+            display_name,
+            affiliation,
+            country: None,
+            affiliation_history: Vec::new(),
+            interests,
+            publications: Vec::new(),
+            metrics: SourceMetrics::default(),
+            reviews: Vec::new(),
+            truth,
+        }
+    }
+
+    /// Display name as rendered by the source — may be abbreviated
+    /// ("L. Zhou") depending on the source's name noise.
+    pub fn display_name(&self) -> &str {
+        &self.display_name
+    }
+
+    /// Current affiliation as text, when known.
+    pub fn affiliation(&self) -> Option<&str> {
+        self.affiliation.as_deref()
+    }
+
+    /// The bucket [`crate::merge_profiles`] files this profile under.
+    pub(crate) fn merge_key(&self) -> &str {
+        &self.merge_key
+    }
+
+    /// Research-interest keywords registered on the profile.
+    pub fn interests(&self) -> &[Arc<Label>] {
+        &self.interests
+    }
+
     /// Number of review records on the profile.
     pub fn review_count(&self) -> u32 {
         self.reviews.len() as u32
@@ -116,43 +257,39 @@ impl SourceProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vocab::Vocabulary;
 
     fn profile() -> SourceProfile {
-        SourceProfile {
-            source: SourceKind::GoogleScholar,
-            key: "gs:1".into(),
-            display_name: "Ada Lovelace".into(),
-            affiliation: Some("University of Tartu".into()),
-            country: Some("Estonia".into()),
-            affiliation_history: vec![],
-            interests: vec!["databases".into()],
-            publications: vec![
-                Arc::new(SourcePublication {
-                    title: "A".into(),
-                    year: 2015,
-                    venue_name: "J".into(),
-                    coauthor_names: vec![],
-                    keywords: vec![],
-                    citations: Some(4),
-                }),
-                Arc::new(SourcePublication {
-                    title: "B".into(),
-                    year: 2017,
-                    venue_name: "J".into(),
-                    coauthor_names: vec![],
-                    keywords: vec![],
-                    citations: None,
-                }),
-            ],
-            metrics: SourceMetrics::default(),
-            reviews: vec![Arc::new(SourceReview {
-                venue_name: "J".into(),
-                year: 2016,
-                turnaround_days: 21,
-                quality: Some(4),
-            })],
-            truth: ScholarId(0),
-        }
+        let v = Vocabulary::new();
+        let mut p = SourceProfile::new(
+            SourceKind::GoogleScholar,
+            "gs:1".into(),
+            "Ada Lovelace".into(),
+            Some("University of Tartu".into()),
+            vec![v.label("databases")],
+            ScholarId(0),
+        );
+        p.country = Some("Estonia".into());
+        p.publications = vec![
+            Arc::new(SourcePublication::new(
+                "A".into(),
+                2015,
+                v.label("J"),
+                vec![],
+                vec![],
+                Some(4),
+            )),
+            Arc::new(SourcePublication::new(
+                "B".into(),
+                2017,
+                v.label("J"),
+                vec![],
+                vec![],
+                None,
+            )),
+        ];
+        p.reviews = vec![Arc::new(SourceReview::new(v.label("J"), 2016, 21, Some(4)))];
+        p
     }
 
     #[test]

@@ -936,7 +936,7 @@ impl SourceRegistry {
         // normalized label is asked once: `slots` maps every input
         // position to its distinct label, and `first` each distinct
         // label to the position that introduced it. The normalized forms
-        // share one buffer; no request string reaches the interner.
+        // share one buffer.
         let normalized = NormalizedLabels::new(labels.iter().map(String::as_str));
         let mut slot_of: HashMap<&str, usize> = HashMap::with_capacity(labels.len());
         let mut first: Vec<usize> = Vec::with_capacity(labels.len());

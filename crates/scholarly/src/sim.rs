@@ -14,6 +14,7 @@ use crate::record::{
     AffiliationRecord, SourceMetrics, SourceProfile, SourcePublication, SourceReview,
 };
 use crate::spec::{SourceKind, SourceSpec};
+use crate::vocab::Vocabulary;
 
 /// Per-label hit lists from a batched interest search: each queried
 /// label (echoed as the caller's own `Arc<str>`) paired with its
@@ -52,13 +53,18 @@ pub trait ScholarSource: Send + Sync {
 
 /// A lazily-built, per-source store of [`Arc`]-shared profiles.
 ///
-/// Building a [`SourceProfile`] clones institution names, publication
-/// titles, coauthor names, and keyword lists out of the world — dozens
+/// Building a [`SourceProfile`] clones institution names and publication
+/// titles out of the world and derives their comparison forms — dozens
 /// of allocations per profile. A source's view of a scholar is
 /// deterministic, so the store builds each profile at most once (on
 /// first request, lock-free via [`OnceLock`]) and every subsequent hit
 /// anywhere — name search, interest search, key fetch — is one `Arc`
 /// clone.
+///
+/// Beside the profiles sits the source's [`Vocabulary`]: venue names,
+/// topic labels and co-author names resolve through it when a profile is
+/// built or decoded, so every profile of the source shares one entry per
+/// distinct string.
 pub struct ProfileStore {
     slots: Vec<OnceLock<Arc<SourceProfile>>>,
     /// Growth path: profiles for [`ScholarId`]s beyond the fixed slot
@@ -68,6 +74,9 @@ pub struct ProfileStore {
     /// When set, slot initialization consults the embedded store first
     /// (decode hit → no rebuild) and persists freshly built profiles.
     backing: Option<ProfileBacking>,
+    /// The source's shared vocabulary entries; only building and
+    /// decoding profiles fill it.
+    vocab: Vocabulary,
 }
 
 struct ProfileBacking {
@@ -83,6 +92,7 @@ impl ProfileStore {
             slots: (0..scholars).map(|_| OnceLock::new()).collect(),
             overflow: minaret_concurrent::ShardedMap::new(),
             backing: None,
+            vocab: Vocabulary::new(),
         }
     }
 
@@ -96,6 +106,7 @@ impl ProfileStore {
             slots: (0..scholars).map(|_| OnceLock::new()).collect(),
             overflow: minaret_concurrent::ShardedMap::new(),
             backing: Some(ProfileBacking { store, kind }),
+            vocab: Vocabulary::new(),
         }
     }
 
@@ -129,7 +140,7 @@ impl ProfileStore {
         if let Some(backing) = &self.backing {
             let key = crate::persist::profile_key(backing.kind, id);
             if let Ok(Some(bytes)) = backing.store.get(&key) {
-                if let Ok(profile) = crate::persist::decode_profile(&bytes) {
+                if let Ok(profile) = crate::persist::decode_profile(&bytes, &self.vocab) {
                     return Arc::new(profile);
                 }
             }
@@ -161,6 +172,12 @@ impl ProfileStore {
     /// True when a backing store is attached.
     pub fn is_persistent(&self) -> bool {
         self.backing.is_some()
+    }
+
+    /// The table profiles of this store resolve their vocabulary
+    /// entries through.
+    pub fn vocabulary(&self) -> &Vocabulary {
+        &self.vocab
     }
 }
 
@@ -359,6 +376,16 @@ impl SimulatedSource {
         self.fault
     }
 
+    /// How many profiles this source has built or decoded so far.
+    pub fn built_profiles(&self) -> usize {
+        self.profiles.built_count()
+    }
+
+    /// The source's vocabulary table (see [`ProfileStore`]).
+    pub fn vocabulary(&self) -> &Vocabulary {
+        self.profiles.vocabulary()
+    }
+
     /// Number of scholars this source covers.
     pub fn covered_count(&self) -> usize {
         (0..self.world.scholar_count())
@@ -512,6 +539,7 @@ impl SimulatedSource {
     fn build_profile(&self, w: &dyn WorldScope, id: ScholarId) -> SourceProfile {
         let s = w.scholar(id);
         let spec = &self.spec;
+        let vocab = self.profiles.vocabulary();
         let display_name =
             Self::display_name_parts(self.salt, spec, id, &s.given_name, &s.family_name);
 
@@ -542,38 +570,42 @@ impl SimulatedSource {
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| unit(hash64(&[self.salt, 0x1a7e, id.0 as u64, *i as u64])) < 0.85)
-                .map(|(_, &t)| w.ontology().label(t).to_string())
+                .map(|(_, &t)| vocab.label(w.ontology().label(t)))
                 .collect()
         } else {
             Vec::new()
         };
 
         let mut publications = Vec::new();
+        // Co-author names probe the table through one reused buffer.
+        let mut coauthor = String::new();
         for p in w.papers_of(id) {
             if unit(hash64(&[self.salt, 0x9a9e2, p.id.0 as u64])) >= spec.publication_coverage {
                 continue;
             }
-            publications.push(Arc::new(SourcePublication {
-                title: p.title.clone(),
-                year: p.year,
-                venue_name: w.venue(p.venue).name.clone(),
-                coauthor_names: p
-                    .authors
+            publications.push(Arc::new(SourcePublication::new(
+                p.title.clone(),
+                p.year,
+                vocab.label(&w.venue(p.venue).name),
+                p.authors
                     .iter()
                     .filter(|&&a| a != id)
-                    .map(|&a| w.scholar(a).full_name())
+                    .map(|&a| {
+                        coauthor.clear();
+                        w.scholar(a).full_name_onto(&mut coauthor);
+                        vocab.name(&coauthor)
+                    })
                     .collect(),
-                keywords: p
-                    .topics
+                p.topics
                     .iter()
-                    .map(|&t| w.ontology().label(t).to_string())
+                    .map(|&t| vocab.label(w.ontology().label(t)))
                     .collect(),
-                citations: if spec.has_metrics {
+                if spec.has_metrics {
                     Some(p.citations)
                 } else {
                     None
                 },
-            }));
+            )));
         }
 
         let metrics = if spec.has_metrics {
@@ -601,31 +633,32 @@ impl SimulatedSource {
             w.reviews_of(id)
                 .into_iter()
                 .map(|r| {
-                    Arc::new(SourceReview {
-                        venue_name: w.venue(r.venue).name.clone(),
-                        year: r.year,
-                        turnaround_days: r.turnaround_days,
-                        quality: Some(r.quality),
-                    })
+                    Arc::new(SourceReview::new(
+                        vocab.label(&w.venue(r.venue).name),
+                        r.year,
+                        r.turnaround_days,
+                        Some(r.quality),
+                    ))
                 })
                 .collect()
         } else {
             Vec::new()
         };
 
-        SourceProfile {
-            source: spec.kind,
-            key: self.key_for(id),
+        let mut profile = SourceProfile::new(
+            spec.kind,
+            self.key_for(id),
             display_name,
             affiliation,
-            country,
-            affiliation_history,
             interests,
-            publications,
-            metrics,
-            reviews,
-            truth: id,
-        }
+            id,
+        );
+        profile.country = country;
+        profile.affiliation_history = affiliation_history;
+        profile.publications = publications;
+        profile.metrics = metrics;
+        profile.reviews = reviews;
+        profile
     }
 }
 
@@ -755,7 +788,7 @@ mod tests {
         let w = world();
         for sc in w.scholars().iter().take(50) {
             if let Ok(p) = s.fetch_profile(&s.key_for(sc.id)) {
-                assert!(p.interests.is_empty());
+                assert!(p.interests().is_empty());
                 assert_eq!(p.metrics, SourceMetrics::default());
                 assert_eq!(p.publications.len(), w.papers_of(sc.id).len());
             }
@@ -770,7 +803,7 @@ mod tests {
         let mut saw_metrics = false;
         for sc in w.scholars() {
             if let Ok(p) = s.fetch_profile(&s.key_for(sc.id)) {
-                saw_interests |= !p.interests.is_empty();
+                saw_interests |= !p.interests().is_empty();
                 saw_metrics |= p.metrics.citations.is_some();
             }
         }
@@ -810,7 +843,11 @@ mod tests {
         let label = w.ontology.label(sc.interests[0]);
         let hits = search_one(&s, label);
         for h in &hits {
-            let normalized: Vec<String> = h.interests.iter().map(|i| normalize_label(i)).collect();
+            let normalized: Vec<String> = h
+                .interests()
+                .iter()
+                .map(|i| normalize_label(i.text()))
+                .collect();
             assert!(normalized.contains(&normalize_label(label)));
         }
     }
@@ -1061,7 +1098,7 @@ mod tests {
             .iter()
             .find_map(|sc| s.fetch_profile(&s.key_for(sc.id)).ok().map(|p| (sc.id, p)))
             .expect("gs covers most scholars");
-        let by_name = s.search_by_name(&fetched.display_name).unwrap();
+        let by_name = s.search_by_name(fetched.display_name()).unwrap();
         let same = by_name
             .iter()
             .find(|p| p.truth == id)
@@ -1079,18 +1116,15 @@ mod tests {
         // A store sized for 2 scholars asked about id 40: the overflow
         // path must build (once) instead of panicking on the slot index.
         let store = ProfileStore::with_capacity(2);
-        let make = |id: ScholarId| SourceProfile {
-            source: SourceKind::GoogleScholar,
-            key: format!("gs:{}", id.index()),
-            display_name: "Late Arrival".into(),
-            affiliation: None,
-            country: None,
-            affiliation_history: vec![],
-            interests: vec![],
-            publications: vec![],
-            metrics: Default::default(),
-            reviews: vec![],
-            truth: id,
+        let make = |id: ScholarId| {
+            SourceProfile::new(
+                SourceKind::GoogleScholar,
+                format!("gs:{}", id.index()),
+                "Late Arrival".into(),
+                None,
+                vec![],
+                id,
+            )
         };
         let id = ScholarId(40);
         let a = store.get_or_build(id, || make(id));

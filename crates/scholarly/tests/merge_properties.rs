@@ -2,7 +2,7 @@
 //! a set union keyed by identity, whatever the sources return.
 
 use minaret_scholarly::{
-    merge_profiles, SourceKind, SourceMetrics, SourceProfile, SourcePublication,
+    merge_profiles, SourceKind, SourceMetrics, SourceProfile, SourcePublication, Vocabulary,
 };
 use minaret_synth::ScholarId;
 use proptest::prelude::*;
@@ -26,36 +26,35 @@ fn arb_profile() -> impl Strategy<Value = SourceProfile> {
         0usize..4,                                     // publication count
         proptest::option::of(0u64..10_000),            // citations
     )
-        .prop_map(
-            |(source, person, name, aff, interests, pubs, citations)| SourceProfile {
+        .prop_map(|(source, person, name, aff, interests, pubs, citations)| {
+            let vocab = Vocabulary::new();
+            let mut p = SourceProfile::new(
                 source,
-                key: format!("{}:{person}", source.prefix()),
-                display_name: name.to_string(),
-                affiliation: aff.map(str::to_string),
-                country: None,
-                affiliation_history: vec![],
-                interests,
-                publications: (0..pubs)
-                    .map(|i| {
-                        Arc::new(SourcePublication {
-                            title: format!("paper {i} by person {person}"),
-                            year: 2010 + i as u32,
-                            venue_name: "J".into(),
-                            coauthor_names: vec![],
-                            keywords: vec![],
-                            citations: None,
-                        })
-                    })
-                    .collect(),
-                metrics: SourceMetrics {
-                    citations,
-                    h_index: None,
-                    i10_index: None,
-                },
-                reviews: vec![],
-                truth: ScholarId(person),
-            },
-        )
+                format!("{}:{person}", source.prefix()),
+                name.to_string(),
+                aff.map(str::to_string),
+                interests.iter().map(|i| vocab.label(i)).collect(),
+                ScholarId(person),
+            );
+            p.publications = (0..pubs)
+                .map(|i| {
+                    Arc::new(SourcePublication::new(
+                        format!("paper {i} by person {person}"),
+                        2010 + i as u32,
+                        vocab.label("J"),
+                        vec![],
+                        vec![],
+                        None,
+                    ))
+                })
+                .collect();
+            p.metrics = SourceMetrics {
+                citations,
+                h_index: None,
+                i10_index: None,
+            };
+            p
+        })
 }
 
 proptest! {

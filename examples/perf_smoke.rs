@@ -38,9 +38,9 @@
 //! **heap allocations per warm recommendation** through a counting
 //! global allocator and fails when they regress more than
 //! [`ALLOC_REGRESSION_HEADROOM`] over the committed baseline — the guard
-//! for the zero-copy extraction work (Arc-shared profiles, interning,
-//! single-flight coalescing). Without the feature the allocation guard
-//! is skipped (timings stay valid either way).
+//! for the zero-copy extraction work (Arc-shared profiles and vocabulary
+//! entries, single-flight coalescing). Without the feature the
+//! allocation guard is skipped (timings stay valid either way).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -1035,7 +1035,8 @@ fn measure_allocs() -> ((u64, u64), (u64, u64)) {
                 manuscript.keywords.push(label);
             }
         }
-        // Warm caches, the interner, lazy profile stores, worker pools.
+        // Warm caches, lazy profile stores and their vocabularies,
+        // worker pools.
         for _ in 0..2 {
             let _ = ctx.minaret.recommend(&manuscript).unwrap();
         }

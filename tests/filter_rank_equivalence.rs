@@ -1,8 +1,12 @@
 //! The filter and rank phases derive their request-side data once per
 //! request (parsed author and PC names, title sets, institution token
-//! sets, a label → per-keyword-set similarity table). This suite pins
-//! that the per-request forms decide and score exactly like the
-//! per-candidate definitions they replaced.
+//! sets, a label → per-keyword-set similarity table), and read the
+//! candidate side in the comparison forms its records carry from
+//! construction (parsed co-author names, normalized titles, keywords,
+//! venue names and interests). This suite pins that both decide and
+//! score exactly like the per-candidate definitions they replaced.
+//! Candidates are built through the production constructors; the
+//! reference computes from their printed strings.
 //!
 //! `reference` holds those definitions as they stood before the change:
 //! the COI check, the PC membership check, topic coverage, recency and
@@ -27,7 +31,8 @@ use minaret::core::{
     KeywordExpansionSet, ScoreBreakdown,
 };
 use minaret::scholarly::{
-    AffiliationRecord, MergedCandidate, SourceMetrics, SourcePublication, SourceReview,
+    AffiliationRecord, Label, MergedCandidate, NormalizedLabel, PersonName, SourceMetrics,
+    SourcePublication, SourceReview,
 };
 use proptest::prelude::*;
 
@@ -169,9 +174,9 @@ mod reference {
                     rec.countries.push(normalize_label(&h.country));
                 }
                 for publ in &p.publications {
-                    rec.publication_titles.push(normalize_label(&publ.title));
-                    for co in &publ.coauthor_names {
-                        rec.coauthor_names.push(co.clone());
+                    rec.publication_titles.push(normalize_label(publ.title()));
+                    for co in publ.coauthor_names() {
+                        rec.coauthor_names.push(co.text().to_string());
                     }
                 }
             }
@@ -191,13 +196,13 @@ mod reference {
         let cand_titles: Vec<String> = candidate
             .publications
             .iter()
-            .map(|p| normalize_label(&p.title))
+            .map(|p| normalize_label(p.title()))
             .collect();
         let cand_coauthors: Vec<_> = candidate
             .publications
             .iter()
-            .flat_map(|p| p.coauthor_names.iter())
-            .filter_map(|n| parse_name(n))
+            .flat_map(|p| p.coauthor_names())
+            .filter_map(|n| parse_name(n.text()))
             .collect();
         let mut cand_institutions: Vec<String> = Vec::new();
         if let Some(a) = &candidate.affiliation {
@@ -356,8 +361,8 @@ mod reference {
             .map(|i| normalize_label(i))
             .collect();
         for p in &candidate.publications {
-            for k in &p.keywords {
-                labels.push(normalize_label(k));
+            for k in p.keywords() {
+                labels.push(normalize_label(k.text()));
             }
         }
         let total: f64 = expansions
@@ -380,7 +385,7 @@ mod reference {
         for e in expansions {
             let mut best = 0.0f64;
             for p in &candidate.publications {
-                let sim = best_match(e, p.keywords.iter().map(|k| normalize_label(k)));
+                let sim = best_match(e, p.keywords().iter().map(|k| normalize_label(k.text())));
                 if sim <= 0.0 {
                     continue;
                 }
@@ -410,12 +415,12 @@ mod reference {
         let reviews_for = candidate
             .reviews
             .iter()
-            .filter(|r| normalize_label(&r.venue_name) == target)
+            .filter(|r| normalize_label(r.venue_name().text()) == target)
             .count() as f64;
         let pubs_in = candidate
             .publications
             .iter()
-            .filter(|p| normalize_label(&p.venue_name) == target)
+            .filter(|p| normalize_label(p.venue_name().text()) == target)
             .count() as f64;
         log_norm(reviews_for + pubs_in, FAMILIARITY_CAP)
     }
@@ -543,14 +548,27 @@ fn name(d: &mut Draw) -> String {
 }
 
 fn publication(d: &mut Draw) -> Arc<SourcePublication> {
-    Arc::new(SourcePublication {
-        title: d.pick(TITLES).to_string(),
-        year: 2000 + d.below(21) as u32,
-        venue_name: d.pick(VENUES).to_string(),
-        coauthor_names: d.many(4, name),
-        keywords: d.many(3, |d| d.pick(LABELS).to_string()),
-        citations: d.some(50, |d| d.below(100) as u32),
-    })
+    publication_listing(d, None)
+}
+
+/// A drawn publication that also lists `coauthor`, when given, after
+/// its drawn co-authors.
+fn publication_listing(d: &mut Draw, coauthor: Option<&str>) -> Arc<SourcePublication> {
+    let title = d.pick(TITLES).to_string();
+    let year = 2000 + d.below(21) as u32;
+    let venue_name = Arc::new(Label::new(d.pick(VENUES)));
+    let mut coauthor_names = d.many(4, |d| Arc::new(PersonName::new(&name(d))));
+    coauthor_names.extend(coauthor.map(|c| Arc::new(PersonName::new(c))));
+    let keywords = d.many(3, |d| Arc::new(Label::new(d.pick(LABELS))));
+    let citations = d.some(50, |d| d.below(100) as u32);
+    Arc::new(SourcePublication::new(
+        title,
+        year,
+        venue_name,
+        coauthor_names,
+        keywords,
+        citations,
+    ))
 }
 
 fn candidate(d: &mut Draw) -> MergedCandidate {
@@ -564,7 +582,7 @@ fn candidate(d: &mut Draw) -> MergedCandidate {
             from_year: 2000,
             to_year: 2010,
         }),
-        interests: d.many(4, |d| d.pick(LABELS).to_string()),
+        interests: d.many(4, |d| NormalizedLabel::new(d.pick(LABELS))),
         publications: d.many(5, publication),
         metrics: SourceMetrics {
             citations: d.some(80, |d| d.below(5_000) as u64),
@@ -572,12 +590,12 @@ fn candidate(d: &mut Draw) -> MergedCandidate {
             i10_index: None,
         },
         reviews: d.many(4, |d| {
-            Arc::new(SourceReview {
-                venue_name: d.pick(VENUES).to_string(),
-                year: 2005 + d.below(15) as u32,
-                turnaround_days: 5 + d.below(100) as u32,
-                quality: d.some(50, |d| 1 + d.below(5) as u8),
-            })
+            Arc::new(SourceReview::new(
+                Arc::new(Label::new(d.pick(VENUES))),
+                2005 + d.below(15) as u32,
+                5 + d.below(100) as u32,
+                d.some(50, |d| 1 + d.below(5) as u8),
+            ))
         }),
         sources: vec![],
         keys: vec![],
@@ -704,11 +722,9 @@ proptest! {
             let pick = d.below(authors.len());
             match d.below(3) {
                 0 => cand.display_name = authors[pick].name().to_string(),
-                1 => {
-                    let mut p = (*publication(&mut d)).clone();
-                    p.coauthor_names.push(authors[pick].name().to_string());
-                    cand.publications.push(Arc::new(p));
-                }
+                1 => cand
+                    .publications
+                    .push(publication_listing(&mut d, Some(authors[pick].name()))),
                 _ => cand.affiliation = Some(d.pick(INSTITUTIONS).to_string()),
             }
             prop_assert_eq!(
