@@ -69,6 +69,18 @@ cargo test -q -p minaret-synth --test chunk_invariance
 echo "==> lazy profile materialization equivalence: cargo test --test streaming_world"
 cargo test -q --test streaming_world
 
+# Grading against ground truth is offline work: the serving binaries
+# must not build the evaluation harness, the baselines or the TF-IDF
+# index.
+echo "==> serving binaries build no evaluation harness: cargo tree -e normal -p minaret-server / -p minaret-cli"
+for pkg in minaret-server minaret-cli; do
+    deps="$(cargo tree -e normal -p "$pkg")"
+    if grep -E 'minaret-(eval|baselines|index) v' <<<"$deps"; then
+        echo "FAIL: $pkg depends on the evaluation harness (see above)" >&2
+        exit 1
+    fi
+done
+
 echo "==> batch-assignment solver unit tests: cargo test -p minaret-assign"
 cargo test -q -p minaret-assign
 

@@ -25,10 +25,10 @@
 //!    greedy seed — if integer-cost rounding ever ties the two, the
 //!    greedy pairing is kept.
 //!
-//! Quality is reported per batch: mean assigned-pair relevance, the
-//! load Gini coefficient across assigned reviewers, and (when a
-//! synthetic [`World`] ground truth is on hand) coverage@k via
-//! [`coverage_against_world`].
+//! Quality is reported per batch: mean assigned-pair relevance and the
+//! load Gini coefficient across assigned reviewers. The solver never
+//! consults ground truth; offline callers holding the synthetic
+//! [`World`] grade a solved batch with [`coverage_against_world`].
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -205,9 +205,6 @@ pub struct BatchQuality {
     /// Gini coefficient of assigned reviewers' loads (0 = perfectly
     /// balanced).
     pub load_gini: f64,
-    /// Coverage@k against synthetic ground truth, when a [`World`] was
-    /// consulted via [`coverage_against_world`].
-    pub coverage_at_k: Option<f64>,
 }
 
 /// A solved batch assignment.
@@ -271,16 +268,34 @@ impl BatchAssignment {
             self.augmentations,
         ));
         out.push_str(&format!(
-            "mean relevance {:.4}, load gini {:.4}{}\n",
-            self.quality.mean_relevance,
-            self.quality.load_gini,
-            match self.quality.coverage_at_k {
-                Some(c) => format!(", coverage@k {c:.4}"),
-                None => String::new(),
-            }
+            "mean relevance {:.4}, load gini {:.4}\n",
+            self.quality.mean_relevance, self.quality.load_gini,
         ));
         out
     }
+}
+
+/// Gini coefficient of a non-negative distribution (reviewer loads):
+/// `0.0` for perfectly even loads, approaching `1.0` as one reviewer
+/// carries everything. Empty or all-zero input yields `0.0`.
+fn gini(xs: &[f64]) -> f64 {
+    let n = xs.len();
+    if n == 0 {
+        return 0.0;
+    }
+    let total: f64 = xs.iter().sum();
+    if total <= 0.0 {
+        return 0.0;
+    }
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    // Gini = (2·Σ i·x_(i) / (n·Σ x)) − (n+1)/n, with 1-based ranks i.
+    let weighted: f64 = sorted
+        .iter()
+        .enumerate()
+        .map(|(i, &x)| (i + 1) as f64 * x)
+        .sum();
+    (2.0 * weighted / (n as f64 * total) - (n as f64 + 1.0) / n as f64).max(0.0)
 }
 
 fn clip(s: &str, n: usize) -> String {
@@ -576,8 +591,7 @@ impl Assigner {
         let load_values: Vec<f64> = load_rows.iter().map(|l| l.load as f64).collect();
         let quality = BatchQuality {
             mean_relevance,
-            load_gini: minaret_eval::metrics::gini(&load_values),
-            coverage_at_k: None,
+            load_gini: gini(&load_values),
         };
         self.count("ok");
         Ok(BatchAssignment {
@@ -677,7 +691,7 @@ pub fn coverage_against_world(
     if per_paper.is_empty() {
         None
     } else {
-        Some(minaret_eval::metrics::mean(&per_paper))
+        Some(per_paper.iter().sum::<f64>() / per_paper.len() as f64)
     }
 }
 
@@ -838,6 +852,18 @@ mod tests {
         let cov = coverage_against_world(&w, &manuscripts, &solved)
             .expect("synthetic keywords resolve to topics");
         assert!((0.0..=1.0).contains(&cov), "coverage {cov} out of range");
+    }
+
+    #[test]
+    fn gini_extremes_and_bounds() {
+        assert_eq!(gini(&[]), 0.0);
+        assert_eq!(gini(&[0.0, 0.0]), 0.0);
+        // Perfectly even loads.
+        assert!(gini(&[3.0, 3.0, 3.0, 3.0]).abs() < 1e-12);
+        // One reviewer carries everything: (n-1)/n.
+        assert!((gini(&[0.0, 0.0, 0.0, 8.0]) - 0.75).abs() < 1e-12);
+        // Order-invariant.
+        assert!((gini(&[1.0, 5.0, 2.0]) - gini(&[5.0, 1.0, 2.0])).abs() < 1e-12);
     }
 
     #[test]

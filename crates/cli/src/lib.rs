@@ -376,11 +376,9 @@ fn cmd_assign(args: &[String], world: WorldOpts, out: &mut dyn std::io::Write) -
         config,
     ))
     .with_telemetry(state.telemetry.clone());
-    let mut solved = assigner
+    let solved = assigner
         .assign(&manuscripts, &spec)
         .map_err(|e| e.to_string())?;
-    solved.quality.coverage_at_k =
-        minaret_assign::coverage_against_world(&state.world, &manuscripts, &solved);
     writeln!(
         out,
         "assigning {} manuscripts: {} reviewers/paper, max load {} \
@@ -393,6 +391,13 @@ fn cmd_assign(args: &[String], world: WorldOpts, out: &mut dyn std::io::Write) -
     )
     .map_err(|e| e.to_string())?;
     write!(out, "{}", solved.render_table()).map_err(|e| e.to_string())?;
+    // The CLI serves a synthetic world, so it can grade the batch against
+    // that world's ground truth; the server never does.
+    if let Some(coverage) =
+        minaret_assign::coverage_against_world(&state.world, &manuscripts, &solved)
+    {
+        writeln!(out, "coverage@k {coverage:.4}").map_err(|e| e.to_string())?;
+    }
     Ok(())
 }
 

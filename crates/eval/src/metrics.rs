@@ -89,30 +89,6 @@ pub fn kendall_tau<T: Eq + std::hash::Hash + Clone>(a: &[T], b: &[T]) -> f64 {
     (concordant - discordant) as f64 / pairs
 }
 
-/// Gini coefficient of a non-negative distribution (reviewer loads in
-/// the batch-assignment workload): `0.0` for perfectly even loads,
-/// approaching `1.0` as one reviewer carries everything. Empty or
-/// all-zero input yields `0.0`.
-pub fn gini(xs: &[f64]) -> f64 {
-    let n = xs.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let total: f64 = xs.iter().sum();
-    if total <= 0.0 {
-        return 0.0;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    // Gini = (2·Σ i·x_(i) / (n·Σ x)) − (n+1)/n, with 1-based ranks i.
-    let weighted: f64 = sorted
-        .iter()
-        .enumerate()
-        .map(|(i, &x)| (i + 1) as f64 * x)
-        .sum();
-    (2.0 * weighted / (n as f64 * total) - (n as f64 + 1.0) / n as f64).max(0.0)
-}
-
 /// Mean of a slice; `0.0` when empty.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -184,18 +160,6 @@ mod tests {
         assert!((kendall_tau(&a, &b) - 1.0).abs() < 1e-12);
         // Degenerate: no overlap.
         assert_eq!(kendall_tau(&[1, 2], &[3, 4]), 1.0);
-    }
-
-    #[test]
-    fn gini_extremes_and_bounds() {
-        assert_eq!(gini(&[]), 0.0);
-        assert_eq!(gini(&[0.0, 0.0]), 0.0);
-        // Perfectly even loads.
-        assert!(gini(&[3.0, 3.0, 3.0, 3.0]).abs() < 1e-12);
-        // One reviewer carries everything: (n-1)/n.
-        assert!((gini(&[0.0, 0.0, 0.0, 8.0]) - 0.75).abs() < 1e-12);
-        // Order-invariant.
-        assert!((gini(&[1.0, 5.0, 2.0]) - gini(&[5.0, 1.0, 2.0])).abs() < 1e-12);
     }
 
     #[test]

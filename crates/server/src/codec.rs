@@ -83,88 +83,112 @@ pub fn manuscript_from_json(
     };
 
     let mut config = base.clone();
-    if let Some(cfg) = body.get("config") {
+    if let Some(cfg) = field(body, "config", "an object", object)? {
         apply_config_overrides(cfg, &mut config)?;
     }
     Ok((manuscript, config))
 }
 
+/// Largest integer a JSON number holds exactly (2^53), the ceiling of
+/// every integer override.
+const MAX_JSON_INT: u64 = 1 << 53;
+
+/// Reads an optional override from an object. An absent key and `null`
+/// both keep the configured value (`Ok(None)`). Any other value must
+/// pass `read`; one of the wrong type or outside its range is an error
+/// naming the field, never truncated or ignored.
+fn field<'a, T>(
+    obj: &'a Value,
+    key: &str,
+    must_be: impl std::fmt::Display,
+    read: impl FnOnce(&'a Value) -> Option<T>,
+) -> Result<Option<T>, String> {
+    match obj.get(key) {
+        None | Some(Value::Null) => Ok(None),
+        Some(v) => read(v)
+            .map(Some)
+            .ok_or_else(|| format!("{key} must be {must_be}")),
+    }
+}
+
+/// An integer override in `[0, max]`, converted to its field's type.
+fn integer<T: TryFrom<u64>>(obj: &Value, key: &str, max: u64) -> Result<Option<T>, String> {
+    field(obj, key, format_args!("an integer in [0, {max}]"), |v| {
+        v.as_u64()
+            .filter(|&n| n <= max)
+            .and_then(|n| T::try_from(n).ok())
+    })
+}
+
+fn object(v: &Value) -> Option<&Value> {
+    matches!(v, Value::Object(_)).then_some(v)
+}
+
+const AFFILIATION_LEVELS: &str = r#"one of "university", "country", "off""#;
+
+fn affiliation_level(v: &Value) -> Option<AffiliationMatchLevel> {
+    match v.as_str()? {
+        "university" => Some(AffiliationMatchLevel::University),
+        "country" => Some(AffiliationMatchLevel::Country),
+        "off" => Some(AffiliationMatchLevel::Off),
+        _ => None,
+    }
+}
+
 fn apply_config_overrides(cfg: &Value, config: &mut EditorConfig) -> Result<(), String> {
-    if let Some(t) = cfg.get("keyword_score_threshold").and_then(Value::as_f64) {
-        if !(0.0..=1.0).contains(&t) {
-            return Err("keyword_score_threshold must be in [0, 1]".into());
-        }
+    if let Some(t) = field(cfg, "keyword_score_threshold", "a number in [0, 1]", |v| {
+        v.as_f64().filter(|t| (0.0..=1.0).contains(t))
+    })? {
         config.keyword_score_threshold = t;
     }
-    if let Some(m) = cfg.get("max_recommendations").and_then(Value::as_u64) {
-        config.max_recommendations = m as usize;
+    for (key, slot) in [
+        ("max_recommendations", &mut config.max_recommendations),
+        ("min_sources", &mut config.min_sources),
+    ] {
+        *slot = integer(cfg, key, MAX_JSON_INT)?.unwrap_or(*slot);
     }
-    if let Some(m) = cfg.get("min_sources").and_then(Value::as_u64) {
-        config.min_sources = m as usize;
+    if let Some(level) = field(
+        cfg,
+        "coi_affiliation_level",
+        AFFILIATION_LEVELS,
+        affiliation_level,
+    )? {
+        config.coi.affiliation_level = level;
     }
-    if let Some(level) = cfg.get("coi_affiliation_level").and_then(Value::as_str) {
-        config.coi.affiliation_level = match level {
-            "university" => AffiliationMatchLevel::University,
-            "country" => AffiliationMatchLevel::Country,
-            "off" => AffiliationMatchLevel::Off,
-            other => return Err(format!("unknown coi_affiliation_level {other:?}")),
-        };
-    }
-    if let Some(w) = cfg.get("weights") {
-        let read = |key: &str, current: f64| -> Result<f64, String> {
-            match w.get(key) {
-                None => Ok(current),
-                Some(v) => {
-                    let x = v
-                        .as_f64()
-                        .ok_or_else(|| format!("weight {key:?} must be a number"))?;
-                    if x < 0.0 {
-                        return Err(format!("weight {key:?} must be non-negative"));
-                    }
-                    Ok(x)
-                }
-            }
-        };
-        config.weights.coverage = read("coverage", config.weights.coverage)?;
-        config.weights.impact = read("impact", config.weights.impact)?;
-        config.weights.recency = read("recency", config.weights.recency)?;
-        config.weights.experience = read("experience", config.weights.experience)?;
-        config.weights.familiarity = read("familiarity", config.weights.familiarity)?;
-        config.weights.responsiveness = read("responsiveness", config.weights.responsiveness)?;
-    }
-    // Expertise bounds are non-negative integers that fit their field; a
-    // value that does not is rejected, never truncated or ignored. `null`
-    // leaves the bound as it is, like an absent key. JSON numbers are
-    // exact integers only up to 2^53, the ceiling of the u64 fields.
-    let bound = |key: &str, max: u64| -> Result<Option<u64>, String> {
-        match cfg.get(key) {
-            None | Some(Value::Null) => Ok(None),
-            Some(v) => v
-                .as_u64()
-                .filter(|&n| n <= max)
-                .map(Some)
-                .ok_or_else(|| format!("{key} must be an integer in [0, {max}]")),
-        }
-    };
-    let bound_u32 = |key: &str| -> Result<Option<u32>, String> {
-        Ok(bound(key, u32::MAX.into())?.map(|n| n as u32))
-    };
-    let e = &mut config.expertise;
-    e.min_citations = bound("min_citations", 1 << 53)?.or(e.min_citations);
-    e.max_citations = bound("max_citations", 1 << 53)?.or(e.max_citations);
-    e.min_h_index = bound_u32("min_h_index")?.or(e.min_h_index);
-    e.max_h_index = bound_u32("max_h_index")?.or(e.max_h_index);
-    e.min_reviews = bound_u32("min_reviews")?.or(e.min_reviews);
-    e.max_reviews = bound_u32("max_reviews")?.or(e.max_reviews);
-    if let Some(pc) = cfg.get("pc_members").and_then(Value::as_array) {
-        let members = pc
-            .iter()
-            .map(|m| {
-                m.as_str()
-                    .map(str::to_string)
-                    .ok_or("pc_members must be strings".to_string())
+    if let Some(w) = field(cfg, "weights", "an object", object)? {
+        let weights = &mut config.weights;
+        for (key, slot) in [
+            ("coverage", &mut weights.coverage),
+            ("impact", &mut weights.impact),
+            ("recency", &mut weights.recency),
+            ("experience", &mut weights.experience),
+            ("familiarity", &mut weights.familiarity),
+            ("responsiveness", &mut weights.responsiveness),
+        ] {
+            *slot = field(w, key, "a non-negative number", |v| {
+                v.as_f64().filter(|&x| x >= 0.0)
             })
-            .collect::<Result<Vec<_>, _>>()?;
+            .map_err(|e| format!("weights.{e}"))?
+            .unwrap_or(*slot);
+        }
+    }
+    let e = &mut config.expertise;
+    e.min_citations = integer(cfg, "min_citations", MAX_JSON_INT)?.or(e.min_citations);
+    e.max_citations = integer(cfg, "max_citations", MAX_JSON_INT)?.or(e.max_citations);
+    for (key, bound) in [
+        ("min_h_index", &mut e.min_h_index),
+        ("max_h_index", &mut e.max_h_index),
+        ("min_reviews", &mut e.min_reviews),
+        ("max_reviews", &mut e.max_reviews),
+    ] {
+        *bound = integer(cfg, key, u32::MAX.into())?.or(*bound);
+    }
+    if let Some(members) = field(cfg, "pc_members", "an array of strings", |v| {
+        v.as_array()?
+            .iter()
+            .map(|m| m.as_str().map(str::to_string))
+            .collect::<Option<Vec<_>>>()
+    })? {
         config.pc_members = Some(members);
     }
     Ok(())
@@ -193,7 +217,7 @@ pub fn assign_request_from_json(
     base: &EditorConfig,
 ) -> Result<(Vec<ManuscriptDetails>, AssignmentSpec, EditorConfig), String> {
     let mut config = base.clone();
-    if let Some(cfg) = body.get("config") {
+    if let Some(cfg) = field(body, "config", "an object", object)? {
         apply_config_overrides(cfg, &mut config)?;
     }
     let manuscripts = body
@@ -205,28 +229,36 @@ pub fn assign_request_from_json(
         .collect::<Result<Vec<_>, _>>()?;
 
     let mut spec = AssignmentSpec::new(3, 5);
-    if let Some(s) = body.get("spec") {
-        if let Some(k) = s.get("reviewers_per_paper").and_then(Value::as_u64) {
-            spec.reviewers_per_paper = k as usize;
+    if let Some(s) = field(body, "spec", "an object", object)? {
+        // Zero passes here; `AssignmentSpec::validate` rejects a zero
+        // `reviewers_per_paper` or `max_load` with its own message.
+        for (key, slot) in [
+            ("reviewers_per_paper", &mut spec.reviewers_per_paper),
+            ("max_load", &mut spec.max_load),
+            (
+                "max_candidates_per_paper",
+                &mut spec.max_candidates_per_paper,
+            ),
+        ] {
+            *slot = integer(s, key, MAX_JSON_INT)?.unwrap_or(*slot);
         }
-        if let Some(l) = s.get("max_load").and_then(Value::as_u64) {
-            spec.max_load = l as usize;
-        }
-        if let Some(cap) = s.get("max_candidates_per_paper").and_then(Value::as_u64) {
-            spec.max_candidates_per_paper = cap as usize;
-        }
-        if let Some(coi) = s.get("coi") {
+        if let Some(coi) = field(s, "coi", "an object", object)? {
             let mut policy = config.coi;
-            if let Some(c) = coi.get("coauthorship").and_then(Value::as_bool) {
+            let prefixed = |e: String| format!("coi.{e}");
+            if let Some(c) =
+                field(coi, "coauthorship", "a boolean", Value::as_bool).map_err(prefixed)?
+            {
                 policy.coauthorship = c;
             }
-            if let Some(level) = coi.get("affiliation_level").and_then(Value::as_str) {
-                policy.affiliation_level = match level {
-                    "university" => AffiliationMatchLevel::University,
-                    "country" => AffiliationMatchLevel::Country,
-                    "off" => AffiliationMatchLevel::Off,
-                    other => return Err(format!("unknown coi affiliation_level {other:?}")),
-                };
+            if let Some(level) = field(
+                coi,
+                "affiliation_level",
+                AFFILIATION_LEVELS,
+                affiliation_level,
+            )
+            .map_err(prefixed)?
+            {
+                policy.affiliation_level = level;
             }
             spec = spec.with_coi(policy);
         }
@@ -263,12 +295,9 @@ pub fn assignment_to_json(assignment: &BatchAssignment) -> Value {
                 .set("load", l.load)
         })
         .collect();
-    let mut quality = Value::object()
+    let quality = Value::object()
         .set("mean_relevance", assignment.quality.mean_relevance)
         .set("load_gini", assignment.quality.load_gini);
-    if let Some(cov) = assignment.quality.coverage_at_k {
-        quality = quality.set("coverage_at_k", cov);
-    }
     Value::object()
         .set("papers", papers)
         .set("loads", loads)
@@ -486,5 +515,111 @@ mod tests {
         )
         .unwrap();
         assert!(assign_request_from_json(&batch, &base()).is_err());
+    }
+
+    #[test]
+    fn rejects_overrides_of_the_wrong_type() {
+        // Each of these used to be dropped silently, keeping the default.
+        let recommend = |config: &str| {
+            parse(&format!(
+                r#"{{"title":"T","keywords":["k"],"authors":[{{"name":"A"}}],
+                    "target_venue":"J","config":{config}}}"#
+            ))
+            .unwrap()
+        };
+        for (config, field) in [
+            (r#"{"max_recommendations":"3"}"#, "max_recommendations"),
+            (r#"{"max_recommendations":2.5}"#, "max_recommendations"),
+            (r#"{"min_sources":"9"}"#, "min_sources"),
+            (r#"{"min_sources":-1}"#, "min_sources"),
+            (r#"{"min_sources":1e16}"#, "min_sources"),
+            (
+                r#"{"keyword_score_threshold":"0.5"}"#,
+                "keyword_score_threshold",
+            ),
+            (r#"{"coi_affiliation_level":1}"#, "coi_affiliation_level"),
+            (r#"{"weights":[1]}"#, "weights"),
+            (r#"{"weights":{"impact":"0.5"}}"#, "weights.impact"),
+            (r#"{"pc_members":"Lei Zhou"}"#, "pc_members"),
+            (r#"{"pc_members":[1]}"#, "pc_members"),
+            ("5", "config"),
+            (r#""x""#, "config"),
+        ] {
+            let err = manuscript_from_json(&recommend(config), &base())
+                .expect_err(&format!("accepted config {config}"));
+            assert!(err.contains(field), "{config}: {err}");
+        }
+        // `null` keeps the default, as an absent key does.
+        for config in [
+            "null",
+            r#"{"max_recommendations":null,"min_sources":null,"pc_members":null,
+                "keyword_score_threshold":null,"coi_affiliation_level":null,
+                "weights":null}"#,
+            r#"{"weights":{"impact":null}}"#,
+        ] {
+            let (_, cfg) = manuscript_from_json(&recommend(config), &base()).unwrap();
+            assert_eq!(cfg, base(), "{config}");
+        }
+
+        let assign = |fields: &str| {
+            parse(&format!(
+                r#"{{"manuscripts":[{{"title":"T","keywords":["k"],
+                    "authors":[{{"name":"A B"}}],"target_venue":"J"}}],{fields}}}"#
+            ))
+            .unwrap()
+        };
+        for (fields, field) in [
+            (r#""spec":{"max_load":"1"}"#, "max_load"),
+            (
+                r#""spec":{"reviewers_per_paper":"2"}"#,
+                "reviewers_per_paper",
+            ),
+            (
+                r#""spec":{"reviewers_per_paper":2.5}"#,
+                "reviewers_per_paper",
+            ),
+            (
+                r#""spec":{"reviewers_per_paper":-1}"#,
+                "reviewers_per_paper",
+            ),
+            (r#""spec":{"max_load":1e16}"#, "max_load"),
+            (
+                r#""spec":{"max_candidates_per_paper":true}"#,
+                "max_candidates_per_paper",
+            ),
+            (r#""spec":5"#, "spec"),
+            (r#""spec":{"coi":true}"#, "coi"),
+            (
+                r#""spec":{"coi":{"coauthorship":"yes"}}"#,
+                "coi.coauthorship",
+            ),
+            (
+                r#""spec":{"coi":{"affiliation_level":"galaxy"}}"#,
+                "coi.affiliation_level",
+            ),
+            (r#""config":[]"#, "config"),
+            (r#""config":{"min_sources":"9"}"#, "min_sources"),
+        ] {
+            let err = assign_request_from_json(&assign(fields), &base())
+                .expect_err(&format!("accepted {fields}"));
+            assert!(err.contains(field), "{fields}: {err}");
+        }
+        let (_, spec, cfg) = assign_request_from_json(
+            &assign(
+                r#""config":null,"spec":{"reviewers_per_paper":null,"max_load":null,
+                    "max_candidates_per_paper":null,"coi":null}"#,
+            ),
+            &base(),
+        )
+        .unwrap();
+        assert_eq!((spec, cfg), (AssignmentSpec::new(3, 5), base()));
+        // Integers up to 2^53 apply; a zero is left to
+        // `AssignmentSpec::validate`, which rejects it with its own 422.
+        let (_, spec, _) = assign_request_from_json(
+            &assign(r#""spec":{"reviewers_per_paper":0,"max_load":9007199254740992}"#),
+            &base(),
+        )
+        .unwrap();
+        assert_eq!((spec.reviewers_per_paper, spec.max_load), (0, 1 << 53));
     }
 }

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use minaret_assign::{coverage_against_world, AssignError, Assigner};
+use minaret_assign::{AssignError, Assigner};
 use minaret_core::{Minaret, MinaretError};
 use minaret_disambig::{AuthorQuery, IdentityResolver};
 use minaret_http::{Params, Request, Response, Router};
@@ -302,13 +302,7 @@ pub fn build_router(state: Arc<AppState>) -> Router {
             )
             .with_telemetry(s.telemetry.clone());
             match assigner.assign(&manuscripts, &spec) {
-                Ok(mut solved) => {
-                    // Ground-truth coverage is a synthetic-world luxury;
-                    // the server always has the world on hand.
-                    solved.quality.coverage_at_k =
-                        coverage_against_world(&s.world, &manuscripts, &solved);
-                    Response::json(200, &assignment_to_json(&solved))
-                }
+                Ok(solved) => Response::json(200, &assignment_to_json(&solved)),
                 Err(AssignError::InvalidSpec(m)) => Response::error(422, &m),
                 Err(AssignError::Pipeline(MinaretError::InvalidManuscript(m))) => {
                     Response::error(422, &m)
@@ -809,10 +803,13 @@ mod tests {
                 .unwrap()
                 > 0.0
         );
-        assert!(quality
-            .get("coverage_at_k")
-            .and_then(Value::as_f64)
-            .is_some());
+        // The server reports what the solver measured; grading against
+        // ground truth is an offline caller's job.
+        let Value::Object(fields) = quality else {
+            panic!("quality is an object: {quality:?}")
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["mean_relevance", "load_gini"]);
         assert_eq!(
             state
                 .telemetry
@@ -843,6 +840,12 @@ mod tests {
         body = body.replace("\"reviewers_per_paper\":2", "\"reviewers_per_paper\":0");
         let resp = router.dispatch(&request(Method::Post, "/assign", &[], &body));
         assert_eq!(resp.status, 422, "{}", String::from_utf8_lossy(&resp.body));
+        // A spec field of the wrong type is rejected, not ignored for
+        // the default load of 5.
+        let body = assign_body(&state, 1, 2, 3).replace("\"max_load\":3", "\"max_load\":\"1\"");
+        let resp = router.dispatch(&request(Method::Post, "/assign", &[], &body));
+        assert_eq!(resp.status, 422, "{}", String::from_utf8_lossy(&resp.body));
+        assert!(String::from_utf8_lossy(&resp.body).contains("max_load"));
         // Expertise bounds outside u32 are rejected on both routes, not
         // wrapped (2^32 would become 0 and drop every cited candidate).
         let config = r#""config":{"max_h_index":4294967296}"#;
