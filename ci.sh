@@ -51,6 +51,11 @@ cargo test -q --test result_cache
 echo "==> embedded store (WAL, tables, recovery, crash safety): cargo test -p minaret-store"
 cargo test -q -p minaret-store
 
+# Release builds wrap integer overflow instead of panicking: the form a
+# damaged table's offsets take in a server build.
+echo "==> embedded store in release: cargo test --release -p minaret-store"
+cargo test -q --release -p minaret-store
+
 echo "==> store persistence goldens (RAM vs --data-dir byte-identical): cargo test --test store_persistence"
 cargo test -q --test store_persistence
 

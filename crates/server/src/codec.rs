@@ -33,6 +33,16 @@ pub fn manuscript_from_json(
     body: &Value,
     base: &EditorConfig,
 ) -> Result<(ManuscriptDetails, EditorConfig), String> {
+    let manuscript = manuscript_details(body)?;
+    let mut config = base.clone();
+    if let Some(cfg) = field(body, "config", "an object", object)? {
+        apply_config_overrides(cfg, &mut config)?;
+    }
+    Ok((manuscript, config))
+}
+
+/// Parses one manuscript's own fields: everything but `"config"`.
+fn manuscript_details(body: &Value) -> Result<ManuscriptDetails, String> {
     let title = body
         .get("title")
         .and_then(Value::as_str)
@@ -54,39 +64,34 @@ pub fn manuscript_from_json(
         .and_then(Value::as_array)
         .ok_or("missing array field \"authors\"")?
         .iter()
-        .map(|a| {
+        .enumerate()
+        .map(|(i, a)| {
             let name = a
                 .get("name")
                 .and_then(Value::as_str)
                 .ok_or("author entries need a \"name\"")?
                 .to_string();
+            let text = |key| {
+                field(a, key, "a string", Value::as_str)
+                    .map(|v| v.map(str::to_string))
+                    .map_err(|e| format!("authors[{i}].{e}"))
+            };
             Ok(AuthorInput {
                 name,
-                affiliation: a
-                    .get("affiliation")
-                    .and_then(Value::as_str)
-                    .map(str::to_string),
-                country: a.get("country").and_then(Value::as_str).map(str::to_string),
+                affiliation: text("affiliation")?,
+                country: text("country")?,
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
-    let target_venue = body
-        .get("target_venue")
-        .and_then(Value::as_str)
+    let target_venue = field(body, "target_venue", "a string", Value::as_str)?
         .unwrap_or("")
         .to_string();
-    let manuscript = ManuscriptDetails {
+    Ok(ManuscriptDetails {
         title,
         keywords,
         authors,
         target_venue,
-    };
-
-    let mut config = base.clone();
-    if let Some(cfg) = field(body, "config", "an object", object)? {
-        apply_config_overrides(cfg, &mut config)?;
-    }
-    Ok((manuscript, config))
+    })
 }
 
 /// Largest integer a JSON number holds exactly (2^53), the ceiling of
@@ -196,7 +201,8 @@ fn apply_config_overrides(cfg: &Value, config: &mut EditorConfig) -> Result<(), 
 
 /// Parses the `/assign` request body: a manuscript batch, the
 /// assignment spec, and optional editor-configuration overrides shared
-/// by every paper.
+/// by every paper. The batch is solved under one config, so a
+/// `"config"` inside a manuscript is rejected, not ignored.
 ///
 /// Expected shape (spec and config optional):
 /// ```json
@@ -225,7 +231,16 @@ pub fn assign_request_from_json(
         .and_then(Value::as_array)
         .ok_or("missing array field \"manuscripts\"")?
         .iter()
-        .map(|item| manuscript_from_json(item, &config).map(|(m, _)| m))
+        .enumerate()
+        .map(|(i, item)| {
+            if !matches!(item.get("config"), None | Some(Value::Null)) {
+                return Err(format!(
+                    "manuscripts[{i}].config is not accepted: a batch takes one \
+                     \"config\", at the top level"
+                ));
+            }
+            manuscript_details(item)
+        })
         .collect::<Result<Vec<_>, _>>()?;
 
     let mut spec = AssignmentSpec::new(3, 5);
@@ -549,6 +564,37 @@ mod tests {
                 .expect_err(&format!("accepted config {config}"));
             assert!(err.contains(field), "{config}: {err}");
         }
+        // The manuscript's own optional fields follow the same rule.
+        let manuscript =
+            |fields: &str| parse(&format!(r#"{{"title":"T","keywords":["k"],{fields}}}"#)).unwrap();
+        for (fields, field) in [
+            (
+                r#""authors":[{"name":"A"}],"target_venue":5"#,
+                "target_venue",
+            ),
+            (
+                r#""authors":[{"name":"A"},{"name":"B","affiliation":7}]"#,
+                "authors[1].affiliation",
+            ),
+            (
+                r#""authors":[{"name":"A","country":true}]"#,
+                "authors[0].country",
+            ),
+        ] {
+            let err = manuscript_from_json(&manuscript(fields), &base())
+                .expect_err(&format!("accepted {fields}"));
+            assert!(err.contains(field), "{fields}: {err}");
+        }
+        let (m, _) = manuscript_from_json(
+            &manuscript(
+                r#""authors":[{"name":"A","affiliation":null,"country":null}],
+                    "target_venue":null"#,
+            ),
+            &base(),
+        )
+        .unwrap();
+        assert_eq!(m.target_venue, "");
+        assert!(m.authors[0].affiliation.is_none() && m.authors[0].country.is_none());
         // `null` keeps the default, as an absent key does.
         for config in [
             "null",
@@ -604,6 +650,24 @@ mod tests {
                 .expect_err(&format!("accepted {fields}"));
             assert!(err.contains(field), "{fields}: {err}");
         }
+        // One config serves the whole batch: a manuscript's own is
+        // rejected, not ignored. `null` is accepted, as an absent key.
+        let batch = |config: &str| {
+            parse(&format!(
+                r#"{{"manuscripts":[{{"title":"T","keywords":["k"],
+                    "authors":[{{"name":"A B"}}],"target_venue":"J"}},
+                    {{"title":"U","keywords":["k"],"authors":[{{"name":"C D"}}],
+                    "target_venue":"J","config":{config}}}]}}"#
+            ))
+            .unwrap()
+        };
+        for config in [r#"{"max_h_index":0}"#, "{}", "5"] {
+            let err = assign_request_from_json(&batch(config), &base())
+                .expect_err(&format!("accepted a manuscript config {config}"));
+            assert!(err.contains("manuscripts[1].config"), "{config}: {err}");
+        }
+        let (manuscripts, _, cfg) = assign_request_from_json(&batch("null"), &base()).unwrap();
+        assert_eq!((manuscripts.len(), cfg), (2, base()));
         let (_, spec, cfg) = assign_request_from_json(
             &assign(
                 r#""config":null,"spec":{"reviewers_per_paper":null,"max_load":null,

@@ -859,6 +859,16 @@ mod tests {
         );
         let resp = router.dispatch(&request(Method::Post, "/recommend", &[], &body));
         assert_eq!(resp.status, 422, "{}", String::from_utf8_lossy(&resp.body));
+        // The batch is solved under one config: a manuscript's own is
+        // rejected, not silently ignored.
+        let body = assign_body(&state, 2, 2, 3).replacen(
+            "\"target_venue\"",
+            r#""config":{"max_h_index":0},"target_venue""#,
+            1,
+        );
+        let resp = router.dispatch(&request(Method::Post, "/assign", &[], &body));
+        assert_eq!(resp.status, 422, "{}", String::from_utf8_lossy(&resp.body));
+        assert!(String::from_utf8_lossy(&resp.body).contains("manuscripts[0].config"));
     }
 
     #[test]

@@ -20,12 +20,14 @@
 //! half-written tables can be observed after a crash.
 //!
 //! Readers memory-load the file once (tables here are MBs, not GBs),
-//! verify the footer checksum, and binary-search the sparse index to
-//! bound a short linear scan. Tombstones are first-class entries so a
-//! delete in a newer table shadows a put in an older one.
+//! verify the footer checksum, keep that one buffer for lookups, and
+//! binary-search the sparse index to bound a short linear scan.
+//! Tombstones are first-class entries so a delete in a newer table
+//! shadows a put in an older one.
 
 use std::fs::File;
-use std::io::{Read, Write};
+use std::io::Write;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use crate::codec::{Reader, Writer};
@@ -126,11 +128,15 @@ pub fn tmp_path(path: &Path) -> PathBuf {
 #[derive(Debug)]
 pub struct Table {
     path: PathBuf,
-    /// Entries section bytes (between envelope and index).
-    entries: Vec<u8>,
+    /// The whole file as `open` read and checksummed it.
+    raw: Vec<u8>,
+    /// Where the entries section (between envelope and index) sits in
+    /// `raw`.
+    entries: Range<usize>,
     entry_count: u32,
-    /// Sparse index: (key, offset into `entries`).
-    index: Vec<(Vec<u8>, u64)>,
+    /// Sparse index: (key, offset into the entries section). Keys
+    /// strictly ascend and offsets never decrease, checked at open.
+    index: Vec<(Vec<u8>, usize)>,
 }
 
 impl Table {
@@ -139,10 +145,7 @@ impl Table {
     /// hard [`StoreError::Corrupt`] — immutable files have no torn
     /// tails to tolerate.
     pub fn open(path: &Path) -> Result<Self, StoreError> {
-        let mut raw = Vec::new();
-        File::open(path)
-            .and_then(|mut f| f.read_to_end(&mut raw))
-            .map_err(|e| StoreError::io(path, "reading table", e))?;
+        let raw = std::fs::read(path).map_err(|e| StoreError::io(path, "reading table", e))?;
         if raw.len() < 12 {
             return Err(StoreError::Corrupt {
                 path: path.to_path_buf(),
@@ -171,42 +174,72 @@ impl Table {
             Reader::versioned("sorted table", &raw[..footer_at], TAG_TABLE, TABLE_VERSION)?;
         let entry_count = r.u32()?;
         // The entries section starts right after the header and spans
-        // the next `index_offset` bytes.
+        // the next `index_offset` bytes. The footer sits outside the
+        // checksum, so its offset is bounded before any arithmetic.
         let header_len = footer_at - r.remaining();
-        let entries_end = header_len + index_offset as usize;
-        if entries_end > footer_at {
-            return Err(StoreError::Corrupt {
+        let entries_end = usize::try_from(index_offset)
+            .ok()
+            .and_then(|len| header_len.checked_add(len))
+            .filter(|&end| end <= footer_at)
+            .ok_or_else(|| StoreError::Corrupt {
                 path: path.to_path_buf(),
                 offset: footer_at as u64,
                 detail: format!("index offset {index_offset} places the index past the footer"),
-            });
-        }
-        let entries = raw[header_len..entries_end].to_vec();
+            })?;
+        let entries_len = entries_end - header_len;
         let mut ir = Reader::new("table sparse index", &raw[entries_end..footer_at]);
         let index_count = ir.u32()?;
-        let mut index = Vec::with_capacity(index_count as usize);
+        // Every index entry takes at least a key length and an offset.
+        let capacity = (index_count as usize).min(ir.remaining() / 12);
+        let mut index: Vec<(Vec<u8>, usize)> = Vec::with_capacity(capacity);
+        let corrupt = |detail: String| StoreError::Corrupt {
+            path: path.to_path_buf(),
+            offset: entries_end as u64,
+            detail,
+        };
         for _ in 0..index_count {
-            let key = ir.bytes()?.to_vec();
+            let key = ir.bytes()?;
             let offset = ir.u64()?;
-            if offset as usize > entries.len() {
-                return Err(StoreError::Corrupt {
-                    path: path.to_path_buf(),
-                    offset: entries_end as u64,
-                    detail: format!(
-                        "sparse index offset {offset} exceeds entry section of {} bytes",
-                        entries.len()
-                    ),
-                });
+            let offset = usize::try_from(offset)
+                .ok()
+                .filter(|&o| o <= entries_len)
+                .ok_or_else(|| {
+                    corrupt(format!(
+                        "sparse index offset {offset} exceeds entry section of \
+                         {entries_len} bytes"
+                    ))
+                })?;
+            // `get` binary-searches the keys and slices between
+            // neighbouring offsets.
+            if let Some((prev_key, prev_offset)) = index.last() {
+                if key <= prev_key.as_slice() {
+                    return Err(corrupt(format!(
+                        "sparse index key {} does not sort after its predecessor",
+                        index.len()
+                    )));
+                }
+                if offset < *prev_offset {
+                    return Err(corrupt(format!(
+                        "sparse index offset {offset} precedes its predecessor's \
+                         {prev_offset}"
+                    )));
+                }
             }
-            index.push((key, offset));
+            index.push((key.to_vec(), offset));
         }
         ir.expect_end()?;
         Ok(Self {
             path: path.to_path_buf(),
-            entries,
+            raw,
+            entries: header_len..entries_end,
             entry_count,
             index,
         })
+    }
+
+    /// The entries section.
+    fn entries(&self) -> &[u8] {
+        &self.raw[self.entries.clone()]
     }
 
     /// Looks up `key`. Returns `None` when the table has no entry,
@@ -218,12 +251,10 @@ impl Table {
             Err(0) => return Ok(None), // key sorts before the first entry
             Err(i) => i - 1,
         };
-        let start = self.index[slot].1 as usize;
-        let end = self
-            .index
-            .get(slot + 1)
-            .map_or(self.entries.len(), |(_, o)| *o as usize);
-        let mut r = Reader::new("table entries", &self.entries[start..end]);
+        let entries = self.entries();
+        let start = self.index[slot].1;
+        let end = self.index.get(slot + 1).map_or(entries.len(), |(_, o)| *o);
+        let mut r = Reader::new("table entries", &entries[start..end]);
         while r.remaining() > 0 {
             let flags = r.u8()?;
             let k = r.bytes()?;
@@ -244,7 +275,7 @@ impl Table {
     /// Iterates every entry in key order (tombstones included) — used
     /// by compaction.
     pub fn iter_entries(&self) -> Result<Vec<TableEntry>, StoreError> {
-        let mut r = Reader::new("table entries", &self.entries);
+        let mut r = Reader::new("table entries", self.entries());
         let mut out = Vec::with_capacity(self.entry_count as usize);
         while r.remaining() > 0 {
             let flags = r.u8()?;
@@ -354,6 +385,63 @@ mod tests {
                 "flip at {pos} not caught: {err}"
             );
         }
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// Recomputes the footer checksum after a test patched the bytes
+    /// it covers, so only the structural checks stand between the
+    /// damage and a lookup.
+    fn reseal(raw: &mut [u8]) {
+        let footer_at = raw.len() - 12;
+        let crc = crc32(&raw[..footer_at]);
+        raw[footer_at + 8..].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    fn expect_corrupt(path: &Path, raw: &[u8], what: &str) {
+        std::fs::write(path, raw).unwrap();
+        let err = Table::open(path).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt { .. }), "{what}: {err}");
+    }
+
+    #[test]
+    fn footer_offset_past_the_file_refuses_to_open() {
+        let dir = tmp_dir("footer");
+        let path = dir.join("table-1.sst");
+        write_table(&path, &sample_entries(20), 4).unwrap();
+        let mut raw = std::fs::read(&path).unwrap();
+        // The footer is outside the checksum: no reseal needed.
+        let footer_at = raw.len() - 12;
+        for offset in [u64::MAX, u64::MAX - 6, raw.len() as u64] {
+            raw[footer_at..footer_at + 8].copy_from_slice(&offset.to_le_bytes());
+            expect_corrupt(&path, &raw, &format!("index offset {offset}"));
+        }
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn unordered_sparse_index_refuses_to_open() {
+        let dir = tmp_dir("index-order");
+        let path = dir.join("table-1.sst");
+        write_table(&path, &sample_entries(20), 4).unwrap();
+        let raw = std::fs::read(&path).unwrap();
+        // Envelope (3) + entry count (4) + entries, then the index: a
+        // count and 21-byte records of [key len 4][key 9][offset 8].
+        let footer_at = raw.len() - 12;
+        let index_offset = u64::from_le_bytes(raw[footer_at..footer_at + 8].try_into().unwrap());
+        let record = |i: usize| 7 + index_offset as usize + 4 + 21 * i;
+        let (first, second) = (record(1), record(2));
+        // Swaps `len` bytes at `a` and `b` in a resealed copy.
+        let swapped = |a: usize, b: usize, len: usize| {
+            let mut out = raw.clone();
+            out[a..a + len].copy_from_slice(&raw[b..b + len]);
+            out[b..b + len].copy_from_slice(&raw[a..a + len]);
+            reseal(&mut out);
+            out
+        };
+        let offsets = swapped(first + 13, second + 13, 8);
+        expect_corrupt(&path, &offsets, "decreasing offsets");
+        let keys = swapped(first + 4, second + 4, 9);
+        expect_corrupt(&path, &keys, "unsorted keys");
         std::fs::remove_dir_all(dir).unwrap();
     }
 
