@@ -111,6 +111,22 @@ echo "==> streaming smoke: minaret synth streams a 10^5-scholar snapshot"
 SYNTH_DIR="$(mktemp -d)"
 trap 'rm -rf "$SYNTH_DIR"' EXIT
 cargo run -q --release -p minaret-cli -- synth --scholars 100000 --seed 231 --data-dir "$SYNTH_DIR"
+
+# A boot over that dir must load the snapshot (no chunk written) and
+# serve without writing to the store (no WAL append).
+echo "==> restart smoke: minaret stats over the snapshot loads it and writes nothing to the store"
+STATS="$(cargo run -q --release -p minaret-cli -- stats --scholars 100000 --seed 231 --data-dir "$SYNTH_DIR")"
+metric() { awk -v name="$1" '$1 == name { print $NF }' <<<"$STATS"; }
+chunk_writes="$(metric minaret_world_chunk_writes_total)"
+if [ "$chunk_writes" != "0" ]; then
+    echo "FAIL: minaret_world_chunk_writes_total is '${chunk_writes:-absent}', not 0: the boot did not load the snapshot" >&2
+    exit 1
+fi
+wal_appends="$(metric store_wal_appends)"
+if [ -n "$wal_appends" ] && [ "$wal_appends" != "0" ]; then
+    echo "FAIL: serving appended $wal_appends records to the store" >&2
+    exit 1
+fi
 rm -rf "$SYNTH_DIR"
 
 # The perf smoke also runs the E7 world-size sweep (10^3..10^5) with its

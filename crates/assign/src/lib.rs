@@ -35,8 +35,8 @@
 
 use std::collections::HashMap;
 
+use minaret_core::concurrent::chunked_map;
 use minaret_core::filter::CandidateFilter;
-use minaret_core::par::chunked_map;
 use minaret_core::rank::CandidateScorer;
 use minaret_core::{ManuscriptDetails, Minaret, MinaretError, PaperCandidate};
 use minaret_synth::{ground_truth_relevance_all, ScholarId, SubmissionSpec, World};

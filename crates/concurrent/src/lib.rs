@@ -1,4 +1,5 @@
-//! Sharded concurrent maps for MINARET's hot shared state.
+//! Sharded concurrent maps and order-preserving parallel maps for
+//! MINARET's hot shared state.
 //!
 //! The serving layer runs many worker threads against a handful of
 //! shared structures — per-source caches and vocabulary tables, the
@@ -24,15 +25,23 @@
 //! avalanche finalizer, fixed seed — no per-process randomness), so
 //! tests can place keys on chosen shards deterministically and a key's
 //! shard never changes for the life of the process.
+//!
+//! [`chunked_map`] is the other shared primitive: a map over a slice,
+//! split into contiguous chunks across threads and concatenated in
+//! chunk order, so its output is element-for-element the sequential
+//! one. Filter, rank, assignment scoring and a source's profile builds
+//! run on it.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 mod hash;
+mod par;
 mod sharded;
 mod single;
 
 pub use hash::{stable_hash, FnvBuildHasher, FnvHasher};
+pub use par::{chunked_map, MIN_PARALLEL_ITEMS};
 pub use sharded::ShardedMap;
 pub use single::SingleLockMap;
 

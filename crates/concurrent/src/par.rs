@@ -1,8 +1,9 @@
-//! Deterministic data-parallel helpers for the filter and rank phases.
+//! Deterministic data-parallel helpers.
 //!
 //! The pipeline's Phase-2/Phase-3 work is a pure per-candidate map:
 //! every decision and score depends only on that candidate plus shared
-//! read-only inputs. [`chunked_map`] exploits that by splitting the
+//! read-only inputs, and a source's profile builds are a pure map over
+//! scholar ids. [`chunked_map`] exploits that by splitting the
 //! slice into contiguous chunks, mapping each chunk on its own thread,
 //! and concatenating the per-chunk outputs **in chunk order** — so the
 //! result is element-for-element identical to `items.iter().map(f)`,
@@ -12,7 +13,7 @@
 //! sequential ones.
 
 /// Below this many items the spawn cost outweighs the win; map inline.
-const MIN_PARALLEL_ITEMS: usize = 64;
+pub const MIN_PARALLEL_ITEMS: usize = 64;
 
 /// Resolves a parallelism knob: `0` means "all available cores".
 pub fn effective_parallelism(requested: usize) -> usize {

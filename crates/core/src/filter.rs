@@ -110,7 +110,7 @@ pub fn filter_decisions(
     parallelism: usize,
 ) -> Vec<FilterDecision> {
     let filter = CandidateFilter::new(authors, config);
-    crate::par::chunked_map(candidates, parallelism, |cand| {
+    minaret_concurrent::chunked_map(candidates, parallelism, |cand| {
         filter.decide(&cand.merged, cand.keyword_score)
     })
 }

@@ -33,7 +33,6 @@ mod config;
 mod error;
 pub mod filter;
 mod manuscript;
-pub mod par;
 mod pipeline;
 pub mod rank;
 

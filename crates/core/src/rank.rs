@@ -278,7 +278,7 @@ pub fn score_candidates(
     parallelism: usize,
 ) -> Vec<(ScoreBreakdown, f64)> {
     let scorer = CandidateScorer::new(expansions, target_venue, config);
-    crate::par::chunked_map(candidates, parallelism, |cand| {
+    minaret_concurrent::chunked_map(candidates, parallelism, |cand| {
         let breakdown = scorer.score(&cand.merged);
         let total = breakdown.total(&config.weights);
         (breakdown, total)

@@ -49,7 +49,6 @@ mod clock;
 mod error;
 mod merge;
 pub mod name;
-pub mod persist;
 mod record;
 mod registry;
 mod resilience;

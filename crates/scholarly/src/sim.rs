@@ -4,6 +4,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
+use minaret_concurrent::{chunked_map, ConcurrentMap, ShardedMap, MIN_PARALLEL_ITEMS};
 use minaret_ontology::{normalize_label, normalize_label_onto};
 use minaret_synth::{LazyWorld, ScholarId, World, WorldHandle, WorldScope};
 use minaret_telemetry::Telemetry;
@@ -63,25 +64,17 @@ pub trait ScholarSource: Send + Sync {
 ///
 /// Beside the profiles sits the source's [`Vocabulary`]: venue names,
 /// topic labels and co-author names resolve through it when a profile is
-/// built or decoded, so every profile of the source shares one entry per
-/// distinct string.
+/// built, so every profile of the source shares one entry per distinct
+/// string.
 pub struct ProfileStore {
     slots: Vec<OnceLock<Arc<SourceProfile>>>,
     /// Growth path: profiles for [`ScholarId`]s beyond the fixed slot
     /// range (a world that grew after the store was sized) land in a
     /// sharded map instead of panicking on an out-of-range index.
-    overflow: minaret_concurrent::ShardedMap<usize, Arc<SourceProfile>>,
-    /// When set, slot initialization consults the embedded store first
-    /// (decode hit → no rebuild) and persists freshly built profiles.
-    backing: Option<ProfileBacking>,
-    /// The source's shared vocabulary entries; only building and
-    /// decoding profiles fill it.
+    overflow: ShardedMap<usize, Arc<SourceProfile>>,
+    /// The source's shared vocabulary entries; only building profiles
+    /// fills it.
     vocab: Vocabulary,
-}
-
-struct ProfileBacking {
-    store: Arc<minaret_store::Store>,
-    kind: SourceKind,
 }
 
 impl ProfileStore {
@@ -90,75 +83,41 @@ impl ProfileStore {
     pub fn with_capacity(scholars: usize) -> Self {
         Self {
             slots: (0..scholars).map(|_| OnceLock::new()).collect(),
-            overflow: minaret_concurrent::ShardedMap::new(),
-            backing: None,
-            vocab: Vocabulary::new(),
-        }
-    }
-
-    /// A store whose slots lazily load from (and write back to) the
-    /// embedded `store`, under keys namespaced by `kind`. Decode
-    /// failures fall back to rebuilding — the persisted bytes are a
-    /// cache of deterministic computation, never the source of truth.
-    #[must_use]
-    pub fn with_store(scholars: usize, store: Arc<minaret_store::Store>, kind: SourceKind) -> Self {
-        Self {
-            slots: (0..scholars).map(|_| OnceLock::new()).collect(),
-            overflow: minaret_concurrent::ShardedMap::new(),
-            backing: Some(ProfileBacking { store, kind }),
+            overflow: ShardedMap::new(),
             vocab: Vocabulary::new(),
         }
     }
 
     /// The shared profile for `id`, building it via `build` exactly once
-    /// across all threads (or loading it from the backing store, when
-    /// one is attached and holds a decodable entry).
+    /// across all threads.
     pub fn get_or_build(
         &self,
         id: ScholarId,
         build: impl FnOnce() -> SourceProfile,
     ) -> Arc<SourceProfile> {
         match self.slots.get(id.index()) {
-            Some(slot) => slot.get_or_init(|| self.materialize(id, build)).clone(),
+            Some(slot) => slot.get_or_init(|| Arc::new(build())).clone(),
             // Out-of-range ids take the sharded overflow path instead of
             // panicking; same build-at-most-once guarantee, enforced by
             // the shard lock rather than a `OnceLock`.
             None => {
-                use minaret_concurrent::ConcurrentMap;
                 self.overflow
-                    .get_or_insert_with(id.index(), || self.materialize(id, build))
+                    .get_or_insert_with(id.index(), || Arc::new(build()))
                     .0
             }
         }
     }
 
-    fn materialize(
-        &self,
-        id: ScholarId,
-        build: impl FnOnce() -> SourceProfile,
-    ) -> Arc<SourceProfile> {
-        if let Some(backing) = &self.backing {
-            let key = crate::persist::profile_key(backing.kind, id);
-            if let Ok(Some(bytes)) = backing.store.get(&key) {
-                if let Ok(profile) = crate::persist::decode_profile(&bytes, &self.vocab) {
-                    return Arc::new(profile);
-                }
-            }
-            let profile = build();
-            // Best-effort write-back: a full disk must not take down the
-            // serving path — the profile is still correct, just not
-            // persisted.
-            let _ = backing
-                .store
-                .put(&key, &crate::persist::encode_profile(&profile));
-            return Arc::new(profile);
+    /// True once the profile for `id` has been built. Allocates nothing.
+    pub(crate) fn is_built(&self, id: ScholarId) -> bool {
+        match self.slots.get(id.index()) {
+            Some(slot) => slot.get().is_some(),
+            None => self.overflow.contains(&id.index()),
         }
-        Arc::new(build())
     }
 
-    /// How many profiles have been materialized so far.
+    /// How many profiles have been built so far.
     pub fn built_count(&self) -> usize {
-        use minaret_concurrent::ConcurrentMap;
         self.slots.iter().filter(|s| s.get().is_some()).count() + self.overflow.len()
     }
 
@@ -167,11 +126,6 @@ impl ProfileStore {
     /// actual world keeps the hot path `OnceLock`-only.
     pub fn slot_capacity(&self) -> usize {
         self.slots.len()
-    }
-
-    /// True when a backing store is attached.
-    pub fn is_persistent(&self) -> bool {
-        self.backing.is_some()
     }
 
     /// The table profiles of this store resolve their vocabulary
@@ -236,6 +190,11 @@ pub enum FaultSchedule {
 /// One simulated scholarly website over a shared world — eager
 /// ([`World`]) or lazy ([`LazyWorld`], profiles materialized from the
 /// embedded store on first touch).
+///
+/// A call that finds [`MIN_PARALLEL_ITEMS`] or more of its hits unbuilt
+/// builds them on every core before paging them from the memo, so a
+/// restart's first requests do not build hundreds of profiles on one
+/// thread.
 pub struct SimulatedSource {
     spec: SourceSpec,
     world: WorldHandle,
@@ -248,6 +207,8 @@ pub struct SimulatedSource {
     interest_index: HashMap<String, Vec<ScholarId>>,
     /// Memoized profiles: built on first hit, `Arc`-shared ever after.
     profiles: ProfileStore,
+    /// Threads one call's unbuilt profiles build on (`0` = every core).
+    build_workers: usize,
     calls: AtomicU64,
     rate_window_used: AtomicU64,
     /// Bumped each time a lazy world materializes a profile from the
@@ -285,7 +246,9 @@ impl SimulatedSource {
     pub fn over(spec: SourceSpec, world: WorldHandle) -> Self {
         let salt = hash64(&[spec.kind as u64 + 1, 0x5eed]);
         let mut name_index: HashMap<String, Vec<ScholarId>> = HashMap::new();
-        let mut interest_index: HashMap<String, Vec<ScholarId>> = HashMap::new();
+        // Interests gather per topic id; the index keys are the
+        // ontology's stored normal forms, so no interest is normalized.
+        let mut by_topic: Vec<Vec<ScholarId>> = vec![Vec::new(); world.ontology().len()];
         // Index construction touches only summary data (id, name parts,
         // interest ids) — both world representations serve it without
         // materializing a single profile, which is what keeps a
@@ -310,12 +273,18 @@ impl SimulatedSource {
                     // Each interest survives onto the profile with p=0.85.
                     let keep = unit(hash64(&[salt, 0x1a7e, id.0 as u64, i as u64])) < 0.85;
                     if keep {
-                        let label = normalize_label(world.ontology().label(t));
-                        interest_index.entry(label).or_default().push(id);
+                        by_topic[t.index()].push(id);
                     }
                 }
             }
         });
+        let interest_index = world
+            .ontology()
+            .topics()
+            .zip(by_topic)
+            .filter(|(_, ids)| !ids.is_empty())
+            .map(|(topic, ids)| (topic.normalized.clone(), ids))
+            .collect();
         let profiles = ProfileStore::with_capacity(world.scholar_count());
         Self {
             spec,
@@ -326,6 +295,7 @@ impl SimulatedSource {
             name_index,
             interest_index,
             profiles,
+            build_workers: 0,
             calls: AtomicU64::new(0),
             rate_window_used: AtomicU64::new(0),
             lazy_builds: Telemetry::disabled().counter("minaret_profile_lazy_builds_total", &[]),
@@ -346,13 +316,12 @@ impl SimulatedSource {
         self
     }
 
-    /// Backs this source's profile cache with an embedded store:
-    /// profiles already persisted there are loaded instead of rebuilt,
-    /// and freshly built ones are written back. Serving behaviour is
-    /// byte-identical either way — profile construction is
-    /// deterministic and the codec round-trips exactly.
-    pub fn with_persistence(mut self, store: Arc<minaret_store::Store>) -> Self {
-        self.profiles = ProfileStore::with_store(self.world.scholar_count(), store, self.spec.kind);
+    /// Sets how many threads one call's unbuilt profiles build on
+    /// (`0`, the default, is every core). Tests pin it so the parallel
+    /// build path runs on any host.
+    #[doc(hidden)]
+    pub fn with_build_workers(mut self, workers: usize) -> Self {
+        self.build_workers = workers;
         self
     }
 
@@ -376,7 +345,7 @@ impl SimulatedSource {
         self.fault
     }
 
-    /// How many profiles this source has built or decoded so far.
+    /// How many profiles this source has built so far.
     pub fn built_profiles(&self) -> usize {
         self.profiles.built_count()
     }
@@ -505,16 +474,46 @@ impl SimulatedSource {
         Ok(())
     }
 
-    /// One result page over an index slice: profiles for at most
-    /// `max_hits` matches. Index entries are appended in scholar-id
-    /// order, so the page is the deterministic first-K — and its size
-    /// is what keeps search cost flat in the world size.
+    /// The ids one result page serves from an index slice: at most
+    /// `max_hits`. Index entries are appended in scholar-id order, so
+    /// the page is the deterministic first-K — and its size is what
+    /// keeps search cost flat in the world size.
+    fn page_ids<'a>(&self, ids: &'a [ScholarId]) -> &'a [ScholarId] {
+        match self.spec.max_hits {
+            0 => ids,
+            cap => &ids[..cap.min(ids.len())],
+        }
+    }
+
+    /// The memoized profiles of one page, in page order.
     fn page(&self, ids: &[ScholarId]) -> Vec<Arc<SourceProfile>> {
-        let cap = match self.spec.max_hits {
-            0 => ids.len(),
-            cap => cap,
+        ids.iter().map(|&id| self.profile(id)).collect()
+    }
+
+    /// Builds a call's unbuilt profiles on every core (or on
+    /// `build_workers` threads) when its pages hold at least
+    /// [`MIN_PARALLEL_ITEMS`] of them; fewer are left to [`Self::page`],
+    /// which builds them one by one. Counting allocates nothing, so a
+    /// call whose hits are all built pays only the scan. Profiles are
+    /// deterministic, so which thread builds one changes no byte.
+    fn build_unbuilt(&self, pages: &[&[ScholarId]]) {
+        let unbuilt = || {
+            pages
+                .iter()
+                .flat_map(|ids| ids.iter().copied())
+                .filter(|&id| !self.profiles.is_built(id))
         };
-        ids.iter().take(cap).map(|&id| self.profile(id)).collect()
+        if unbuilt().count() < MIN_PARALLEL_ITEMS {
+            return;
+        }
+        // Sorted ids keep each worker's share within few community
+        // blocks of a lazy world.
+        let mut ids: Vec<ScholarId> = unbuilt().collect();
+        ids.sort_unstable();
+        ids.dedup();
+        chunked_map(&ids, self.build_workers, |&id| {
+            self.profile(id);
+        });
     }
 
     /// The shared profile for `id`: built once via [`Self::build_profile`]
@@ -676,18 +675,21 @@ impl ScholarSource for SimulatedSource {
         let needle = normalize_label(name);
         // Iterate the index slice in place — no per-lookup id-vector
         // clone — and hand out memoized profiles, one page's worth.
-        let hits = match self.name_index.get(&needle) {
-            Some(ids) => self.page(ids),
-            None => Vec::new(),
-        };
-        Ok(hits)
+        let ids = self
+            .name_index
+            .get(&needle)
+            .map_or(&[][..], |ids| self.page_ids(ids));
+        self.build_unbuilt(&[ids]);
+        Ok(self.page(ids))
     }
 
     /// One `pay_call` answers the whole batch: the interest index is
     /// precomputed, so per-label lookups are free once the (simulated)
     /// request cost is paid. Echoed labels are the caller's own
     /// `Arc<str>`s — no string clone per label — and every label is
-    /// normalized into one reused buffer.
+    /// normalized into one reused buffer. The batch's unbuilt hits
+    /// build together (see [`Self::build_unbuilt`]) before any page is
+    /// read.
     fn search_by_interests(&self, labels: &[Arc<str>]) -> Result<LabeledHits, SourceError> {
         if !self.spec.supports_interest_search {
             return Err(SourceError::Unsupported {
@@ -697,17 +699,21 @@ impl ScholarSource for SimulatedSource {
         }
         self.pay_call()?;
         let mut needle = String::new();
-        Ok(labels
+        let pages: Vec<&[ScholarId]> = labels
             .iter()
             .map(|label| {
                 needle.clear();
                 normalize_label_onto(label, &mut needle);
-                let hits = match self.interest_index.get(&needle) {
-                    Some(ids) => self.page(ids),
-                    None => Vec::new(),
-                };
-                (label.clone(), hits)
+                self.interest_index
+                    .get(&needle)
+                    .map_or(&[][..], |ids| self.page_ids(ids))
             })
+            .collect();
+        self.build_unbuilt(&pages);
+        Ok(labels
+            .iter()
+            .zip(pages)
+            .map(|(label, ids)| (label.clone(), self.page(ids)))
             .collect())
     }
 }
@@ -1038,45 +1044,6 @@ mod tests {
     }
 
     #[test]
-    fn persistent_profiles_round_trip_through_the_store() {
-        let dir = std::env::temp_dir().join(format!("minaret-sim-persist-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let w = world();
-        let fresh =
-            SimulatedSource::new(SourceSpec::for_kind(SourceKind::GoogleScholar), w.clone());
-        let id = w.scholars()[3].id;
-        let expected = fresh.fetch_profile(&fresh.key_for(id)).unwrap();
-
-        // First persistent source: builds and writes back.
-        {
-            let store = Arc::new(
-                minaret_store::Store::open(&dir, minaret_store::StoreConfig::default()).unwrap(),
-            );
-            let s =
-                SimulatedSource::new(SourceSpec::for_kind(SourceKind::GoogleScholar), w.clone())
-                    .with_persistence(store.clone());
-            assert!(s.profiles.is_persistent());
-            assert_eq!(*s.fetch_profile(&s.key_for(id)).unwrap(), *expected);
-            store.flush().unwrap();
-        }
-        // Second process: the profile is loaded from disk, not rebuilt,
-        // and is byte-identical to the fresh build.
-        let store = Arc::new(
-            minaret_store::Store::open(&dir, minaret_store::StoreConfig::default()).unwrap(),
-        );
-        assert!(store
-            .get(&crate::persist::profile_key(SourceKind::GoogleScholar, id))
-            .unwrap()
-            .is_some());
-        let s = SimulatedSource::new(SourceSpec::for_kind(SourceKind::GoogleScholar), w.clone())
-            .with_persistence(store.clone());
-        assert_eq!(*s.fetch_profile(&s.key_for(id)).unwrap(), *expected);
-        drop(s);
-        drop(store);
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
     fn profiles_are_deterministic() {
         let s = source(SourceKind::GoogleScholar);
         let w = world();
@@ -1127,15 +1094,45 @@ mod tests {
             )
         };
         let id = ScholarId(40);
+        assert!(!store.is_built(id));
         let a = store.get_or_build(id, || make(id));
         let b = store.get_or_build(id, || panic!("already built"));
         assert!(Arc::ptr_eq(&a, &b), "overflow entries build once");
+        assert!(store.is_built(id));
         assert_eq!(store.built_count(), 1);
         // In-range ids still use their fixed slot.
         let low = ScholarId(1);
+        assert!(!store.is_built(low));
         let c = store.get_or_build(low, || make(low));
         assert_eq!(c.truth, low);
+        assert!(store.is_built(low));
         assert_eq!(store.built_count(), 2);
+    }
+
+    /// The index keyed on the ontology's stored normal forms equals the
+    /// one built by normalizing every kept interest of every scholar.
+    #[test]
+    fn interest_index_matches_normalizing_every_interest() {
+        let w = world();
+        for kind in [SourceKind::GoogleScholar, SourceKind::Publons] {
+            let s = source(kind);
+            let mut reference: HashMap<String, Vec<ScholarId>> = HashMap::new();
+            for sc in w.scholars() {
+                if !SimulatedSource::covered_static(s.salt, s.spec.coverage, sc.id) {
+                    continue;
+                }
+                for (i, &t) in sc.interests.iter().enumerate() {
+                    if unit(hash64(&[s.salt, 0x1a7e, sc.id.0 as u64, i as u64])) < 0.85 {
+                        reference
+                            .entry(normalize_label(w.ontology.label(t)))
+                            .or_default()
+                            .push(sc.id);
+                    }
+                }
+            }
+            assert!(!reference.is_empty(), "{kind}");
+            assert_eq!(s.interest_index, reference, "{kind}");
+        }
     }
 
     #[test]

@@ -6,12 +6,12 @@
 //! (publication keywords and profile interests) and co-author names.
 //! Each distinct string of those is one immutable, `Arc`-shared entry
 //! holding the printed text and its comparison form — the normalized
-//! label or the parsed name — built once, when a profile is built or
-//! decoded. Readers then only compare.
+//! label or the parsed name — built once, when a profile is built.
+//! Readers then only compare.
 //!
 //! Each source keeps one [`Vocabulary`] beside its profile store, and
-//! only profile construction and decoding fill it: the world bounds its
-//! size, requests never grow it.
+//! only profile construction fills it: the world bounds its size,
+//! requests never grow it.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -174,7 +174,7 @@ impl fmt::Display for PersonName {
 /// One source's table from printed text to shared entry. Thread-safe:
 /// profiles of one source are built concurrently.
 ///
-/// Only profile construction and decoding call [`Vocabulary::label`] and
+/// Only profile construction calls [`Vocabulary::label`] and
 /// [`Vocabulary::name`], so the table holds the source's world
 /// vocabulary and nothing a request brought.
 #[derive(Default)]

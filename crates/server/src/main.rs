@@ -25,10 +25,12 @@ WORLD:
     --data-dir <path>             Embedded-store directory. On first boot the
                                   generated world is snapshotted there; later
                                   boots with the same --scholars/--seed load
-                                  the snapshot instead of regenerating, and
-                                  source profile caches persist across
-                                  restarts. Omit for pure-RAM mode (identical
-                                  recommendation bytes, nothing on disk)
+                                  the snapshot instead of regenerating. The
+                                  dir holds the snapshot only: requests build
+                                  source profiles from the loaded world and
+                                  write nothing. Omit for pure-RAM mode
+                                  (identical recommendation bytes, nothing on
+                                  disk)
 
 SERVING LAYER:
     --workers <n>                 Worker threads, n >= 1      [default: 8]

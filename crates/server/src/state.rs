@@ -40,10 +40,10 @@ pub struct AppState {
     /// (the [`AppState::with_registry`] test path, so scripted-fault
     /// tests always exercise the live pipeline).
     pub result_cache: Option<Arc<ResultCache>>,
-    /// The embedded store backing `--data-dir` mode: world snapshot and
-    /// persisted source profiles. `None` in pure-RAM mode, where
-    /// serving behaviour is byte-identical to a store-backed server
-    /// over the same (scholars, seed).
+    /// The embedded store backing `--data-dir` mode: the world
+    /// snapshot, read at boot and never by a request. `None` in
+    /// pure-RAM mode, where serving behaviour is byte-identical to a
+    /// store-backed server over the same (scholars, seed).
     pub store: Option<Arc<Store>>,
 }
 
@@ -79,7 +79,8 @@ impl AppState {
     /// With a data directory, the world is loaded from the snapshot
     /// there when one exists for the same `(scholars, seed)` — skipping
     /// regeneration entirely — and snapshotted after generation
-    /// otherwise; source profile caches also persist across restarts.
+    /// otherwise. Source profiles are built from the resident world on
+    /// first touch, as in RAM mode; nothing is written after boot.
     /// With `None`, behaviour (and every recommendation byte) is
     /// identical to the historical pure-RAM path.
     pub fn demo_with_data_dir(
@@ -102,27 +103,31 @@ impl AppState {
             ..WorldConfig::sized(scholars)
         };
         let world = match &store {
-            Some(store) => match load_snapshot(store, scholars, seed)? {
-                // Serve the snapshot only when it matches what was
-                // asked for; a stale snapshot (different size or seed)
-                // is regenerated and overwritten.
-                Some(world) => Arc::new(world),
-                None => {
-                    // Write-through streaming: chunks land in the store
-                    // as they are generated (peak memory one community
-                    // block + memtable), then the snapshot is loaded
-                    // back for the resident serving world.
-                    let chunk_writes = telemetry.counter("minaret_world_chunk_writes_total", &[]);
-                    let chunk_bytes = telemetry.counter("minaret_world_chunk_bytes_total", &[]);
-                    stream_snapshot_world(store, &StreamingGenerator::new(config), |p| {
-                        chunk_writes.inc();
-                        chunk_bytes.inc_by(p.bytes as u64);
-                    })?;
-                    let (world, _) = load_world_streamed(store)?
-                        .expect("a just-written streamed snapshot must load");
-                    Arc::new(world)
+            Some(store) => {
+                // Registered before the load-or-generate choice, so a
+                // boot that loads the snapshot exports both at 0.
+                let chunk_writes = telemetry.counter("minaret_world_chunk_writes_total", &[]);
+                let chunk_bytes = telemetry.counter("minaret_world_chunk_bytes_total", &[]);
+                match load_snapshot(store, scholars, seed)? {
+                    // Serve the snapshot only when it matches what was
+                    // asked for; a stale snapshot (different size or
+                    // seed) is regenerated and overwritten.
+                    Some(world) => Arc::new(world),
+                    None => {
+                        // Write-through streaming: chunks land in the
+                        // store as they are generated (peak memory one
+                        // community block + memtable), then the snapshot
+                        // is loaded back for the resident serving world.
+                        stream_snapshot_world(store, &StreamingGenerator::new(config), |p| {
+                            chunk_writes.inc();
+                            chunk_bytes.inc_by(p.bytes as u64);
+                        })?;
+                        let (world, _) = load_world_streamed(store)?
+                            .expect("a just-written streamed snapshot must load");
+                        Arc::new(world)
+                    }
                 }
-            },
+            }
             None => Arc::new(WorldGenerator::new(config).generate()),
         };
         telemetry
@@ -138,11 +143,19 @@ impl AppState {
             },
             telemetry.clone(),
         );
-        for spec in SourceSpec::all_defaults() {
-            let mut source = SimulatedSource::new(spec, world.clone());
-            if let Some(store) = &store {
-                source = source.with_persistence(store.clone());
-            }
+        // Each source indexes the whole world; the six builds are
+        // independent, so they run side by side.
+        let sources: Vec<SimulatedSource> = std::thread::scope(|scope| {
+            let builds: Vec<_> = SourceSpec::all_defaults()
+                .into_iter()
+                .map(|spec| scope.spawn(|| SimulatedSource::new(spec, world.clone())))
+                .collect();
+            builds
+                .into_iter()
+                .map(|build| build.join().expect("a source index build panicked"))
+                .collect()
+        });
+        for source in sources {
             registry.register(Arc::new(source));
         }
         let cache = (cache_ttl_micros > 0).then(|| {
@@ -300,6 +313,33 @@ mod tests {
         assert!(load_world(&store).unwrap().is_none());
         drop(state);
         drop(store);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn a_boot_that_loads_the_snapshot_exports_zero_chunk_writes() {
+        use minaret_telemetry::SnapshotValue;
+        let dir = std::env::temp_dir().join(format!("minaret-state-load-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        drop(
+            AppState::demo_with_data_dir(70, 3, Telemetry::disabled(), 0, Some(&dir))
+                .expect("fresh data dir"),
+        );
+        let telemetry = Telemetry::new();
+        let state = AppState::demo_with_data_dir(70, 3, telemetry.clone(), 0, Some(&dir))
+            .expect("restart over snapshot");
+        let snapshot = telemetry.snapshot();
+        for name in [
+            "minaret_world_chunk_writes_total",
+            "minaret_world_chunk_bytes_total",
+        ] {
+            let value = snapshot.iter().find(|m| m.name == name).map(|m| &m.value);
+            assert!(
+                matches!(value, Some(SnapshotValue::Counter(0))),
+                "{name} after loading the snapshot: {value:?}"
+            );
+        }
+        drop(state);
         std::fs::remove_dir_all(dir).unwrap();
     }
 

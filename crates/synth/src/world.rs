@@ -30,7 +30,6 @@ pub struct World {
     citations: Vec<u64>,
     h_index: Vec<u32>,
     reviews_by_scholar: Vec<Vec<usize>>,
-    pubs_by_scholar_venue: HashMap<(ScholarId, VenueId), u32>,
 }
 
 impl World {
@@ -46,21 +45,34 @@ impl World {
     ) -> Self {
         let n = scholars.len();
         let mut papers_by_author = vec![Vec::new(); n];
-        let mut coauthors: Vec<Vec<ScholarId>> = vec![Vec::new(); n];
         let mut citations = vec![0u64; n];
-        let mut pubs_by_scholar_venue: HashMap<(ScholarId, VenueId), u32> = HashMap::new();
         for p in &papers {
             for &a in &p.authors {
                 papers_by_author[a.index()].push(p.id);
                 citations[a.index()] += p.citations as u64;
-                *pubs_by_scholar_venue.entry((a, p.venue)).or_insert(0) += 1;
-                for &b in &p.authors {
-                    if a != b && !coauthors[a.index()].contains(&b) {
-                        coauthors[a.index()].push(b);
-                    }
-                }
             }
         }
+        // Co-authors in first-seen order: a scholar's papers in paper
+        // order, each paper's authors in byline order. `seen[b] == a`
+        // marks `b` as already listed for `a`, so each scholar's pass
+        // is linear in its bylines.
+        let mut seen = vec![usize::MAX; n];
+        let coauthors: Vec<Vec<ScholarId>> = papers_by_author
+            .iter()
+            .enumerate()
+            .map(|(a, pids)| {
+                let mut list = Vec::new();
+                for p in pids {
+                    for &b in &papers[p.index()].authors {
+                        if b.index() != a && seen[b.index()] != a {
+                            seen[b.index()] = a;
+                            list.push(b);
+                        }
+                    }
+                }
+                list
+            })
+            .collect();
         let mut h_index = vec![0u32; n];
         for (i, pids) in papers_by_author.iter().enumerate() {
             let mut cites: Vec<u32> = pids.iter().map(|p| papers[p.index()].citations).collect();
@@ -88,7 +100,6 @@ impl World {
             citations,
             h_index,
             reviews_by_scholar,
-            pubs_by_scholar_venue,
         }
     }
 
@@ -171,10 +182,10 @@ impl World {
 
     /// Number of papers `s` published in `venue`.
     pub fn pubs_in_venue(&self, s: ScholarId, venue: VenueId) -> u32 {
-        self.pubs_by_scholar_venue
-            .get(&(s, venue))
-            .copied()
-            .unwrap_or(0)
+        self.papers_of(s)
+            .iter()
+            .filter(|&&p| self.paper(p).venue == venue)
+            .count() as u32
     }
 
     /// Most recent year `s` published on `topic` (exact topic match),
@@ -361,6 +372,52 @@ mod tests {
         assert_eq!(w.h_index_of(ScholarId(0)), 1);
         assert_eq!(w.reviews_for_venue(ScholarId(2), VenueId(0)), 1);
         assert_eq!(w.pubs_in_venue(ScholarId(0), VenueId(0)), 2);
+    }
+
+    /// `assemble` against the construction it replaced, kept here as the
+    /// reference: co-author lists built by a `contains` scan over every
+    /// paper's byline, and per-(scholar, venue) publication counts.
+    #[test]
+    fn derived_tables_match_the_reference_construction() {
+        let w = crate::WorldGenerator::new(crate::WorldConfig {
+            seed: 0x5eed,
+            ..crate::WorldConfig::sized(2000)
+        })
+        .generate();
+        let mut coauthors: Vec<Vec<ScholarId>> = vec![Vec::new(); w.scholars().len()];
+        let mut pubs: HashMap<(ScholarId, VenueId), u32> = HashMap::new();
+        for p in w.papers() {
+            for &a in &p.authors {
+                *pubs.entry((a, p.venue)).or_insert(0) += 1;
+                for &b in &p.authors {
+                    if a != b && !coauthors[a.index()].contains(&b) {
+                        coauthors[a.index()].push(b);
+                    }
+                }
+            }
+        }
+        assert!(
+            coauthors.iter().any(|c| c.len() > 2),
+            "world has co-authors"
+        );
+        assert!(pubs.values().any(|&n| n > 1), "some venue repeats");
+        for s in w.scholars() {
+            assert_eq!(
+                w.coauthors_of(s.id),
+                coauthors[s.id.index()].as_slice(),
+                "co-authors of {:?}",
+                s.id
+            );
+            for v in w.venues() {
+                assert_eq!(
+                    w.pubs_in_venue(s.id, v.id),
+                    pubs.get(&(s.id, v.id)).copied().unwrap_or(0),
+                    "papers of {:?} in {:?}",
+                    s.id,
+                    v.id
+                );
+            }
+        }
     }
 
     #[test]

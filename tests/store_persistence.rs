@@ -5,8 +5,9 @@
 //! same rankings with bitwise-equal scores, same filtered-out reasons —
 //! so persistence is invisible to editors; (2) a restart over the same
 //! data directory serves the snapshotted world without regeneration,
-//! again byte-identically; (3) source-profile caches actually land in
-//! the store and survive restarts.
+//! again byte-identically; (3) serving writes nothing: the data dir
+//! holds the world snapshot only, and profiles are built from the
+//! resident world as in RAM mode.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -114,28 +115,24 @@ fn store_backed_recommendations_are_byte_identical_to_ram() {
 fn restart_over_snapshot_serves_identical_recommendations() {
     let dir = tmp_dir("restart");
 
-    // First boot: generates, snapshots, serves, persists profiles.
+    // First boot: generates and snapshots the world, then serves.
     let first = store_state(&dir);
     let store = first.store.clone().expect("data-dir state carries a store");
+    let booted = store.stats();
     let goldens = golden_fingerprints(&first);
     let scholars = first.world.scholars().to_vec();
-    // Serving recommendations populated the profile cache in the store.
-    let persisted_profiles = SourceKind::ALL
-        .iter()
-        .filter(|kind| {
-            let key = format!("profile/{}/{:08}", kind.prefix(), 0);
-            store.get(key.as_bytes()).expect("store get").is_some()
-        })
-        .count();
-    assert!(
-        persisted_profiles > 0,
-        "at least one source persisted scholar 0's profile"
+    // Serving the goldens appended nothing to the store.
+    let served = store.stats();
+    assert_eq!(
+        (served.wal_appends, served.flushes),
+        (booted.wal_appends, booted.flushes),
+        "serving wrote to the store"
     );
+    drop(store);
     drop(first);
 
-    // Second boot: the world must come from the snapshot (and the
-    // profile caches from the store), and every recommendation byte
-    // must match the first boot's.
+    // Second boot: the world must come from the snapshot, and every
+    // recommendation byte must match the first boot's.
     let second = store_state(&dir);
     assert_eq!(
         second.world.scholars(),
@@ -146,6 +143,16 @@ fn restart_over_snapshot_serves_identical_recommendations() {
         golden_fingerprints(&second),
         goldens,
         "recommendations diverged across a restart over the same data dir"
+    );
+    // A boot that loads the snapshot, then serves, writes nothing.
+    let stats = second.store.as_ref().expect("store").stats();
+    assert_eq!(
+        stats.wal_appends, 0,
+        "restart plus serving appended to the WAL"
+    );
+    assert_eq!(
+        stats.flushes, 0,
+        "restart plus serving flushed the memtable"
     );
     drop(second);
     std::fs::remove_dir_all(dir).unwrap();

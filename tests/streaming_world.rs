@@ -5,8 +5,11 @@
 //! search indexes, the same coverage, and byte-identical profiles —
 //! for every source kind, over randomly sampled scholars. This is the
 //! contract that lets a million-scholar server skip materializing
-//! profiles at startup without changing a single served byte.
+//! profiles at startup without changing a single served byte. A batch
+//! whose unbuilt hits build on several threads must serve the same
+//! hits as a source that built them one at a time.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use minaret_scholarly::{ScholarSource, SimulatedSource, SourceKind, SourceSpec};
@@ -80,6 +83,67 @@ fn lazy_search_results_match_eager_for_names_and_interests() {
                 lazy.search_by_interests(&one_label).unwrap(),
                 "{kind}: interest search diverges for {label}"
             );
+        }
+    }
+    drop(lazy_world);
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// The parallel build path: a fresh source asked one batch with at
+/// least 64 unbuilt hits builds them on two workers (forced, so the
+/// path runs on a one-core host too), and every label's hits — order
+/// and `Debug` text included — equal those of a fresh source that
+/// built the same profiles one id at a time before the batch.
+#[test]
+fn a_batch_of_unbuilt_hits_builds_in_parallel_identically_on_both_worlds() {
+    let (eager_world, lazy_world, dir) = worlds("parallel");
+    let mut labels: Vec<Arc<str>> = Vec::new();
+    for s in eager_world.scholars().iter().take(40) {
+        let label: Arc<str> = Arc::from(eager_world.ontology.label(s.interests[0]));
+        if !labels.contains(&label) {
+            labels.push(label);
+        }
+    }
+    for kind in [SourceKind::GoogleScholar, SourceKind::Publons] {
+        let spec = SourceSpec::for_kind(kind);
+        let make = |lazy: bool| {
+            if lazy {
+                SimulatedSource::lazy(spec.clone(), lazy_world.clone())
+            } else {
+                SimulatedSource::new(spec.clone(), eager_world.clone())
+            }
+        };
+        for lazy in [false, true] {
+            let what = if lazy { "lazy" } else { "eager" };
+            let batched = make(lazy).with_build_workers(2);
+            let hits = batched.search_by_interests(&labels).unwrap();
+            let ids: BTreeSet<ScholarId> = hits
+                .iter()
+                .flat_map(|(_, page)| page.iter().map(|p| p.truth))
+                .collect();
+            assert!(
+                ids.len() >= 64,
+                "{kind} {what}: the batch must leave at least 64 profiles unbuilt, found {}",
+                ids.len()
+            );
+            assert_eq!(batched.built_profiles(), ids.len(), "{kind} {what}");
+
+            let warmed = make(lazy);
+            for &id in &ids {
+                warmed.fetch_profile(&warmed.key_for(id)).unwrap();
+            }
+            assert_eq!(warmed.built_profiles(), ids.len(), "{kind} {what}");
+            let reference = warmed.search_by_interests(&labels).unwrap();
+            assert_eq!(hits.len(), reference.len(), "{kind} {what}");
+            for ((label, got), (want_label, want)) in hits.iter().zip(&reference) {
+                assert_eq!(label, want_label, "{kind} {what}: labels echo in order");
+                assert_eq!(got, want, "{kind} {what}: hits diverge for {label}");
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{want:?}"),
+                    "{kind} {what}: hits print differently for {label}"
+                );
+            }
         }
     }
     drop(lazy_world);
