@@ -129,24 +129,20 @@ if [ -n "$wal_appends" ] && [ "$wal_appends" != "0" ]; then
 fi
 rm -rf "$SYNTH_DIR"
 
-# The perf smoke also runs the E7 world-size sweep (10^3..10^5) with its
-# two same-run gates: uncached recommend p50 flat across world sizes,
-# and the lazy cold start beating regeneration at 10^5. Set
-# MINARET_WORLD_SWEEP=1 to extend the sweep to 10^6 scholars.
-# It also runs the connection-scaling sweep (100 and 1000 idle
-# keep-alive connections against the epoll reactor) with two same-run
-# gates: serving threads fixed at io_threads + workers (+1 slack)
-# regardless of connection count, and the uncached recommend p50 flat
-# (<= 1.5x the 100-connection point) as idle sockets pile up. Set
-# MINARET_CONN_SWEEP=1 to extend that sweep to 10k connections
-# (clamped to the fd budget).
-# The assign smoke solves a 50-manuscript batch over a 10^4-scholar
-# world and gates flow >= greedy (same-run) plus the batch latency
-# against the committed assign_batch50_millis baseline.
-echo "==> perf smoke: batched speedup + extraction + served cache hit + store put/get/recovery + lock contention + world-size/conn-scaling sweeps + batch assignment vs BENCH_e7_scalability.json"
+# Wall-clock claims about the serving paths live in perfbench/. The
+# perf smoke keeps the checks nothing else covers: the connection-scaling
+# sweep (100 and 1000 idle keep-alive connections against the epoll
+# reactor) with two same-run gates, serving threads fixed at
+# io_threads + workers (+1 slack) regardless of connection count and the
+# uncached recommend p50 flat (<= 1.5x the 100-connection point); the
+# lock-contention sweep (1, 2, 4, 8 threads), where the sharded map must
+# beat the single lock at 4 threads and keep its 1-thread throughput
+# within 1.25x of the committed baseline; and the 10^5-scholar lazy cold
+# start, which must beat regenerating the world in the same run.
+echo "==> perf smoke: conn-scaling sweep + lock contention + 10^5 lazy cold start vs regeneration (BENCH_e7_scalability.json)"
 cargo run -q --release --example perf_smoke
 
-echo "==> alloc smoke: warm-path allocations vs BENCH_e7_scalability.json (count-allocs)"
+echo "==> alloc smoke: the perf smoke plus warm-path allocations per recommendation vs BENCH_e7_scalability.json (count-allocs)"
 cargo run -q --release --features count-allocs --example perf_smoke
 
 echo "CI OK"

@@ -28,16 +28,21 @@ pub fn effective_parallelism(requested: usize) -> usize {
 
 /// Maps `f` over `items`, using up to `parallelism` threads (`0` = all
 /// cores), preserving order exactly. Falls back to an inline sequential
-/// map for small inputs or `parallelism <= 1`. A panic inside `f`
-/// propagates to the caller, as it would sequentially.
+/// map for small inputs or `parallelism <= 1`; those inputs never ask
+/// the OS for the core count. A panic inside `f` propagates to the
+/// caller, as it would sequentially.
 pub fn chunked_map<T, R, F>(items: &[T], parallelism: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let workers = effective_parallelism(parallelism).min(items.len().max(1));
-    if workers <= 1 || items.len() < MIN_PARALLEL_ITEMS {
+    let workers = if items.len() < MIN_PARALLEL_ITEMS || parallelism == 1 {
+        1
+    } else {
+        effective_parallelism(parallelism).min(items.len())
+    };
+    if workers <= 1 {
         return items.iter().map(f).collect();
     }
     let chunk_len = items.len().div_ceil(workers);

@@ -1161,10 +1161,28 @@ mod tests {
         // Deterministic first-K in scholar-id order.
         let got: Vec<ScholarId> = page.iter().map(|p| p.truth).collect();
         assert_eq!(got, all_ids[..2].to_vec());
+        // Name search pages the same way: a name shared by more than two
+        // covered scholars returns the first two in scholar-id order.
+        let (name, all_named) = s
+            .name_index
+            .iter()
+            .filter(|(_, ids)| ids.len() > 2)
+            .min_by_key(|(n, _)| n.as_str())
+            .map(|(n, ids)| (n.clone(), ids.clone()))
+            .expect("some name is shared by more than two scholars");
+        let truths = |s: &SimulatedSource| -> Vec<ScholarId> {
+            s.search_by_name(&name)
+                .unwrap()
+                .iter()
+                .map(|p| p.truth)
+                .collect()
+        };
+        assert_eq!(truths(&s), all_named[..2].to_vec());
         // An uncapped source returns every match.
         spec.max_hits = 0;
         let unbounded = SimulatedSource::new(spec, w);
         assert_eq!(search_one(&unbounded, &label).len(), all_ids.len());
+        assert_eq!(truths(&unbounded), all_named);
     }
 
     fn lazy_source_pair(

@@ -10,8 +10,8 @@ use minaret_scholarly::{
 };
 use minaret_store::{Store, StoreConfig, StoreError};
 use minaret_synth::{
-    load_world, persist::load_world_streamed, stream_snapshot_world, StreamingGenerator, World,
-    WorldConfig, WorldGenerator,
+    persist::load_world_streamed, stream_snapshot_world, StreamingGenerator, World, WorldConfig,
+    WorldGenerator,
 };
 use minaret_telemetry::Telemetry;
 
@@ -217,21 +217,12 @@ impl AppState {
     }
 }
 
-/// A matching world snapshot from `store`, preferring the chunked (v2)
-/// format and falling back to a legacy monolithic (v1) one. A snapshot
-/// for a different `(scholars, seed)` is stale and reported as absent.
+/// A matching world snapshot from `store`. A snapshot for a different
+/// `(scholars, seed)` is stale and reported as absent.
 fn load_snapshot(store: &Store, scholars: usize, seed: u64) -> Result<Option<World>, StoreError> {
-    if let Some((world, meta)) = load_world_streamed(store)? {
-        if meta.scholars as usize == scholars && meta.seed == seed {
-            return Ok(Some(world));
-        }
-    }
-    if let Some((world, meta)) = load_world(store)? {
-        if meta.scholars as usize == scholars && meta.seed == seed {
-            return Ok(Some(world));
-        }
-    }
-    Ok(None)
+    Ok(load_world_streamed(store)?
+        .filter(|(_, meta)| meta.scholars as usize == scholars && meta.seed == seed)
+        .map(|(world, _)| world))
 }
 
 #[cfg(test)]
@@ -307,10 +298,9 @@ mod tests {
         assert!(
             matches!(value("minaret_world_chunk_bytes_total"), Some(SnapshotValue::Counter(n)) if n > 0)
         );
-        // The store now holds a chunked (v2) snapshot and no legacy one.
+        // The store now holds a chunked snapshot.
         let store = state.store.clone().expect("data-dir state has a store");
         assert!(load_world_streamed(&store).unwrap().is_some());
-        assert!(load_world(&store).unwrap().is_none());
         drop(state);
         drop(store);
         std::fs::remove_dir_all(dir).unwrap();

@@ -1,6 +1,6 @@
 //! Store-backed lazy world: summaries resident, blocks on demand.
 //!
-//! A [`LazyWorld`] opens a chunked (v2) snapshot and keeps only the
+//! A [`LazyWorld`] opens a chunked snapshot and keeps only the
 //! world-global tables (ontology, venues, institutions) plus a compact
 //! per-scholar summary — interned name-pool indexes and interest topic
 //! ids, a few bytes per scholar — in memory. Everything else (full

@@ -43,8 +43,7 @@ pub use ids::{InstitutionId, PaperId, ScholarId, VenueId};
 pub use lazy::{LazyWorld, WorldBlock};
 pub use model::{AffiliationSpan, Institution, Paper, ReviewRecord, Scholar, Venue, VenueKind};
 pub use persist::{
-    load_world, snapshot_world, stream_snapshot_world, world_fingerprint, SnapshotMeta,
-    StreamProgress, StreamTotals,
+    stream_snapshot_world, world_fingerprint, SnapshotMeta, StreamProgress, StreamTotals,
 };
 pub use stream::{derive_seed, ChunkIter, StreamingGenerator, WorldChunk, COMMUNITY_BLOCK};
 pub use submissions::{

@@ -2,24 +2,15 @@
 //!
 //! A [`World`] is fully determined by its raw entity tables, the
 //! ontology, and the current year — [`World::assemble`] recomputes
-//! every derived view from those. So a snapshot persists exactly that:
-//! seven versioned sections under `world/…` keys, each wrapped in the
-//! store codec's `[magic][tag][version]` envelope. Loading decodes the
-//! sections and reassembles; the result is byte-identical to the world
-//! that was snapshotted (string fields verbatim, adjacency ordering
-//! preserved via [`Ontology::to_tables`]).
-//!
-//! Keys:
-//!
-//! | key                  | payload                      |
-//! |----------------------|------------------------------|
-//! | `world/meta`         | scholar count, seed, year    |
-//! | `world/ontology`     | verbatim ontology tables     |
-//! | `world/scholars`     | scholar table                |
-//! | `world/papers`       | paper table                  |
-//! | `world/venues`       | venue table                  |
-//! | `world/institutions` | institution table            |
-//! | `world/reviews`      | review table                 |
+//! every derived view from those. So a snapshot persists exactly that,
+//! as versioned sections under `world/…` keys, each wrapped in the
+//! store codec's `[magic][tag][version]` envelope.
+//! [`stream_snapshot_world`] writes the entity tables one community
+//! block at a time (its documentation lists the keys);
+//! [`load_world_streamed`] decodes every section and reassembles, and
+//! the result is byte-identical to the generated world (string fields
+//! verbatim, adjacency ordering preserved via [`Ontology::to_tables`]).
+//! [`crate::LazyWorld`] serves the same snapshot one block at a time.
 
 use std::collections::HashMap;
 
@@ -33,7 +24,6 @@ use crate::world::{World, WorldStats};
 
 /// Envelope tags for the world sections.
 mod tag {
-    pub const META: u8 = 0x4D; // 'M'
     pub const ONTOLOGY: u8 = 0x4F; // 'O'
     pub const SCHOLARS: u8 = 0x53; // 'S'
     pub const PAPERS: u8 = 0x50; // 'P'
@@ -47,13 +37,9 @@ mod tag {
 /// Current world-snapshot format version (shared by all sections).
 pub const WORLD_FORMAT_VERSION: u8 = 1;
 
-const KEY_META: &[u8] = b"world/meta";
 const KEY_ONTOLOGY: &[u8] = b"world/ontology";
-const KEY_SCHOLARS: &[u8] = b"world/scholars";
-const KEY_PAPERS: &[u8] = b"world/papers";
 const KEY_VENUES: &[u8] = b"world/venues";
 const KEY_INSTITUTIONS: &[u8] = b"world/institutions";
-const KEY_REVIEWS: &[u8] = b"world/reviews";
 const KEY_STREAM_META: &[u8] = b"world/meta2";
 
 pub(crate) fn chunk_key(chunk: usize, section: &str) -> Vec<u8> {
@@ -75,58 +61,7 @@ pub struct SnapshotMeta {
     pub current_year: u32,
 }
 
-/// Writes `world` into `store` under the `world/…` keys, overwriting
-/// any previous snapshot, then flushes so the snapshot is durable.
-pub fn snapshot_world(store: &Store, world: &World, meta: SnapshotMeta) -> Result<(), StoreError> {
-    store.put(KEY_META, &encode_meta(meta))?;
-    store.put(KEY_ONTOLOGY, &encode_ontology(&world.ontology.to_tables()))?;
-    store.put(KEY_SCHOLARS, &encode_scholars(world.scholars()))?;
-    store.put(KEY_PAPERS, &encode_papers(world.papers()))?;
-    store.put(KEY_VENUES, &encode_venues(world.venues()))?;
-    store.put(KEY_INSTITUTIONS, &encode_institutions(world.institutions()))?;
-    store.put(KEY_REVIEWS, &encode_reviews(world.reviews()))?;
-    store.flush()?;
-    store.sync()
-}
-
-/// Reads the snapshot in `store`, if one exists, and reassembles the
-/// world. `Ok(None)` means the store holds no snapshot (fresh data
-/// directory); decode failures and version mismatches are errors.
-pub fn load_world(store: &Store) -> Result<Option<(World, SnapshotMeta)>, StoreError> {
-    let Some(meta_bytes) = store.get(KEY_META)? else {
-        return Ok(None);
-    };
-    let meta = decode_meta(&meta_bytes)?;
-    let section = |key: &[u8], what: &'static str| -> Result<Vec<u8>, StoreError> {
-        store.get(key)?.ok_or(StoreError::Codec {
-            what,
-            detail: "world snapshot is missing this section".into(),
-        })
-    };
-    let ontology_tables = decode_ontology(&section(KEY_ONTOLOGY, "world ontology section")?)?;
-    let ontology = Ontology::from_tables(ontology_tables).map_err(|e| StoreError::Codec {
-        what: "world ontology section",
-        detail: e.to_string(),
-    })?;
-    let scholars = decode_scholars(&section(KEY_SCHOLARS, "world scholars section")?)?;
-    let papers = decode_papers(&section(KEY_PAPERS, "world papers section")?)?;
-    let venues = decode_venues(&section(KEY_VENUES, "world venues section")?)?;
-    let institutions =
-        decode_institutions(&section(KEY_INSTITUTIONS, "world institutions section")?)?;
-    let reviews = decode_reviews(&section(KEY_REVIEWS, "world reviews section")?)?;
-    let world = World::assemble(
-        ontology,
-        meta.current_year,
-        scholars,
-        papers,
-        venues,
-        institutions,
-        reviews,
-    );
-    Ok(Some((world, meta)))
-}
-
-/// Provenance and layout of a chunked (v2) snapshot.
+/// Provenance and layout of a chunked snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct StreamMeta {
     pub scholars: u32,
@@ -205,23 +140,24 @@ impl StreamTotals {
     }
 }
 
-/// Streams `gen`'s world into `store` as a chunked (v2) snapshot,
+/// Streams `gen`'s world into `store` as a chunked snapshot,
 /// writing each chunk as it is produced so peak memory is one community
 /// block plus the store's memtable. Layout:
 ///
 /// | key                          | payload                         |
 /// |------------------------------|---------------------------------|
 /// | `world/meta2`                | counts, seed, block/chunk shape |
-/// | `world/ontology` … `world/institutions` | shared sections (v1 codecs) |
+/// | `world/ontology`             | verbatim ontology tables        |
+/// | `world/venues`               | venue table                     |
+/// | `world/institutions`         | institution table               |
 /// | `world/chunk/{k}/scholars`   | scholar table of chunk `k`      |
 /// | `world/chunk/{k}/papers`     | papers led by chunk `k`         |
 /// | `world/chunk/{k}/reviews`    | reviews by chunk `k`            |
 /// | `world/summaries/{k}`        | names + interests of chunk `k`  |
 ///
 /// `world/meta2` is written *last* and is the load gate, so an
-/// interrupted snapshot is invisible to loaders. Any stale v1
-/// `world/meta` is deleted so the two formats cannot disagree.
-/// `on_chunk` fires after each chunk is handed to the store.
+/// interrupted snapshot is invisible to loaders. `on_chunk` fires
+/// after each chunk is handed to the store.
 pub fn stream_snapshot_world(
     store: &Store,
     gen: &StreamingGenerator,
@@ -293,9 +229,6 @@ pub fn stream_snapshot_world(
             reviews: totals.reviews as u64,
         }),
     )?;
-    // A v1 snapshot shares the ontology/venues/institutions keys we just
-    // overwrote; drop its meta so it cannot be half-loaded later.
-    store.delete(KEY_META)?;
     store.flush()?;
     store.sync()?;
     Ok(totals)
@@ -316,7 +249,7 @@ fn name_hash(s: &Scholar) -> u64 {
     h
 }
 
-/// Loads a chunked (v2) snapshot into a fully materialized [`World`],
+/// Loads a chunked snapshot into a fully materialized [`World`],
 /// if the store holds one. The eager counterpart of
 /// [`crate::LazyWorld::open`], used by the server which keeps the whole
 /// world resident.
@@ -469,26 +402,6 @@ pub(crate) fn decode_summaries(bytes: &[u8]) -> Result<SummaryChunk, StoreError>
     }
     r.expect_end()?;
     Ok(SummaryChunk { names, interests })
-}
-
-fn encode_meta(meta: SnapshotMeta) -> Vec<u8> {
-    let mut w = Writer::versioned(tag::META, WORLD_FORMAT_VERSION);
-    w.u32(meta.scholars);
-    w.u64(meta.seed);
-    w.u32(meta.current_year);
-    w.finish()
-}
-
-fn decode_meta(bytes: &[u8]) -> Result<SnapshotMeta, StoreError> {
-    let (mut r, _) =
-        Reader::versioned("world meta section", bytes, tag::META, WORLD_FORMAT_VERSION)?;
-    let meta = SnapshotMeta {
-        scholars: r.u32()?,
-        seed: r.u64()?,
-        current_year: r.u32()?,
-    };
-    r.expect_end()?;
-    Ok(meta)
 }
 
 fn write_topic_ids(w: &mut Writer, ids: &[TopicId]) {
@@ -814,22 +727,37 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_then_load_reproduces_the_world_exactly() {
-        let dir = tmp_dir("roundtrip");
+    fn streamed_snapshot_round_trips_exactly() {
+        let dir = tmp_dir("streamed");
         let (world, cfg) = small_world();
-        let meta = SnapshotMeta {
-            scholars: cfg.scholars as u32,
-            seed: cfg.seed,
-            current_year: world.current_year,
-        };
         {
             let store = Store::open(&dir, StoreConfig::default()).unwrap();
-            snapshot_world(&store, &world, meta).unwrap();
+            let gen = StreamingGenerator::new(cfg.clone());
+            let mut progress = Vec::new();
+            let totals = stream_snapshot_world(&store, &gen, |p| progress.push(*p)).unwrap();
+            assert_eq!(totals.chunks, progress.len());
+            assert_eq!(progress.last().unwrap().scholars_done, cfg.scholars);
+            assert!(totals.peak_chunk_bytes <= totals.bytes as usize);
+            assert_eq!(
+                totals.stats(),
+                world.stats(),
+                "streamed totals must reproduce eager WorldStats"
+            );
         }
         // A fresh process: open the store and load.
         let store = Store::open(&dir, StoreConfig::default()).unwrap();
-        let (loaded, loaded_meta) = load_world(&store).unwrap().expect("snapshot present");
-        assert_eq!(loaded_meta, meta);
+        let (loaded, meta) = load_world_streamed(&store)
+            .unwrap()
+            .expect("snapshot present");
+        assert_eq!(
+            meta,
+            SnapshotMeta {
+                scholars: cfg.scholars as u32,
+                seed: cfg.seed,
+                current_year: world.current_year,
+            }
+        );
+        assert_eq!(world_fingerprint(&loaded), world_fingerprint(&world));
         assert_eq!(loaded.current_year, world.current_year);
         assert_eq!(loaded.scholars(), world.scholars());
         assert_eq!(loaded.papers(), world.papers());
@@ -854,7 +782,7 @@ mod tests {
     fn empty_store_loads_nothing() {
         let dir = tmp_dir("empty");
         let store = Store::open(&dir, StoreConfig::default()).unwrap();
-        assert!(load_world(&store).unwrap().is_none());
+        assert!(load_world_streamed(&store).unwrap().is_none());
         drop(store);
         std::fs::remove_dir_all(dir).unwrap();
     }
@@ -863,56 +791,19 @@ mod tests {
     fn future_version_is_rejected_descriptively() {
         let dir = tmp_dir("future");
         let store = Store::open(&dir, StoreConfig::default()).unwrap();
-        let mut w = Writer::versioned(tag::META, WORLD_FORMAT_VERSION + 1);
+        let mut w = Writer::versioned(tag::STREAM_META, WORLD_FORMAT_VERSION + 1);
         w.u32(1);
         w.u64(2);
         w.u32(3);
-        store.put(KEY_META, &w.finish()).unwrap();
-        let err = load_world(&store).unwrap_err();
+        w.u32(COMMUNITY_BLOCK as u32);
+        w.u32(1);
+        w.u64(4);
+        w.u64(5);
+        store.put(KEY_STREAM_META, &w.finish()).unwrap();
+        let err = load_world_streamed(&store).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("format version"), "{msg}");
         assert!(msg.contains("migrate or regenerate"), "{msg}");
-        drop(store);
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn streamed_snapshot_round_trips_and_supersedes_v1() {
-        let dir = tmp_dir("streamed");
-        let (world, cfg) = small_world();
-        let store = Store::open(&dir, StoreConfig::default()).unwrap();
-        // A stale v1 snapshot first: streaming must retire it.
-        snapshot_world(
-            &store,
-            &world,
-            SnapshotMeta {
-                scholars: cfg.scholars as u32,
-                seed: cfg.seed,
-                current_year: world.current_year,
-            },
-        )
-        .unwrap();
-        let gen = StreamingGenerator::new(cfg.clone());
-        let mut progress = Vec::new();
-        let totals = stream_snapshot_world(&store, &gen, |p| progress.push(*p)).unwrap();
-        assert_eq!(totals.chunks, progress.len());
-        assert_eq!(progress.last().unwrap().scholars_done, cfg.scholars);
-        assert!(totals.peak_chunk_bytes <= totals.bytes as usize);
-        assert_eq!(
-            totals.stats(),
-            world.stats(),
-            "streamed totals must reproduce eager WorldStats"
-        );
-        assert!(
-            load_world(&store).unwrap().is_none(),
-            "v1 meta must be retired by a streamed snapshot"
-        );
-        let (loaded, meta) = load_world_streamed(&store).unwrap().expect("v2 present");
-        assert_eq!(meta.seed, cfg.seed);
-        assert_eq!(world_fingerprint(&loaded), world_fingerprint(&world));
-        assert_eq!(loaded.scholars(), world.scholars());
-        assert_eq!(loaded.papers(), world.papers());
-        assert_eq!(loaded.reviews(), world.reviews());
         drop(store);
         std::fs::remove_dir_all(dir).unwrap();
     }
