@@ -66,22 +66,14 @@ impl Recommender for RandomRecommender {
 mod tests {
     use super::*;
     use minaret_core::AuthorInput;
-    use minaret_scholarly::SourceMetrics;
 
     fn pool(n: usize) -> Vec<MergedCandidate> {
         (0..n)
-            .map(|i| MergedCandidate {
-                display_name: format!("Scholar Number{i}"),
-                affiliation: None,
-                country: None,
-                affiliation_history: vec![],
-                interests: vec![],
-                publications: vec![],
-                metrics: SourceMetrics::default(),
-                reviews: vec![],
-                sources: vec![],
-                keys: vec![],
-                truths: vec![ScholarId(i as u32)],
+            .map(|i| {
+                let mut candidate =
+                    MergedCandidate::new(&format!("Scholar Number{i}"), None, None, vec![]);
+                candidate.truths = vec![ScholarId(i as u32)];
+                candidate
             })
             .collect()
     }

@@ -7,14 +7,12 @@
 //! affiliations on the level of the university or country, as configured
 //! by the editor."
 
-use std::collections::HashSet;
-
-use minaret_disambig::evidence::TokenSet;
-use minaret_ontology::normalize_label;
-use minaret_scholarly::name::{parse_name, NameList, ParsedName};
-use minaret_scholarly::MergedCandidate;
+use minaret_ontology::NormalizedLabels;
+use minaret_scholarly::name::{key_bits, parse_name, NameList, ParsedName};
+use minaret_scholarly::{text_key, Institution, MergedCandidate, NormalizedLabel, TokenSet};
 
 use crate::config::{AffiliationMatchLevel, CoiConfig};
+use crate::keyed::KeyedTable;
 
 /// Everything the COI check knows about one manuscript author: what the
 /// editor typed plus whatever was extracted from the author's verified
@@ -22,15 +20,16 @@ use crate::config::{AffiliationMatchLevel, CoiConfig};
 ///
 /// A request checks every retrieved candidate against the same authors,
 /// so the record holds the author side in comparison form, derived once
-/// when it is built: the parsed name and co-author names, a set of
-/// normalized publication titles, and each institution's token set.
+/// when it is built: the parsed name and co-author names, the normalized
+/// publication titles, each institution's token set and each country's
+/// normal form.
 #[derive(Debug, Clone)]
 pub struct AuthorRecord {
     name: String,
     parsed_name: Option<ParsedName>,
     institutions: Vec<TokenSet>,
-    countries: Vec<String>,
-    publication_titles: HashSet<String>,
+    countries: Vec<NormalizedLabel>,
+    publication_titles: NormalizedLabels,
     coauthors: NameList,
 }
 
@@ -45,9 +44,9 @@ impl AuthorRecord {
         publication_titles: &[S],
         coauthor_names: &[S],
     ) -> Self {
-        let mut countries: Vec<String> = countries
+        let mut countries: Vec<NormalizedLabel> = countries
             .iter()
-            .map(|c| normalize_label(c.as_ref()))
+            .map(|c| NormalizedLabel::new(c.as_ref()))
             .collect();
         countries.sort();
         countries.dedup();
@@ -59,10 +58,7 @@ impl AuthorRecord {
                 .map(|i| TokenSet::new(i.as_ref()))
                 .collect(),
             countries,
-            publication_titles: publication_titles
-                .iter()
-                .map(|t| normalize_label(t.as_ref()))
-                .collect(),
+            publication_titles: NormalizedLabels::new(publication_titles.iter().map(AsRef::as_ref)),
             coauthors: NameList::parse(coauthor_names.iter().map(AsRef::as_ref)),
         }
     }
@@ -142,139 +138,246 @@ impl CoiVerdict {
 
 /// Checks one candidate reviewer against all manuscript authors.
 ///
-/// The candidate's publications carry their co-authors' parsed names and
-/// their normalized titles, built once with the profile, so the
-/// co-authorship signals only compare. They read the publications the
-/// merge kept: a copy it dropped as a duplicate title contributes no
-/// co-authors.
+/// Prepares the authors' tables for this one check; a caller checking
+/// many candidates against the same authors prepares a [`CoiCheck`]
+/// once instead.
 pub fn check_coi(
     candidate: &MergedCandidate,
     authors: &[AuthorRecord],
     config: &CoiConfig,
 ) -> CoiVerdict {
-    let mut reasons = Vec::new();
-    let cand_name = parse_name(&candidate.display_name);
-    // The affiliation side is derived at most once per check, and only
-    // when some author reaches the signal that reads it.
-    let mut cand_institutions: Option<Vec<(&str, TokenSet)>> = None;
-    let mut cand_countries: Option<Vec<String>> = None;
+    CoiCheck::new(authors).check(candidate, config)
+}
 
-    for author in authors {
-        // The candidate *is* the author: trivially conflicted, reported
-        // as co-authorship (an author may appear in search results).
-        let same_person = match (&cand_name, &author.parsed_name) {
-            (Some(a), Some(b)) => a.compatible(b),
-            _ => false,
-        };
+/// Authors linked per pass: one bit each in a `u64`.
+const AUTHOR_BLOCK: usize = u64::BITS as usize;
 
-        if config.coauthorship {
-            // Signal 1: the author appears among the candidate's listed
-            // co-authors (or vice versa).
-            let name_link = same_person
-                || author.parsed_name.as_ref().is_some_and(|an| {
-                    candidate
-                        .publications
+/// The manuscript side of the COI check, prepared once per request.
+///
+/// Beside the authors' records it holds two tables:
+/// - the keys of the authors' parsed names, in one array that a single
+///   pass over a candidate's co-authors checks;
+/// - every author's publication titles folded into one table sorted by
+///   key, which each candidate publication probes once for all authors.
+///
+/// A key match is only a lead: names then go through
+/// [`ParsedName::compatible`], titles through a text comparison.
+pub struct CoiCheck<'a> {
+    authors: &'a [AuthorRecord],
+    /// `(name key, its key bits, author index)` for every author whose
+    /// name parses, ascending by author index.
+    names: Vec<(u64, u64, u32)>,
+    /// Every author's normalized titles, each naming its author.
+    titles: KeyedTable<'a, u32>,
+}
+
+impl<'a> CoiCheck<'a> {
+    /// Prepares the check against `authors`.
+    pub fn new(authors: &'a [AuthorRecord]) -> Self {
+        Self::keyed(authors, text_key)
+    }
+
+    /// Prepares the check, filing each normalized title under
+    /// `title_key`.
+    fn keyed(authors: &'a [AuthorRecord], title_key: impl Fn(&str) -> u64) -> Self {
+        let names = (0u32..)
+            .zip(authors)
+            .filter_map(|(i, a)| {
+                let key = a.parsed_name.as_ref()?.key();
+                Some((key, key_bits(key), i))
+            })
+            .collect();
+        let titles = KeyedTable::new(
+            (0u32..)
+                .zip(authors)
+                .flat_map(|(i, a)| {
+                    let title_key = &title_key;
+                    a.publication_titles
                         .iter()
-                        .flat_map(|p| p.coauthor_names())
-                        .filter_map(|n| n.parsed())
-                        .any(|cn| cn.compatible(an))
+                        .map(move |t| (title_key(t), t, i))
                 })
-                || cand_name
-                    .as_ref()
-                    .is_some_and(|cn| author.coauthors.any_compatible(cn));
-            // Signal 2, checked only when the names do not link: they
-            // share a publication title — distinct sources may list the
-            // same paper under each of them.
-            let title_link = || {
-                !author.publication_titles.is_empty()
-                    && candidate
-                        .publications
-                        .iter()
-                        .any(|p| author.publication_titles.contains(p.normalized_title()))
-            };
-            if name_link || title_link() {
-                reasons.push(CoiReason::CoAuthorship {
-                    author: author.name.clone(),
-                });
-                continue; // one reason per author is enough
-            }
-        }
-        if config.affiliation_level == AffiliationMatchLevel::Off {
-            continue;
-        }
-        let institutions = cand_institutions.get_or_insert_with(|| {
-            candidate
-                .affiliation
-                .iter()
-                .chain(candidate.affiliation_history.iter().map(|h| &h.institution))
-                .map(|i| (i.as_str(), TokenSet::new(i)))
-                .collect()
-        });
-        if let Some(inst) = shared_institution(
-            institutions,
-            &author.institutions,
-            config.institution_similarity,
-        ) {
-            reasons.push(CoiReason::SharedInstitution {
-                author: author.name.clone(),
-                institution: inst.to_string(),
-            });
-        } else if config.affiliation_level == AffiliationMatchLevel::Country {
-            let countries = cand_countries.get_or_insert_with(|| {
-                candidate
-                    .country
-                    .iter()
-                    .chain(candidate.affiliation_history.iter().map(|h| &h.country))
-                    .map(|c| normalize_label(c))
-                    .collect()
-            });
-            if let Some(country) = author.countries.iter().find(|c| countries.contains(c)) {
-                reasons.push(CoiReason::SharedCountry {
-                    author: author.name.clone(),
-                    country: country.clone(),
-                });
-            }
+                .collect(),
+        );
+        CoiCheck {
+            authors,
+            names,
+            titles,
         }
     }
-    CoiVerdict { reasons }
+
+    /// Checks one candidate reviewer against all manuscript authors.
+    ///
+    /// The candidate carries its parsed name, institution token sets and
+    /// normalized countries, and its publications carry their
+    /// co-authors' parsed names and their normalized titles with keys,
+    /// all built once with the profiles, so the check only compares. The
+    /// co-authorship signals read the publications the merge kept: a
+    /// copy it dropped as a duplicate title contributes no co-authors.
+    pub fn check(&self, candidate: &MergedCandidate, config: &CoiConfig) -> CoiVerdict {
+        let mut reasons = Vec::new();
+        for (block, authors) in self.authors.chunks(AUTHOR_BLOCK).enumerate() {
+            let first = (block * AUTHOR_BLOCK) as u32;
+            let name_links = if config.coauthorship {
+                self.name_links(candidate, first, authors)
+            } else {
+                0
+            };
+            // Title links are looked up only when some author's name
+            // does not link.
+            let mut title_links = None;
+            for (bit, author) in authors.iter().enumerate() {
+                if config.coauthorship {
+                    // Signal 1: the candidate is the author (an author may
+                    // appear in search results), or the two list each
+                    // other as co-authors. Signal 2, read only when the
+                    // names do not link: they share a publication title —
+                    // distinct sources may list the same paper under each
+                    // of them.
+                    let linked = name_links >> bit & 1 == 1
+                        || (!author.publication_titles.is_empty() && {
+                            let links = *title_links
+                                .get_or_insert_with(|| self.title_links(candidate, first, authors));
+                            links >> bit & 1 == 1
+                        });
+                    if linked {
+                        reasons.push(CoiReason::CoAuthorship {
+                            author: author.name.clone(),
+                        });
+                        continue; // one reason per author is enough
+                    }
+                }
+                if config.affiliation_level == AffiliationMatchLevel::Off {
+                    continue;
+                }
+                if let Some(inst) = shared_institution(
+                    candidate.institutions(),
+                    &author.institutions,
+                    config.institution_similarity,
+                ) {
+                    reasons.push(CoiReason::SharedInstitution {
+                        author: author.name.clone(),
+                        institution: inst.to_string(),
+                    });
+                } else if config.affiliation_level == AffiliationMatchLevel::Country {
+                    let shared = |c: &&NormalizedLabel| candidate.countries().any(|cc| cc == *c);
+                    if let Some(country) = author.countries.iter().find(shared) {
+                        reasons.push(CoiReason::SharedCountry {
+                            author: author.name.clone(),
+                            country: country.to_string(),
+                        });
+                    }
+                }
+            }
+        }
+        CoiVerdict { reasons }
+    }
+
+    /// Bit `i` is set when the candidate's name links to author
+    /// `first + i` of `authors`: the candidate is that author, lists the
+    /// author among the co-authors of a kept publication, or is among
+    /// the author's co-authors.
+    fn name_links(&self, candidate: &MergedCandidate, first: u32, authors: &[AuthorRecord]) -> u64 {
+        let mut links = 0u64;
+        if let Some(cand) = candidate.parsed_name() {
+            for (bit, author) in authors.iter().enumerate() {
+                let same_person = author
+                    .parsed_name
+                    .as_ref()
+                    .is_some_and(|a| a.compatible(cand));
+                if same_person || author.coauthors.any_compatible(cand) {
+                    links |= 1 << bit;
+                }
+            }
+        }
+        // One pass over the candidate's co-authors against the block's
+        // name keys; the full rule runs only on a key match. A
+        // publication whose co-author filter holds no unlinked author's
+        // key bits is skipped unread.
+        let lo = self.names.partition_point(|&(_, _, i)| i < first);
+        let hi = self
+            .names
+            .partition_point(|&(_, _, i)| i < first + authors.len() as u32);
+        let names = &self.names[lo..hi];
+        let named = names
+            .iter()
+            .fold(0u64, |m, &(_, _, i)| m | 1 << (i - first));
+        for p in &candidate.publications {
+            if links & named == named {
+                break;
+            }
+            let filter = p.coauthor_filter();
+            let may_list_unlinked = names
+                .iter()
+                .any(|&(_, bits, i)| links & 1 << (i - first) == 0 && bits & !filter == 0);
+            if !may_list_unlinked {
+                continue;
+            }
+            for coauthor in p.coauthor_names().iter().filter_map(|n| n.parsed()) {
+                for &(key, _, i) in names {
+                    let bit = 1 << (i - first);
+                    if key == coauthor.key()
+                        && links & bit == 0
+                        && authors[(i - first) as usize]
+                            .parsed_name
+                            .as_ref()
+                            .is_some_and(|a| coauthor.compatible(a))
+                    {
+                        links |= bit;
+                    }
+                }
+            }
+        }
+        links
+    }
+
+    /// Bit `i` is set when a kept publication of the candidate bears a
+    /// title author `first + i` lists. Each publication is probed once.
+    fn title_links(
+        &self,
+        candidate: &MergedCandidate,
+        first: u32,
+        authors: &[AuthorRecord],
+    ) -> u64 {
+        let block = first..first + authors.len() as u32;
+        let mut links = 0u64;
+        for p in &candidate.publications {
+            for &author in self.titles.get(p.title_key(), p.normalized_title()) {
+                if block.contains(&author) {
+                    links |= 1 << (author - first);
+                }
+            }
+        }
+        links
+    }
 }
 
 /// The first candidate institution whose tokens overlap any of the
 /// author's by at least `min_similarity`.
 fn shared_institution<'c>(
-    candidate: &[(&'c str, TokenSet)],
+    mut candidate: impl Iterator<Item = &'c Institution>,
     author: &[TokenSet],
     min_similarity: f64,
 ) -> Option<&'c str> {
     candidate
-        .iter()
-        .find(|(_, x)| author.iter().any(|y| x.jaccard(y) >= min_similarity))
-        .map(|&(name, _)| name)
+        .find(|x| {
+            author
+                .iter()
+                .any(|y| x.tokens().jaccard(y) >= min_similarity)
+        })
+        .map(Institution::text)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use minaret_scholarly::{
-        merge_profiles, SourceKind, SourceMetrics, SourceProfile, SourcePublication, Vocabulary,
+        merge_profiles, AffiliationRecord, SourceKind, SourceProfile, SourcePublication, Vocabulary,
     };
     use minaret_synth::ScholarId;
     use std::sync::Arc;
 
     fn candidate(name: &str, aff: Option<&str>, country: Option<&str>) -> MergedCandidate {
-        MergedCandidate {
-            display_name: name.into(),
-            affiliation: aff.map(String::from),
-            country: country.map(String::from),
-            affiliation_history: vec![],
-            interests: vec![],
-            publications: vec![],
-            metrics: SourceMetrics::default(),
-            reviews: vec![],
-            sources: vec![],
-            keys: vec![],
-            truths: vec![],
-        }
+        MergedCandidate::new(name, aff, country, vec![])
     }
 
     fn pub_with(title: &str, coauthors: &[&str]) -> Arc<SourcePublication> {
@@ -330,16 +433,60 @@ mod tests {
     }
 
     #[test]
+    fn titles_filed_under_one_key_link_only_their_own_authors() {
+        // Both authors' titles filed under the key of the first one's: a
+        // candidate listing that title links its author only, and one
+        // listing the other title (whose key leads elsewhere) links none.
+        let authors = [
+            AuthorRecord::new(
+                "Luigi Menabrea",
+                &[],
+                &[],
+                &["Notes on the Analytical Engine"],
+                &[],
+            ),
+            AuthorRecord::new("Grace Hopper", &[], &[], &["Deep Learning for Graphs"], &[]),
+        ];
+        let shared = text_key("notes on the analytical engine");
+        let check = CoiCheck::keyed(&authors, |_| shared);
+        let with_title = |title: &str| {
+            let mut cand = candidate("Ada Lovelace", None, None);
+            cand.publications.push(pub_with(title, &[]));
+            check.check(&cand, &CoiConfig::default()).reasons
+        };
+        assert_eq!(
+            with_title("notes on the  analytical engine."),
+            vec![CoiReason::CoAuthorship {
+                author: "Luigi Menabrea".into()
+            }]
+        );
+        assert_eq!(with_title("Deep Learning for Graphs"), vec![]);
+        // Filed under their own keys, each title links its author.
+        let check = CoiCheck::new(&authors);
+        let mut cand = candidate("Ada Lovelace", None, None);
+        cand.publications
+            .push(pub_with("Deep learning for graphs", &[]));
+        assert_eq!(
+            check.check(&cand, &CoiConfig::default()).reasons,
+            vec![CoiReason::CoAuthorship {
+                author: "Grace Hopper".into()
+            }]
+        );
+    }
+
+    #[test]
     fn a_publication_the_merge_drops_contributes_no_coauthors() {
         // Two profiles of one person list one paper, under titles equal
         // after normalization but with different co-authors. The merge
         // keeps the first copy: Google Scholar sorts before DBLP.
         let profile = |source: SourceKind, title: &str, coauthor: &str| {
+            let v = Vocabulary::new();
             let mut p = SourceProfile::new(
                 source,
                 format!("{}:1", source.prefix()),
-                "Ada Lovelace".into(),
-                Some("U Tartu".into()),
+                v.name("Ada Lovelace"),
+                Some(v.institution("U Tartu")),
+                None,
                 vec![],
                 ScholarId(1),
             );
@@ -471,14 +618,18 @@ mod tests {
     fn orcid_history_catches_past_colleagues() {
         // Candidate moved away years ago, so the *current* affiliations
         // differ — only the ORCID-style history exposes the old overlap.
-        let mut cand = candidate("Past Colleague", Some("University of Oslo"), Some("Norway"));
-        cand.affiliation_history
-            .push(minaret_scholarly::AffiliationRecord {
-                institution: "University of Tartu".into(),
-                country: "Estonia".into(),
-                from_year: 2005,
-                to_year: 2010,
-            });
+        let v = Vocabulary::new();
+        let cand = MergedCandidate::new(
+            "Past Colleague",
+            Some("University of Oslo"),
+            Some("Norway"),
+            vec![AffiliationRecord::new(
+                v.institution("University of Tartu"),
+                v.label("Estonia"),
+                2005,
+                2010,
+            )],
+        );
         let author = AuthorRecord::new(
             "Author Y",
             &["University of Tartu", "University of Tartu"],

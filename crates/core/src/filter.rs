@@ -1,10 +1,10 @@
 //! The filtering phase (§2.2): COI, keyword-score threshold, expertise
 //! constraints, and the conference-mode PC filter (§3).
 
-use minaret_scholarly::name::{parse_name, NameList};
+use minaret_scholarly::name::NameList;
 use minaret_scholarly::MergedCandidate;
 
-use crate::coi::{check_coi, AuthorRecord, CoiVerdict};
+use crate::coi::{AuthorRecord, CoiCheck, CoiVerdict};
 use crate::config::EditorConfig;
 
 /// Why a candidate was removed in the filtering phase.
@@ -42,11 +42,11 @@ impl FilterDecision {
     }
 }
 
-/// The §2.2 filter chain prepared for one manuscript: its authors and
-/// the editor configuration, with the conference-mode PC list parsed
-/// once instead of once per candidate.
+/// The §2.2 filter chain prepared for one manuscript: its authors'
+/// COI tables and the editor configuration, with the conference-mode PC
+/// list parsed once instead of once per candidate.
 pub struct CandidateFilter<'a> {
-    authors: &'a [AuthorRecord],
+    coi: CoiCheck<'a>,
     config: &'a EditorConfig,
     pc_members: Option<NameList>,
 }
@@ -55,7 +55,7 @@ impl<'a> CandidateFilter<'a> {
     /// Prepares the chain for candidates of a manuscript by `authors`.
     pub fn new(authors: &'a [AuthorRecord], config: &'a EditorConfig) -> Self {
         CandidateFilter {
-            authors,
+            coi: CoiCheck::new(authors),
             config,
             pc_members: config
                 .pc_members
@@ -90,7 +90,7 @@ impl<'a> CandidateFilter<'a> {
                 return FilterDecision::Removed(FilterReason::NotOnProgrammeCommittee);
             }
         }
-        let verdict = check_coi(candidate, self.authors, &config.coi);
+        let verdict = self.coi.check(candidate, &config.coi);
         if verdict.conflicted() {
             return FilterDecision::Removed(FilterReason::ConflictOfInterest(verdict));
         }
@@ -117,9 +117,12 @@ pub fn filter_decisions(
 
 /// Conference mode (§3): "only candidate reviewers who belong to the
 /// programme committee are retained". Matching is by name compatibility
-/// so "L. Zhou" on the PC list matches candidate "Lei Zhou".
+/// so "L. Zhou" on the PC list matches candidate "Lei Zhou". The
+/// candidate's name comes parsed; the list is probed by its key.
 fn is_pc_member(candidate: &MergedCandidate, pc: &NameList) -> bool {
-    parse_name(&candidate.display_name).is_some_and(|cand| pc.any_compatible(&cand))
+    candidate
+        .parsed_name()
+        .is_some_and(|cand| pc.any_compatible(cand))
 }
 
 #[cfg(test)]
@@ -130,28 +133,19 @@ mod tests {
     use std::sync::Arc;
 
     fn candidate(name: &str) -> MergedCandidate {
-        MergedCandidate {
-            display_name: name.into(),
-            affiliation: None,
-            country: None,
-            affiliation_history: vec![],
-            interests: vec![],
-            publications: vec![],
-            metrics: SourceMetrics {
-                citations: Some(500),
-                h_index: Some(12),
-                i10_index: None,
-            },
-            reviews: vec![Arc::new(SourceReview::new(
-                Arc::new(Label::new("J")),
-                2017,
-                20,
-                Some(3),
-            ))],
-            sources: vec![],
-            keys: vec![],
-            truths: vec![],
-        }
+        let mut candidate = MergedCandidate::new(name, None, None, vec![]);
+        candidate.metrics = SourceMetrics {
+            citations: Some(500),
+            h_index: Some(12),
+            i10_index: None,
+        };
+        candidate.reviews = vec![Arc::new(SourceReview::new(
+            Arc::new(Label::new("J")),
+            2017,
+            20,
+            Some(3),
+        ))];
+        candidate
     }
 
     fn filter_candidate(

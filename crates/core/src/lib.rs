@@ -32,6 +32,7 @@ pub mod coi;
 mod config;
 mod error;
 pub mod filter;
+mod keyed;
 mod manuscript;
 mod pipeline;
 pub mod rank;

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 use minaret_disambig::{AuthorQuery, IdentityResolver, ResolutionPolicy, VerifiedAuthor};
 use minaret_ontology::{normalize_label, KeywordExpander, Ontology};
 use minaret_scholarly::{
-    merge_profiles, MergedCandidate, SourceKind, SourceRegistry, SourceStatus,
+    merge_profiles, MergedCandidate, SourceKind, SourceProfile, SourceRegistry, SourceStatus,
 };
 use minaret_telemetry::Telemetry;
 
@@ -479,19 +479,30 @@ impl Minaret {
             &self.config,
             self.parallelism,
         );
-        let mut scored: Vec<(CandidateProfile, ScoreBreakdown, f64)> = kept
-            .into_iter()
-            .zip(scores)
-            .map(|(cand, (breakdown, total))| (cand, breakdown, total))
-            .collect();
-        scored.sort_by(|a, b| {
-            b.2.partial_cmp(&a.2)
+        // The sort orders indices, so no candidate record moves until the
+        // chosen few leave their slots.
+        let mut order: Vec<usize> = (0..kept.len()).collect();
+        order.sort_by(|&a, &b| {
+            scores[b]
+                .1
+                .partial_cmp(&scores[a].1)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.0.merged.display_name.cmp(&b.0.merged.display_name))
+                .then_with(|| {
+                    kept[a]
+                        .merged
+                        .display_name
+                        .cmp(&kept[b].merged.display_name)
+                })
         });
-        scored.truncate(self.config.max_recommendations);
-        let recommendations: Vec<Recommendation> = scored
+        order.truncate(self.config.max_recommendations);
+        let mut slots: Vec<Option<CandidateProfile>> = kept.into_iter().map(Some).collect();
+        let recommendations: Vec<Recommendation> = order
             .into_iter()
+            .map(|i| {
+                let cand = slots[i].take().expect("each index is chosen once");
+                let (breakdown, total) = scores[i];
+                (cand, breakdown, total)
+            })
             .enumerate()
             .map(|(i, (cand, breakdown, total))| Recommendation {
                 rank: i + 1,
@@ -504,6 +515,9 @@ impl Minaret {
                 candidate: cand.merged,
             })
             .collect();
+        // Free the candidates not chosen inside the phase, so that the
+        // ranking time includes releasing them.
+        drop(slots);
         let ranking = t2.elapsed();
         drop(phase_span);
         self.note_phase("ranking", ranking, ranking_in, recommendations.len());
@@ -710,47 +724,38 @@ impl Minaret {
         }
 
         // Per-paper slices: walk the paper's own labels over the shared
-        // hits, scoring with the paper's own expansion scores.
+        // hits, scoring with the paper's own expansion scores. Each hit
+        // is one (pool index, label, score) triple; sorted, a candidate's
+        // triples are a run, best score first, then label text.
         let papers: Vec<PaperExtraction> = preps
             .into_iter()
             .map(|prep| {
-                let mut per_pool: HashMap<usize, HashMap<&str, f64>> = HashMap::new();
+                let mut triples: Vec<(usize, &str, f64)> = Vec::new();
                 for (label, &score) in &prep.labels {
                     let Some(hits) = by_label.get(label.as_str()) else {
                         continue;
                     };
-                    for p in hits {
-                        let idx = key_to_pool[p.key.as_str()];
-                        per_pool
-                            .entry(idx)
-                            .or_default()
-                            .entry(label.as_str())
-                            .and_modify(|s| *s = s.max(score))
-                            .or_insert(score);
-                    }
+                    triples.extend(
+                        hits.iter()
+                            .map(|p| (key_to_pool[p.key.as_str()], label.as_str(), score)),
+                    );
                 }
-                let mut matches: Vec<PaperCandidate> = per_pool
-                    .into_iter()
-                    .map(|(pool_index, label_scores)| {
-                        let mut matched_keywords: Vec<(String, f64)> = label_scores
-                            .into_iter()
-                            .map(|(l, s)| (l.to_string(), s))
-                            .collect();
-                        matched_keywords.sort_by(|a, b| {
-                            b.1.partial_cmp(&a.1)
-                                .unwrap_or(std::cmp::Ordering::Equal)
-                                .then_with(|| a.0.cmp(&b.0))
-                        });
-                        let keyword_score =
-                            matched_keywords.first().map(|(_, s)| *s).unwrap_or(0.0);
-                        PaperCandidate {
-                            pool_index,
-                            matched_keywords,
-                            keyword_score,
-                        }
+                triples.sort_unstable_by(|a, b| {
+                    a.0.cmp(&b.0)
+                        .then_with(|| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal))
+                        .then_with(|| a.1.cmp(b.1))
+                });
+                // A label hit through two profiles of one candidate counts
+                // once.
+                triples.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
+                let matches: Vec<PaperCandidate> = triples
+                    .chunk_by(|a, b| a.0 == b.0)
+                    .map(|run| PaperCandidate {
+                        pool_index: run[0].0,
+                        matched_keywords: run.iter().map(|&(_, l, s)| (l.to_string(), s)).collect(),
+                        keyword_score: run[0].2,
                     })
                     .collect();
-                matches.sort_by_key(|c| c.pool_index);
                 PaperExtraction {
                     author_records: prep.author_records,
                     expansion_sets: prep.expansion_sets,
@@ -873,13 +878,8 @@ impl Minaret {
         let mut sorted_labels: Vec<(String, f64)> = labels.into_iter().collect();
         sorted_labels.sort_by(|a, b| a.0.cmp(&b.0));
 
-        let mut profiles = Vec::new();
-        // profile key -> matched labels. Keys are globally unique (each
-        // embeds its source's prefix), and keying by the key alone keeps
-        // every merged profile's matches even when a name collision
-        // conflates two same-source profiles into one candidate.
-        let mut matched: HashMap<String, Vec<(&str, f64)>> = HashMap::new();
         let mut coverage = SourceCoverage::default();
+        let mut by_label = Vec::new();
         if !sorted_labels.is_empty() {
             let label_names: Vec<String> = sorted_labels
                 .iter()
@@ -903,49 +903,58 @@ impl Minaret {
                     SourceStatus::Skipped => {}
                 }
             }
-            // Per-label hits come back in input order, and within one
-            // label in source-registration order — the same profile
-            // stream the per-label fan-out loop used to produce.
-            for ((label, score), (_, hits)) in sorted_labels.iter().zip(report.by_label) {
-                for p in hits {
-                    matched
-                        .entry(p.key.clone())
-                        .or_default()
-                        .push((label.as_str(), *score));
-                    profiles.push(p);
-                }
+            by_label = report.by_label;
+        }
+        // Every hit as (profile, label index), grouped by profile key.
+        // Keys are globally unique (each embeds its source's prefix), and
+        // keying by the key alone keeps every merged profile's matches
+        // even when a name collision conflates two same-source profiles
+        // into one candidate. Labels are sorted, so an index orders like
+        // its text.
+        let mut hits: Vec<(&Arc<SourceProfile>, usize)> = (0..)
+            .zip(&by_label)
+            .flat_map(|(label, (_, profiles))| profiles.iter().map(move |p| (p, label)))
+            .collect();
+        hits.sort_unstable_by(|a, b| (&a.0.key, a.0.source, a.1).cmp(&(&b.0.key, b.0.source, b.1)));
+        // Each profile found under several labels merges once.
+        let mut profiles: Vec<Arc<SourceProfile>> = Vec::with_capacity(hits.len());
+        for &(p, _) in &hits {
+            if profiles
+                .last()
+                .is_none_or(|last| (&last.key, last.source) != (&p.key, p.source))
+            {
+                profiles.push(Arc::clone(p));
             }
         }
-        // Dedupe profiles found under several labels.
-        profiles.sort_by(|a, b| (a.source, &a.key).cmp(&(b.source, &b.key)));
-        profiles.dedup_by(|a, b| a.source == b.source && a.key == b.key);
 
         let merged = merge_profiles(profiles);
+        // One buffer collects each candidate's matched label indices.
+        let mut matched: Vec<usize> = Vec::new();
         let candidates = merged
             .into_iter()
             .map(|m| {
-                let mut label_scores: HashMap<&str, f64> = HashMap::new();
+                matched.clear();
                 for key in &m.keys {
-                    if let Some(ls) = matched.get(key) {
-                        for &(l, s) in ls {
-                            label_scores
-                                .entry(l)
-                                .and_modify(|cur| *cur = cur.max(s))
-                                .or_insert(s);
-                        }
-                    }
+                    let first = hits.partition_point(|(p, _)| p.key < *key);
+                    matched.extend(
+                        hits[first..]
+                            .iter()
+                            .take_while(|(p, _)| p.key == *key)
+                            .map(|&(_, label)| label),
+                    );
                 }
-                let mut matched_keywords: Vec<(&str, f64)> = label_scores.into_iter().collect();
-                matched_keywords.sort_by(|a, b| {
-                    b.1.partial_cmp(&a.1)
+                // Best score first, then label text; a label repeats only
+                // with its one score.
+                matched.sort_unstable_by(|&a, &b| {
+                    sorted_labels[b]
+                        .1
+                        .partial_cmp(&sorted_labels[a].1)
                         .unwrap_or(std::cmp::Ordering::Equal)
-                        .then_with(|| a.0.cmp(b.0))
+                        .then(a.cmp(&b))
                 });
-                let keyword_score = matched_keywords.first().map(|(_, s)| *s).unwrap_or(0.0);
-                let matched_keywords = matched_keywords
-                    .into_iter()
-                    .map(|(l, s)| (l.to_string(), s))
-                    .collect();
+                matched.dedup();
+                let keyword_score = matched.first().map(|&l| sorted_labels[l].1).unwrap_or(0.0);
+                let matched_keywords = matched.iter().map(|&l| sorted_labels[l].clone()).collect();
                 CandidateProfile {
                     merged: m,
                     matched_keywords,

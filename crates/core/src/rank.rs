@@ -3,11 +3,12 @@
 //! editor.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
-use minaret_ontology::normalize_label;
-use minaret_scholarly::MergedCandidate;
+use minaret_scholarly::{text_key, MergedCandidate, NormalizedLabel};
 
 use crate::config::{EditorConfig, ImpactMetric, RankingWeights};
+use crate::keyed::KeyedTable;
 
 /// Scale caps for log-normalized components. A candidate at or above the
 /// cap scores 1.0. The caps are editorial conventions, not statistics of
@@ -125,22 +126,35 @@ pub fn responsiveness(candidate: &MergedCandidate, current_year: u32) -> f64 {
     0.6 * speed + 0.4 * activity
 }
 
+/// Keyword sets scored in one walk over a candidate: their per-set
+/// maxima live on the stack, so scoring allocates nothing. A manuscript
+/// with more keywords takes one walk per block of this many.
+const SET_BLOCK: usize = 32;
+
+/// Publication ages (in years) whose recency decay the scorer computes
+/// once per request; an older publication computes its own.
+const DECAY_AGES: usize = 64;
+
 /// The manuscript side of §2.3 scoring, prepared once per request so
 /// that scoring a candidate only reads the candidate.
 ///
 /// Every expanded label maps to its similarity under each keyword set it
-/// belongs to, so a candidate's label is looked up once, not once per
-/// set. The candidate side needs no preparing: merged interests,
-/// publication keywords and venue names carry their normalized forms.
+/// belongs to, in a table keyed by the label's [`text_key`], so a
+/// candidate's label is looked up once, not once per set, and by an
+/// integer. The candidate side needs no preparing: merged interests,
+/// publication keywords and venue names carry their normalized forms and
+/// keys.
 pub struct CandidateScorer<'a> {
     config: &'a EditorConfig,
     /// Number of keyword sets.
     sets: usize,
-    /// normalized label -> `(keyword set index, similarity)` for every
-    /// set holding the label.
-    labels: HashMap<&'a str, Vec<(usize, f64)>>,
+    /// Every expanded label, keyed by its [`text_key`].
+    labels: KeyedTable<'a, (usize, f64)>,
     /// The normalized target outlet name.
-    target_venue: String,
+    target_venue: NormalizedLabel,
+    /// `0.5^(age / half_life)` by integer age; empty when recency is
+    /// off.
+    decay: Vec<f64>,
 }
 
 impl<'a> CandidateScorer<'a> {
@@ -151,35 +165,39 @@ impl<'a> CandidateScorer<'a> {
         target_venue: &str,
         config: &'a EditorConfig,
     ) -> Self {
-        let mut labels: HashMap<&str, Vec<(usize, f64)>> = HashMap::new();
-        for (set, e) in expansions.iter().enumerate() {
-            for (label, &score) in &e.scores {
-                labels.entry(label.as_str()).or_default().push((set, score));
-            }
-        }
+        let half_life = config.recency_half_life_years;
+        let decay = if half_life > 0.0 {
+            (0..DECAY_AGES)
+                .map(|age| 0.5f64.powf(age as f64 / half_life))
+                .collect()
+        } else {
+            Vec::new()
+        };
         CandidateScorer {
             config,
             sets: expansions.len(),
-            labels,
-            target_venue: normalize_label(target_venue),
+            labels: label_table(expansions, text_key),
+            target_venue: NormalizedLabel::new(target_venue),
+            decay,
         }
     }
 
     /// Computes the full breakdown for one candidate.
     pub fn score(&self, candidate: &MergedCandidate) -> ScoreBreakdown {
-        let (coverage, recency) = self.topic_scores(candidate);
+        let topics = self.topic_scores(candidate);
         ScoreBreakdown {
-            coverage,
+            coverage: topics.coverage,
             impact: scientific_impact(candidate, self.config.impact_metric),
-            recency,
+            recency: topics.recency,
             experience: review_experience(candidate),
-            familiarity: self.outlet_familiarity(candidate),
+            familiarity: self.outlet_familiarity(candidate, topics.in_target_venue),
             responsiveness: responsiveness(candidate, self.config.current_year),
         }
     }
 
-    /// Topic coverage and recency, from one pass over the candidate's
-    /// normalized labels.
+    /// Topic coverage and recency, from one walk over the candidate's
+    /// interests and publications, which also counts the publications in
+    /// the target outlet.
     ///
     /// Coverage: how much of the manuscript's keyword set the candidate's
     /// registered interests (and publication keywords) cover. §2.3's
@@ -194,73 +212,136 @@ impl<'a> CandidateScorer<'a> {
     /// `similarity × 2^(-age/half_life)` over the candidate's
     /// publications, where a publication's similarity is its best keyword
     /// match; averaged over keywords.
-    fn topic_scores(&self, candidate: &MergedCandidate) -> (f64, f64) {
-        if self.sets == 0 {
-            return (0.0, 0.0);
-        }
-        // Interests and keywords are in normal form already, so a lookup
-        // is one hash probe.
-        let lookup = |label: &str| self.labels.get(label);
-        let mut coverage = vec![0.0f64; self.sets];
-        for hits in candidate.interests.iter().filter_map(|i| lookup(i)) {
-            for &(set, score) in hits {
-                coverage[set] = coverage[set].max(score);
+    fn topic_scores(&self, candidate: &MergedCandidate) -> TopicScores {
+        let mut topics = TopicScores::default();
+        let mut first = 0;
+        loop {
+            let sets = first..self.sets.min(first + SET_BLOCK);
+            self.walk(candidate, sets.clone(), first == 0, &mut topics);
+            if sets.end == self.sets {
+                break;
             }
+            first = sets.end;
         }
-        let half_life = self.config.recency_half_life_years;
-        let with_recency = half_life > 0.0;
-        let mut recent = vec![0.0f64; self.sets];
-        let mut similarity = vec![0.0f64; self.sets];
-        for p in &candidate.publications {
-            similarity.fill(0.0);
-            for hits in p.keywords().iter().filter_map(|k| lookup(k.normalized())) {
-                for &(set, score) in hits {
-                    coverage[set] = coverage[set].max(score);
-                    similarity[set] = similarity[set].max(score);
+        if self.sets > 0 {
+            topics.coverage /= self.sets as f64;
+            topics.recency /= self.sets as f64;
+        }
+        topics
+    }
+
+    /// One walk over the candidate for the keyword sets in `sets`: adds
+    /// their coverage and recency maxima to `topics`, in set order, and
+    /// counts the publications in the target outlet when `count_venue`.
+    fn walk(
+        &self,
+        candidate: &MergedCandidate,
+        sets: Range<usize>,
+        count_venue: bool,
+        topics: &mut TopicScores,
+    ) {
+        let width = sets.len();
+        let mut coverage = [0.0f64; SET_BLOCK];
+        let mut recent = [0.0f64; SET_BLOCK];
+        let mut similarity = [0.0f64; SET_BLOCK];
+        // Each hit of a label in the table is one (set, similarity) pair;
+        // this walk takes the pairs of its own sets.
+        for label in &candidate.interests {
+            for &(set, score) in self.labels.get(label.key(), label) {
+                if sets.contains(&set) {
+                    let i = set - sets.start;
+                    coverage[i] = coverage[i].max(score);
                 }
             }
-            if !with_recency {
+        }
+        let count_venue = count_venue && !self.target_venue.is_empty();
+        for p in &candidate.publications {
+            if count_venue && *p.venue_name().normalized() == self.target_venue {
+                topics.in_target_venue += 1;
+            }
+            if width == 0 {
                 continue;
             }
-            let age = (self.config.current_year as f64 - p.year as f64).max(0.0);
-            let decay = 0.5f64.powf(age / half_life);
-            for (best, &sim) in recent.iter_mut().zip(&similarity) {
+            similarity[..width].fill(0.0);
+            for label in p.keywords().iter().map(|k| k.normalized()) {
+                for &(set, score) in self.labels.get(label.key(), label) {
+                    if sets.contains(&set) {
+                        let i = set - sets.start;
+                        coverage[i] = coverage[i].max(score);
+                        similarity[i] = similarity[i].max(score);
+                    }
+                }
+            }
+            if self.decay.is_empty() {
+                continue;
+            }
+            let decay = self.decay(p.year);
+            for (best, &sim) in recent[..width].iter_mut().zip(&similarity[..width]) {
                 if sim > 0.0 {
                     *best = best.max(sim * decay);
                 }
             }
         }
-        let coverage = coverage.iter().copied().sum::<f64>() / self.sets as f64;
-        if !with_recency {
-            return (coverage, 0.0);
+        for i in 0..width {
+            topics.coverage += coverage[i];
+            topics.recency += recent[i];
         }
-        let mut total = 0.0;
-        for best in recent {
-            total += best;
+    }
+
+    /// The recency decay of a publication from `year`.
+    fn decay(&self, year: u32) -> f64 {
+        let age = self.config.current_year.saturating_sub(year) as usize;
+        match self.decay.get(age) {
+            Some(&decay) => decay,
+            None => 0.5f64.powf(age as f64 / self.config.recency_half_life_years),
         }
-        (coverage, total / self.sets as f64)
     }
 
     /// Familiarity with the target outlet: reviews previously conducted
     /// for it plus papers published in it (§2.3's two sub-components),
-    /// log-scaled together.
-    fn outlet_familiarity(&self, candidate: &MergedCandidate) -> f64 {
-        let target = self.target_venue.as_str();
-        if target.is_empty() {
+    /// log-scaled together. The walk counted the papers.
+    fn outlet_familiarity(&self, candidate: &MergedCandidate, pubs_in: usize) -> f64 {
+        if self.target_venue.is_empty() {
             return 0.0;
         }
         let reviews_for = candidate
             .reviews
             .iter()
-            .filter(|r| r.venue_name().normalized() == target)
-            .count() as f64;
-        let pubs_in = candidate
-            .publications
-            .iter()
-            .filter(|p| p.venue_name().normalized() == target)
-            .count() as f64;
-        log_norm(reviews_for + pubs_in, FAMILIARITY_CAP)
+            .filter(|r| *r.venue_name().normalized() == self.target_venue)
+            .count();
+        log_norm((reviews_for + pubs_in) as f64, FAMILIARITY_CAP)
     }
+}
+
+/// What a walk over a candidate's topics accumulates: sums of per-set
+/// maxima (averages once every set is walked) and the publications in
+/// the target outlet.
+#[derive(Default)]
+struct TopicScores {
+    coverage: f64,
+    recency: f64,
+    in_target_venue: usize,
+}
+
+/// Every expanded label of the manuscript's keyword sets, keyed with
+/// `key`, with the `(set index, similarity)` pair of each set holding it,
+/// in set order.
+fn label_table(
+    expansions: &[KeywordExpansionSet],
+    key: impl Fn(&str) -> u64,
+) -> KeyedTable<'_, (usize, f64)> {
+    KeyedTable::new(
+        expansions
+            .iter()
+            .enumerate()
+            .flat_map(|(set, e)| {
+                e.scores
+                    .iter()
+                    .map(move |(label, &score)| (set, label, score))
+            })
+            .map(|(set, label, score)| (key(label), label.as_str(), (set, score)))
+            .collect(),
+    )
 }
 
 /// Scores every candidate, in parallel over contiguous chunks
@@ -288,9 +369,8 @@ pub fn score_candidates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minaret_scholarly::{
-        NormalizedLabel, SourceMetrics, SourcePublication, SourceReview, Vocabulary,
-    };
+    use minaret_ontology::normalize_label;
+    use minaret_scholarly::{SourceMetrics, SourcePublication, SourceReview, Vocabulary};
     use proptest::prelude::*;
     use std::sync::Arc;
 
@@ -367,19 +447,9 @@ mod tests {
     }
 
     fn with_interests(interests: &[&str]) -> MergedCandidate {
-        MergedCandidate {
-            display_name: "X".into(),
-            affiliation: None,
-            country: None,
-            affiliation_history: vec![],
-            interests: interests.iter().map(|s| NormalizedLabel::new(s)).collect(),
-            publications: vec![],
-            metrics: SourceMetrics::default(),
-            reviews: vec![],
-            sources: vec![],
-            keys: vec![],
-            truths: vec![],
-        }
+        let mut candidate = MergedCandidate::new("X", None, None, vec![]);
+        candidate.interests = interests.iter().map(|s| NormalizedLabel::new(s)).collect();
+        candidate
     }
 
     /// §2.3's worked example: keywords {Semantic Web, Big Data}; reviewer
@@ -586,6 +656,81 @@ mod tests {
             ..w
         };
         assert!(b.total(&w2) > a.total(&w2));
+    }
+
+    #[test]
+    fn labels_sharing_a_key_are_told_apart_by_text() {
+        // Two different labels filed under one key: each probe reaches
+        // its own sets, never the other label's.
+        let expansions = vec![
+            expansion("RDF", &[("SPARQL", 0.9)]),
+            expansion("Big Data", &[("SPARQL", 0.4)]),
+        ];
+        let table = label_table(&expansions, |_| 7);
+        let get = |table: &KeyedTable<(usize, f64)>, key, label| {
+            table.get(key, label).copied().collect::<Vec<_>>()
+        };
+        assert_eq!(get(&table, 7, "rdf"), vec![(0, 1.0)]);
+        assert_eq!(get(&table, 7, "big data"), vec![(1, 1.0)]);
+        assert_eq!(get(&table, 7, "sparql"), vec![(0, 0.9), (1, 0.4)]);
+        assert_eq!(get(&table, 7, "ontologies"), vec![]);
+        assert_eq!(get(&table, 8, "rdf"), vec![], "another key holds nothing");
+        // The production table finds each label under its own key.
+        let table = label_table(&expansions, text_key);
+        assert_eq!(get(&table, text_key("rdf"), "rdf"), vec![(0, 1.0)]);
+        assert_eq!(get(&table, text_key("rdf"), "big data"), vec![]);
+    }
+
+    #[test]
+    fn decay_table_matches_the_expression_at_every_age() {
+        let config = EditorConfig {
+            current_year: 2018,
+            recency_half_life_years: 3.7,
+            ..Default::default()
+        };
+        let scorer = CandidateScorer::new(&[], "", &config);
+        for year in (2018 - 2 * DECAY_AGES as u32)..2021 {
+            let age = (2018.0 - year as f64).max(0.0);
+            assert_eq!(
+                scorer.decay(year).to_bits(),
+                0.5f64.powf(age / 3.7).to_bits(),
+                "{year}"
+            );
+        }
+    }
+
+    #[test]
+    fn more_sets_than_a_block_score_like_one_pass() {
+        // 70 keyword sets take three walks; the averages must equal the
+        // per-set definition added in set order.
+        let labels: Vec<String> = (0..70).map(|i| format!("topic {i}")).collect();
+        let expansions: Vec<KeywordExpansionSet> = labels
+            .iter()
+            .enumerate()
+            .map(|(i, l)| expansion(l, &[("Shared", (i % 10) as f64 / 10.0)]))
+            .collect();
+        let mut c = with_interests(&["topic 3", "topic 41"]);
+        c.publications
+            .push(publication("t", 2016, "J", &["Shared", "topic 69"]));
+        let config = EditorConfig {
+            current_year: 2018,
+            recency_half_life_years: 5.0,
+            ..Default::default()
+        };
+        let got = CandidateScorer::new(&expansions, "", &config).score(&c);
+        let decay = 0.5f64.powf(2.0 / 5.0);
+        let (mut coverage, mut recency) = (0.0, 0.0);
+        for i in 0..70 {
+            let shared = (i % 10) as f64 / 10.0;
+            let own = if [3, 41, 69].contains(&i) { 1.0 } else { 0.0 };
+            coverage += f64::max(own, shared);
+            let published = if i == 69 { 1.0 } else { shared };
+            if published > 0.0 {
+                recency += published * decay;
+            }
+        }
+        assert_eq!(got.coverage.to_bits(), (coverage / 70.0).to_bits());
+        assert_eq!(got.recency.to_bits(), (recency / 70.0).to_bits());
     }
 
     proptest! {

@@ -1,7 +1,7 @@
 //! Evidence scoring for identity candidates.
 
-use minaret_ontology::{normalize_label, tokenize};
-use minaret_scholarly::MergedCandidate;
+use minaret_ontology::normalize_label;
+use minaret_scholarly::{MergedCandidate, TokenSet};
 
 /// The individual evidence signals behind a candidate's score, so the
 /// demo UI (Figure 4) can show *why* a profile was proposed.
@@ -59,45 +59,9 @@ impl Evidence {
     }
 }
 
-/// Jaccard similarity of the token sets of two strings.
+/// Jaccard similarity of the token sets ([`TokenSet`]) of two strings.
 pub fn token_jaccard(a: &str, b: &str) -> f64 {
     TokenSet::new(a).jaccard(&TokenSet::new(b))
-}
-
-/// A string's normalized word tokens, sorted and deduplicated, so that
-/// one side of many [`token_jaccard`] comparisons is tokenized once.
-#[derive(Debug, Clone)]
-pub struct TokenSet(Vec<String>);
-
-impl TokenSet {
-    /// Tokenizes `s`.
-    pub fn new(s: &str) -> Self {
-        let mut tokens = tokenize(s);
-        tokens.sort_unstable();
-        tokens.dedup();
-        TokenSet(tokens)
-    }
-
-    /// Jaccard similarity of the two sets; `0.0` when both are empty.
-    pub fn jaccard(&self, other: &TokenSet) -> f64 {
-        let (a, b) = (&self.0, &other.0);
-        if a.is_empty() && b.is_empty() {
-            return 0.0;
-        }
-        let (mut i, mut j, mut inter) = (0, 0, 0usize);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    inter += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        inter as f64 / (a.len() + b.len() - inter) as f64
-    }
 }
 
 /// Collects the evidence for `candidate` given what the editor typed.
@@ -146,7 +110,7 @@ pub fn collect_evidence(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minaret_scholarly::{NormalizedLabel, SourceMetrics, SourcePublication, Vocabulary};
+    use minaret_scholarly::{NormalizedLabel, SourcePublication, Vocabulary};
     use std::sync::Arc;
 
     fn publication(i: usize, keywords: &[&str]) -> Arc<SourcePublication> {
@@ -162,19 +126,10 @@ mod tests {
     }
 
     fn candidate(aff: &str, country: &str, interests: &[&str], pubs: usize) -> MergedCandidate {
-        MergedCandidate {
-            display_name: "X Y".into(),
-            affiliation: Some(aff.into()),
-            country: Some(country.into()),
-            affiliation_history: vec![],
-            interests: interests.iter().map(|s| NormalizedLabel::new(s)).collect(),
-            publications: (0..pubs).map(|i| publication(i, &[])).collect(),
-            metrics: SourceMetrics::default(),
-            reviews: vec![],
-            sources: vec![],
-            keys: vec![],
-            truths: vec![],
-        }
+        let mut candidate = MergedCandidate::new("X Y", Some(aff), Some(country), vec![]);
+        candidate.interests = interests.iter().map(|s| NormalizedLabel::new(s)).collect();
+        candidate.publications = (0..pubs).map(|i| publication(i, &[])).collect();
+        candidate
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::collections::HashMap;
 
 use minaret_core::{rank, EditorConfig, KeywordExpansionSet};
 use minaret_ontology::normalize_label;
-use minaret_scholarly::{MergedCandidate, NormalizedLabel, SourceMetrics};
+use minaret_scholarly::{MergedCandidate, NormalizedLabel};
 
 use crate::table::{f3, TextTable};
 
@@ -24,19 +24,9 @@ pub struct E2Result {
 }
 
 fn reviewer(interests: &[&str]) -> MergedCandidate {
-    MergedCandidate {
-        display_name: "reviewer".into(),
-        affiliation: None,
-        country: None,
-        affiliation_history: vec![],
-        interests: interests.iter().map(|i| NormalizedLabel::new(i)).collect(),
-        publications: vec![],
-        metrics: SourceMetrics::default(),
-        reviews: vec![],
-        sources: vec![],
-        keys: vec![],
-        truths: vec![],
-    }
+    let mut reviewer = MergedCandidate::new("reviewer", None, None, vec![]);
+    reviewer.interests = interests.iter().map(|i| NormalizedLabel::new(i)).collect();
+    reviewer
 }
 
 /// Replays the paper's worked example through the real coverage code.

@@ -55,7 +55,7 @@ pub fn normalize_label_onto(s: &str, out: &mut String) {
 /// let labels = NormalizedLabels::new(["Big-Data", " RDF "]);
 /// assert_eq!(labels.iter().collect::<Vec<_>>(), vec!["big data", "rdf"]);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct NormalizedLabels {
     buf: String,
     ends: Vec<usize>,
@@ -70,6 +70,11 @@ impl NormalizedLabels {
             labels.ends.push(labels.buf.len());
         }
         labels
+    }
+
+    /// True when no string was normalized.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
     }
 
     /// The normalized strings, in input order.

@@ -36,10 +36,13 @@
 //! * [`merge_profiles`] — merges per-source profiles into candidate
 //!   records by (normalized name, affiliation), the way a scraper must.
 //! * [`Vocabulary`] — each source's table of shared vocabulary entries
-//!   (venue names, topic labels, co-author names), each holding its
-//!   printed text and comparison form, so merge, COI and ranking compare
-//!   forms built once per profile instead of re-deriving them per
-//!   request. Names parse through [`name`].
+//!   (venue names, topic labels, countries, institutions, person
+//!   names), each holding its printed text and comparison form, so
+//!   merge, COI and ranking compare forms built once per profile instead
+//!   of re-deriving them per request. Forms carry a 64-bit key
+//!   ([`text_key`], [`name::ParsedName::key`]) that readers compare
+//!   first, confirming every key match on the text. Names parse through
+//!   [`name`].
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -72,4 +75,4 @@ pub use resilience::{
 };
 pub use sim::{FaultSchedule, LabeledHits, ProfileStore, ScholarSource, SimulatedSource};
 pub use spec::{SourceKind, SourceSpec};
-pub use vocab::{Label, NormalizedLabel, PersonName, Vocabulary};
+pub use vocab::{text_key, Institution, Label, NormalizedLabel, PersonName, TokenSet, Vocabulary};

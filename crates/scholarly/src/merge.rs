@@ -7,20 +7,30 @@
 //! verification exists to catch. The evaluation harness measures how often
 //! that happens using the profiles' ground-truth labels.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::HashMap;
+use std::fmt;
 use std::sync::Arc;
 
-use minaret_concurrent::FnvBuildHasher;
 use minaret_ontology::normalize_label;
 use minaret_synth::ScholarId;
 
-use crate::name::parse_name;
-use crate::record::{AffiliationRecord, SourceMetrics, SourceProfile, SourceReview};
+use crate::name::ParsedName;
+use crate::record::{
+    AffiliationRecord, SourceMetrics, SourceProfile, SourcePublication, SourceReview,
+};
 use crate::spec::SourceKind;
-use crate::vocab::NormalizedLabel;
+use crate::vocab::{Institution, NormalizedLabel, PersonName};
 
 /// A candidate reviewer assembled from one or more source profiles.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Besides the merged data, a candidate carries the comparison forms of
+/// its identity: the parsed display name, a token set per institution
+/// and each country in normal form. [`merge_profiles`] takes them from
+/// the profiles' shared entries; [`MergedCandidate::new`] builds them
+/// from text. The text fields they come from (`display_name`,
+/// `affiliation`, `country`, `affiliation_history`) are public to read;
+/// a caller that wants other values builds another candidate.
+#[derive(Clone, PartialEq)]
 pub struct MergedCandidate {
     /// The best (longest) display name observed.
     pub display_name: String,
@@ -36,7 +46,7 @@ pub struct MergedCandidate {
     pub interests: Vec<NormalizedLabel>,
     /// Union of publications, deduplicated by normalized title.
     /// `Arc`-shared with the source profiles that contributed them.
-    pub publications: Vec<Arc<crate::record::SourcePublication>>,
+    pub publications: Vec<Arc<SourcePublication>>,
     /// Best available metrics (max across sources, since every source
     /// under-counts relative to the truth).
     pub metrics: SourceMetrics,
@@ -51,9 +61,40 @@ pub struct MergedCandidate {
     /// **Evaluation-only** (never read by the framework). More than one
     /// entry means the name-based merge conflated distinct people.
     pub truths: Vec<ScholarId>,
+    name: Arc<PersonName>,
+    affiliation_entry: Option<Arc<Institution>>,
+    country_entry: Option<NormalizedLabel>,
 }
 
 impl MergedCandidate {
+    /// A candidate named `display_name` at `affiliation` in `country`,
+    /// with `affiliation_history`. Interests, publications, metrics,
+    /// reviews, sources, keys and truths start empty; they are plain
+    /// data, set directly.
+    pub fn new(
+        display_name: &str,
+        affiliation: Option<&str>,
+        country: Option<&str>,
+        affiliation_history: Vec<AffiliationRecord>,
+    ) -> Self {
+        MergedCandidate {
+            display_name: display_name.to_string(),
+            affiliation: affiliation.map(str::to_string),
+            country: country.map(str::to_string),
+            affiliation_history,
+            interests: Vec::new(),
+            publications: Vec::new(),
+            metrics: SourceMetrics::default(),
+            reviews: Vec::new(),
+            sources: Vec::new(),
+            keys: Vec::new(),
+            truths: Vec::new(),
+            name: Arc::new(PersonName::new(display_name)),
+            affiliation_entry: affiliation.map(|a| Arc::new(Institution::new(a))),
+            country_entry: country.map(NormalizedLabel::new),
+        }
+    }
+
     /// True when the merge conflated profiles of different real people.
     pub fn is_conflated(&self) -> bool {
         self.truths.len() > 1
@@ -64,6 +105,65 @@ impl MergedCandidate {
     pub fn dominant_truth(&self) -> Option<ScholarId> {
         self.truths.first().copied()
     }
+
+    /// The parsed display name, when it parses.
+    pub fn parsed_name(&self) -> Option<&ParsedName> {
+        debug_assert_eq!(
+            self.name.text(),
+            self.display_name,
+            "display_name changed after construction"
+        );
+        self.name.parsed()
+    }
+
+    /// The current affiliation, then every history entry's institution,
+    /// each with its token set.
+    pub fn institutions(&self) -> impl Iterator<Item = &Institution> {
+        debug_assert_eq!(
+            self.affiliation_entry.as_deref().map(Institution::text),
+            self.affiliation.as_deref(),
+            "affiliation changed after construction"
+        );
+        self.affiliation_entry.as_deref().into_iter().chain(
+            self.affiliation_history
+                .iter()
+                .map(|h| &**h.institution_entry()),
+        )
+    }
+
+    /// The current country, then every history entry's, in normal form.
+    pub fn countries(&self) -> impl Iterator<Item = &NormalizedLabel> {
+        debug_assert_eq!(
+            self.country_entry.is_some(),
+            self.country.is_some(),
+            "country changed after construction"
+        );
+        self.country_entry.iter().chain(
+            self.affiliation_history
+                .iter()
+                .map(|h| h.country_entry().normalized()),
+        )
+    }
+}
+
+/// Prints the merged data only; the comparison forms are functions of
+/// it.
+impl fmt::Debug for MergedCandidate {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MergedCandidate")
+            .field("display_name", &self.display_name)
+            .field("affiliation", &self.affiliation)
+            .field("country", &self.country)
+            .field("affiliation_history", &self.affiliation_history)
+            .field("interests", &self.interests)
+            .field("publications", &self.publications)
+            .field("metrics", &self.metrics)
+            .field("reviews", &self.reviews)
+            .field("sources", &self.sources)
+            .field("keys", &self.keys)
+            .field("truths", &self.truths)
+            .finish()
+    }
 }
 
 /// The merge key of a profile: first initial of the given name, family
@@ -73,18 +173,18 @@ impl MergedCandidate {
 /// Abbreviated display names ("L. Zhou") and comma forms ("Zhou, Lei")
 /// land in the same bucket as "Lei Zhou" at the same institution, while
 /// "Lei Zhou" at another university stays separate (until country-level
-/// checks catch it later). A name [`parse_name`] rejects keys on its
-/// last normalized token, with initial `?`.
-pub(crate) fn merge_key(display_name: &str, affiliation: Option<&str>) -> String {
-    let (initial, family) = match parse_name(display_name) {
-        Some(name) => (name.initial().unwrap_or('?'), name.family),
+/// checks catch it later). A name [`crate::name::parse_name`] rejects
+/// keys on its last normalized token, with initial `?`.
+pub(crate) fn merge_key(display_name: &PersonName, affiliation: Option<&Institution>) -> String {
+    let (initial, family) = match display_name.parsed() {
+        Some(name) => (name.initial().unwrap_or('?'), name.family.clone()),
         None => {
-            let norm = normalize_label(display_name);
+            let norm = normalize_label(display_name.text());
             let last = norm.rsplit(' ').next().unwrap_or_default().to_string();
             ('?', last)
         }
     };
-    let aff = affiliation.map(normalize_label).unwrap_or_default();
+    let aff = affiliation.map(Institution::normalized).unwrap_or_default();
     format!("{initial}|{family}|{aff}")
 }
 
@@ -93,7 +193,7 @@ pub(crate) fn merge_key(display_name: &str, affiliation: Option<&str>) -> String
 /// `Arc`-shared (the shape every source hands out) and carry their merge
 /// key, so bucketing borrows; no key string is built per merge.
 pub fn merge_profiles(profiles: Vec<Arc<SourceProfile>>) -> Vec<MergedCandidate> {
-    let mut buckets: HashMap<&str, Vec<&SourceProfile>> = HashMap::new();
+    let mut buckets: HashMap<&str, Vec<&SourceProfile>> = HashMap::with_capacity(profiles.len());
     for p in &profiles {
         buckets.entry(p.merge_key()).or_default().push(p);
     }
@@ -114,17 +214,16 @@ pub fn merge_profiles(profiles: Vec<Arc<SourceProfile>>) -> Vec<MergedCandidate>
 
 fn merge_bucket(mut profiles: Vec<&SourceProfile>) -> MergedCandidate {
     profiles.sort_by(|a, b| a.source.cmp(&b.source).then(a.key.cmp(&b.key)));
-    let display_name = profiles
+    // The longest display name wins (the last of equally long ones), and
+    // its entry brings its parse.
+    let name = profiles
         .iter()
-        .map(|p| p.display_name())
-        .max_by_key(|n| n.len())
-        .unwrap_or_default()
-        .to_string();
-    let affiliation = profiles
-        .iter()
-        .find_map(|p| p.affiliation())
-        .map(str::to_string);
-    let country = profiles.iter().find_map(|p| p.country.clone());
+        .max_by_key(|p| p.display_name().len())
+        .expect("a bucket holds at least one profile")
+        .display_name_entry()
+        .clone();
+    let affiliation = profiles.iter().find_map(|p| p.affiliation_entry());
+    let country = profiles.iter().find_map(|p| p.country_entry());
 
     let mut affiliation_history = Vec::new();
     for p in &profiles {
@@ -135,23 +234,32 @@ fn merge_bucket(mut profiles: Vec<&SourceProfile>) -> MergedCandidate {
         }
     }
 
-    // Interests union by their stored normal form; cloning one shares
-    // its text.
-    let interests: BTreeSet<&NormalizedLabel> = profiles
+    // Interests union by their stored normal form, in text order;
+    // cloning one shares its text.
+    let mut interests: Vec<&NormalizedLabel> = profiles
         .iter()
         .flat_map(|p| p.interests())
         .map(|i| i.normalized())
         .collect();
+    interests.sort_unstable();
+    interests.dedup();
 
-    // Publications dedupe by their stored normalized title; the first
-    // listed copy is kept. Titles are source data, not request input, so
-    // the seen-set hashes with FNV, sized for every listed copy.
+    // Publications dedupe by their stored title key, confirmed on the
+    // normalized title; the first listed copy is kept. A bucket lists a
+    // few hundred copies at most (221 in the 10^4-scholar benchmark
+    // world), so each copy scans the kept keys, one array of integers,
+    // instead of hashing into a per-bucket map.
     let listed: usize = profiles.iter().map(|p| p.publications.len()).sum();
-    let mut seen_titles: HashSet<&str, FnvBuildHasher> =
-        HashSet::with_capacity_and_hasher(listed, FnvBuildHasher::default());
-    let mut publications = Vec::with_capacity(listed);
+    let mut kept_keys: Vec<u64> = Vec::with_capacity(listed);
+    let mut publications: Vec<Arc<SourcePublication>> = Vec::with_capacity(listed);
     for publ in profiles.iter().flat_map(|p| &p.publications) {
-        if seen_titles.insert(publ.normalized_title()) {
+        let (key, title) = (publ.title_key(), publ.normalized_title());
+        let duplicate = kept_keys
+            .iter()
+            .zip(&publications)
+            .any(|(&k, kept)| k == key && kept.normalized_title() == title);
+        if !duplicate {
+            kept_keys.push(key);
             publications.push(publ.clone());
         }
     }
@@ -175,19 +283,22 @@ fn merge_bucket(mut profiles: Vec<&SourceProfile>) -> MergedCandidate {
     sources.dedup();
     let keys = profiles.iter().map(|p| p.key.clone()).collect();
 
-    // Truth labels ordered by frequency (majority first), then id.
-    let mut counts: HashMap<ScholarId, usize> = HashMap::new();
+    // Truth labels ordered by frequency (majority first), then id. A
+    // bucket holds a handful of profiles, so counting scans a list.
+    let mut counts: Vec<(ScholarId, usize)> = Vec::with_capacity(profiles.len());
     for p in &profiles {
-        *counts.entry(p.truth).or_insert(0) += 1;
+        match counts.iter_mut().find(|(id, _)| *id == p.truth) {
+            Some((_, n)) => *n += 1,
+            None => counts.push((p.truth, 1)),
+        }
     }
-    let mut truths: Vec<(ScholarId, usize)> = counts.into_iter().collect();
-    truths.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    let truths = truths.into_iter().map(|(id, _)| id).collect();
+    counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    let truths = counts.into_iter().map(|(id, _)| id).collect();
 
     MergedCandidate {
-        display_name,
-        affiliation,
-        country,
+        display_name: name.text().to_string(),
+        affiliation: affiliation.map(|a| a.text().to_string()),
+        country: country.map(|c| c.text().to_string()),
         affiliation_history,
         interests: interests.into_iter().cloned().collect(),
         publications,
@@ -196,13 +307,15 @@ fn merge_bucket(mut profiles: Vec<&SourceProfile>) -> MergedCandidate {
         sources,
         keys,
         truths,
+        name,
+        affiliation_entry: affiliation.cloned(),
+        country_entry: country.map(|c| c.normalized().clone()),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::SourcePublication;
     use crate::vocab::Vocabulary;
 
     fn arcs(ps: Vec<SourceProfile>) -> Vec<Arc<SourceProfile>> {
@@ -217,16 +330,15 @@ mod tests {
         interests: &[&str],
     ) -> SourceProfile {
         let v = Vocabulary::new();
-        let mut p = SourceProfile::new(
+        SourceProfile::new(
             source,
             format!("{}:{truth}", source.prefix()),
-            name.to_string(),
-            Some(aff.to_string()),
+            v.name(name),
+            Some(v.institution(aff)),
+            Some(v.label("Estonia")),
             interests.iter().map(|i| v.label(i)).collect(),
             ScholarId(truth),
-        );
-        p.country = Some("Estonia".into());
-        p
+        )
     }
 
     fn profile(source: SourceKind, name: &str, aff: &str, truth: u32) -> SourceProfile {
@@ -301,6 +413,9 @@ mod tests {
 
     #[test]
     fn unparseable_names_key_on_their_last_token() {
+        let merge_key = |name: &str, aff: Option<&str>| {
+            merge_key(&PersonName::new(name), aff.map(Institution::new).as_ref())
+        };
         assert_eq!(merge_key("Cher", Some("U Tartu")), "?|cher|u tartu");
         assert_eq!(merge_key("Zhou,", None), "?|zhou|");
         assert_eq!(merge_key("", None), "?||");
@@ -362,6 +477,30 @@ mod tests {
         assert_eq!(merged[0].publications.len(), 2);
         assert_eq!(merged[0].metrics.citations, Some(100));
         assert_eq!(merged[0].metrics.h_index, Some(7));
+    }
+
+    #[test]
+    fn titles_sharing_a_key_dedupe_by_text() {
+        // Different titles filed under one key stay apart; a copy of
+        // either, equal after normalization, merges into it.
+        let keyed = |title: &str, year: u32| {
+            let v = Vocabulary::new();
+            let p = SourcePublication::new(title.into(), year, v.label("J"), vec![], vec![], None);
+            Arc::new(p.rekeyed(7))
+        };
+        let mut a = profile(SourceKind::GoogleScholar, "A B", "U", 1);
+        a.publications.push(keyed("Shared Result", 2015));
+        a.publications.push(keyed("Other Result", 2016));
+        let mut b = profile(SourceKind::AcmDl, "A B", "U", 1);
+        b.publications.push(keyed("shared  result", 2015));
+        b.publications.push(keyed("Other result!", 2016));
+        b.publications.push(keyed("Third Result", 2017));
+        let merged = merge_profiles(arcs(vec![a, b]));
+        let titles: Vec<&str> = merged[0].publications.iter().map(|p| p.title()).collect();
+        assert_eq!(
+            titles,
+            vec!["Shared Result", "Other Result", "Third Result"]
+        );
     }
 
     #[test]

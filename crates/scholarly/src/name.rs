@@ -1,5 +1,12 @@
 //! Name normalization, variants, and compatibility.
+//!
+//! A parsed name carries a key of its family name and first initial.
+//! [`ParsedName::compatible`] requires both to be equal, so unequal keys
+//! rule a pair out with one integer compare; equal keys still go
+//! through the full rule, since distinct people ("Lei Zhou", "Li Zhou")
+//! share one.
 
+use minaret_concurrent::stable_hash;
 use minaret_ontology::normalize_label_onto;
 
 /// A parsed personal name.
@@ -9,6 +16,7 @@ pub struct ParsedName {
     pub given: String,
     /// Family name, normalized.
     pub family: String,
+    key: u64,
 }
 
 /// Parses `"Lei Zhou"`, `"L. Zhou"`, `"Zhou, Lei"` into parts.
@@ -17,10 +25,25 @@ pub struct ParsedName {
 pub fn parse_name(raw: &str) -> Option<ParsedName> {
     let mut buf = String::new();
     let (given, family) = parse_onto(raw, &mut buf)?;
+    let (given, family) = (&buf[given.0..given.1], &buf[family.0..family.1]);
     Some(ParsedName {
-        given: buf[given.0..given.1].to_string(),
-        family: buf[family.0..family.1].to_string(),
+        key: name_key(given, family),
+        given: given.to_string(),
+        family: family.to_string(),
     })
+}
+
+/// The key of a parsed name: its family name and first initial, the two
+/// parts [`ParsedName::compatible`] requires to be equal.
+fn name_key(given: &str, family: &str) -> u64 {
+    stable_hash(&(family, given.chars().next()))
+}
+
+/// The two bits a name key sets in a 64-bit filter of a set of names:
+/// the filter ORs its members' bits, so a key whose bits are not all
+/// set belongs to no member, while one whose bits are set may.
+pub fn key_bits(key: u64) -> u64 {
+    1 << (key & 63) | 1 << (key >> 58)
 }
 
 /// Byte span `(start, end)` of one name part inside a buffer.
@@ -99,7 +122,13 @@ impl ParsedName {
     /// names equal and given names equal, or one is the initial of the
     /// other.
     pub fn compatible(&self, other: &ParsedName) -> bool {
-        parts_compatible(self.parts(), other.parts())
+        self.key == other.key && parts_compatible(self.parts(), other.parts())
+    }
+
+    /// The key of the family name and first initial. Compatible names
+    /// have equal keys; names with equal keys need not be compatible.
+    pub fn key(&self) -> u64 {
+        self.key
     }
 
     fn parts(&self) -> (&str, &str) {
@@ -107,13 +136,16 @@ impl ParsedName {
     }
 }
 
-/// Many parsed names stored back to back in one buffer: parsing a list
-/// of names costs one growing allocation, not several per name.
-/// Unparseable names are skipped, as `filter_map(parse_name)` would.
+/// Many parsed names stored back to back in one buffer, sorted by key:
+/// parsing a list of names costs one growing allocation, not several per
+/// name, and a lookup is a binary search for the probe's key followed by
+/// the full rule on the names filed under it. Unparseable names are
+/// skipped, as `filter_map(parse_name)` would.
 #[derive(Debug, Clone, Default)]
 pub struct NameList {
     buf: String,
-    names: Vec<(Span, Span)>,
+    /// `(key, given, family)`, ascending by key.
+    names: Vec<(u64, Span, Span)>,
 }
 
 impl NameList {
@@ -121,17 +153,26 @@ impl NameList {
     pub fn parse<'a>(raws: impl IntoIterator<Item = &'a str>) -> Self {
         let mut list = NameList::default();
         for raw in raws {
-            list.names.extend(parse_onto(raw, &mut list.buf));
+            if let Some((given, family)) = parse_onto(raw, &mut list.buf) {
+                let key = name_key(&list.buf[given.0..given.1], &list.buf[family.0..family.1]);
+                list.names.push((key, given, family));
+            }
         }
+        list.names.sort_by_key(|n| n.0);
         list
     }
 
     /// True when any listed name is [compatible](ParsedName::compatible)
-    /// with `name`.
+    /// with `name`. Only the names filed under `name`'s key are
+    /// compared.
     pub fn any_compatible(&self, name: &ParsedName) -> bool {
-        self.names.iter().any(|&(g, f)| {
-            parts_compatible((&self.buf[g.0..g.1], &self.buf[f.0..f.1]), name.parts())
-        })
+        let first = self.names.partition_point(|n| n.0 < name.key);
+        self.names[first..]
+            .iter()
+            .take_while(|n| n.0 == name.key)
+            .any(|&(_, g, f)| {
+                parts_compatible((&self.buf[g.0..g.1], &self.buf[f.0..f.1]), name.parts())
+            })
     }
 }
 
@@ -230,5 +271,48 @@ mod tests {
                 "{probe:?}"
             );
         }
+    }
+
+    impl ParsedName {
+        /// The same name filed under `key`.
+        fn rekeyed(mut self, key: u64) -> Self {
+            self.key = key;
+            self
+        }
+    }
+
+    impl NameList {
+        /// Files every listed name under `key`.
+        fn rekeyed(mut self, key: u64) -> Self {
+            for n in &mut self.names {
+                n.0 = key;
+            }
+            self
+        }
+    }
+
+    #[test]
+    fn a_key_hit_still_runs_the_full_rule() {
+        // "Lei Zhou", "Li Zhou" and "L. Zhou" share a key, and only the
+        // pairs the rule admits match.
+        let lei = parse_name("Lei Zhou").unwrap();
+        let li = parse_name("Li Zhou").unwrap();
+        let l = parse_name("L. Zhou").unwrap();
+        assert!(lei.key() == li.key() && li.key() == l.key());
+        assert!(!lei.compatible(&li));
+        assert!(NameList::parse(["Lei Zhou"]).any_compatible(&l));
+        assert!(!NameList::parse(["Li Zhou", "Ming Zhou"]).any_compatible(&lei));
+        // Two different names filed under one key: a probe reaches the
+        // name it spells, never the other.
+        let shared = lei.key();
+        let ada = NameList::parse(["Ada Lovelace"]).rekeyed(shared);
+        assert!(!ada.any_compatible(&lei));
+        assert!(ada.any_compatible(&parse_name("A. Lovelace").unwrap().rekeyed(shared)));
+        let both = NameList::parse(["Lei Zhou", "Ada Lovelace"]).rekeyed(shared);
+        assert!(both.any_compatible(&l));
+        assert!(!both.any_compatible(&parse_name("Grace Hopper").unwrap().rekeyed(shared)));
+        let elsewhere = parse_name("Lei Zhou").unwrap().rekeyed(shared ^ 1);
+        assert!(!both.any_compatible(&elsewhere));
+        assert!(!elsewhere.compatible(&lei), "unequal keys never match");
     }
 }

@@ -7,8 +7,9 @@ use minaret_ontology::normalize_label;
 use minaret_synth::ScholarId;
 
 use crate::merge::merge_key;
+use crate::name::key_bits;
 use crate::spec::SourceKind;
-use crate::vocab::{Label, PersonName};
+use crate::vocab::{text_key, Institution, Label, PersonName};
 
 /// Citation metrics as exposed by metric-bearing sources.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -24,18 +25,22 @@ pub struct SourceMetrics {
 /// One publication as listed on a profile page.
 ///
 /// Built through [`SourcePublication::new`], which also sets the
-/// normalized title. The fields that carry text in comparison form are
-/// private, so no form can disagree with its text; `year` and
-/// `citations` are plain data.
+/// normalized title and its key. The fields that carry text in
+/// comparison form are private, so no form can disagree with its text;
+/// `year` and `citations` are plain data. Text and lists are boxed
+/// slices: a record is immutable once built, and every built profile
+/// keeps its publications resident.
 #[derive(Clone, PartialEq, Eq)]
 pub struct SourcePublication {
-    title: String,
-    normalized_title: String,
+    title: Box<str>,
+    normalized_title: Box<str>,
+    title_key: u64,
     /// Publication year.
     pub year: u32,
     venue_name: Arc<Label>,
-    coauthor_names: Vec<Arc<PersonName>>,
-    keywords: Vec<Arc<Label>>,
+    coauthor_names: Box<[Arc<PersonName>]>,
+    coauthor_filter: u64,
+    keywords: Box<[Arc<Label>]>,
     /// Citation count of this publication, when exposed.
     pub citations: Option<u32>,
 }
@@ -51,13 +56,20 @@ impl SourcePublication {
         keywords: Vec<Arc<Label>>,
         citations: Option<u32>,
     ) -> Self {
+        let normalized_title: Box<str> = normalize_label(&title).into();
+        let coauthor_filter = coauthor_names
+            .iter()
+            .filter_map(|n| n.parsed())
+            .fold(0, |filter, n| filter | key_bits(n.key()));
         SourcePublication {
-            normalized_title: normalize_label(&title),
-            title,
+            title_key: text_key(&normalized_title),
+            normalized_title,
+            title: title.into(),
             year,
             venue_name,
-            coauthor_names,
-            keywords,
+            coauthor_names: coauthor_names.into(),
+            coauthor_filter,
+            keywords: keywords.into(),
             citations,
         }
     }
@@ -73,6 +85,12 @@ impl SourcePublication {
         &self.normalized_title
     }
 
+    /// The [`text_key`] of the normalized title: equal titles have equal
+    /// keys, so a reader compares titles only when the keys match.
+    pub fn title_key(&self) -> u64 {
+        self.title_key
+    }
+
     /// Venue name (not an id — sources expose text).
     pub fn venue_name(&self) -> &Arc<Label> {
         &self.venue_name
@@ -83,6 +101,14 @@ impl SourcePublication {
         &self.coauthor_names
     }
 
+    /// The [`key_bits`] of every co-author's name key, ORed: a name key
+    /// whose bits are not all set here belongs to no co-author, so a
+    /// reader skips this publication's co-author list without touching
+    /// it.
+    pub fn coauthor_filter(&self) -> u64 {
+        self.coauthor_filter
+    }
+
     /// Topic keywords attached to the publication, when the source
     /// exposes them.
     pub fn keywords(&self) -> &[Arc<Label>] {
@@ -90,8 +116,8 @@ impl SourcePublication {
     }
 }
 
-/// Prints the text fields only; the normalized title is a function of
-/// the title.
+/// Prints the text fields only; the normalized title, its key and the
+/// co-author filter are functions of them.
 impl fmt::Debug for SourcePublication {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SourcePublication")
@@ -140,7 +166,11 @@ impl SourceReview {
 }
 
 /// One entry of an affiliation history (ORCID-style).
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Built through [`AffiliationRecord::new`] from shared vocabulary
+/// entries, so it carries the institution's token set and the country's
+/// normal form; `institution` and `country` are the entries' texts.
+#[derive(Clone, PartialEq, Eq)]
 pub struct AffiliationRecord {
     /// Institution name as text.
     pub institution: String,
@@ -150,6 +180,50 @@ pub struct AffiliationRecord {
     pub from_year: u32,
     /// Last year (inclusive).
     pub to_year: u32,
+    institution_entry: Arc<Institution>,
+    country_entry: Arc<Label>,
+}
+
+impl AffiliationRecord {
+    /// An affiliation with `institution`, in `country`, from `from_year`
+    /// to `to_year` inclusive.
+    pub fn new(
+        institution: Arc<Institution>,
+        country: Arc<Label>,
+        from_year: u32,
+        to_year: u32,
+    ) -> Self {
+        AffiliationRecord {
+            institution: institution.text().to_string(),
+            country: country.text().to_string(),
+            from_year,
+            to_year,
+            institution_entry: institution,
+            country_entry: country,
+        }
+    }
+
+    /// The institution's entry: its text and token set.
+    pub(crate) fn institution_entry(&self) -> &Arc<Institution> {
+        &self.institution_entry
+    }
+
+    /// The country's entry: its text and normal form.
+    pub(crate) fn country_entry(&self) -> &Arc<Label> {
+        &self.country_entry
+    }
+}
+
+/// Prints the text fields only; the entries hold the same texts.
+impl fmt::Debug for AffiliationRecord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("AffiliationRecord")
+            .field("institution", &self.institution)
+            .field("country", &self.country)
+            .field("from_year", &self.from_year)
+            .field("to_year", &self.to_year)
+            .finish()
+    }
 }
 
 /// A scholar profile as returned by one source.
@@ -159,7 +233,8 @@ pub struct AffiliationRecord {
 ///
 /// Built through [`SourceProfile::new`], which also sets the merge key.
 /// The fields that feed a comparison form are private and set only
-/// there; the rest are plain data, filled in after construction.
+/// there, as shared entries carrying their forms; the rest are plain
+/// data, filled in after construction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SourceProfile {
     /// Which source produced this profile.
@@ -167,11 +242,10 @@ pub struct SourceProfile {
     /// Opaque per-source profile key (e.g. `"gs:1f3a"`). Stable across
     /// calls; different sources use unrelated keys for the same person.
     pub key: String,
-    display_name: String,
-    affiliation: Option<String>,
+    display_name: Arc<PersonName>,
+    affiliation: Option<Arc<Institution>>,
     merge_key: String,
-    /// Country of the current affiliation, when known.
-    pub country: Option<String>,
+    country: Option<Arc<Label>>,
     /// Full affiliation history (ORCID exposes this; others leave it
     /// empty).
     pub affiliation_history: Vec<AffiliationRecord>,
@@ -195,14 +269,15 @@ pub struct SourceProfile {
 }
 
 impl SourceProfile {
-    /// A profile of `display_name` at `affiliation`, registering
-    /// `interests`, with no country, history, publications, metrics or
-    /// reviews yet.
+    /// A profile of `display_name` at `affiliation` in `country`,
+    /// registering `interests`, with no history, publications, metrics
+    /// or reviews yet.
     pub fn new(
         source: SourceKind,
         key: String,
-        display_name: String,
-        affiliation: Option<String>,
+        display_name: Arc<PersonName>,
+        affiliation: Option<Arc<Institution>>,
+        country: Option<Arc<Label>>,
         interests: Vec<Arc<Label>>,
         truth: ScholarId,
     ) -> Self {
@@ -212,7 +287,7 @@ impl SourceProfile {
             merge_key: merge_key(&display_name, affiliation.as_deref()),
             display_name,
             affiliation,
-            country: None,
+            country,
             affiliation_history: Vec::new(),
             interests,
             publications: Vec::new(),
@@ -225,12 +300,32 @@ impl SourceProfile {
     /// Display name as rendered by the source — may be abbreviated
     /// ("L. Zhou") depending on the source's name noise.
     pub fn display_name(&self) -> &str {
+        self.display_name.text()
+    }
+
+    /// The display name's entry: its text and parse.
+    pub(crate) fn display_name_entry(&self) -> &Arc<PersonName> {
         &self.display_name
     }
 
     /// Current affiliation as text, when known.
     pub fn affiliation(&self) -> Option<&str> {
-        self.affiliation.as_deref()
+        self.affiliation.as_deref().map(Institution::text)
+    }
+
+    /// The current affiliation's entry: its text and token set.
+    pub(crate) fn affiliation_entry(&self) -> Option<&Arc<Institution>> {
+        self.affiliation.as_ref()
+    }
+
+    /// Country of the current affiliation, when known.
+    pub fn country(&self) -> Option<&str> {
+        self.country.as_deref().map(Label::text)
+    }
+
+    /// The country's entry: its text and normal form.
+    pub(crate) fn country_entry(&self) -> Option<&Arc<Label>> {
+        self.country.as_ref()
     }
 
     /// The bucket [`crate::merge_profiles`] files this profile under.
@@ -255,6 +350,15 @@ impl SourceProfile {
 }
 
 #[cfg(test)]
+impl SourcePublication {
+    /// The same publication with its title filed under `key`.
+    pub(crate) fn rekeyed(mut self, key: u64) -> Self {
+        self.title_key = key;
+        self
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::vocab::Vocabulary;
@@ -264,12 +368,12 @@ mod tests {
         let mut p = SourceProfile::new(
             SourceKind::GoogleScholar,
             "gs:1".into(),
-            "Ada Lovelace".into(),
-            Some("University of Tartu".into()),
+            v.name("Ada Lovelace"),
+            Some(v.institution("University of Tartu")),
+            Some(v.label("Estonia")),
             vec![v.label("databases")],
             ScholarId(0),
         );
-        p.country = Some("Estonia".into());
         p.publications = vec![
             Arc::new(SourcePublication::new(
                 "A".into(),

@@ -544,20 +544,20 @@ impl SimulatedSource {
 
         let current_inst = w.institution(s.current_affiliation());
         let (affiliation, country) = (
-            Some(current_inst.name.clone()),
-            Some(current_inst.country.clone()),
+            Some(vocab.institution(&current_inst.name)),
+            Some(vocab.label(&current_inst.country)),
         );
         let affiliation_history = if spec.has_affiliation_history {
             s.affiliations
                 .iter()
                 .map(|a| {
                     let inst = w.institution(a.institution);
-                    AffiliationRecord {
-                        institution: inst.name.clone(),
-                        country: inst.country.clone(),
-                        from_year: a.from_year,
-                        to_year: a.to_year,
-                    }
+                    AffiliationRecord::new(
+                        vocab.institution(&inst.name),
+                        vocab.label(&inst.country),
+                        a.from_year,
+                        a.to_year,
+                    )
                 })
                 .collect()
         } else {
@@ -647,12 +647,12 @@ impl SimulatedSource {
         let mut profile = SourceProfile::new(
             spec.kind,
             self.key_for(id),
-            display_name,
+            vocab.name(&display_name),
             affiliation,
+            country,
             interests,
             id,
         );
-        profile.country = country;
         profile.affiliation_history = affiliation_history;
         profile.publications = publications;
         profile.metrics = metrics;
@@ -1087,7 +1087,8 @@ mod tests {
             SourceProfile::new(
                 SourceKind::GoogleScholar,
                 format!("gs:{}", id.index()),
-                "Late Arrival".into(),
+                store.vocabulary().name("Late Arrival"),
+                None,
                 None,
                 vec![],
                 id,

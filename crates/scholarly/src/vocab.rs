@@ -3,42 +3,69 @@
 //! Merge, COI and ranking compare every retrieved candidate with the
 //! manuscript, and the candidate side of those comparisons reads a few
 //! small vocabularies over and over: venue names, topic labels
-//! (publication keywords and profile interests) and co-author names.
-//! Each distinct string of those is one immutable, `Arc`-shared entry
-//! holding the printed text and its comparison form — the normalized
-//! label or the parsed name — built once, when a profile is built.
-//! Readers then only compare.
+//! (publication keywords and profile interests), countries,
+//! institutions and person names. Each distinct string of those is one
+//! immutable, `Arc`-shared entry holding the printed text and its
+//! comparison form — the normalized label, the token set or the parsed
+//! name — built once, when a profile is built. Readers then only
+//! compare.
 //!
 //! Each source keeps one [`Vocabulary`] beside its profile store, and
 //! only profile construction fills it: the world bounds its size,
 //! requests never grow it.
+//!
+//! Every text in comparison form also carries a 64-bit key, the
+//! [`text_key`] of that form, so a reader compares integers first.
+//! Equal texts have equal keys, but two texts may share a key: a reader
+//! that finds equal keys compares the texts before it counts a match.
 
 use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
-use minaret_concurrent::{ConcurrentMap, ShardedMap};
-use minaret_ontology::normalize_label;
+use minaret_concurrent::{stable_hash, ConcurrentMap, ShardedMap};
+use minaret_ontology::{normalize_label, tokenize};
 
 use crate::name::{parse_name, ParsedName};
 
-/// A label in normal form ([`normalize_label`]). The only constructor
-/// normalizes, so a reader holding one never normalizes it again.
-/// Cloning shares the text.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct NormalizedLabel(Arc<str>);
+/// The key stored with a text in comparison form: the deterministic
+/// [`stable_hash`] of the form. Request-side tables key their entries
+/// with it to meet the forms records carry.
+pub fn text_key(form: &str) -> u64 {
+    stable_hash(form)
+}
+
+/// A label in normal form ([`normalize_label`]) and its [`text_key`].
+/// The only constructor normalizes, so a reader holding one never
+/// normalizes or hashes it again. Cloning shares the text. Equality
+/// compares keys, then texts; order is the order of the texts.
+#[derive(Clone)]
+pub struct NormalizedLabel {
+    text: Arc<str>,
+    key: u64,
+}
 
 impl NormalizedLabel {
     /// The normal form of `raw`.
     #[must_use]
     pub fn new(raw: &str) -> Self {
-        NormalizedLabel(normalize_label(raw).into())
+        let text: Arc<str> = normalize_label(raw).into();
+        NormalizedLabel {
+            key: text_key(&text),
+            text,
+        }
     }
 
     /// The normalized text.
     pub fn as_str(&self) -> &str {
-        &self.0
+        &self.text
+    }
+
+    /// The [`text_key`] of the normalized text.
+    pub fn key(&self) -> u64 {
+        self.key
     }
 }
 
@@ -46,49 +73,159 @@ impl Deref for NormalizedLabel {
     type Target = str;
 
     fn deref(&self) -> &str {
-        &self.0
+        &self.text
     }
 }
 
 impl Borrow<str> for NormalizedLabel {
     fn borrow(&self) -> &str {
-        &self.0
+        &self.text
+    }
+}
+
+impl PartialEq for NormalizedLabel {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key && self.text == other.text
+    }
+}
+
+impl Eq for NormalizedLabel {}
+
+impl PartialOrd for NormalizedLabel {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for NormalizedLabel {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.text.cmp(&other.text)
     }
 }
 
 impl PartialEq<str> for NormalizedLabel {
     fn eq(&self, other: &str) -> bool {
-        &*self.0 == other
+        &*self.text == other
     }
 }
 
 impl PartialEq<&str> for NormalizedLabel {
     fn eq(&self, other: &&str) -> bool {
-        &*self.0 == *other
+        &*self.text == *other
     }
 }
 
 impl PartialEq<String> for NormalizedLabel {
     fn eq(&self, other: &String) -> bool {
-        *self.0 == **other
+        *self.text == **other
     }
 }
 
 impl fmt::Debug for NormalizedLabel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&*self.0, f)
+        fmt::Debug::fmt(&*self.text, f)
     }
 }
 
 impl fmt::Display for NormalizedLabel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Display::fmt(&*self.0, f)
+        fmt::Display::fmt(&*self.text, f)
     }
 }
 
-/// A topic label or venue name: the printed text and its normalized
-/// form. Immutable, so the two cannot disagree. `Debug` and `Display`
-/// print the text exactly as a `String` holding it would.
+/// A string's normalized word tokens, each with its [`text_key`],
+/// sorted by key and deduplicated: the form in which institution names
+/// are compared ([`TokenSet::jaccard`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TokenSet(Vec<(u64, String)>);
+
+impl TokenSet {
+    /// Tokenizes `s`.
+    pub fn new(s: &str) -> Self {
+        let mut tokens: Vec<(u64, String)> =
+            tokenize(s).into_iter().map(|t| (text_key(&t), t)).collect();
+        tokens.sort_unstable();
+        tokens.dedup();
+        TokenSet(tokens)
+    }
+
+    /// Jaccard similarity of the two sets; `0.0` when both are empty.
+    /// Tokens are compared by key, and by text only when the keys are
+    /// equal.
+    pub fn jaccard(&self, other: &TokenSet) -> f64 {
+        let (a, b) = (&self.0, &other.0);
+        if a.is_empty() && b.is_empty() {
+            return 0.0;
+        }
+        let (mut i, mut j, mut inter) = (0, 0, 0usize);
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0).then_with(|| a[i].1.cmp(&b[j].1)) {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => {
+                    inter += 1;
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        inter as f64 / (a.len() + b.len() - inter) as f64
+    }
+}
+
+/// An institution name: the printed text, its normal form and its
+/// token set. Immutable, so the three cannot disagree. `Debug` and
+/// `Display` print the text exactly as a `String` holding it would.
+#[derive(PartialEq, Eq)]
+pub struct Institution {
+    text: Box<str>,
+    normalized: Box<str>,
+    tokens: TokenSet,
+}
+
+impl Institution {
+    /// The entry for `text`.
+    #[must_use]
+    pub fn new(text: &str) -> Self {
+        Institution {
+            text: text.into(),
+            normalized: normalize_label(text).into(),
+            tokens: TokenSet::new(text),
+        }
+    }
+
+    /// The name as printed by the source.
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+
+    /// The name in normal form ([`normalize_label`]).
+    pub fn normalized(&self) -> &str {
+        &self.normalized
+    }
+
+    /// The name's token set: what the shared-institution COI signal
+    /// compares.
+    pub fn tokens(&self) -> &TokenSet {
+        &self.tokens
+    }
+}
+
+impl fmt::Debug for Institution {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.text, f)
+    }
+}
+
+impl fmt::Display for Institution {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&*self.text, f)
+    }
+}
+
+/// A topic label, venue name or country: the printed text and its
+/// normalized form. Immutable, so the two cannot disagree. `Debug` and
+/// `Display` print the text exactly as a `String` holding it would.
 #[derive(PartialEq, Eq)]
 pub struct Label {
     text: Box<str>,
@@ -131,7 +268,7 @@ impl fmt::Display for Label {
 /// A person's name: the printed text and its parse ([`parse_name`];
 /// `None` for a name the parser rejects). Immutable, so the two cannot
 /// disagree. `Debug` and `Display` print the text exactly as a `String`
-/// holding it would.
+/// holding it would, and it dereferences to the text.
 #[derive(PartialEq, Eq)]
 pub struct PersonName {
     text: Box<str>,
@@ -159,6 +296,14 @@ impl PersonName {
     }
 }
 
+impl Deref for PersonName {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.text
+    }
+}
+
 impl fmt::Debug for PersonName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(&*self.text, f)
@@ -174,13 +319,14 @@ impl fmt::Display for PersonName {
 /// One source's table from printed text to shared entry. Thread-safe:
 /// profiles of one source are built concurrently.
 ///
-/// Only profile construction calls [`Vocabulary::label`] and
-/// [`Vocabulary::name`], so the table holds the source's world
-/// vocabulary and nothing a request brought.
+/// Only profile construction calls [`Vocabulary::label`],
+/// [`Vocabulary::name`] and [`Vocabulary::institution`], so the table
+/// holds the source's world vocabulary and nothing a request brought.
 #[derive(Default)]
 pub struct Vocabulary {
     labels: ShardedMap<Box<str>, Arc<Label>>,
     names: ShardedMap<Box<str>, Arc<PersonName>>,
+    institutions: ShardedMap<Box<str>, Arc<Institution>>,
 }
 
 impl Vocabulary {
@@ -190,8 +336,8 @@ impl Vocabulary {
         Self::default()
     }
 
-    /// The shared entry for a topic label or venue name printed as
-    /// `text`, built on first sight.
+    /// The shared entry for a topic label, venue name or country
+    /// printed as `text`, built on first sight.
     pub fn label(&self, text: &str) -> Arc<Label> {
         shared(&self.labels, text, Label::new)
     }
@@ -202,9 +348,15 @@ impl Vocabulary {
         shared(&self.names, text, PersonName::new)
     }
 
+    /// The shared entry for an institution printed as `text`, built on
+    /// first sight.
+    pub fn institution(&self, text: &str) -> Arc<Institution> {
+        shared(&self.institutions, text, Institution::new)
+    }
+
     /// Number of entries held.
     pub fn len(&self) -> usize {
-        self.labels.len() + self.names.len()
+        self.labels.len() + self.names.len() + self.institutions.len()
     }
 
     /// True when no entry has been built yet.

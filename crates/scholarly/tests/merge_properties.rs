@@ -31,8 +31,9 @@ fn arb_profile() -> impl Strategy<Value = SourceProfile> {
             let mut p = SourceProfile::new(
                 source,
                 format!("{}:{person}", source.prefix()),
-                name.to_string(),
-                aff.map(str::to_string),
+                vocab.name(name),
+                aff.map(|a| vocab.institution(a)),
+                None,
                 interests.iter().map(|i| vocab.label(i)).collect(),
                 ScholarId(person),
             );

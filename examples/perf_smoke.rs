@@ -25,8 +25,14 @@
 //! allocator and fails when they regress more than
 //! [`ALLOC_REGRESSION_HEADROOM`] over the committed baseline — the guard
 //! for the zero-copy extraction work (Arc-shared profiles and vocabulary
-//! entries, single-flight coalescing). Counts are exact, so this gate
-//! does not depend on the machine.
+//! entries, single-flight coalescing). It counts two manuscripts: one
+//! whose filter and rank phases run on every core and one retrieving
+//! fewer candidates than `chunked_map` splits, which maps inline. For
+//! each it also runs `CandidateFilter::decide` over every kept
+//! candidate and `CandidateScorer::score` over every candidate on one
+//! thread, and fails unless that pass allocates nothing: the
+//! per-candidate phases only compare forms built with the profiles.
+//! Counts are exact, so these gates do not depend on the machine.
 //!
 //! `--record` re-measures and writes the committed baseline,
 //! `BENCH_e7_scalability.json`. Run it (release mode, with
@@ -45,9 +51,15 @@ use std::time::{Duration, Instant};
 static ALLOC: alloc::CountingAllocator = alloc::CountingAllocator;
 
 use minaret::concurrent::{ConcurrentMap, ShardedMap, SingleLockMap};
+#[cfg(feature = "count-allocs")]
+use minaret::core::filter::CandidateFilter;
+#[cfg(feature = "count-allocs")]
+use minaret::core::rank::CandidateScorer;
 use minaret::http::{KeepAliveConfig, Method, Request, Server, ServerConfig};
 use minaret::json::{parse, Value};
 use minaret::prelude::*;
+#[cfg(feature = "count-allocs")]
+use minaret::scholarly::MergedCandidate;
 use minaret::synth::LazyWorld;
 use minaret_server::{build_router, AppState};
 use minaret_telemetry::Telemetry;
@@ -67,8 +79,15 @@ const LATENCY_MICROS: u64 = 500;
 
 /// Allowed growth in warm-path allocations per recommendation over the
 /// committed baseline (only checked under `--features count-allocs`).
+/// The counts are exact up to scheduling: repeated runs of one tree
+/// differ by a few allocations in thousands.
 #[cfg(feature = "count-allocs")]
-const ALLOC_REGRESSION_HEADROOM: f64 = 1.25;
+const ALLOC_REGRESSION_HEADROOM: f64 = 1.01;
+
+/// The measured manuscripts' names and baseline key prefixes: the
+/// 3-keyword one's keys carry no prefix.
+#[cfg(feature = "count-allocs")]
+const ALLOC_MANUSCRIPTS: [(&str, &str); 2] = [("wide", ""), ("narrow", "narrow_")];
 
 /// World size of the cold-start point: a lazy cold start over a
 /// streamed snapshot of this many scholars must beat regenerating it.
@@ -565,17 +584,39 @@ fn measure_world_point() -> WorldPoint {
     }
 }
 
-/// Warm-path allocation counts per recommendation: `(allocs, bytes)`
-/// for a cached registry and for the uncached pipeline default.
+/// One measured manuscript's allocation counts.
 #[cfg(feature = "count-allocs")]
-fn measure_allocs() -> ((u64, u64), (u64, u64)) {
+struct AllocCounts {
+    /// `(allocs, bytes)` per warm recommendation over cached sources.
+    cached: (u64, u64),
+    /// `(allocs, bytes)` per warm recommendation over the uncached
+    /// pipeline default.
+    uncached: (u64, u64),
+    /// Allocations of one pass of `CandidateFilter::decide` over every
+    /// kept candidate and `CandidateScorer::score` over every candidate,
+    /// after a warm-up pass, on this thread.
+    per_candidate: u64,
+    /// Candidates the recommendation retrieves.
+    candidates: usize,
+}
+
+/// Allocation counts of the two measured manuscripts: a 3-keyword one
+/// whose filter and rank phases take `chunked_map`'s parallel path, and
+/// a 1-keyword one retrieving fewer than `MIN_PARALLEL_ITEMS`
+/// candidates, whose phases map inline.
+#[cfg(feature = "count-allocs")]
+fn measure_allocs() -> [AllocCounts; 2] {
+    use minaret::concurrent::MIN_PARALLEL_ITEMS;
     use minaret::eval::harness::{EvalContext, ScenarioConfig};
 
-    fn per_rec(cached: bool) -> (u64, u64) {
+    fn context(cached: bool) -> EvalContext {
         let mut scenario = ScenarioConfig::sized(SCHOLARS);
         scenario.source_latency_micros = 0;
         scenario.cached = cached;
-        let ctx = EvalContext::build(scenario);
+        EvalContext::build(scenario)
+    }
+
+    fn wide(ctx: &EvalContext) -> ManuscriptDetails {
         let sub = ctx.submissions(1, 0xE7).pop().expect("submission");
         let mut manuscript = ctx.manuscript_for(&sub);
         let mut topics = ctx.ontology.topics().map(|t| t.label.clone());
@@ -585,15 +626,37 @@ fn measure_allocs() -> ((u64, u64), (u64, u64)) {
                 manuscript.keywords.push(label);
             }
         }
+        manuscript
+    }
+
+    /// The wide manuscript with one keyword instead: the first curated
+    /// topic whose search retrieves fewer than `MIN_PARALLEL_ITEMS`
+    /// candidates and still recommends some.
+    fn narrow(ctx: &EvalContext, wide: &ManuscriptDetails) -> ManuscriptDetails {
+        ctx.ontology
+            .topics()
+            .map(|t| ManuscriptDetails {
+                keywords: vec![t.label.clone()],
+                ..wide.clone()
+            })
+            .find(|m| {
+                ctx.minaret.recommend(m).is_ok_and(|r| {
+                    r.candidates_retrieved < MIN_PARALLEL_ITEMS && !r.recommendations.is_empty()
+                })
+            })
+            .expect("some topic retrieves a small candidate set")
+    }
+
+    fn per_rec(ctx: &EvalContext, manuscript: &ManuscriptDetails) -> (u64, u64) {
         // Warm caches, lazy profile stores and their vocabularies,
         // worker pools.
         for _ in 0..2 {
-            let _ = ctx.minaret.recommend(&manuscript).unwrap();
+            let _ = ctx.minaret.recommend(manuscript).unwrap();
         }
         const N: u64 = 5;
         let before = alloc::snapshot();
         for _ in 0..N {
-            let _ = std::hint::black_box(ctx.minaret.recommend(&manuscript).unwrap());
+            let _ = std::hint::black_box(ctx.minaret.recommend(manuscript).unwrap());
         }
         let after = alloc::snapshot();
         (
@@ -602,23 +665,85 @@ fn measure_allocs() -> ((u64, u64), (u64, u64)) {
         )
     }
 
-    (per_rec(true), per_rec(false))
+    /// `parse_name`, `normalize_label` and `TokenSet::new` all allocate,
+    /// so a pass that allocates nothing derived none of them.
+    fn per_candidate(ctx: &EvalContext, manuscript: &ManuscriptDetails) -> (u64, usize) {
+        let batch = ctx
+            .minaret
+            .extract_batch(std::slice::from_ref(manuscript))
+            .expect("the manuscript extracts");
+        let paper = &batch.papers[0];
+        let config = ctx.minaret.config();
+        let filter = CandidateFilter::new(&paper.author_records, config);
+        let scorer = CandidateScorer::new(&paper.expansion_sets, &manuscript.target_venue, config);
+        let candidates: Vec<(&MergedCandidate, f64)> = paper
+            .matches
+            .iter()
+            .map(|m| (&batch.pool[m.pool_index], m.keyword_score))
+            .collect();
+        let kept: Vec<(&MergedCandidate, f64)> = candidates
+            .iter()
+            .copied()
+            .filter(|&(c, score)| filter.decide(c, score).kept())
+            .collect();
+        assert!(!kept.is_empty(), "the measured manuscript keeps candidates");
+        let pass = || {
+            for &(c, score) in &kept {
+                std::hint::black_box(filter.decide(c, score));
+            }
+            for &(c, _) in &candidates {
+                std::hint::black_box(scorer.score(c));
+            }
+        };
+        pass();
+        let before = alloc::snapshot();
+        pass();
+        (alloc::snapshot().allocs_since(&before), candidates.len())
+    }
+
+    let (cached, uncached) = (context(true), context(false));
+    let wide = wide(&uncached);
+    let narrow = narrow(&uncached, &wide);
+    [wide, narrow].map(|manuscript| {
+        let (per_candidate, candidates) = per_candidate(&uncached, &manuscript);
+        AllocCounts {
+            cached: per_rec(&cached, &manuscript),
+            uncached: per_rec(&uncached, &manuscript),
+            per_candidate,
+            candidates,
+        }
+    })
 }
 
 fn main() {
     let record = std::env::args().any(|a| a == "--record");
 
     #[cfg(feature = "count-allocs")]
-    let ((warm_allocs, warm_bytes), (uncached_allocs, uncached_bytes)) = {
+    let alloc_counts = {
         assert!(
             alloc::is_counting(),
             "count-allocs builds install the counting allocator"
         );
         let counts = measure_allocs();
-        println!(
-            "alloc smoke: warm {} allocs/rec ({} bytes)  uncached {} allocs/rec ({} bytes)",
-            counts.0 .0, counts.0 .1, counts.1 .0, counts.1 .1
-        );
+        for ((name, _), c) in ALLOC_MANUSCRIPTS.iter().zip(&counts) {
+            println!(
+                "alloc smoke ({name}, {} candidates): warm {} allocs/rec ({} bytes)  uncached {} \
+                 allocs/rec ({} bytes)  filter+rank per-candidate pass {} allocs",
+                c.candidates, c.cached.0, c.cached.1, c.uncached.0, c.uncached.1, c.per_candidate
+            );
+        }
+        // Exact gate: deciding and scoring candidates derives nothing.
+        for ((name, _), c) in ALLOC_MANUSCRIPTS.iter().zip(&counts) {
+            if c.per_candidate != 0 {
+                eprintln!(
+                    "FAIL: CandidateFilter::decide and CandidateScorer::score made {} allocations \
+                     over the {name} manuscript's {} candidates; they must make none",
+                    c.per_candidate, c.candidates
+                );
+                std::process::exit(1);
+            }
+        }
+        println!("OK: filter and rank made 0 allocations per candidate on both manuscripts");
         counts
     };
 
@@ -763,12 +888,18 @@ fn main() {
                 world.regen.as_millis() as u64,
             );
         #[cfg(feature = "count-allocs")]
-        {
+        for ((_, prefix), c) in ALLOC_MANUSCRIPTS.iter().zip(&alloc_counts) {
             json = json
-                .set("warm_allocs_per_rec", warm_allocs)
-                .set("warm_alloc_bytes_per_rec", warm_bytes)
-                .set("uncached_warm_allocs_per_rec", uncached_allocs)
-                .set("uncached_warm_alloc_bytes_per_rec", uncached_bytes);
+                .set(&format!("{prefix}warm_allocs_per_rec"), c.cached.0)
+                .set(&format!("{prefix}warm_alloc_bytes_per_rec"), c.cached.1)
+                .set(
+                    &format!("{prefix}uncached_warm_allocs_per_rec"),
+                    c.uncached.0,
+                )
+                .set(
+                    &format!("{prefix}uncached_warm_alloc_bytes_per_rec"),
+                    c.uncached.1,
+                );
         }
         std::fs::write(BASELINE_PATH, json.to_pretty_string() + "\n")
             .expect("baseline file is writable");
@@ -807,11 +938,21 @@ fn main() {
     );
 
     #[cfg(feature = "count-allocs")]
-    for (field, measured) in [
-        ("warm_allocs_per_rec", warm_allocs),
-        ("uncached_warm_allocs_per_rec", uncached_allocs),
-    ] {
-        let Some(base) = baseline.get(field).and_then(|v| v.as_u64()) else {
+    for (field, measured) in
+        ALLOC_MANUSCRIPTS
+            .iter()
+            .zip(&alloc_counts)
+            .flat_map(|((_, prefix), c)| {
+                [
+                    (format!("{prefix}warm_allocs_per_rec"), c.cached.0),
+                    (
+                        format!("{prefix}uncached_warm_allocs_per_rec"),
+                        c.uncached.0,
+                    ),
+                ]
+            })
+    {
+        let Some(base) = baseline.get(&field).and_then(|v| v.as_u64()) else {
             eprintln!(
                 "FAIL: baseline {BASELINE_PATH} lacks {field}; re-record with --features count-allocs"
             );
@@ -830,6 +971,4 @@ fn main() {
             (ALLOC_REGRESSION_HEADROOM - 1.0) * 100.0
         );
     }
-    #[cfg(feature = "count-allocs")]
-    let _ = (warm_bytes, uncached_bytes);
 }

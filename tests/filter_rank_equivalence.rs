@@ -19,6 +19,11 @@
 //! and off, PC lists on and off, and keyword sets with labels no
 //! candidate has are covered. Decisions must be equal, COI reasons and
 //! institution strings included; scores must be bitwise equal.
+//!
+//! Names, titles and labels are compared by key first. One draw fills
+//! every name with people who share a key but not an identity ("Lei
+//! Zhou", "Li Zhou", "L. Zhou") and every title with texts equal only
+//! after normalization, so that each key hit must be confirmed.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -31,8 +36,8 @@ use minaret::core::{
     KeywordExpansionSet, ScoreBreakdown,
 };
 use minaret::scholarly::{
-    AffiliationRecord, Label, MergedCandidate, NormalizedLabel, PersonName, SourceMetrics,
-    SourcePublication, SourceReview,
+    AffiliationRecord, Institution, Label, MergedCandidate, NormalizedLabel, PersonName,
+    SourceMetrics, SourcePublication, SourceReview,
 };
 use proptest::prelude::*;
 
@@ -572,35 +577,55 @@ fn publication_listing(d: &mut Draw, coauthor: Option<&str>) -> Arc<SourcePublic
 }
 
 fn candidate(d: &mut Draw) -> MergedCandidate {
-    MergedCandidate {
-        display_name: name(d),
-        affiliation: d.some(80, |d| d.pick(INSTITUTIONS).to_string()),
-        country: d.some(70, |d| d.pick(COUNTRIES).to_string()),
-        affiliation_history: d.many(2, |d| AffiliationRecord {
-            institution: d.pick(INSTITUTIONS).to_string(),
-            country: d.pick(COUNTRIES).to_string(),
-            from_year: 2000,
-            to_year: 2010,
-        }),
-        interests: d.many(4, |d| NormalizedLabel::new(d.pick(LABELS))),
-        publications: d.many(5, publication),
-        metrics: SourceMetrics {
-            citations: d.some(80, |d| d.below(5_000) as u64),
-            h_index: d.some(80, |d| d.below(60) as u32),
-            i10_index: None,
-        },
-        reviews: d.many(4, |d| {
-            Arc::new(SourceReview::new(
-                Arc::new(Label::new(d.pick(VENUES))),
-                2005 + d.below(15) as u32,
-                5 + d.below(100) as u32,
-                d.some(50, |d| 1 + d.below(5) as u8),
-            ))
-        }),
-        sources: vec![],
-        keys: vec![],
-        truths: vec![],
-    }
+    let display_name = name(d);
+    let affiliation = d.some(80, |d| d.pick(INSTITUTIONS).to_string());
+    let country = d.some(70, |d| d.pick(COUNTRIES).to_string());
+    let affiliation_history = d.many(2, |d| {
+        AffiliationRecord::new(
+            Arc::new(Institution::new(d.pick(INSTITUTIONS))),
+            Arc::new(Label::new(d.pick(COUNTRIES))),
+            2000,
+            2010,
+        )
+    });
+    let mut candidate = MergedCandidate::new(
+        &display_name,
+        affiliation.as_deref(),
+        country.as_deref(),
+        affiliation_history,
+    );
+    candidate.interests = d.many(4, |d| NormalizedLabel::new(d.pick(LABELS)));
+    candidate.publications = d.many(5, publication);
+    candidate.metrics = SourceMetrics {
+        citations: d.some(80, |d| d.below(5_000) as u64),
+        h_index: d.some(80, |d| d.below(60) as u32),
+        i10_index: None,
+    };
+    candidate.reviews = d.many(4, |d| {
+        Arc::new(SourceReview::new(
+            Arc::new(Label::new(d.pick(VENUES))),
+            2005 + d.below(15) as u32,
+            5 + d.below(100) as u32,
+            d.some(50, |d| 1 + d.below(5) as u8),
+        ))
+    });
+    candidate
+}
+
+/// `cand` built again through the constructor, after a draw replaced
+/// its name or affiliation, so that its comparison forms follow.
+fn rebuilt(cand: MergedCandidate) -> MergedCandidate {
+    let mut fresh = MergedCandidate::new(
+        &cand.display_name,
+        cand.affiliation.as_deref(),
+        cand.country.as_deref(),
+        cand.affiliation_history,
+    );
+    fresh.interests = cand.interests;
+    fresh.publications = cand.publications;
+    fresh.metrics = cand.metrics;
+    fresh.reviews = cand.reviews;
+    fresh
 }
 
 /// One manuscript author: typed fields plus an optional verified profile,
@@ -727,6 +752,7 @@ proptest! {
                     .push(publication_listing(&mut d, Some(authors[pick].name()))),
                 _ => cand.affiliation = Some(d.pick(INSTITUTIONS).to_string()),
             }
+            let cand = rebuilt(cand);
             prop_assert_eq!(
                 filter.decide(&cand, 1.0),
                 reference::filter_candidate(&cand, 1.0, &reference_authors, &config)
@@ -833,4 +859,99 @@ fn every_level_and_pc_setting_is_exercised() {
             "{outcome} never decided: {outcomes:?}"
         );
     }
+}
+
+/// People who share a key (family name and first initial) but not always
+/// an identity, and one who does not share it.
+const SHARED_KEY_NAMES: &[&str] = &[
+    "Lei Zhou",
+    "Li Zhou",
+    "L. Zhou",
+    "Zhou, Li",
+    "LEI  ZHOU",
+    "Ling Zhou",
+    "Ming Zhou",
+];
+/// Titles equal only after normalization, and near misses.
+const NORMALIZED_TITLES: &[&str] = &[
+    "Scalable SPARQL Processing",
+    "scalable  sparql PROCESSING",
+    "Scalable SPARQL Processing.",
+    "SCALABLE-SPARQL-PROCESSING",
+    "Scalable SPARQL Processings",
+];
+
+fn shared_key_publication(d: &mut Draw) -> Arc<SourcePublication> {
+    Arc::new(SourcePublication::new(
+        d.pick(NORMALIZED_TITLES).to_string(),
+        2000 + d.below(21) as u32,
+        Arc::new(Label::new(d.pick(VENUES))),
+        d.many(3, |d| Arc::new(PersonName::new(d.pick(SHARED_KEY_NAMES)))),
+        vec![],
+        None,
+    ))
+}
+
+fn shared_key_candidate(d: &mut Draw) -> MergedCandidate {
+    let mut cand = rebuilt({
+        let mut cand = candidate(d);
+        cand.display_name = d.pick(SHARED_KEY_NAMES).to_string();
+        cand
+    });
+    cand.publications = d.many(4, shared_key_publication);
+    cand
+}
+
+#[test]
+fn every_key_hit_is_confirmed_on_names_and_titles() {
+    let mut conflicted = 0;
+    let mut clean = 0;
+    for seed in 0..400 {
+        let mut d = Draw(seed);
+        let config = EditorConfig {
+            coi: CoiConfig {
+                coauthorship: true,
+                affiliation_level: AffiliationMatchLevel::Off,
+                ..Default::default()
+            },
+            pc_members: d.some(30, |d| vec![d.pick(SHARED_KEY_NAMES).to_string()]),
+            ..Default::default()
+        };
+        let (authors, reference_authors): (Vec<_>, Vec<_>) = (0..1 + d.below(3))
+            .map(|_| {
+                let name = d.pick(SHARED_KEY_NAMES);
+                let profile = d.some(70, shared_key_candidate);
+                (
+                    AuthorRecord::from_parts(name, None, None, profile.as_ref()),
+                    reference::AuthorRecord::from_parts(name, None, None, profile.as_ref()),
+                )
+            })
+            .unzip();
+        let filter = CandidateFilter::new(&authors, &config);
+        for _ in 0..8 {
+            let cand = shared_key_candidate(&mut d);
+            let verdict = check_coi(&cand, &authors, &config.coi);
+            assert_eq!(
+                verdict,
+                reference::check_coi(&cand, &reference_authors, &config.coi),
+                "seed {seed}"
+            );
+            assert_eq!(
+                filter.decide(&cand, 1.0),
+                reference::filter_candidate(&cand, 1.0, &reference_authors, &config),
+                "seed {seed}"
+            );
+            if verdict.conflicted() {
+                conflicted += 1;
+            } else {
+                clean += 1;
+            }
+        }
+    }
+    // Every name shares a key with some author, so both outcomes must
+    // occur for the key hits to have been judged.
+    assert!(
+        conflicted > 100 && clean > 100,
+        "{conflicted} conflicted, {clean} clean"
+    );
 }

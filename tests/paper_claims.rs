@@ -55,20 +55,13 @@ fn s1_dblp_growth_calibration() {
 #[test]
 fn s2_2_coi_configurability() {
     use minaret::core::coi::{check_coi, AuthorRecord};
-    use minaret::scholarly::{MergedCandidate, SourceMetrics};
-    let candidate = MergedCandidate {
-        display_name: "Reviewer X".into(),
-        affiliation: Some("University of Tartu".into()),
-        country: Some("Estonia".into()),
-        affiliation_history: vec![],
-        interests: vec![],
-        publications: vec![],
-        metrics: SourceMetrics::default(),
-        reviews: vec![],
-        sources: vec![],
-        keys: vec![],
-        truths: vec![],
-    };
+    use minaret::scholarly::MergedCandidate;
+    let candidate = MergedCandidate::new(
+        "Reviewer X",
+        Some("University of Tartu"),
+        Some("Estonia"),
+        vec![],
+    );
     let author = AuthorRecord::from_parts(
         "Author Y",
         Some("Tallinn University of Technology"),
