@@ -98,6 +98,9 @@ cargo test -q --test assign_concurrency
 echo "==> per-request filter/rank vs the per-candidate reference: cargo test --test filter_rank_equivalence"
 cargo test -q --test filter_rank_equivalence
 
+echo "==> candidates that hold their profiles vs the copying merge and key-text retrieval: cargo test --test merge_equivalence"
+cargo test -q --test merge_equivalence
+
 echo "==> request strings never grow a source's vocabulary table or profile store: cargo test --test interner_bound"
 cargo test -q --test interner_bound
 
@@ -138,7 +141,11 @@ rm -rf "$SYNTH_DIR"
 # lock-contention sweep (1, 2, 4, 8 threads), where the sharded map must
 # beat the single lock at 4 threads and keep its 1-thread throughput
 # within 1.25x of the committed baseline; and the 10^5-scholar lazy cold
-# start, which must beat regenerating the world in the same run.
+# start, which must beat regenerating the world in the same run. Under
+# count-allocs it also gates allocations: none per candidate in decide
+# and score, and a merge whose allocations stay within a constant per
+# candidate (its profile list, plus a bit set per deduped list that
+# drops a copy), however many records the candidate's profiles list.
 echo "==> perf smoke: conn-scaling sweep + lock contention + 10^5 lazy cold start vs regeneration (BENCH_e7_scalability.json)"
 cargo run -q --release --example perf_smoke
 

@@ -549,8 +549,8 @@ impl Assigner {
                         let cand = &ext.pool[r];
                         AssignedReviewer {
                             pool_index: r,
-                            name: cand.display_name.clone(),
-                            affiliation: cand.affiliation.clone(),
+                            name: cand.display_name().to_string(),
+                            affiliation: cand.affiliation().map(str::to_string),
                             score: s,
                             truth: cand.dominant_truth(),
                         }
@@ -572,7 +572,7 @@ impl Assigner {
             .iter()
             .map(|(&r, &load)| ReviewerLoad {
                 pool_index: r,
-                name: ext.pool[r].display_name.clone(),
+                name: ext.pool[r].display_name().to_string(),
                 load,
             })
             .collect();

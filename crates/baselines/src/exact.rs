@@ -60,20 +60,19 @@ impl Recommender for ExactKeywordRecommender {
             .collect();
         let mut out: Vec<RankedCandidate> = merged
             .into_iter()
-            .filter(|m| !author_names.contains(&normalize_label(&m.display_name)))
+            .filter(|m| !author_names.contains(&normalize_label(m.display_name())))
             .map(|m| {
                 let hits = m
-                    .sources
-                    .iter()
-                    .zip(&m.keys)
-                    .filter_map(|(s, key)| matched.get(&(*s, key.clone())))
+                    .sources()
+                    .zip(m.keys())
+                    .filter_map(|(s, key)| matched.get(&(s, key.to_string())))
                     .copied()
                     .max()
                     .unwrap_or(0);
                 RankedCandidate {
-                    name: m.display_name.clone(),
+                    name: m.display_name().to_string(),
                     score: hits as f64 / keywords.len() as f64,
-                    truths: m.truths,
+                    truths: m.truths().collect(),
                 }
             })
             .collect();

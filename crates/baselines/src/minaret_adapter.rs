@@ -35,7 +35,7 @@ impl Recommender for MinaretRecommender {
                 .map(|r| RankedCandidate {
                     name: r.name,
                     score: r.total,
-                    truths: r.candidate.truths,
+                    truths: r.candidate.truths().collect(),
                 })
                 .collect(),
             Err(_) => Vec::new(),

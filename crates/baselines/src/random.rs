@@ -24,7 +24,7 @@ impl RandomRecommender {
         Self {
             pool: pool
                 .iter()
-                .map(|c| (c.display_name.clone(), c.truths.clone()))
+                .map(|c| (c.display_name().to_string(), c.truths().collect()))
                 .collect(),
             seed,
         }
@@ -66,14 +66,22 @@ impl Recommender for RandomRecommender {
 mod tests {
     use super::*;
     use minaret_core::AuthorInput;
+    use minaret_scholarly::{PersonName, SourceKind, SourceProfile};
+    use std::sync::Arc;
 
     fn pool(n: usize) -> Vec<MergedCandidate> {
         (0..n)
             .map(|i| {
-                let mut candidate =
-                    MergedCandidate::new(&format!("Scholar Number{i}"), None, None, vec![]);
-                candidate.truths = vec![ScholarId(i as u32)];
-                candidate
+                let profile = SourceProfile::new(
+                    SourceKind::Dblp,
+                    format!("dblp:{i}"),
+                    Arc::new(PersonName::new(&format!("Scholar Number{i}"))),
+                    None,
+                    None,
+                    vec![],
+                    ScholarId(i as u32),
+                );
+                MergedCandidate::from_profiles(vec![Arc::new(profile)])
             })
             .collect()
     }

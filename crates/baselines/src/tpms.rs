@@ -31,9 +31,13 @@ impl TpmsRecommender {
         let mut names = Vec::with_capacity(pool.len());
         let mut truths = Vec::with_capacity(pool.len());
         for cand in pool {
-            let interests = cand.interests.join(" ");
+            let interests = cand
+                .interests()
+                .map(|i| i.as_str())
+                .collect::<Vec<_>>()
+                .join(" ");
             let mut pub_text = String::new();
-            for p in &cand.publications {
+            for p in cand.publications() {
                 pub_text.push_str(p.title());
                 pub_text.push(' ');
                 for k in p.keywords() {
@@ -42,8 +46,8 @@ impl TpmsRecommender {
                 }
             }
             builder.add_weighted_document(&[(interests.as_str(), 3), (pub_text.as_str(), 1)]);
-            names.push(cand.display_name.clone());
-            truths.push(cand.truths.clone());
+            names.push(cand.display_name().to_string());
+            truths.push(cand.truths().collect());
         }
         Self {
             index: builder.build(),

@@ -235,12 +235,11 @@ fn cmd_verify(args: &[String], world: WorldOpts, out: &mut dyn std::io::Write) -
             out,
             "{:>3}. {:<24} {:<30} score {:.2}  [{}]",
             i + 1,
-            m.candidate.display_name,
-            m.candidate.affiliation.as_deref().unwrap_or("-"),
+            m.candidate.display_name(),
+            m.candidate.affiliation().unwrap_or("-"),
             m.score,
             m.candidate
-                .sources
-                .iter()
+                .sources()
                 .map(|s| s.to_string())
                 .collect::<Vec<_>>()
                 .join("+"),

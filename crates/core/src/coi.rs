@@ -76,13 +76,13 @@ impl AuthorRecord {
         let mut titles: Vec<&str> = Vec::new();
         let mut coauthors: Vec<&str> = Vec::new();
         if let Some(p) = profile {
-            institutions.extend(p.affiliation.as_deref());
-            countries.extend(p.country.as_deref());
-            for h in &p.affiliation_history {
+            institutions.extend(p.affiliation());
+            countries.extend(p.country());
+            for h in p.affiliation_history() {
                 institutions.push(&h.institution);
                 countries.push(&h.country);
             }
-            for publ in &p.publications {
+            for publ in p.publications() {
                 titles.push(publ.title());
                 coauthors.extend(publ.coauthor_names().iter().map(|n| n.text()));
             }
@@ -301,7 +301,7 @@ impl<'a> CoiCheck<'a> {
         let named = names
             .iter()
             .fold(0u64, |m, &(_, _, i)| m | 1 << (i - first));
-        for p in &candidate.publications {
+        for p in candidate.publications() {
             if links & named == named {
                 break;
             }
@@ -340,7 +340,7 @@ impl<'a> CoiCheck<'a> {
     ) -> u64 {
         let block = first..first + authors.len() as u32;
         let mut links = 0u64;
-        for p in &candidate.publications {
+        for p in candidate.publications() {
             for &author in self.titles.get(p.title_key(), p.normalized_title()) {
                 if block.contains(&author) {
                     links |= 1 << (author - first);
@@ -376,8 +376,40 @@ mod tests {
     use minaret_synth::ScholarId;
     use std::sync::Arc;
 
+    /// A candidate of one profile, with `history`, listing
+    /// `publications`.
+    fn profile_candidate(
+        name: &str,
+        aff: Option<&str>,
+        country: Option<&str>,
+        history: Vec<AffiliationRecord>,
+        publications: Vec<Arc<SourcePublication>>,
+    ) -> MergedCandidate {
+        let v = Vocabulary::new();
+        let mut profile = SourceProfile::new(
+            SourceKind::GoogleScholar,
+            "gs:1".into(),
+            v.name(name),
+            aff.map(|a| v.institution(a)),
+            country.map(|c| v.label(c)),
+            vec![],
+            ScholarId(1),
+        )
+        .with_publications(publications);
+        profile.affiliation_history = history;
+        MergedCandidate::from_profiles(vec![Arc::new(profile)])
+    }
+
     fn candidate(name: &str, aff: Option<&str>, country: Option<&str>) -> MergedCandidate {
-        MergedCandidate::new(name, aff, country, vec![])
+        profile_candidate(name, aff, country, vec![], vec![])
+    }
+
+    fn listing(
+        name: &str,
+        aff: Option<&str>,
+        publication: Arc<SourcePublication>,
+    ) -> MergedCandidate {
+        profile_candidate(name, aff, None, vec![], vec![publication])
     }
 
     fn pub_with(title: &str, coauthors: &[&str]) -> Arc<SourcePublication> {
@@ -403,9 +435,11 @@ mod tests {
 
     #[test]
     fn coauthorship_via_candidate_publication_list() {
-        let mut cand = candidate("Ada Lovelace", None, None);
-        cand.publications
-            .push(pub_with("On engines", &["Charles Babbage"]));
+        let cand = listing(
+            "Ada Lovelace",
+            None,
+            pub_with("On engines", &["Charles Babbage"]),
+        );
         let authors = vec![AuthorRecord::from_parts(
             "Charles Babbage",
             None,
@@ -418,9 +452,11 @@ mod tests {
 
     #[test]
     fn coauthorship_via_shared_title() {
-        let mut cand = candidate("Ada Lovelace", None, None);
-        cand.publications
-            .push(pub_with("Notes on the Analytical Engine", &[]));
+        let cand = listing(
+            "Ada Lovelace",
+            None,
+            pub_with("Notes on the Analytical Engine", &[]),
+        );
         let author = AuthorRecord::new(
             "Luigi Menabrea",
             &[],
@@ -450,8 +486,7 @@ mod tests {
         let shared = text_key("notes on the analytical engine");
         let check = CoiCheck::keyed(&authors, |_| shared);
         let with_title = |title: &str| {
-            let mut cand = candidate("Ada Lovelace", None, None);
-            cand.publications.push(pub_with(title, &[]));
+            let cand = listing("Ada Lovelace", None, pub_with(title, &[]));
             check.check(&cand, &CoiConfig::default()).reasons
         };
         assert_eq!(
@@ -463,9 +498,11 @@ mod tests {
         assert_eq!(with_title("Deep Learning for Graphs"), vec![]);
         // Filed under their own keys, each title links its author.
         let check = CoiCheck::new(&authors);
-        let mut cand = candidate("Ada Lovelace", None, None);
-        cand.publications
-            .push(pub_with("Deep learning for graphs", &[]));
+        let cand = listing(
+            "Ada Lovelace",
+            None,
+            pub_with("Deep learning for graphs", &[]),
+        );
         assert_eq!(
             check.check(&cand, &CoiConfig::default()).reasons,
             vec![CoiReason::CoAuthorship {
@@ -481,7 +518,7 @@ mod tests {
         // keeps the first copy: Google Scholar sorts before DBLP.
         let profile = |source: SourceKind, title: &str, coauthor: &str| {
             let v = Vocabulary::new();
-            let mut p = SourceProfile::new(
+            let p = SourceProfile::new(
                 source,
                 format!("{}:1", source.prefix()),
                 v.name("Ada Lovelace"),
@@ -489,8 +526,8 @@ mod tests {
                 None,
                 vec![],
                 ScholarId(1),
-            );
-            p.publications.push(pub_with(title, &[coauthor]));
+            )
+            .with_publications(vec![pub_with(title, &[coauthor])]);
             Arc::new(p)
         };
         let merged = merge_profiles(vec![
@@ -507,7 +544,7 @@ mod tests {
         ]);
         assert_eq!(merged.len(), 1);
         let cand = &merged[0];
-        assert_eq!(cand.publications.len(), 1);
+        assert_eq!(cand.publication_count(), 1);
         let check = |name: &str| {
             let authors = [AuthorRecord::from_parts(name, None, None, None)];
             check_coi(cand, &authors, &CoiConfig::default())
@@ -602,8 +639,11 @@ mod tests {
     fn one_reason_per_author_for_coauthorship() {
         // An author who both co-authored and shares the institution yields
         // a single CoAuthorship reason (the `continue` path).
-        let mut cand = candidate("Ada Lovelace", Some("U X"), None);
-        cand.publications.push(pub_with("P", &["Grace Hopper"]));
+        let cand = listing(
+            "Ada Lovelace",
+            Some("U X"),
+            pub_with("P", &["Grace Hopper"]),
+        );
         let authors = vec![AuthorRecord::from_parts(
             "Grace Hopper",
             Some("U X"),
@@ -619,7 +659,7 @@ mod tests {
         // Candidate moved away years ago, so the *current* affiliations
         // differ — only the ORCID-style history exposes the old overlap.
         let v = Vocabulary::new();
-        let cand = MergedCandidate::new(
+        let cand = profile_candidate(
             "Past Colleague",
             Some("University of Oslo"),
             Some("Norway"),
@@ -629,6 +669,7 @@ mod tests {
                 2005,
                 2010,
             )],
+            vec![],
         );
         let author = AuthorRecord::new(
             "Author Y",

@@ -79,9 +79,9 @@ impl<'a> CandidateFilter<'a> {
             });
         }
         if !config.expertise.admits(
-            candidate.metrics.citations,
-            candidate.metrics.h_index,
-            candidate.reviews.len() as u32,
+            candidate.metrics().citations,
+            candidate.metrics().h_index,
+            candidate.review_count() as u32,
         ) {
             return FilterDecision::Removed(FilterReason::ExpertiseConstraint);
         }
@@ -129,23 +129,33 @@ fn is_pc_member(candidate: &MergedCandidate, pc: &NameList) -> bool {
 mod tests {
     use super::*;
     use crate::config::ExpertiseConstraints;
-    use minaret_scholarly::{Label, SourceMetrics, SourceReview};
+    use minaret_scholarly::{SourceKind, SourceMetrics, SourceProfile, SourceReview, Vocabulary};
+    use minaret_synth::ScholarId;
     use std::sync::Arc;
 
     fn candidate(name: &str) -> MergedCandidate {
-        let mut candidate = MergedCandidate::new(name, None, None, vec![]);
-        candidate.metrics = SourceMetrics {
+        let v = Vocabulary::new();
+        let mut profile = SourceProfile::new(
+            SourceKind::Publons,
+            "pub:1".into(),
+            v.name(name),
+            None,
+            None,
+            vec![],
+            ScholarId(0),
+        )
+        .with_reviews(vec![Arc::new(SourceReview::new(
+            v.label("J"),
+            2017,
+            20,
+            Some(3),
+        ))]);
+        profile.metrics = SourceMetrics {
             citations: Some(500),
             h_index: Some(12),
             i10_index: None,
         };
-        candidate.reviews = vec![Arc::new(SourceReview::new(
-            Arc::new(Label::new("J")),
-            2017,
-            20,
-            Some(3),
-        ))];
-        candidate
+        MergedCandidate::from_profiles(vec![Arc::new(profile)])
     }
 
     fn filter_candidate(

@@ -39,13 +39,13 @@ impl PhaseTimings {
 }
 
 /// A candidate reviewer after retrieval, before filtering.
+///
+/// The labels the candidate matched are listed for the ranked
+/// candidates only, in [`Recommendation::matched_keywords`].
 #[derive(Debug, Clone)]
 pub struct CandidateProfile {
     /// The merged multi-source record.
     pub merged: MergedCandidate,
-    /// Expanded keywords this candidate matched, with their similarity
-    /// scores (best score per label).
-    pub matched_keywords: Vec<(String, f64)>,
     /// The candidate's best keyword-matching score — what §2.2's
     /// threshold filter reads.
     pub keyword_score: f64,
@@ -93,35 +93,31 @@ impl Recommendation {
                 ),
             );
         }
-        if let Some(citations) = self.candidate.metrics.citations {
+        if let Some(citations) = self.candidate.metrics().citations {
             push(
                 weights.impact,
                 self.breakdown.impact,
                 format!("has {citations} citations"),
             );
-        } else if let Some(h) = self.candidate.metrics.h_index {
+        } else if let Some(h) = self.candidate.metrics().h_index {
             push(
                 weights.impact,
                 self.breakdown.impact,
                 format!("has an h-index of {h}"),
             );
         }
-        if let Some(year) = self.candidate.publications.iter().map(|p| p.year).max() {
+        if let Some(year) = self.candidate.publications().map(|p| p.year).max() {
             push(
                 weights.recency,
                 self.breakdown.recency,
                 format!("published on related topics as recently as {year}"),
             );
         }
-        if !self.candidate.reviews.is_empty() {
+        let reviews = self.candidate.review_count();
+        if reviews > 0 {
             // §1 lists "the quality of the reviews" among the aspects the
             // editor considers; Publons-style ratings surface here.
-            let rated: Vec<u8> = self
-                .candidate
-                .reviews
-                .iter()
-                .filter_map(|r| r.quality)
-                .collect();
+            let rated: Vec<u8> = self.candidate.reviews().filter_map(|r| r.quality).collect();
             let quality_note = if rated.is_empty() {
                 String::new()
             } else {
@@ -133,10 +129,7 @@ impl Recommendation {
             push(
                 weights.experience,
                 self.breakdown.experience,
-                format!(
-                    "completed {} manuscript reviews{quality_note}",
-                    self.candidate.reviews.len()
-                ),
+                format!("completed {reviews} manuscript reviews{quality_note}"),
             );
         }
         push(
@@ -258,11 +251,8 @@ pub struct PaperExtraction {
 pub struct PaperCandidate {
     /// Index into [`BatchExtraction::pool`].
     pub pool_index: usize,
-    /// This manuscript's expanded labels the candidate matched, with
-    /// similarity scores (best score per label, best first).
-    pub matched_keywords: Vec<(String, f64)>,
     /// The candidate's best matched-label score for this manuscript —
-    /// what the threshold filter reads.
+    /// what the threshold filter and the slice cap read.
     pub keyword_score: f64,
 }
 
@@ -413,7 +403,8 @@ impl Minaret {
         let (expansion_sets, expansions, unknown_keywords) =
             self.expand_keywords(&manuscript.keywords);
 
-        let (candidates, coverage) = self.retrieve_candidates(&expansion_sets, &mut source_errors);
+        let (candidates, label_hits, coverage) =
+            self.retrieve_candidates(&expansion_sets, &mut source_errors);
         let candidates_retrieved = candidates.len();
         let extraction = t0.elapsed();
         drop(phase_span);
@@ -490,8 +481,8 @@ impl Minaret {
                 .then_with(|| {
                     kept[a]
                         .merged
-                        .display_name
-                        .cmp(&kept[b].merged.display_name)
+                        .display_name()
+                        .cmp(kept[b].merged.display_name())
                 })
         });
         order.truncate(self.config.max_recommendations);
@@ -506,10 +497,10 @@ impl Minaret {
             .enumerate()
             .map(|(i, (cand, breakdown, total))| Recommendation {
                 rank: i + 1,
-                name: cand.merged.display_name.clone(),
-                affiliation: cand.merged.affiliation.clone(),
-                sources: cand.merged.sources.clone(),
-                matched_keywords: cand.matched_keywords,
+                name: cand.merged.display_name().to_string(),
+                affiliation: cand.merged.affiliation().map(str::to_string),
+                sources: cand.merged.sources().collect(),
+                matched_keywords: label_hits.matched_keywords(&cand.merged),
                 breakdown,
                 total,
                 candidate: cand.merged,
@@ -615,14 +606,10 @@ impl Minaret {
         }
 
         // Per-paper preparation: author verification + keyword expansion.
-        // Each paper keeps its own label → best-score map, because the
-        // same label can expand with different similarity from different
-        // typed keywords.
         struct Prep {
             author_records: Vec<AuthorRecord>,
             expansion_sets: Vec<KeywordExpansionSet>,
             unknown_keywords: Vec<String>,
-            labels: HashMap<String, f64>,
         }
         let mut preps: Vec<Prep> = Vec::with_capacity(manuscripts.len());
         for m in manuscripts {
@@ -641,36 +628,55 @@ impl Minaret {
                 })
                 .collect();
             let (expansion_sets, _summaries, unknown_keywords) = self.expand_keywords(&m.keywords);
-            let mut labels: HashMap<String, f64> = HashMap::new();
-            for set in &expansion_sets {
-                for (label, &score) in &set.scores {
-                    labels
-                        .entry(label.clone())
-                        .and_modify(|s| *s = s.max(score))
-                        .or_insert(score);
-                }
-            }
             preps.push(Prep {
                 author_records,
                 expansion_sets,
                 unknown_keywords,
-                labels,
             });
         }
 
         // The union label set, sorted for a deterministic single fan-out.
         let union: std::collections::BTreeSet<&str> = preps
             .iter()
-            .flat_map(|p| p.labels.keys().map(String::as_str))
+            .flat_map(|p| &p.expansion_sets)
+            .flat_map(|set| set.scores.keys().map(String::as_str))
             .collect();
         let sorted_labels: Vec<String> = union.into_iter().map(str::to_string).collect();
+        // Each paper's labels as (index into the union, best score). The
+        // same label can expand with different similarity from different
+        // typed keywords, so each paper keeps its own best.
+        let paper_labels: Vec<Vec<(usize, f64)>> = preps
+            .iter()
+            .map(|prep| {
+                let mut labels: Vec<(usize, f64)> = prep
+                    .expansion_sets
+                    .iter()
+                    .flat_map(|set| &set.scores)
+                    .map(|(label, &score)| {
+                        let index = sorted_labels
+                            .binary_search(label)
+                            .expect("every label is in the union");
+                        (index, score)
+                    })
+                    .collect();
+                // Stable, so a label's scores stay in set order.
+                labels.sort_by_key(|&(index, _)| index);
+                labels.dedup_by(|later, first| {
+                    let same = later.0 == first.0;
+                    if same {
+                        first.1 = first.1.max(later.1);
+                    }
+                    same
+                });
+                labels
+            })
+            .collect();
 
         let mut source_errors = Vec::new();
         let mut coverage = SourceCoverage::default();
-        // label → hits from the one fan-out; each paper re-reads only the
-        // labels it expanded.
-        let mut by_label: HashMap<String, Vec<Arc<minaret_scholarly::SourceProfile>>> =
-            HashMap::new();
+        // The hits of each union label from the one fan-out; each paper
+        // re-reads only the labels it expanded.
+        let mut hits_by_label: Vec<Vec<Arc<SourceProfile>>> = Vec::new();
         if !sorted_labels.is_empty() {
             let report = self.registry.search_by_interests_report(&sorted_labels);
             for outcome in &report.outcomes {
@@ -686,9 +692,7 @@ impl Minaret {
                     SourceStatus::Skipped => {}
                 }
             }
-            for (label, (_, hits)) in sorted_labels.iter().zip(report.by_label) {
-                by_label.insert(label.clone(), hits);
-            }
+            hits_by_label = report.by_label.into_iter().map(|(_, hits)| hits).collect();
         }
         let degraded_sources: Vec<String> =
             coverage.degraded.iter().map(|k| k.to_string()).collect();
@@ -700,60 +704,54 @@ impl Minaret {
             });
         }
 
-        // One global pool: every profile any label returned, deduped and
-        // merged exactly the way the single-manuscript path does it.
-        let mut profiles: Vec<Arc<minaret_scholarly::SourceProfile>> = Vec::new();
-        for label in &sorted_labels {
-            if let Some(hits) = by_label.get(label) {
-                profiles.extend(hits.iter().cloned());
-            }
-        }
-        profiles.sort_by(|a, b| (a.source, &a.key).cmp(&(b.source, &b.key)));
-        profiles.dedup_by(|a, b| a.source == b.source && a.key == b.key);
+        // One global pool: every profile any label returned, once, merged
+        // exactly the way the single-manuscript path does it.
+        let mut profiles: Vec<Arc<SourceProfile>> =
+            hits_by_label.iter().flatten().cloned().collect();
+        profiles.sort_unstable_by_key(identity);
+        profiles.dedup_by(|a, b| Arc::ptr_eq(a, b));
         if profiles.is_empty() {
             return Err(MinaretError::NoCandidates);
         }
         let pool = merge_profiles(profiles);
-        // Profile keys are globally unique, so each key lands in exactly
-        // one pool entry.
-        let mut key_to_pool: HashMap<&str, usize> = HashMap::new();
-        for (i, cand) in pool.iter().enumerate() {
-            for key in &cand.keys {
-                key_to_pool.insert(key.as_str(), i);
-            }
-        }
+        // Each profile lands in exactly one pool entry.
+        let mut pool_of: Vec<(usize, usize)> = pool
+            .iter()
+            .enumerate()
+            .flat_map(|(i, cand)| cand.profiles().iter().map(move |p| (identity(p), i)))
+            .collect();
+        pool_of.sort_unstable();
+        let pool_index = |p: &Arc<SourceProfile>| {
+            let id = identity(p);
+            pool_of[pool_of.partition_point(|&(other, _)| other < id)].1
+        };
 
         // Per-paper slices: walk the paper's own labels over the shared
         // hits, scoring with the paper's own expansion scores. Each hit
-        // is one (pool index, label, score) triple; sorted, a candidate's
-        // triples are a run, best score first, then label text.
+        // is one (pool index, score) pair; sorted, a candidate's pairs
+        // are a run, best score first.
         let papers: Vec<PaperExtraction> = preps
             .into_iter()
-            .map(|prep| {
-                let mut triples: Vec<(usize, &str, f64)> = Vec::new();
-                for (label, &score) in &prep.labels {
-                    let Some(hits) = by_label.get(label.as_str()) else {
-                        continue;
-                    };
-                    triples.extend(
-                        hits.iter()
-                            .map(|p| (key_to_pool[p.key.as_str()], label.as_str(), score)),
-                    );
-                }
-                triples.sort_unstable_by(|a, b| {
+            .zip(paper_labels)
+            .map(|(prep, labels)| {
+                let mut pairs: Vec<(usize, f64)> = labels
+                    .iter()
+                    .flat_map(|&(label, score)| {
+                        hits_by_label[label]
+                            .iter()
+                            .map(move |p| (pool_index(p), score))
+                    })
+                    .collect();
+                pairs.sort_unstable_by(|a, b| {
                     a.0.cmp(&b.0)
-                        .then_with(|| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal))
-                        .then_with(|| a.1.cmp(b.1))
+                        .then_with(|| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal))
                 });
-                // A label hit through two profiles of one candidate counts
-                // once.
-                triples.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
-                let matches: Vec<PaperCandidate> = triples
-                    .chunk_by(|a, b| a.0 == b.0)
-                    .map(|run| PaperCandidate {
-                        pool_index: run[0].0,
-                        matched_keywords: run.iter().map(|&(_, l, s)| (l.to_string(), s)).collect(),
-                        keyword_score: run[0].2,
+                pairs.dedup_by_key(|&mut (pool_index, _)| pool_index);
+                let matches: Vec<PaperCandidate> = pairs
+                    .into_iter()
+                    .map(|(pool_index, keyword_score)| PaperCandidate {
+                        pool_index,
+                        keyword_score,
                     })
                     .collect();
                 PaperExtraction {
@@ -858,13 +856,15 @@ impl Minaret {
     /// expanded label set as **one batched fan-out** — every
     /// interest-capable source answers all labels in a single
     /// policy-governed call — then merging per-source profiles into
-    /// candidates. The second return value is the per-source health
-    /// ledger of that fan-out, which drives the degraded-mode decision.
+    /// candidates. Returns the candidates, each with its best label
+    /// score, the hits that list a candidate's matched labels, and the
+    /// per-source health ledger of that fan-out, which drives the
+    /// degraded-mode decision.
     fn retrieve_candidates(
         &self,
         expansion_sets: &[KeywordExpansionSet],
         source_errors: &mut Vec<String>,
-    ) -> (Vec<CandidateProfile>, SourceCoverage) {
+    ) -> (Vec<CandidateProfile>, LabelHits, SourceCoverage) {
         // Collect the distinct labels to search, with their best score.
         let mut labels: HashMap<String, f64> = HashMap::new();
         for set in expansion_sets {
@@ -905,64 +905,106 @@ impl Minaret {
             }
             by_label = report.by_label;
         }
-        // Every hit as (profile, label index), grouped by profile key.
-        // Keys are globally unique (each embeds its source's prefix), and
-        // keying by the key alone keeps every merged profile's matches
-        // even when a name collision conflates two same-source profiles
-        // into one candidate. Labels are sorted, so an index orders like
-        // its text.
-        let mut hits: Vec<(&Arc<SourceProfile>, usize)> = (0..)
+        // Every hit as (profile identity, label index). Labels are
+        // sorted, so an index orders like its text.
+        let mut hits: Vec<(usize, usize)> = (0..)
             .zip(&by_label)
-            .flat_map(|(label, (_, profiles))| profiles.iter().map(move |p| (p, label)))
+            .flat_map(|(label, (_, profiles))| profiles.iter().map(move |p| (identity(p), label)))
             .collect();
-        hits.sort_unstable_by(|a, b| (&a.0.key, a.0.source, a.1).cmp(&(&b.0.key, b.0.source, b.1)));
+        hits.sort_unstable();
+        let label_hits = LabelHits {
+            labels: sorted_labels,
+            hits,
+        };
         // Each profile found under several labels merges once.
-        let mut profiles: Vec<Arc<SourceProfile>> = Vec::with_capacity(hits.len());
-        for &(p, _) in &hits {
-            if profiles
-                .last()
-                .is_none_or(|last| (&last.key, last.source) != (&p.key, p.source))
-            {
-                profiles.push(Arc::clone(p));
-            }
-        }
-
-        let merged = merge_profiles(profiles);
-        // One buffer collects each candidate's matched label indices.
-        let mut matched: Vec<usize> = Vec::new();
-        let candidates = merged
+        let mut profiles: Vec<Arc<SourceProfile>> = by_label
             .into_iter()
-            .map(|m| {
-                matched.clear();
-                for key in &m.keys {
-                    let first = hits.partition_point(|(p, _)| p.key < *key);
-                    matched.extend(
-                        hits[first..]
-                            .iter()
-                            .take_while(|(p, _)| p.key == *key)
-                            .map(|&(_, label)| label),
-                    );
-                }
-                // Best score first, then label text; a label repeats only
-                // with its one score.
-                matched.sort_unstable_by(|&a, &b| {
-                    sorted_labels[b]
-                        .1
-                        .partial_cmp(&sorted_labels[a].1)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.cmp(&b))
-                });
-                matched.dedup();
-                let keyword_score = matched.first().map(|&l| sorted_labels[l].1).unwrap_or(0.0);
-                let matched_keywords = matched.iter().map(|&l| sorted_labels[l].clone()).collect();
+            .flat_map(|(_, profiles)| profiles)
+            .collect();
+        profiles.sort_unstable_by_key(identity);
+        profiles.dedup_by(|a, b| Arc::ptr_eq(a, b));
+        // Each profile's best label, as (profile identity, label index),
+        // in the order of `profiles`.
+        let best: Vec<(usize, usize)> = label_hits
+            .hits
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|run| {
+                let label = run
+                    .iter()
+                    .map(|&(_, label)| label)
+                    .min_by(|&a, &b| label_hits.by_rank(a, b))
+                    .expect("a run holds a hit");
+                (run[0].0, label)
+            })
+            .collect();
+
+        // A candidate's keyword score is its best label's score over all
+        // its profiles' hits.
+        let candidates = merge_profiles(profiles)
+            .into_iter()
+            .map(|merged| {
+                let label = merged
+                    .profiles()
+                    .iter()
+                    .map(|p| {
+                        let id = identity(p);
+                        best[best.partition_point(|&(other, _)| other < id)].1
+                    })
+                    .min_by(|&a, &b| label_hits.by_rank(a, b))
+                    .expect("a candidate merges at least one profile");
                 CandidateProfile {
-                    merged: m,
-                    matched_keywords,
-                    keyword_score,
+                    keyword_score: label_hits.labels[label].1,
+                    merged,
                 }
             })
             .collect();
-        (candidates, coverage)
+        (candidates, label_hits, coverage)
+    }
+}
+
+/// The identity of a profile: its allocation. A source hands out one
+/// `Arc` per profile, so two hits on one profile share it.
+fn identity(profile: &Arc<SourceProfile>) -> usize {
+    Arc::as_ptr(profile) as usize
+}
+
+/// A retrieval's searched labels and hits: what listing a candidate's
+/// matched labels reads, which only the ranked candidates need.
+struct LabelHits {
+    /// The searched labels, sorted, each with its best similarity.
+    labels: Vec<(String, f64)>,
+    /// Every hit as (profile identity, label index), sorted.
+    hits: Vec<(usize, usize)>,
+}
+
+impl LabelHits {
+    /// Label `a` before label `b`: the better score first, then the
+    /// label text.
+    fn by_rank(&self, a: usize, b: usize) -> std::cmp::Ordering {
+        self.labels[b]
+            .1
+            .partial_cmp(&self.labels[a].1)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.cmp(&b))
+    }
+
+    /// The labels `candidate`'s profiles were found under, each once
+    /// with its score, best first, then by label text.
+    fn matched_keywords(&self, candidate: &MergedCandidate) -> Vec<(String, f64)> {
+        let mut matched: Vec<usize> = Vec::new();
+        for p in candidate.profiles() {
+            let id = identity(p);
+            let first = self.hits.partition_point(|&(other, _)| other < id);
+            matched.extend(
+                self.hits[first..]
+                    .iter()
+                    .take_while(|&&(other, _)| other == id)
+                    .map(|&(_, label)| label),
+            );
+        }
+        matched.sort_unstable_by(|&a, &b| self.by_rank(a, b));
+        matched.dedup();
+        matched.iter().map(|&l| self.labels[l].clone()).collect()
     }
 }
 
@@ -1072,9 +1114,9 @@ mod tests {
             .find(|s| s.full_name() == m.authors[0].name)
             .unwrap();
         for r in &report.recommendations {
-            for truth in &r.candidate.truths {
+            for truth in r.candidate.truths() {
                 assert!(
-                    !world.ever_coauthored(author.id, *truth),
+                    !world.ever_coauthored(author.id, truth),
                     "recommended {} co-authored with the author",
                     r.name
                 );

@@ -77,11 +77,11 @@ fn log_norm(value: f64, cap: f64) -> f64 {
 pub fn scientific_impact(candidate: &MergedCandidate, metric: ImpactMetric) -> f64 {
     match metric {
         ImpactMetric::Citations => log_norm(
-            candidate.metrics.citations.unwrap_or(0) as f64,
+            candidate.metrics().citations.unwrap_or(0) as f64,
             CITATION_CAP,
         ),
         ImpactMetric::HIndex => {
-            (candidate.metrics.h_index.unwrap_or(0) as f64 / H_INDEX_CAP).min(1.0)
+            (candidate.metrics().h_index.unwrap_or(0) as f64 / H_INDEX_CAP).min(1.0)
         }
     }
 }
@@ -89,7 +89,7 @@ pub fn scientific_impact(candidate: &MergedCandidate, metric: ImpactMetric) -> f
 /// Review experience: log-scaled count of prior manuscript reviews
 /// (obtained from the Publons-like profile data).
 pub fn review_experience(candidate: &MergedCandidate) -> f64 {
-    log_norm(candidate.reviews.len() as f64, REVIEW_CAP)
+    log_norm(candidate.review_count() as f64, REVIEW_CAP)
 }
 
 /// Turnaround faster than this many days scores full speed credit.
@@ -103,21 +103,20 @@ const TURNAROUND_CEIL_DAYS: f64 = 90.0;
 /// were returned, and how recently the candidate reviewed at all.
 /// Candidates with no review history score `0` (unknown ≠ responsive).
 pub fn responsiveness(candidate: &MergedCandidate, current_year: u32) -> f64 {
-    if candidate.reviews.is_empty() {
+    let reviews = candidate.review_count();
+    if reviews == 0 {
         return 0.0;
     }
     let mean_days = candidate
-        .reviews
-        .iter()
+        .reviews()
         .map(|r| r.turnaround_days as f64)
         .sum::<f64>()
-        / candidate.reviews.len() as f64;
+        / reviews as f64;
     let speed = 1.0
         - ((mean_days - TURNAROUND_FLOOR_DAYS) / (TURNAROUND_CEIL_DAYS - TURNAROUND_FLOOR_DAYS))
             .clamp(0.0, 1.0);
     let last_year = candidate
-        .reviews
-        .iter()
+        .reviews()
         .map(|r| r.year)
         .max()
         .unwrap_or(current_year);
@@ -245,8 +244,10 @@ impl<'a> CandidateScorer<'a> {
         let mut recent = [0.0f64; SET_BLOCK];
         let mut similarity = [0.0f64; SET_BLOCK];
         // Each hit of a label in the table is one (set, similarity) pair;
-        // this walk takes the pairs of its own sets.
-        for label in &candidate.interests {
+        // this walk takes the pairs of its own sets. Coverage is a
+        // maximum, so the walk reads the interests as the profiles
+        // register them, not their sorted union.
+        for label in candidate.interest_forms() {
             for &(set, score) in self.labels.get(label.key(), label) {
                 if sets.contains(&set) {
                     let i = set - sets.start;
@@ -255,7 +256,7 @@ impl<'a> CandidateScorer<'a> {
             }
         }
         let count_venue = count_venue && !self.target_venue.is_empty();
-        for p in &candidate.publications {
+        for p in candidate.publications() {
             if count_venue && *p.venue_name().normalized() == self.target_venue {
                 topics.in_target_venue += 1;
             }
@@ -305,8 +306,7 @@ impl<'a> CandidateScorer<'a> {
             return 0.0;
         }
         let reviews_for = candidate
-            .reviews
-            .iter()
+            .reviews()
             .filter(|r| *r.venue_name().normalized() == self.target_venue)
             .count();
         log_norm((reviews_for + pubs_in) as f64, FAMILIARITY_CAP)
@@ -370,7 +370,10 @@ pub fn score_candidates(
 mod tests {
     use super::*;
     use minaret_ontology::normalize_label;
-    use minaret_scholarly::{SourceMetrics, SourcePublication, SourceReview, Vocabulary};
+    use minaret_scholarly::{
+        SourceKind, SourceMetrics, SourceProfile, SourcePublication, SourceReview, Vocabulary,
+    };
+    use minaret_synth::ScholarId;
     use proptest::prelude::*;
     use std::sync::Arc;
 
@@ -446,10 +449,49 @@ mod tests {
         }
     }
 
+    /// A candidate of one profile registering `interests`, with
+    /// `metrics`, listing `publications` and `reviews`.
+    fn candidate(
+        interests: &[&str],
+        metrics: SourceMetrics,
+        publications: Vec<Arc<SourcePublication>>,
+        reviews: Vec<Arc<SourceReview>>,
+    ) -> MergedCandidate {
+        let v = Vocabulary::new();
+        let mut profile = SourceProfile::new(
+            SourceKind::GoogleScholar,
+            "gs:1".into(),
+            v.name("X"),
+            None,
+            None,
+            interests.iter().map(|i| v.label(i)).collect(),
+            ScholarId(0),
+        )
+        .with_publications(publications)
+        .with_reviews(reviews);
+        profile.metrics = metrics;
+        MergedCandidate::from_profiles(vec![Arc::new(profile)])
+    }
+
     fn with_interests(interests: &[&str]) -> MergedCandidate {
-        let mut candidate = MergedCandidate::new("X", None, None, vec![]);
-        candidate.interests = interests.iter().map(|s| NormalizedLabel::new(s)).collect();
-        candidate
+        candidate(interests, SourceMetrics::default(), vec![], vec![])
+    }
+
+    fn listing(publications: Vec<Arc<SourcePublication>>) -> MergedCandidate {
+        candidate(&[], SourceMetrics::default(), publications, vec![])
+    }
+
+    fn reviewing(reviews: Vec<Arc<SourceReview>>) -> MergedCandidate {
+        candidate(&[], SourceMetrics::default(), vec![], reviews)
+    }
+
+    fn with_metrics(citations: Option<u64>, h_index: Option<u32>) -> MergedCandidate {
+        let metrics = SourceMetrics {
+            citations,
+            h_index,
+            i10_index: None,
+        };
+        candidate(&[], metrics, vec![], vec![])
     }
 
     /// §2.3's worked example: keywords {Semantic Web, Big Data}; reviewer
@@ -480,19 +522,13 @@ mod tests {
     #[test]
     fn coverage_counts_publication_keywords_too() {
         let expansions = vec![expansion("RDF", &[])];
-        let mut c = with_interests(&[]);
-        c.publications.push(publication("t", 2017, "J", &["RDF"]));
+        let c = listing(vec![publication("t", 2017, "J", &["RDF"])]);
         assert!((topic_coverage(&c, &expansions) - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn impact_metric_switch() {
-        let mut c = with_interests(&[]);
-        c.metrics = SourceMetrics {
-            citations: Some(1000),
-            h_index: Some(30),
-            i10_index: None,
-        };
+        let c = with_metrics(Some(1000), Some(30));
         let by_cites = scientific_impact(&c, ImpactMetric::Citations);
         let by_h = scientific_impact(&c, ImpactMetric::HIndex);
         assert!(by_cites > 0.0 && by_cites < 1.0);
@@ -505,9 +541,7 @@ mod tests {
 
     #[test]
     fn impact_caps_at_one() {
-        let mut c = with_interests(&[]);
-        c.metrics.citations = Some(10_000_000);
-        c.metrics.h_index = Some(500);
+        let c = with_metrics(Some(10_000_000), Some(500));
         assert_eq!(scientific_impact(&c, ImpactMetric::Citations), 1.0);
         assert_eq!(scientific_impact(&c, ImpactMetric::HIndex), 1.0);
     }
@@ -515,12 +549,8 @@ mod tests {
     #[test]
     fn recent_work_beats_old_work() {
         let expansions = vec![expansion("RDF", &[])];
-        let mut fresh = with_interests(&[]);
-        fresh
-            .publications
-            .push(publication("new", 2018, "J", &["rdf"]));
-        let mut stale = fresh.clone();
-        Arc::make_mut(&mut stale.publications[0]).year = 2005;
+        let fresh = listing(vec![publication("new", 2018, "J", &["rdf"])]);
+        let stale = listing(vec![publication("new", 2005, "J", &["rdf"])]);
         let rf = recency(&fresh, &expansions, 2018, 5.0);
         let rs = recency(&stale, &expansions, 2018, 5.0);
         assert!(rf > rs);
@@ -538,14 +568,13 @@ mod tests {
 
     #[test]
     fn experience_grows_with_reviews() {
-        let mut a = with_interests(&[]);
-        let mut b = with_interests(&[]);
-        for i in 0..3 {
-            a.reviews.push(review(&format!("V{i}"), 2016, 20, Some(3)));
-        }
-        for i in 0..30 {
-            b.reviews.push(review(&format!("V{i}"), 2016, 20, Some(3)));
-        }
+        let reviews = |n: usize| {
+            (0..n)
+                .map(|i| review(&format!("V{i}"), 2016, 20, Some(3)))
+                .collect()
+        };
+        let a = reviewing(reviews(3));
+        let b = reviewing(reviews(30));
         assert!(review_experience(&b) > review_experience(&a));
         assert!(review_experience(&a) > 0.0);
         assert_eq!(review_experience(&with_interests(&[])), 0.0);
@@ -553,11 +582,15 @@ mod tests {
 
     #[test]
     fn familiarity_counts_reviews_and_pubs_for_target_only() {
-        let mut c = with_interests(&[]);
-        c.reviews.push(review("Journal of X", 2017, 15, Some(3)));
-        c.reviews.push(review("Other Venue", 2017, 15, Some(3)));
-        c.publications
-            .push(publication("t", 2015, "journal of x", &[]));
+        let c = candidate(
+            &[],
+            SourceMetrics::default(),
+            vec![publication("t", 2015, "journal of x", &[])],
+            vec![
+                review("Journal of X", 2017, 15, Some(3)),
+                review("Other Venue", 2017, 15, Some(3)),
+            ],
+        );
         let f = outlet_familiarity(&c, "Journal of X");
         assert!((f - log_norm(2.0, FAMILIARITY_CAP)).abs() < 1e-9);
         assert_eq!(outlet_familiarity(&c, "Nowhere"), 0.0);
@@ -605,10 +638,8 @@ mod tests {
 
     #[test]
     fn responsiveness_rewards_fast_recent_reviewers() {
-        let mut fast = with_interests(&[]);
-        fast.reviews.push(review("J", 2018, 7, Some(3)));
-        let mut slow = with_interests(&[]);
-        slow.reviews.push(review("J", 2018, 90, Some(3)));
+        let fast = reviewing(vec![review("J", 2018, 7, Some(3))]);
+        let slow = reviewing(vec![review("J", 2018, 90, Some(3))]);
         let rf = responsiveness(&fast, 2018);
         let rs = responsiveness(&slow, 2018);
         assert!(rf > rs, "fast {rf} vs slow {rs}");
@@ -621,10 +652,8 @@ mod tests {
 
     #[test]
     fn responsiveness_decays_with_idle_years() {
-        let mut recent = with_interests(&[]);
-        recent.reviews.push(review("J", 2018, 7, Some(3)));
-        let mut dormant = recent.clone();
-        Arc::make_mut(&mut dormant.reviews[0]).year = 2009;
+        let recent = reviewing(vec![review("J", 2018, 7, Some(3))]);
+        let dormant = reviewing(vec![review("J", 2009, 7, Some(3))]);
         assert!(responsiveness(&recent, 2018) > responsiveness(&dormant, 2018));
     }
 
@@ -709,9 +738,12 @@ mod tests {
             .enumerate()
             .map(|(i, l)| expansion(l, &[("Shared", (i % 10) as f64 / 10.0)]))
             .collect();
-        let mut c = with_interests(&["topic 3", "topic 41"]);
-        c.publications
-            .push(publication("t", 2016, "J", &["Shared", "topic 69"]));
+        let c = candidate(
+            &["topic 3", "topic 41"],
+            SourceMetrics::default(),
+            vec![publication("t", 2016, "J", &["Shared", "topic 69"])],
+            vec![],
+        );
         let config = EditorConfig {
             current_year: 2018,
             recency_half_life_years: 5.0,

@@ -71,22 +71,22 @@ pub fn collect_evidence(
     typed_country: Option<&str>,
     context_keywords: &[String],
 ) -> Evidence {
-    let affiliation = match (typed_affiliation, candidate.affiliation.as_deref()) {
+    let affiliation = match (typed_affiliation, candidate.affiliation()) {
         (Some(a), Some(b)) => token_jaccard(a, b),
         _ => 0.0,
     };
-    let country = match (typed_country, candidate.country.as_deref()) {
+    let country = match (typed_country, candidate.country()) {
         (Some(a), Some(b)) if normalize_label(a) == normalize_label(b) => 1.0,
         _ => 0.0,
     };
     let topical = if context_keywords.is_empty() {
         0.0
     } else {
-        // Merged interests and publication keywords are already in
-        // normal form.
+        // Interests and publication keywords are already in normal
+        // form.
         let mut hay: std::collections::HashSet<&str> =
-            candidate.interests.iter().map(|i| i.as_str()).collect();
-        for p in &candidate.publications {
+            candidate.interest_forms().map(|i| i.as_str()).collect();
+        for p in candidate.publications() {
             for k in p.keywords() {
                 hay.insert(k.normalized());
             }
@@ -97,7 +97,7 @@ pub fn collect_evidence(
             .count();
         hits as f64 / context_keywords.len() as f64
     };
-    let pubs = candidate.publications.len() as f64;
+    let pubs = candidate.publication_count() as f64;
     let activity = (1.0 + pubs).ln() / (1.0 + 100.0f64).ln();
     Evidence {
         affiliation,
@@ -110,7 +110,8 @@ pub fn collect_evidence(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minaret_scholarly::{NormalizedLabel, SourcePublication, Vocabulary};
+    use minaret_scholarly::{SourceKind, SourceProfile, SourcePublication, Vocabulary};
+    use minaret_synth::ScholarId;
     use std::sync::Arc;
 
     fn publication(i: usize, keywords: &[&str]) -> Arc<SourcePublication> {
@@ -125,11 +126,29 @@ mod tests {
         ))
     }
 
+    fn candidate_listing(
+        aff: &str,
+        country: &str,
+        interests: &[&str],
+        publications: Vec<Arc<SourcePublication>>,
+    ) -> MergedCandidate {
+        let v = Vocabulary::new();
+        let profile = SourceProfile::new(
+            SourceKind::GoogleScholar,
+            "gs:1".into(),
+            v.name("X Y"),
+            Some(v.institution(aff)),
+            Some(v.label(country)),
+            interests.iter().map(|i| v.label(i)).collect(),
+            ScholarId(0),
+        )
+        .with_publications(publications);
+        MergedCandidate::from_profiles(vec![Arc::new(profile)])
+    }
+
     fn candidate(aff: &str, country: &str, interests: &[&str], pubs: usize) -> MergedCandidate {
-        let mut candidate = MergedCandidate::new("X Y", Some(aff), Some(country), vec![]);
-        candidate.interests = interests.iter().map(|s| NormalizedLabel::new(s)).collect();
-        candidate.publications = (0..pubs).map(|i| publication(i, &[])).collect();
-        candidate
+        let publications = (0..pubs).map(|i| publication(i, &[])).collect();
+        candidate_listing(aff, country, interests, publications)
     }
 
     #[test]
@@ -158,8 +177,12 @@ mod tests {
 
     #[test]
     fn topical_overlap_counts_interests_and_pub_keywords() {
-        let mut c = candidate("U", "X", &["semantic web"], 1);
-        c.publications[0] = publication(0, &["Big Data"]);
+        let c = candidate_listing(
+            "U",
+            "X",
+            &["semantic web"],
+            vec![publication(0, &["Big Data"])],
+        );
         let kw = vec![
             "Semantic Web".to_string(),
             "big-data".to_string(),

@@ -190,7 +190,7 @@ impl<'r> IdentityResolver<'r> {
             b.score
                 .partial_cmp(&a.score)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.candidate.keys.cmp(&b.candidate.keys))
+                .then_with(|| a.candidate.keys().cmp(b.candidate.keys()))
         });
         matches
     }
@@ -354,7 +354,7 @@ mod tests {
             let v = resolver.resolve(query_for(&world, s.id), &ResolutionPolicy::AutoTop1);
             if let Some(chosen) = v.chosen {
                 checked += 1;
-                if chosen.candidate.truths.contains(&s.id) {
+                if chosen.candidate.truths().any(|t| t == s.id) {
                     correct += 1;
                 }
             }

@@ -103,7 +103,7 @@ pub fn run_e10(scholars: usize, authors: usize) -> E10Result {
                     resolved += 1;
                     if v.chosen
                         .as_ref()
-                        .is_some_and(|m| m.candidate.truths.contains(&s.id))
+                        .is_some_and(|m| m.candidate.truths().any(|t| t == s.id))
                     {
                         correct += 1;
                     }

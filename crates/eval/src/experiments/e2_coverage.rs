@@ -6,7 +6,8 @@ use std::collections::HashMap;
 
 use minaret_core::{rank, EditorConfig, KeywordExpansionSet};
 use minaret_ontology::normalize_label;
-use minaret_scholarly::{MergedCandidate, NormalizedLabel};
+use minaret_scholarly::{MergedCandidate, SourceKind, SourceProfile, Vocabulary};
+use minaret_synth::ScholarId;
 
 use crate::table::{f3, TextTable};
 
@@ -24,9 +25,17 @@ pub struct E2Result {
 }
 
 fn reviewer(interests: &[&str]) -> MergedCandidate {
-    let mut reviewer = MergedCandidate::new("reviewer", None, None, vec![]);
-    reviewer.interests = interests.iter().map(|i| NormalizedLabel::new(i)).collect();
-    reviewer
+    let v = Vocabulary::new();
+    let profile = SourceProfile::new(
+        SourceKind::GoogleScholar,
+        "gs:reviewer".into(),
+        v.name("reviewer"),
+        None,
+        None,
+        interests.iter().map(|i| v.label(i)).collect(),
+        ScholarId(0),
+    );
+    MergedCandidate::from_profiles(vec![std::sync::Arc::new(profile)])
 }
 
 /// Replays the paper's worked example through the real coverage code.

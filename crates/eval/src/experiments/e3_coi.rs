@@ -70,7 +70,7 @@ fn measure(level: AffiliationMatchLevel, scholars: usize, runs: usize) -> CoiQua
                 continue;
             }
             removed_total += 1;
-            let Some(&truth) = cand.merged.truths.first() else {
+            let Some(truth) = cand.merged.dominant_truth() else {
                 continue;
             };
             if truly_conflicted(&ctx, sub, truth) {
@@ -80,7 +80,7 @@ fn measure(level: AffiliationMatchLevel, scholars: usize, runs: usize) -> CoiQua
             }
         }
         for rec in &report.recommendations {
-            let Some(&truth) = rec.candidate.truths.first() else {
+            let Some(truth) = rec.candidate.dominant_truth() else {
                 continue;
             };
             if truly_conflicted(&ctx, sub, truth) {

@@ -89,7 +89,10 @@ pub fn run_e9(scholars: usize, manuscripts: usize) -> E9Result {
             let rels: Vec<f64> = report
                 .recommendations
                 .iter()
-                .map(|r| candidate_relevance(&world, sub, &r.candidate.truths))
+                .map(|r| {
+                    let truths: Vec<_> = r.candidate.truths().collect();
+                    candidate_relevance(&world, sub, &truths)
+                })
                 .collect();
             let pool: Vec<f64> = world
                 .scholars()

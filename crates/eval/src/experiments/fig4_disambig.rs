@@ -77,7 +77,7 @@ pub fn run_f4(scholars: usize, rates: &[f64], authors_per_rate: usize) -> F4Resu
             total_candidates += v.alternatives.len();
             if let Some(chosen) = v.chosen {
                 resolved += 1;
-                if chosen.candidate.truths.contains(&s.id) {
+                if chosen.candidate.truths().any(|t| t == s.id) {
                     correct += 1;
                 }
             }

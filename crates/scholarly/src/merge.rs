@@ -7,7 +7,7 @@
 //! verification exists to catch. The evaluation harness measures how often
 //! that happens using the profiles' ground-truth labels.
 
-use std::collections::HashMap;
+use std::cmp::{Ordering, Reverse};
 use std::fmt;
 use std::sync::Arc;
 
@@ -19,156 +19,404 @@ use crate::record::{
     AffiliationRecord, SourceMetrics, SourceProfile, SourcePublication, SourceReview,
 };
 use crate::spec::SourceKind;
-use crate::vocab::{Institution, NormalizedLabel, PersonName};
+use crate::vocab::{Institution, Label, NormalizedLabel, PersonName};
 
-/// A candidate reviewer assembled from one or more source profiles.
+/// A candidate reviewer: a handle on the source profiles merged into it.
 ///
-/// Besides the merged data, a candidate carries the comparison forms of
-/// its identity: the parsed display name, a token set per institution
-/// and each country in normal form. [`merge_profiles`] takes them from
-/// the profiles' shared entries; [`MergedCandidate::new`] builds them
-/// from text. The text fields they come from (`display_name`,
-/// `affiliation`, `country`, `affiliation_history`) are public to read;
-/// a caller that wants other values builds another candidate.
-#[derive(Clone, PartialEq)]
+/// The candidate holds its merge bucket's profiles, `Arc`-shared and
+/// sorted by source and key, and reads every merged field from them:
+/// its name, affiliation and country, with their comparison forms, from
+/// the profiles' shared entries; histories, interests, publications and
+/// reviews from their records. It stores only what no single profile
+/// says: which profile names it, the best metrics and, for a list whose
+/// dedupe drops a copy, which copies it keeps. Building one copies no
+/// text and no record: it allocates the profile list, plus one bit set
+/// for each of the publication and review lists that loses a copy.
+///
+/// Candidates are built from profiles only, by [`merge_profiles`] or
+/// [`MergedCandidate::from_profiles`]. Profiles behind an `Arc` do not
+/// change, so a candidate cannot disagree with its profiles.
+#[derive(Clone)]
 pub struct MergedCandidate {
-    /// The best (longest) display name observed.
-    pub display_name: String,
-    /// Current affiliation, if any source provided one.
-    pub affiliation: Option<String>,
-    /// Country of the current affiliation, if known.
-    pub country: Option<String>,
-    /// Union of affiliation histories (ORCID usually the sole
-    /// contributor).
-    pub affiliation_history: Vec<AffiliationRecord>,
-    /// Union of research interests across sources (normalized, deduped,
-    /// sorted).
-    pub interests: Vec<NormalizedLabel>,
-    /// Union of publications, deduplicated by normalized title.
-    /// `Arc`-shared with the source profiles that contributed them.
-    pub publications: Vec<Arc<SourcePublication>>,
+    /// The bucket's profiles, sorted by source and key.
+    profiles: Box<[Arc<SourceProfile>]>,
+    /// The profile whose display name the candidate carries.
+    name: usize,
     /// Best available metrics (max across sources, since every source
     /// under-counts relative to the truth).
-    pub metrics: SourceMetrics,
-    /// Union of review records, `Arc`-shared like `publications`.
-    pub reviews: Vec<Arc<SourceReview>>,
-    /// Which sources contributed.
-    pub sources: Vec<SourceKind>,
-    /// Per-source profile keys that were merged.
-    pub keys: Vec<String>,
-    /// Ground-truth identities observed among merged profiles.
-    ///
-    /// **Evaluation-only** (never read by the framework). More than one
-    /// entry means the name-based merge conflated distinct people.
-    pub truths: Vec<ScholarId>,
-    name: Arc<PersonName>,
-    affiliation_entry: Option<Arc<Institution>>,
-    country_entry: Option<NormalizedLabel>,
+    metrics: SourceMetrics,
+    /// The listed publications the dedupe keeps, one bit per copy in
+    /// profile order; `None` when it keeps every copy.
+    kept_publications: Option<Box<[u64]>>,
+    /// The listed reviews the dedupe keeps, likewise.
+    kept_reviews: Option<Box<[u64]>>,
 }
 
 impl MergedCandidate {
-    /// A candidate named `display_name` at `affiliation` in `country`,
-    /// with `affiliation_history`. Interests, publications, metrics,
-    /// reviews, sources, keys and truths start empty; they are plain
-    /// data, set directly.
-    pub fn new(
-        display_name: &str,
-        affiliation: Option<&str>,
-        country: Option<&str>,
-        affiliation_history: Vec<AffiliationRecord>,
-    ) -> Self {
+    /// One candidate merging all of `profiles`, whichever bucket
+    /// [`merge_profiles`] would file each of them under.
+    ///
+    /// # Panics
+    ///
+    /// When `profiles` is empty: a candidate is at least one profile.
+    pub fn from_profiles(mut profiles: Vec<Arc<SourceProfile>>) -> Self {
+        profiles.sort_by(|a, b| by_source_and_key(a, b));
+        Self::from_bucket(profiles.into_boxed_slice(), &mut Vec::new())
+    }
+
+    /// The candidate of one bucket, whose profiles are sorted by source
+    /// and key. `kept` is the dedupe's scratch space.
+    fn from_bucket(profiles: Box<[Arc<SourceProfile>]>, kept: &mut Vec<KeptCopy>) -> Self {
+        // The longest display name wins (the last of equally long ones).
+        let name = (0..profiles.len())
+            .max_by_key(|&i| profiles[i].display_name().len())
+            .expect("a candidate merges at least one profile");
+        let metrics = SourceMetrics {
+            citations: profiles.iter().filter_map(|p| p.metrics.citations).max(),
+            h_index: profiles.iter().filter_map(|p| p.metrics.h_index).max(),
+            i10_index: profiles.iter().filter_map(|p| p.metrics.i10_index).max(),
+        };
+        // Publications dedupe by their stored title key, confirmed on
+        // the normalized title; reviews by value. The first listed copy
+        // is kept.
+        let kept_publications = kept_copies(
+            &profiles,
+            SourceProfile::publications,
+            SourceProfile::titles_distinct,
+            SourcePublication::title_key,
+            |a, b| a.normalized_title() == b.normalized_title(),
+            kept,
+        );
+        let kept_reviews = kept_copies(
+            &profiles,
+            SourceProfile::reviews,
+            SourceProfile::reviews_distinct,
+            |r| u64::from(r.year) << 32 | u64::from(r.turnaround_days),
+            |a, b| a == b,
+            kept,
+        );
         MergedCandidate {
-            display_name: display_name.to_string(),
-            affiliation: affiliation.map(str::to_string),
-            country: country.map(str::to_string),
-            affiliation_history,
-            interests: Vec::new(),
-            publications: Vec::new(),
-            metrics: SourceMetrics::default(),
-            reviews: Vec::new(),
-            sources: Vec::new(),
-            keys: Vec::new(),
-            truths: Vec::new(),
-            name: Arc::new(PersonName::new(display_name)),
-            affiliation_entry: affiliation.map(|a| Arc::new(Institution::new(a))),
-            country_entry: country.map(NormalizedLabel::new),
+            profiles,
+            name,
+            metrics,
+            kept_publications,
+            kept_reviews,
         }
+    }
+
+    /// The merged profiles, sorted by source and key.
+    pub fn profiles(&self) -> &[Arc<SourceProfile>] {
+        &self.profiles
+    }
+
+    /// The best (longest) display name observed.
+    pub fn display_name(&self) -> &str {
+        self.profiles[self.name].display_name()
+    }
+
+    /// Current affiliation, if any source provided one.
+    pub fn affiliation(&self) -> Option<&str> {
+        self.affiliation_entry().map(|a| a.text())
+    }
+
+    /// Country of the current affiliation, if known.
+    pub fn country(&self) -> Option<&str> {
+        self.country_entry().map(|c| c.text())
+    }
+
+    /// Union of affiliation histories (ORCID usually the sole
+    /// contributor), each entry once, in profile order.
+    pub fn affiliation_history(&self) -> impl Iterator<Item = &AffiliationRecord> + Clone + '_ {
+        let listed = self.profiles.iter().flat_map(|p| &p.affiliation_history);
+        listed
+            .clone()
+            .enumerate()
+            .filter(move |&(i, h)| !listed.clone().take(i).any(|e| e == h))
+            .map(|(_, h)| h)
+    }
+
+    /// Union of research interests across sources: normalized, each
+    /// once, sorted.
+    pub fn interests(&self) -> impl Iterator<Item = &NormalizedLabel> + Clone + '_ {
+        let forms = self.interest_forms();
+        let mut last: Option<&NormalizedLabel> = None;
+        std::iter::from_fn(move || {
+            let next = forms
+                .clone()
+                .filter(|&form| last.is_none_or(|last| form > last))
+                .min()?;
+            last = Some(next);
+            Some(next)
+        })
+    }
+
+    /// Every profile's interests in normal form, as registered: the
+    /// union [`Self::interests`] yields, unsorted and with repeats, for
+    /// a reader that takes a maximum or a set of them.
+    pub fn interest_forms(&self) -> impl Iterator<Item = &NormalizedLabel> + Clone + '_ {
+        self.profiles
+            .iter()
+            .flat_map(|p| p.interests())
+            .map(|i| i.normalized())
+    }
+
+    /// Union of publications, deduplicated by normalized title.
+    /// `Arc`-shared with the source profiles that list them.
+    pub fn publications(&self) -> impl Iterator<Item = &Arc<SourcePublication>> + Clone + '_ {
+        selected(
+            self.profiles.iter().map(|p| p.publications()),
+            self.kept_publications.as_deref(),
+        )
+    }
+
+    /// The number of [`Self::publications`].
+    pub fn publication_count(&self) -> usize {
+        selected_count(
+            self.profiles.iter().map(|p| p.publications().len()),
+            self.kept_publications.as_deref(),
+        )
+    }
+
+    /// Best available metrics (max across sources, since every source
+    /// under-counts relative to the truth).
+    pub fn metrics(&self) -> &SourceMetrics {
+        &self.metrics
+    }
+
+    /// Union of review records, deduplicated by value. `Arc`-shared
+    /// like the publications.
+    pub fn reviews(&self) -> impl Iterator<Item = &Arc<SourceReview>> + Clone + '_ {
+        selected(
+            self.profiles.iter().map(|p| p.reviews()),
+            self.kept_reviews.as_deref(),
+        )
+    }
+
+    /// The number of [`Self::reviews`].
+    pub fn review_count(&self) -> usize {
+        selected_count(
+            self.profiles.iter().map(|p| p.reviews().len()),
+            self.kept_reviews.as_deref(),
+        )
+    }
+
+    /// Which sources contributed, each once.
+    pub fn sources(&self) -> impl Iterator<Item = SourceKind> + Clone + '_ {
+        let profiles = &self.profiles;
+        (0..profiles.len())
+            .filter(move |&i| i == 0 || profiles[i - 1].source != profiles[i].source)
+            .map(move |i| profiles[i].source)
+    }
+
+    /// Per-source profile keys that were merged.
+    pub fn keys(&self) -> impl Iterator<Item = &str> + Clone + '_ {
+        self.profiles.iter().map(|p| p.key.as_str())
+    }
+
+    /// Ground-truth identities observed among merged profiles, by
+    /// frequency (majority first), then id.
+    ///
+    /// **Evaluation-only** (never read by the framework). More than one
+    /// entry means the name-based merge conflated distinct people.
+    pub fn truths(&self) -> impl Iterator<Item = ScholarId> + Clone + '_ {
+        let profiles = &self.profiles;
+        let rank = move |id: ScholarId| {
+            let count = profiles.iter().filter(|p| p.truth == id).count();
+            (Reverse(count), id)
+        };
+        let mut last = None;
+        std::iter::from_fn(move || {
+            let next = profiles
+                .iter()
+                .map(|p| rank(p.truth))
+                .filter(|r| last.is_none_or(|last| *r > last))
+                .min()?;
+            last = Some(next);
+            Some(next.1)
+        })
     }
 
     /// True when the merge conflated profiles of different real people.
     pub fn is_conflated(&self) -> bool {
-        self.truths.len() > 1
+        let first = self.profiles[0].truth;
+        self.profiles.iter().any(|p| p.truth != first)
     }
 
     /// The majority ground-truth identity (evaluation-only), i.e. the
     /// person most of the merged profiles belong to.
     pub fn dominant_truth(&self) -> Option<ScholarId> {
-        self.truths.first().copied()
+        self.truths().next()
     }
 
     /// The parsed display name, when it parses.
     pub fn parsed_name(&self) -> Option<&ParsedName> {
-        debug_assert_eq!(
-            self.name.text(),
-            self.display_name,
-            "display_name changed after construction"
-        );
-        self.name.parsed()
+        self.profiles[self.name].display_name_entry().parsed()
     }
 
     /// The current affiliation, then every history entry's institution,
     /// each with its token set.
     pub fn institutions(&self) -> impl Iterator<Item = &Institution> {
-        debug_assert_eq!(
-            self.affiliation_entry.as_deref().map(Institution::text),
-            self.affiliation.as_deref(),
-            "affiliation changed after construction"
-        );
-        self.affiliation_entry.as_deref().into_iter().chain(
-            self.affiliation_history
-                .iter()
-                .map(|h| &**h.institution_entry()),
-        )
+        self.affiliation_entry()
+            .map(|a| &**a)
+            .into_iter()
+            .chain(self.affiliation_history().map(|h| &**h.institution_entry()))
     }
 
     /// The current country, then every history entry's, in normal form.
     pub fn countries(&self) -> impl Iterator<Item = &NormalizedLabel> {
-        debug_assert_eq!(
-            self.country_entry.is_some(),
-            self.country.is_some(),
-            "country changed after construction"
-        );
-        self.country_entry.iter().chain(
-            self.affiliation_history
-                .iter()
-                .map(|h| h.country_entry().normalized()),
-        )
+        self.country_entry()
+            .map(|c| c.normalized())
+            .into_iter()
+            .chain(
+                self.affiliation_history()
+                    .map(|h| h.country_entry().normalized()),
+            )
+    }
+
+    fn affiliation_entry(&self) -> Option<&Arc<Institution>> {
+        self.profiles.iter().find_map(|p| p.affiliation_entry())
+    }
+
+    fn country_entry(&self) -> Option<&Arc<Label>> {
+        self.profiles.iter().find_map(|p| p.country_entry())
     }
 }
 
-/// Prints the merged data only; the comparison forms are functions of
-/// it.
+/// Equal when every merged field is.
+impl PartialEq for MergedCandidate {
+    fn eq(&self, other: &Self) -> bool {
+        self.display_name() == other.display_name()
+            && self.affiliation() == other.affiliation()
+            && self.country() == other.country()
+            && self.affiliation_history().eq(other.affiliation_history())
+            && self.interests().eq(other.interests())
+            && self.publications().eq(other.publications())
+            && self.metrics == other.metrics
+            && self.reviews().eq(other.reviews())
+            && self.sources().eq(other.sources())
+            && self.keys().eq(other.keys())
+            && self.truths().eq(other.truths())
+    }
+}
+
+/// Prints the merged fields, each list the way a `Vec` of it prints.
 impl fmt::Debug for MergedCandidate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MergedCandidate")
-            .field("display_name", &self.display_name)
-            .field("affiliation", &self.affiliation)
-            .field("country", &self.country)
-            .field("affiliation_history", &self.affiliation_history)
-            .field("interests", &self.interests)
-            .field("publications", &self.publications)
+            .field("display_name", &self.display_name())
+            .field("affiliation", &self.affiliation())
+            .field("country", &self.country())
+            .field("affiliation_history", &List(self.affiliation_history()))
+            .field("interests", &List(self.interests()))
+            .field("publications", &List(self.publications()))
             .field("metrics", &self.metrics)
-            .field("reviews", &self.reviews)
-            .field("sources", &self.sources)
-            .field("keys", &self.keys)
-            .field("truths", &self.truths)
+            .field("reviews", &List(self.reviews()))
+            .field("sources", &List(self.sources()))
+            .field("keys", &List(self.keys()))
+            .field("truths", &List(self.truths()))
             .finish()
     }
 }
 
+/// An iterator's items, printed as a list.
+struct List<I>(I);
+
+impl<I> fmt::Debug for List<I>
+where
+    I: Iterator + Clone,
+    I::Item: fmt::Debug,
+{
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.0.clone()).finish()
+    }
+}
+
+/// A copy the dedupe keeps: its key, its profile's index in the bucket
+/// and its index in that profile's list.
+type KeptCopy = (u64, usize, usize);
+
+/// Which copies of the bucket's `list`s the dedupe keeps: the first
+/// copy of each entry, where two copies are one entry when their `key`s
+/// are equal and they are the `same`. Returns one bit per listed copy,
+/// in profile order, or `None` when every copy is kept — always so when
+/// at most one profile lists any and its list is `distinct`. `kept` is
+/// scratch space.
+fn kept_copies<T>(
+    profiles: &[Arc<SourceProfile>],
+    list: impl Fn(&SourceProfile) -> &[Arc<T>],
+    distinct: impl Fn(&SourceProfile) -> bool,
+    key: impl Fn(&T) -> u64,
+    same: impl Fn(&T, &T) -> bool,
+    kept: &mut Vec<KeptCopy>,
+) -> Option<Box<[u64]>> {
+    let mut listing = profiles.iter().filter(|p| !list(p).is_empty());
+    match (listing.next(), listing.next()) {
+        (None, _) => return None,
+        (Some(p), None) if distinct(p) => return None,
+        _ => {}
+    }
+    // A bucket lists a few hundred copies at most (221 in the
+    // 10^4-scholar benchmark world), so each copy scans the kept keys
+    // instead of hashing into a per-bucket map.
+    kept.clear();
+    let mut listed = 0;
+    for (i, p) in profiles.iter().enumerate() {
+        for (j, copy) in list(p).iter().enumerate() {
+            let k = key(copy);
+            let duplicate = kept
+                .iter()
+                .any(|&(kk, ki, kj)| kk == k && same(&list(&profiles[ki])[kj], copy));
+            if !duplicate {
+                kept.push((k, i, j));
+            }
+        }
+        listed += list(p).len();
+    }
+    if kept.len() == listed {
+        return None;
+    }
+    let mut bits = vec![0u64; listed.div_ceil(64)].into_boxed_slice();
+    let (mut profile, mut start) = (0, 0);
+    for &(_, i, j) in kept.iter() {
+        while profile < i {
+            start += list(&profiles[profile]).len();
+            profile += 1;
+        }
+        let copy = start + j;
+        bits[copy / 64] |= 1 << (copy % 64);
+    }
+    Some(bits)
+}
+
+/// The copies of `lists`, concatenated, that the bit set `kept` keeps;
+/// every copy when there is none.
+fn selected<'a, T: 'a>(
+    lists: impl Iterator<Item = &'a [Arc<T>]> + Clone,
+    kept: Option<&'a [u64]>,
+) -> impl Iterator<Item = &'a Arc<T>> + Clone {
+    lists
+        .flatten()
+        .enumerate()
+        .filter(move |&(i, _)| kept.is_none_or(|bits| bits[i / 64] >> (i % 64) & 1 == 1))
+        .map(|(_, copy)| copy)
+}
+
+/// The number of copies [`selected`] yields for lists of `lengths`.
+fn selected_count(lengths: impl Iterator<Item = usize>, kept: Option<&[u64]>) -> usize {
+    match kept {
+        Some(bits) => bits.iter().map(|w| w.count_ones() as usize).sum(),
+        None => lengths.sum(),
+    }
+}
+
+fn by_source_and_key(a: &SourceProfile, b: &SourceProfile) -> Ordering {
+    a.source.cmp(&b.source).then_with(|| a.key.cmp(&b.key))
+}
+
 /// The merge key of a profile: first initial of the given name, family
 /// name and normalized affiliation, as `initial|family|affiliation`.
-/// [`SourceProfile::new`] stores it on the profile.
+/// [`SourceProfile::new`] stores it on the profile, with its
+/// [`crate::text_key`].
 ///
 /// Abbreviated display names ("L. Zhou") and comma forms ("Zhou, Lei")
 /// land in the same bucket as "Lei Zhou" at the same institution, while
@@ -189,129 +437,63 @@ pub(crate) fn merge_key(display_name: &PersonName, affiliation: Option<&Institut
 }
 
 /// Merges source profiles into candidates keyed by
-/// (name-initial, family name, affiliation). Input profiles are
-/// `Arc`-shared (the shape every source hands out) and carry their merge
-/// key, so bucketing borrows; no key string is built per merge.
-pub fn merge_profiles(profiles: Vec<Arc<SourceProfile>>) -> Vec<MergedCandidate> {
-    let mut buckets: HashMap<&str, Vec<&SourceProfile>> = HashMap::with_capacity(profiles.len());
-    for p in &profiles {
-        buckets.entry(p.merge_key()).or_default().push(p);
+/// (name-initial, family name, affiliation).
+///
+/// Input profiles are `Arc`-shared (the shape every source hands out)
+/// and carry their merge key with its hash. One sort groups them: by
+/// hash, by key text to confirm a hash match, then by source and key
+/// within a bucket; the input order breaks the remaining ties. Each
+/// bucket's `Arc`s move into its candidate.
+pub fn merge_profiles(mut profiles: Vec<Arc<SourceProfile>>) -> Vec<MergedCandidate> {
+    profiles.sort_by(|a, b| {
+        a.merge_key_hash()
+            .cmp(&b.merge_key_hash())
+            .then_with(|| a.merge_key().cmp(b.merge_key()))
+            .then_with(|| by_source_and_key(a, b))
+    });
+    let same_bucket = |a: &SourceProfile, b: &SourceProfile| {
+        a.merge_key_hash() == b.merge_key_hash() && a.merge_key() == b.merge_key()
+    };
+    // Size the output and the dedupe's scratch space once.
+    let (mut buckets, mut most_listed) = (0, 0);
+    for bucket in profiles.chunk_by(|a, b| same_bucket(a, b)) {
+        buckets += 1;
+        let listed = bucket
+            .iter()
+            .map(|p| p.publications().len().max(p.reviews().len()))
+            .sum();
+        most_listed = most_listed.max(listed);
     }
-    let mut out: Vec<MergedCandidate> = buckets.into_values().map(merge_bucket).collect();
+    let mut out = Vec::with_capacity(buckets);
+    let mut kept = Vec::with_capacity(most_listed);
+    let mut rest = profiles.into_iter();
+    while let Some(first) = rest.as_slice().first() {
+        let len = 1 + rest.as_slice()[1..]
+            .iter()
+            .take_while(|p| same_bucket(first, p))
+            .count();
+        let bucket: Box<[Arc<SourceProfile>]> = rest.by_ref().take(len).collect();
+        out.push(MergedCandidate::from_bucket(bucket, &mut kept));
+    }
     // Deterministic order for downstream phases regardless of input
     // permutation. (display_name, keys, affiliation) almost always
     // suffices; for a pair that ties on all three, fall back to a total
     // structural order via the Debug rendering. That rendering spells out
     // every publication and review, so it is built only for such a pair,
     // never per candidate.
-    out.sort_by(|a, b| {
-        (&a.display_name, &a.keys, &a.affiliation)
-            .cmp(&(&b.display_name, &b.keys, &b.affiliation))
+    out.sort_unstable_by(|a, b| {
+        a.display_name()
+            .cmp(b.display_name())
+            .then_with(|| a.keys().cmp(b.keys()))
+            .then_with(|| a.affiliation().cmp(&b.affiliation()))
             .then_with(|| format!("{a:?}").cmp(&format!("{b:?}")))
     });
     out
 }
 
-fn merge_bucket(mut profiles: Vec<&SourceProfile>) -> MergedCandidate {
-    profiles.sort_by(|a, b| a.source.cmp(&b.source).then(a.key.cmp(&b.key)));
-    // The longest display name wins (the last of equally long ones), and
-    // its entry brings its parse.
-    let name = profiles
-        .iter()
-        .max_by_key(|p| p.display_name().len())
-        .expect("a bucket holds at least one profile")
-        .display_name_entry()
-        .clone();
-    let affiliation = profiles.iter().find_map(|p| p.affiliation_entry());
-    let country = profiles.iter().find_map(|p| p.country_entry());
-
-    let mut affiliation_history = Vec::new();
-    for p in &profiles {
-        for a in &p.affiliation_history {
-            if !affiliation_history.contains(a) {
-                affiliation_history.push(a.clone());
-            }
-        }
-    }
-
-    // Interests union by their stored normal form, in text order;
-    // cloning one shares its text.
-    let mut interests: Vec<&NormalizedLabel> = profiles
-        .iter()
-        .flat_map(|p| p.interests())
-        .map(|i| i.normalized())
-        .collect();
-    interests.sort_unstable();
-    interests.dedup();
-
-    // Publications dedupe by their stored title key, confirmed on the
-    // normalized title; the first listed copy is kept. A bucket lists a
-    // few hundred copies at most (221 in the 10^4-scholar benchmark
-    // world), so each copy scans the kept keys, one array of integers,
-    // instead of hashing into a per-bucket map.
-    let listed: usize = profiles.iter().map(|p| p.publications.len()).sum();
-    let mut kept_keys: Vec<u64> = Vec::with_capacity(listed);
-    let mut publications: Vec<Arc<SourcePublication>> = Vec::with_capacity(listed);
-    for publ in profiles.iter().flat_map(|p| &p.publications) {
-        let (key, title) = (publ.title_key(), publ.normalized_title());
-        let duplicate = kept_keys
-            .iter()
-            .zip(&publications)
-            .any(|(&k, kept)| k == key && kept.normalized_title() == title);
-        if !duplicate {
-            kept_keys.push(key);
-            publications.push(publ.clone());
-        }
-    }
-
-    let metrics = SourceMetrics {
-        citations: profiles.iter().filter_map(|p| p.metrics.citations).max(),
-        h_index: profiles.iter().filter_map(|p| p.metrics.h_index).max(),
-        i10_index: profiles.iter().filter_map(|p| p.metrics.i10_index).max(),
-    };
-
-    let mut reviews = Vec::new();
-    for p in &profiles {
-        for r in &p.reviews {
-            if !reviews.contains(r) {
-                reviews.push(r.clone());
-            }
-        }
-    }
-
-    let mut sources: Vec<SourceKind> = profiles.iter().map(|p| p.source).collect();
-    sources.dedup();
-    let keys = profiles.iter().map(|p| p.key.clone()).collect();
-
-    // Truth labels ordered by frequency (majority first), then id. A
-    // bucket holds a handful of profiles, so counting scans a list.
-    let mut counts: Vec<(ScholarId, usize)> = Vec::with_capacity(profiles.len());
-    for p in &profiles {
-        match counts.iter_mut().find(|(id, _)| *id == p.truth) {
-            Some((_, n)) => *n += 1,
-            None => counts.push((p.truth, 1)),
-        }
-    }
-    counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    let truths = counts.into_iter().map(|(id, _)| id).collect();
-
-    MergedCandidate {
-        display_name: name.text().to_string(),
-        affiliation: affiliation.map(|a| a.text().to_string()),
-        country: country.map(|c| c.text().to_string()),
-        affiliation_history,
-        interests: interests.into_iter().cloned().collect(),
-        publications,
-        metrics,
-        reviews,
-        sources,
-        keys,
-        truths,
-        name,
-        affiliation_entry: affiliation.cloned(),
-        country_entry: country.map(|c| c.normalized().clone()),
-    }
-}
+#[cfg(test)]
+#[path = "../tests/reference/merge.rs"]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -356,6 +538,15 @@ mod tests {
         ))
     }
 
+    fn review(venue: &str, year: u32) -> Arc<SourceReview> {
+        Arc::new(SourceReview::new(
+            Vocabulary::new().label(venue),
+            year,
+            20,
+            Some(3),
+        ))
+    }
+
     #[test]
     fn same_person_across_sources_merges() {
         let a = profile(
@@ -367,10 +558,9 @@ mod tests {
         let b = profile(SourceKind::Dblp, "Lei Zhou", "University of Tartu", 1);
         let merged = merge_profiles(arcs(vec![a, b]));
         assert_eq!(merged.len(), 1);
-        assert_eq!(
-            merged[0].sources,
-            vec![SourceKind::GoogleScholar, SourceKind::Dblp]
-        );
+        assert!(merged[0]
+            .sources()
+            .eq([SourceKind::GoogleScholar, SourceKind::Dblp]));
         assert!(!merged[0].is_conflated());
         assert_eq!(merged[0].dominant_truth(), Some(ScholarId(1)));
     }
@@ -386,7 +576,7 @@ mod tests {
         let b = profile(SourceKind::AcmDl, "L. Zhou", "University of Tartu", 1);
         let merged = merge_profiles(arcs(vec![a, b]));
         assert_eq!(merged.len(), 1);
-        assert_eq!(merged[0].display_name, "Lei Zhou"); // longest wins
+        assert_eq!(merged[0].display_name(), "Lei Zhou"); // longest wins
     }
 
     #[test]
@@ -401,14 +591,11 @@ mod tests {
         let c = profile(SourceKind::AcmDl, "Zhou, L.", "University of Tartu", 1);
         let merged = merge_profiles(arcs(vec![a, b, c]));
         assert_eq!(merged.len(), 1, "{merged:?}");
-        assert_eq!(
-            merged[0].sources,
-            vec![
-                SourceKind::GoogleScholar,
-                SourceKind::Dblp,
-                SourceKind::AcmDl
-            ]
-        );
+        assert!(merged[0].sources().eq([
+            SourceKind::GoogleScholar,
+            SourceKind::Dblp,
+            SourceKind::AcmDl
+        ]));
     }
 
     #[test]
@@ -454,29 +641,28 @@ mod tests {
         let merged = merge_profiles(arcs(vec![a, b]));
         assert_eq!(merged.len(), 1);
         assert!(merged[0].is_conflated());
-        assert_eq!(merged[0].truths.len(), 2);
+        assert_eq!(merged[0].truths().count(), 2);
     }
 
     #[test]
     fn publications_dedupe_by_title_and_metrics_take_max() {
-        let mut a = profile(SourceKind::GoogleScholar, "A B", "U", 1);
-        a.publications
-            .push(publication("Shared Result", 2015, Some(5)));
+        let mut a = profile(SourceKind::GoogleScholar, "A B", "U", 1)
+            .with_publications(vec![publication("Shared Result", 2015, Some(5))]);
         a.metrics.citations = Some(100);
         a.metrics.h_index = Some(5);
-        let mut b = profile(SourceKind::AcmDl, "A B", "U", 1);
         // Same title, different text.
-        b.publications
-            .push(publication("shared   result", 2015, Some(3)));
-        b.publications
-            .push(publication("Unique Result", 2016, None));
+        let mut b = profile(SourceKind::AcmDl, "A B", "U", 1).with_publications(vec![
+            publication("shared   result", 2015, Some(3)),
+            publication("Unique Result", 2016, None),
+        ]);
         b.metrics.citations = Some(80);
         b.metrics.h_index = Some(7);
         let merged = merge_profiles(arcs(vec![a, b]));
         assert_eq!(merged.len(), 1);
-        assert_eq!(merged[0].publications.len(), 2);
-        assert_eq!(merged[0].metrics.citations, Some(100));
-        assert_eq!(merged[0].metrics.h_index, Some(7));
+        assert_eq!(merged[0].publications().count(), 2);
+        assert_eq!(merged[0].publication_count(), 2);
+        assert_eq!(merged[0].metrics().citations, Some(100));
+        assert_eq!(merged[0].metrics().h_index, Some(7));
     }
 
     #[test]
@@ -488,19 +674,99 @@ mod tests {
             let p = SourcePublication::new(title.into(), year, v.label("J"), vec![], vec![], None);
             Arc::new(p.rekeyed(7))
         };
-        let mut a = profile(SourceKind::GoogleScholar, "A B", "U", 1);
-        a.publications.push(keyed("Shared Result", 2015));
-        a.publications.push(keyed("Other Result", 2016));
-        let mut b = profile(SourceKind::AcmDl, "A B", "U", 1);
-        b.publications.push(keyed("shared  result", 2015));
-        b.publications.push(keyed("Other result!", 2016));
-        b.publications.push(keyed("Third Result", 2017));
+        let a = profile(SourceKind::GoogleScholar, "A B", "U", 1).with_publications(vec![
+            keyed("Shared Result", 2015),
+            keyed("Other Result", 2016),
+        ]);
+        let b = profile(SourceKind::AcmDl, "A B", "U", 1).with_publications(vec![
+            keyed("shared  result", 2015),
+            keyed("Other result!", 2016),
+            keyed("Third Result", 2017),
+        ]);
         let merged = merge_profiles(arcs(vec![a, b]));
-        let titles: Vec<&str> = merged[0].publications.iter().map(|p| p.title()).collect();
+        let titles: Vec<&str> = merged[0].publications().map(|p| p.title()).collect();
         assert_eq!(
             titles,
             vec!["Shared Result", "Other Result", "Third Result"]
         );
+    }
+
+    #[test]
+    fn titles_sharing_a_key_merge_like_the_reference() {
+        // Titles filed under a few keys, so that most key matches must
+        // be told apart by text, listed by one or two profiles and
+        // repeated within a profile: the merge keeps exactly the copies
+        // the copying merge kept.
+        const TITLES: &[&str] = &[
+            "Shared Result",
+            "shared  result",
+            "Other Result",
+            "Other result!",
+            "Third Result",
+        ];
+        let keyed = |seed: usize, count: usize| -> Vec<Arc<SourcePublication>> {
+            (0..count)
+                .map(|i| {
+                    let v = Vocabulary::new();
+                    let title = TITLES[(seed * 7 + i * 3) % TITLES.len()];
+                    let p = SourcePublication::new(
+                        title.into(),
+                        2015,
+                        v.label("J"),
+                        vec![],
+                        vec![],
+                        None,
+                    );
+                    Arc::new(p.rekeyed(((seed + i) % 3) as u64))
+                })
+                .collect()
+        };
+        for seed in 0..60 {
+            let a = profile(SourceKind::GoogleScholar, "A B", "U", 1)
+                .with_publications(keyed(seed, seed % 5));
+            let b = profile(SourceKind::Dblp, "A. B", "U", 1)
+                .with_publications(keyed(seed + 1, seed % 4));
+            let profiles = if seed % 3 == 0 {
+                arcs(vec![a])
+            } else {
+                arcs(vec![b, a])
+            };
+            let merged = merge_profiles(profiles.clone());
+            reference::assert_same_merge(&merged, &reference::merge_profiles(profiles.clone()));
+            assert_eq!(MergedCandidate::from_profiles(profiles), merged[0]);
+        }
+    }
+
+    #[test]
+    fn a_profile_alone_keeps_every_distinct_copy_without_a_selection() {
+        let lone = merge_profiles(arcs(vec![profile(SourceKind::Publons, "A B", "U", 1)
+            .with_publications(vec![
+                publication("One", 2015, None),
+                publication("Two", 2016, None),
+            ])
+            .with_reviews(vec![review("J", 2015), review("J", 2016)])]));
+        assert!(lone[0].kept_publications.is_none() && lone[0].kept_reviews.is_none());
+        assert_eq!(
+            (lone[0].publication_count(), lone[0].review_count()),
+            (2, 2)
+        );
+        // A profile listing one title twice, or one review twice by
+        // value, keeps the first copy.
+        let repeating = merge_profiles(arcs(vec![profile(SourceKind::Publons, "A B", "U", 1)
+            .with_publications(vec![
+                publication("One", 2015, None),
+                publication("one", 2016, None),
+            ])
+            .with_reviews(vec![review("J", 2015), review("J", 2015)])]));
+        assert!(repeating[0].kept_publications.is_some() && repeating[0].kept_reviews.is_some());
+        assert_eq!(
+            (
+                repeating[0].publication_count(),
+                repeating[0].review_count()
+            ),
+            (1, 1)
+        );
+        assert_eq!(repeating[0].publications().next().unwrap().year, 2015);
     }
 
     #[test]
@@ -520,10 +786,9 @@ mod tests {
             &["semantic web", "Databases"],
         );
         let merged = merge_profiles(arcs(vec![a, b]));
-        assert_eq!(
-            merged[0].interests,
-            vec!["big data", "databases", "semantic web"]
-        );
+        assert!(merged[0]
+            .interests()
+            .eq(["big data", "databases", "semantic web"]));
     }
 
     #[test]

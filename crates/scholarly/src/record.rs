@@ -231,11 +231,13 @@ impl fmt::Debug for AffiliationRecord {
 /// This is the unit the extraction phase works with: text fields, partial
 /// lists, per-source keys — the shape of a scraped profile page.
 ///
-/// Built through [`SourceProfile::new`], which also sets the merge key.
-/// The fields that feed a comparison form are private and set only
-/// there, as shared entries carrying their forms; the rest are plain
-/// data, filled in after construction.
-#[derive(Debug, Clone, PartialEq)]
+/// Built through [`SourceProfile::new`], which also sets the merge key,
+/// and [`SourceProfile::with_publications`] and
+/// [`SourceProfile::with_reviews`], which also note whether the list
+/// repeats an entry. The fields that feed a comparison form or such a
+/// note are private and set only there; the rest are plain data, filled
+/// in after construction.
+#[derive(Clone, PartialEq)]
 pub struct SourceProfile {
     /// Which source produced this profile.
     pub source: SourceKind,
@@ -245,20 +247,18 @@ pub struct SourceProfile {
     display_name: Arc<PersonName>,
     affiliation: Option<Arc<Institution>>,
     merge_key: String,
+    merge_key_hash: u64,
     country: Option<Arc<Label>>,
     /// Full affiliation history (ORCID exposes this; others leave it
     /// empty).
     pub affiliation_history: Vec<AffiliationRecord>,
     interests: Vec<Arc<Label>>,
-    /// Publications listed on the profile (subset of the truth).
-    /// `Arc`-shared: merged candidates borrow these records instead of
-    /// deep-copying title/venue/keyword strings every recommendation.
-    pub publications: Vec<Arc<SourcePublication>>,
+    publications: Vec<Arc<SourcePublication>>,
+    titles_distinct: bool,
     /// Citation metrics, when the source exposes them.
     pub metrics: SourceMetrics,
-    /// Review records, when the source exposes them (Publons).
-    /// `Arc`-shared, like `publications`.
-    pub reviews: Vec<Arc<SourceReview>>,
+    reviews: Vec<Arc<SourceReview>>,
+    reviews_distinct: bool,
     /// Ground-truth identity of the scholar this profile belongs to.
     ///
     /// **Evaluation-only.** The recommendation framework never reads this
@@ -281,20 +281,50 @@ impl SourceProfile {
         interests: Vec<Arc<Label>>,
         truth: ScholarId,
     ) -> Self {
+        let merge_key = merge_key(&display_name, affiliation.as_deref());
         SourceProfile {
             source,
             key,
-            merge_key: merge_key(&display_name, affiliation.as_deref()),
+            merge_key_hash: text_key(&merge_key),
+            merge_key,
             display_name,
             affiliation,
             country,
             affiliation_history: Vec::new(),
             interests,
             publications: Vec::new(),
+            titles_distinct: true,
             metrics: SourceMetrics::default(),
             reviews: Vec::new(),
+            reviews_distinct: true,
             truth,
         }
+    }
+
+    /// The profile listing `publications` instead of its current ones.
+    #[must_use]
+    pub fn with_publications(mut self, publications: Vec<Arc<SourcePublication>>) -> Self {
+        let mut titles: Vec<(u64, &str)> = publications
+            .iter()
+            .map(|p| (p.title_key(), p.normalized_title()))
+            .collect();
+        titles.sort_unstable();
+        self.titles_distinct = titles.windows(2).all(|w| w[0] != w[1]);
+        self.publications = publications;
+        self
+    }
+
+    /// The profile listing `reviews` instead of its current ones.
+    #[must_use]
+    pub fn with_reviews(mut self, reviews: Vec<Arc<SourceReview>>) -> Self {
+        let mut values: Vec<(&str, u32, u32, Option<u8>)> = reviews
+            .iter()
+            .map(|r| (r.venue_name().text(), r.year, r.turnaround_days, r.quality))
+            .collect();
+        values.sort_unstable();
+        self.reviews_distinct = values.windows(2).all(|w| w[0] != w[1]);
+        self.reviews = reviews;
+        self
     }
 
     /// Display name as rendered by the source — may be abbreviated
@@ -333,9 +363,37 @@ impl SourceProfile {
         &self.merge_key
     }
 
+    /// The [`text_key`] of [`Self::merge_key`].
+    pub(crate) fn merge_key_hash(&self) -> u64 {
+        self.merge_key_hash
+    }
+
     /// Research-interest keywords registered on the profile.
     pub fn interests(&self) -> &[Arc<Label>] {
         &self.interests
+    }
+
+    /// Publications listed on the profile (subset of the truth).
+    /// `Arc`-shared: merged candidates read these records instead of
+    /// deep-copying title/venue/keyword strings every recommendation.
+    pub fn publications(&self) -> &[Arc<SourcePublication>] {
+        &self.publications
+    }
+
+    /// True when no two listed publications share a normalized title.
+    pub(crate) fn titles_distinct(&self) -> bool {
+        self.titles_distinct
+    }
+
+    /// Review records, when the source exposes them (Publons).
+    /// `Arc`-shared, like the publications.
+    pub fn reviews(&self) -> &[Arc<SourceReview>] {
+        &self.reviews
+    }
+
+    /// True when no two listed reviews are equal.
+    pub(crate) fn reviews_distinct(&self) -> bool {
+        self.reviews_distinct
     }
 
     /// Number of review records on the profile.
@@ -346,6 +404,27 @@ impl SourceProfile {
     /// Most recent publication year on the profile, if any.
     pub fn latest_publication_year(&self) -> Option<u32> {
         self.publications.iter().map(|p| p.year).max()
+    }
+}
+
+/// Prints the data only; the merge key's hash and the notes on repeated
+/// entries are functions of it.
+impl fmt::Debug for SourceProfile {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SourceProfile")
+            .field("source", &self.source)
+            .field("key", &self.key)
+            .field("display_name", &self.display_name)
+            .field("affiliation", &self.affiliation)
+            .field("merge_key", &self.merge_key)
+            .field("country", &self.country)
+            .field("affiliation_history", &self.affiliation_history)
+            .field("interests", &self.interests)
+            .field("publications", &self.publications)
+            .field("metrics", &self.metrics)
+            .field("reviews", &self.reviews)
+            .field("truth", &self.truth)
+            .finish()
     }
 }
 
@@ -365,7 +444,7 @@ mod tests {
 
     fn profile() -> SourceProfile {
         let v = Vocabulary::new();
-        let mut p = SourceProfile::new(
+        SourceProfile::new(
             SourceKind::GoogleScholar,
             "gs:1".into(),
             v.name("Ada Lovelace"),
@@ -373,8 +452,8 @@ mod tests {
             Some(v.label("Estonia")),
             vec![v.label("databases")],
             ScholarId(0),
-        );
-        p.publications = vec![
+        )
+        .with_publications(vec![
             Arc::new(SourcePublication::new(
                 "A".into(),
                 2015,
@@ -391,9 +470,13 @@ mod tests {
                 vec![],
                 None,
             )),
-        ];
-        p.reviews = vec![Arc::new(SourceReview::new(v.label("J"), 2016, 21, Some(4)))];
-        p
+        ])
+        .with_reviews(vec![Arc::new(SourceReview::new(
+            v.label("J"),
+            2016,
+            21,
+            Some(4),
+        ))])
     }
 
     #[test]
@@ -405,8 +488,7 @@ mod tests {
 
     #[test]
     fn empty_profile_has_no_latest_year() {
-        let mut p = profile();
-        p.publications.clear();
+        let p = profile().with_publications(vec![]);
         assert_eq!(p.latest_publication_year(), None);
     }
 }

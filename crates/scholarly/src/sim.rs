@@ -652,11 +652,11 @@ impl SimulatedSource {
             country,
             interests,
             id,
-        );
+        )
+        .with_publications(publications)
+        .with_reviews(reviews);
         profile.affiliation_history = affiliation_history;
-        profile.publications = publications;
         profile.metrics = metrics;
-        profile.reviews = reviews;
         profile
     }
 }
@@ -796,7 +796,7 @@ mod tests {
             if let Ok(p) = s.fetch_profile(&s.key_for(sc.id)) {
                 assert!(p.interests().is_empty());
                 assert_eq!(p.metrics, SourceMetrics::default());
-                assert_eq!(p.publications.len(), w.papers_of(sc.id).len());
+                assert_eq!(p.publications().len(), w.papers_of(sc.id).len());
             }
         }
     }
@@ -822,7 +822,7 @@ mod tests {
         let w = world();
         let any_reviews = w.scholars().iter().any(|sc| {
             s.fetch_profile(&s.key_for(sc.id))
-                .map(|p| !p.reviews.is_empty())
+                .map(|p| !p.reviews().is_empty())
                 .unwrap_or(false)
         });
         assert!(any_reviews);

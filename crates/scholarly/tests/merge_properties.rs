@@ -36,19 +36,21 @@ fn arb_profile() -> impl Strategy<Value = SourceProfile> {
                 None,
                 interests.iter().map(|i| vocab.label(i)).collect(),
                 ScholarId(person),
+            )
+            .with_publications(
+                (0..pubs)
+                    .map(|i| {
+                        Arc::new(SourcePublication::new(
+                            format!("paper {i} by person {person}"),
+                            2010 + i as u32,
+                            vocab.label("J"),
+                            vec![],
+                            vec![],
+                            None,
+                        ))
+                    })
+                    .collect(),
             );
-            p.publications = (0..pubs)
-                .map(|i| {
-                    Arc::new(SourcePublication::new(
-                        format!("paper {i} by person {person}"),
-                        2010 + i as u32,
-                        vocab.label("J"),
-                        vec![],
-                        vec![],
-                        None,
-                    ))
-                })
-                .collect();
             p.metrics = SourceMetrics {
                 citations,
                 h_index: None,
@@ -81,8 +83,8 @@ proptest! {
         // Duplicating inputs may duplicate keys inside a candidate but
         // must not change the number of candidates or their identities.
         prop_assert_eq!(once.len(), twice.len());
-        let names_a: Vec<_> = once.iter().map(|c| c.display_name.clone()).collect();
-        let names_b: Vec<_> = twice.iter().map(|c| c.display_name.clone()).collect();
+        let names_a: Vec<_> = once.iter().map(|c| c.display_name()).collect();
+        let names_b: Vec<_> = twice.iter().map(|c| c.display_name()).collect();
         prop_assert_eq!(names_a, names_b);
     }
 
@@ -95,14 +97,14 @@ proptest! {
             p.key = format!("{}#{i}", p.key);
         }
         let merged = merge_profiles(arcs(profiles.clone()));
-        let total_keys: usize = merged.iter().map(|c| c.keys.len()).sum();
+        let total_keys: usize = merged.iter().map(|c| c.keys().count()).sum();
         prop_assert_eq!(total_keys, profiles.len());
         // Metrics are maxima over contributing profiles, so never less
         // than any input's.
         for cand in &merged {
             for p in &profiles {
-                if cand.keys.contains(&p.key) && cand.sources.contains(&p.source) {
-                    if let (Some(cm), Some(pm)) = (cand.metrics.citations, p.metrics.citations) {
+                if cand.keys().any(|k| k == p.key) && cand.sources().any(|s| s == p.source) {
+                    if let (Some(cm), Some(pm)) = (cand.metrics().citations, p.metrics.citations) {
                         prop_assert!(cm >= pm);
                     }
                 }
@@ -113,11 +115,12 @@ proptest! {
     #[test]
     fn merged_interests_are_normalized_and_sorted(profiles in proptest::collection::vec(arb_profile(), 0..10)) {
         for cand in merge_profiles(arcs(profiles)) {
-            let mut sorted = cand.interests.clone();
+            let interests: Vec<_> = cand.interests().collect();
+            let mut sorted = interests.clone();
             sorted.sort();
             sorted.dedup();
-            prop_assert_eq!(&sorted, &cand.interests);
-            for i in &cand.interests {
+            prop_assert_eq!(&sorted, &interests);
+            for i in interests {
                 prop_assert_eq!(i.clone(), minaret_ontology::normalize_label(i));
             }
         }

@@ -196,18 +196,17 @@ pub fn build_router(state: Arc<AppState>) -> Router {
                     .iter()
                     .map(|m| {
                         Value::object()
-                            .set("display_name", m.candidate.display_name.as_str())
-                            .set("affiliation", m.candidate.affiliation.clone())
+                            .set("display_name", m.candidate.display_name())
+                            .set("affiliation", m.candidate.affiliation().map(str::to_string))
                             .set("score", m.score)
                             .set(
                                 "sources",
                                 m.candidate
-                                    .sources
-                                    .iter()
+                                    .sources()
                                     .map(|k| Value::from(k.to_string()))
                                     .collect::<Vec<_>>(),
                             )
-                            .set("publications", m.candidate.publications.len())
+                            .set("publications", m.candidate.publication_count())
                     })
                     .collect();
                 results.push(Value::object().set("name", name).set("matches", matches));

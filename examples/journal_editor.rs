@@ -114,12 +114,11 @@ fn main() {
             println!(
                 "   {}. {} @ {} [score {:.2}, sources: {}]",
                 i + 1,
-                m.candidate.display_name,
-                m.candidate.affiliation.as_deref().unwrap_or("?"),
+                m.candidate.display_name(),
+                m.candidate.affiliation().unwrap_or("?"),
                 m.score,
                 m.candidate
-                    .sources
-                    .iter()
+                    .sources()
                     .map(|s| s.to_string())
                     .collect::<Vec<_>>()
                     .join("+")
@@ -156,7 +155,8 @@ fn main() {
     {
         println!(
             "  e.g. {} removed because {:?}",
-            cand.merged.display_name, verdict.reasons[0]
+            cand.merged.display_name(),
+            verdict.reasons[0]
         );
     }
 

@@ -32,7 +32,13 @@
 //! candidate and `CandidateScorer::score` over every candidate on one
 //! thread, and fails unless that pass allocates nothing: the
 //! per-candidate phases only compare forms built with the profiles.
-//! Counts are exact, so these gates do not depend on the machine.
+//! The merge gate counts the allocations of `merge_profiles` over each
+//! manuscript's deduped hits, plus dropping its candidates, and fails
+//! unless they stay within [`merge_alloc_bound`] per candidate plus
+//! [`MERGE_FIXED_ALLOCS`] per merge: a candidate holds its profiles, so
+//! its allocations do not grow with its publications, reviews, interests
+//! or keys. Counts are exact, so these gates do not depend on the
+//! machine.
 //!
 //! `--record` re-measures and writes the committed baseline,
 //! `BENCH_e7_scalability.json`. Run it (release mode, with
@@ -59,7 +65,7 @@ use minaret::http::{KeepAliveConfig, Method, Request, Server, ServerConfig};
 use minaret::json::{parse, Value};
 use minaret::prelude::*;
 #[cfg(feature = "count-allocs")]
-use minaret::scholarly::MergedCandidate;
+use minaret::scholarly::{merge_profiles, MergedCandidate};
 use minaret::synth::LazyWorld;
 use minaret_server::{build_router, AppState};
 use minaret_telemetry::Telemetry;
@@ -83,6 +89,12 @@ const LATENCY_MICROS: u64 = 500;
 /// differ by a few allocations in thousands.
 #[cfg(feature = "count-allocs")]
 const ALLOC_REGRESSION_HEADROOM: f64 = 1.01;
+
+/// Allocations one `merge_profiles` call may make beyond its
+/// candidates' [`merge_alloc_bound`]: the candidate list, the sort's
+/// buffer and the dedupe's scratch space.
+#[cfg(feature = "count-allocs")]
+const MERGE_FIXED_ALLOCS: u64 = 3;
 
 /// The measured manuscripts' names and baseline key prefixes: the
 /// 3-keyword one's keys carry no prefix.
@@ -598,6 +610,29 @@ struct AllocCounts {
     per_candidate: u64,
     /// Candidates the recommendation retrieves.
     candidates: usize,
+    /// Allocations of `merge_profiles` over the recommendation's deduped
+    /// hits, plus dropping its candidates.
+    merge: u64,
+    /// The sum of [`merge_alloc_bound`] over those candidates.
+    merge_bound: u64,
+}
+
+/// The allocations merging `candidate` may make: its profile list, plus
+/// a bit set for each of its publication and review lists that loses a
+/// copy to the dedupe. That is one for a one-profile candidate whose
+/// records are distinct and at most three for any other, however many
+/// publications, reviews, interests or keys it holds.
+#[cfg(feature = "count-allocs")]
+fn merge_alloc_bound(candidate: &MergedCandidate) -> u64 {
+    match candidate.profiles() {
+        [profile]
+            if candidate.publication_count() == profile.publications().len()
+                && candidate.review_count() == profile.reviews().len() =>
+        {
+            1
+        }
+        _ => 3,
+    }
 }
 
 /// Allocation counts of the two measured manuscripts: a 3-keyword one
@@ -701,16 +736,47 @@ fn measure_allocs() -> [AllocCounts; 2] {
         (alloc::snapshot().allocs_since(&before), candidates.len())
     }
 
+    /// Allocations of `merge_profiles` over the manuscript's hits,
+    /// deduped, plus dropping the candidates; and their bound.
+    fn merge(ctx: &EvalContext, manuscript: &ManuscriptDetails) -> (u64, u64) {
+        use minaret::ontology::normalize_label;
+        let expander = KeywordExpander::new(&ctx.ontology, ctx.minaret.config().expansion);
+        let mut labels = std::collections::BTreeSet::new();
+        for kw in &manuscript.keywords {
+            if let Ok(expanded) = expander.expand(kw) {
+                labels.extend(expanded.iter().map(|e| normalize_label(&e.label)));
+            }
+            labels.insert(normalize_label(kw));
+        }
+        let labels: Vec<String> = labels.into_iter().collect();
+        let report = ctx.registry.search_by_interests_report(&labels);
+        let mut profiles: Vec<_> = report
+            .by_label
+            .into_iter()
+            .flat_map(|(_, hits)| hits)
+            .collect();
+        profiles.sort_by(|a, b| (a.source, &a.key).cmp(&(b.source, &b.key)));
+        profiles.dedup_by(|a, b| a.source == b.source && a.key == b.key);
+        let before = alloc::snapshot();
+        let merged = merge_profiles(profiles);
+        let bound = merged.iter().map(merge_alloc_bound).sum();
+        drop(std::hint::black_box(merged));
+        (alloc::snapshot().allocs_since(&before), bound)
+    }
+
     let (cached, uncached) = (context(true), context(false));
     let wide = wide(&uncached);
     let narrow = narrow(&uncached, &wide);
     [wide, narrow].map(|manuscript| {
         let (per_candidate, candidates) = per_candidate(&uncached, &manuscript);
+        let (merge, merge_bound) = merge(&uncached, &manuscript);
         AllocCounts {
             cached: per_rec(&cached, &manuscript),
             uncached: per_rec(&uncached, &manuscript),
             per_candidate,
             candidates,
+            merge,
+            merge_bound,
         }
     })
 }
@@ -744,6 +810,28 @@ fn main() {
             }
         }
         println!("OK: filter and rank made 0 allocations per candidate on both manuscripts");
+        // Exact gate: a merged candidate's allocations do not grow with
+        // what its profiles list.
+        for ((name, _), c) in ALLOC_MANUSCRIPTS.iter().zip(&counts) {
+            let budget = c.merge_bound + MERGE_FIXED_ALLOCS;
+            println!(
+                "merge alloc gate ({name}, {} candidates): {} allocs ({:.2} per candidate), \
+                 budget {budget} ({} by candidate + {MERGE_FIXED_ALLOCS} per merge)",
+                c.candidates,
+                c.merge,
+                c.merge as f64 / c.candidates.max(1) as f64,
+                c.merge_bound,
+            );
+            if c.merge > budget {
+                eprintln!(
+                    "FAIL: merge_profiles made {} allocations over the {name} manuscript's {} \
+                     candidates; the budget is {budget}",
+                    c.merge, c.candidates
+                );
+                std::process::exit(1);
+            }
+        }
+        println!("OK: merging allocates within the per-candidate bound on both manuscripts");
         counts
     };
 

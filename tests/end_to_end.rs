@@ -101,7 +101,7 @@ fn recommendations_have_real_topical_relevance() {
             // mean — the recommender is doing real work, not returning
             // arbitrary people.
             for r in report.recommendations.iter().take(5) {
-                if let Some(&id) = r.candidate.truths.first() {
+                if let Some(id) = r.candidate.dominant_truth() {
                     top_sum += ground_truth_relevance(&world, &sub, id);
                     top_n += 1;
                 }
@@ -155,10 +155,13 @@ fn no_recommended_reviewer_has_ground_truth_coi() {
         for rec in &report.recommendations {
             // Skip conflated records (several people behind one name) —
             // those are a disambiguation failure measured separately.
-            if rec.candidate.truths.len() != 1 {
+            if rec.candidate.is_conflated() {
                 continue;
             }
-            let truth = rec.candidate.truths[0];
+            let truth = rec
+                .candidate
+                .dominant_truth()
+                .expect("a candidate has a truth");
             for &a in &sub.authors {
                 assert_ne!(truth, a, "author recommended as reviewer");
                 assert!(

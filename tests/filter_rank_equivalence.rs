@@ -5,8 +5,9 @@
 //! construction (parsed co-author names, normalized titles, keywords,
 //! venue names and interests). This suite pins that both decide and
 //! score exactly like the per-candidate definitions they replaced.
-//! Candidates are built through the production constructors; the
-//! reference computes from their printed strings.
+//! Candidates are built from drawn source profiles through the
+//! production constructors; the reference computes from their printed
+//! strings.
 //!
 //! `reference` holds those definitions as they stood before the change:
 //! the COI check, the PC membership check, topic coverage, recency and
@@ -36,9 +37,10 @@ use minaret::core::{
     KeywordExpansionSet, ScoreBreakdown,
 };
 use minaret::scholarly::{
-    AffiliationRecord, Institution, Label, MergedCandidate, NormalizedLabel, PersonName,
-    SourceMetrics, SourcePublication, SourceReview,
+    AffiliationRecord, Institution, Label, MergedCandidate, PersonName, SourceKind, SourceMetrics,
+    SourceProfile, SourcePublication, SourceReview,
 };
+use minaret::synth::ScholarId;
 use proptest::prelude::*;
 
 /// The per-candidate definitions as they were before request-side data
@@ -168,17 +170,17 @@ mod reference {
                 rec.countries.push(normalize_label(c));
             }
             if let Some(p) = profile {
-                if let Some(a) = &p.affiliation {
-                    rec.institutions.push(a.clone());
+                if let Some(a) = p.affiliation() {
+                    rec.institutions.push(a.to_string());
                 }
-                if let Some(c) = &p.country {
+                if let Some(c) = p.country() {
                     rec.countries.push(normalize_label(c));
                 }
-                for h in &p.affiliation_history {
+                for h in p.affiliation_history() {
                     rec.institutions.push(h.institution.clone());
                     rec.countries.push(normalize_label(&h.country));
                 }
-                for publ in &p.publications {
+                for publ in p.publications() {
                     rec.publication_titles.push(normalize_label(publ.title()));
                     for co in publ.coauthor_names() {
                         rec.coauthor_names.push(co.text().to_string());
@@ -197,30 +199,28 @@ mod reference {
         config: &CoiConfig,
     ) -> CoiVerdict {
         let mut reasons = Vec::new();
-        let cand_name = parse_name(&candidate.display_name);
+        let cand_name = parse_name(candidate.display_name());
         let cand_titles: Vec<String> = candidate
-            .publications
-            .iter()
+            .publications()
             .map(|p| normalize_label(p.title()))
             .collect();
         let cand_coauthors: Vec<_> = candidate
-            .publications
-            .iter()
+            .publications()
             .flat_map(|p| p.coauthor_names())
             .filter_map(|n| parse_name(n.text()))
             .collect();
         let mut cand_institutions: Vec<String> = Vec::new();
-        if let Some(a) = &candidate.affiliation {
-            cand_institutions.push(a.clone());
+        if let Some(a) = candidate.affiliation() {
+            cand_institutions.push(a.to_string());
         }
-        for h in &candidate.affiliation_history {
+        for h in candidate.affiliation_history() {
             cand_institutions.push(h.institution.clone());
         }
         let mut cand_countries: Vec<String> = Vec::new();
-        if let Some(c) = &candidate.country {
+        if let Some(c) = candidate.country() {
             cand_countries.push(normalize_label(c));
         }
-        for h in &candidate.affiliation_history {
+        for h in candidate.affiliation_history() {
             cand_countries.push(normalize_label(&h.country));
         }
         cand_countries.sort();
@@ -311,7 +311,7 @@ mod reference {
     }
 
     pub fn is_pc_member(candidate: &MergedCandidate, pc: &[String]) -> bool {
-        let Some(cand) = parse_name(&candidate.display_name) else {
+        let Some(cand) = parse_name(candidate.display_name()) else {
             return false;
         };
         pc.iter()
@@ -332,9 +332,9 @@ mod reference {
             });
         }
         if !config.expertise.admits(
-            candidate.metrics.citations,
-            candidate.metrics.h_index,
-            candidate.reviews.len() as u32,
+            candidate.metrics().citations,
+            candidate.metrics().h_index,
+            candidate.reviews().count() as u32,
         ) {
             return FilterDecision::Removed(FilterReason::ExpertiseConstraint);
         }
@@ -360,12 +360,8 @@ mod reference {
         if expansions.is_empty() {
             return 0.0;
         }
-        let mut labels: Vec<String> = candidate
-            .interests
-            .iter()
-            .map(|i| normalize_label(i))
-            .collect();
-        for p in &candidate.publications {
+        let mut labels: Vec<String> = candidate.interests().map(|i| normalize_label(i)).collect();
+        for p in candidate.publications() {
             for k in p.keywords() {
                 labels.push(normalize_label(k.text()));
             }
@@ -389,7 +385,7 @@ mod reference {
         let mut total = 0.0;
         for e in expansions {
             let mut best = 0.0f64;
-            for p in &candidate.publications {
+            for p in candidate.publications() {
                 let sim = best_match(e, p.keywords().iter().map(|k| normalize_label(k.text())));
                 if sim <= 0.0 {
                     continue;
@@ -418,13 +414,11 @@ mod reference {
             return 0.0;
         }
         let reviews_for = candidate
-            .reviews
-            .iter()
+            .reviews()
             .filter(|r| normalize_label(r.venue_name().text()) == target)
             .count() as f64;
         let pubs_in = candidate
-            .publications
-            .iter()
+            .publications()
             .filter(|p| normalize_label(p.venue_name().text()) == target)
             .count() as f64;
         log_norm(reviews_for + pubs_in, FAMILIARITY_CAP)
@@ -576,56 +570,73 @@ fn publication_listing(d: &mut Draw, coauthor: Option<&str>) -> Arc<SourcePublic
     ))
 }
 
-fn candidate(d: &mut Draw) -> MergedCandidate {
-    let display_name = name(d);
-    let affiliation = d.some(80, |d| d.pick(INSTITUTIONS).to_string());
-    let country = d.some(70, |d| d.pick(COUNTRIES).to_string());
-    let affiliation_history = d.many(2, |d| {
-        AffiliationRecord::new(
-            Arc::new(Institution::new(d.pick(INSTITUTIONS))),
-            Arc::new(Label::new(d.pick(COUNTRIES))),
-            2000,
-            2010,
-        )
-    });
-    let mut candidate = MergedCandidate::new(
-        &display_name,
-        affiliation.as_deref(),
-        country.as_deref(),
-        affiliation_history,
-    );
-    candidate.interests = d.many(4, |d| NormalizedLabel::new(d.pick(LABELS)));
-    candidate.publications = d.many(5, publication);
-    candidate.metrics = SourceMetrics {
-        citations: d.some(80, |d| d.below(5_000) as u64),
-        h_index: d.some(80, |d| d.below(60) as u32),
-        i10_index: None,
-    };
-    candidate.reviews = d.many(4, |d| {
-        Arc::new(SourceReview::new(
-            Arc::new(Label::new(d.pick(VENUES))),
-            2005 + d.below(15) as u32,
-            5 + d.below(100) as u32,
-            d.some(50, |d| 1 + d.below(5) as u8),
-        ))
-    });
-    candidate
+/// A drawn candidate's data, before it becomes a profile.
+struct Parts {
+    display_name: String,
+    affiliation: Option<String>,
+    country: Option<String>,
+    affiliation_history: Vec<AffiliationRecord>,
+    interests: Vec<Arc<Label>>,
+    publications: Vec<Arc<SourcePublication>>,
+    metrics: SourceMetrics,
+    reviews: Vec<Arc<SourceReview>>,
 }
 
-/// `cand` built again through the constructor, after a draw replaced
-/// its name or affiliation, so that its comparison forms follow.
-fn rebuilt(cand: MergedCandidate) -> MergedCandidate {
-    let mut fresh = MergedCandidate::new(
-        &cand.display_name,
-        cand.affiliation.as_deref(),
-        cand.country.as_deref(),
-        cand.affiliation_history,
-    );
-    fresh.interests = cand.interests;
-    fresh.publications = cand.publications;
-    fresh.metrics = cand.metrics;
-    fresh.reviews = cand.reviews;
-    fresh
+impl Parts {
+    fn draw(d: &mut Draw) -> Parts {
+        Parts {
+            display_name: name(d),
+            affiliation: d.some(80, |d| d.pick(INSTITUTIONS).to_string()),
+            country: d.some(70, |d| d.pick(COUNTRIES).to_string()),
+            affiliation_history: d.many(2, |d| {
+                AffiliationRecord::new(
+                    Arc::new(Institution::new(d.pick(INSTITUTIONS))),
+                    Arc::new(Label::new(d.pick(COUNTRIES))),
+                    2000,
+                    2010,
+                )
+            }),
+            interests: d.many(4, |d| Arc::new(Label::new(d.pick(LABELS)))),
+            publications: d.many(5, publication),
+            metrics: SourceMetrics {
+                citations: d.some(80, |d| d.below(5_000) as u64),
+                h_index: d.some(80, |d| d.below(60) as u32),
+                i10_index: None,
+            },
+            reviews: d.many(4, |d| {
+                Arc::new(SourceReview::new(
+                    Arc::new(Label::new(d.pick(VENUES))),
+                    2005 + d.below(15) as u32,
+                    5 + d.below(100) as u32,
+                    d.some(50, |d| 1 + d.below(5) as u8),
+                ))
+            }),
+        }
+    }
+
+    /// The candidate of one profile holding this data.
+    fn build(self) -> MergedCandidate {
+        let mut profile = SourceProfile::new(
+            SourceKind::GoogleScholar,
+            "gs:drawn".into(),
+            Arc::new(PersonName::new(&self.display_name)),
+            self.affiliation
+                .as_deref()
+                .map(|a| Arc::new(Institution::new(a))),
+            self.country.as_deref().map(|c| Arc::new(Label::new(c))),
+            self.interests,
+            ScholarId(0),
+        )
+        .with_publications(self.publications)
+        .with_reviews(self.reviews);
+        profile.affiliation_history = self.affiliation_history;
+        profile.metrics = self.metrics;
+        MergedCandidate::from_profiles(vec![Arc::new(profile)])
+    }
+}
+
+fn candidate(d: &mut Draw) -> MergedCandidate {
+    Parts::draw(d).build()
 }
 
 /// One manuscript author: typed fields plus an optional verified profile,
@@ -743,16 +754,16 @@ proptest! {
             (0..1 + d.below(2)).map(|_| author(&mut d)).unzip();
         let filter = CandidateFilter::new(&authors, &config);
         for _ in 0..12 {
-            let mut cand = candidate(&mut d);
+            let mut parts = Parts::draw(&mut d);
             let pick = d.below(authors.len());
             match d.below(3) {
-                0 => cand.display_name = authors[pick].name().to_string(),
-                1 => cand
+                0 => parts.display_name = authors[pick].name().to_string(),
+                1 => parts
                     .publications
                     .push(publication_listing(&mut d, Some(authors[pick].name()))),
-                _ => cand.affiliation = Some(d.pick(INSTITUTIONS).to_string()),
+                _ => parts.affiliation = Some(d.pick(INSTITUTIONS).to_string()),
             }
-            let cand = rebuilt(cand);
+            let cand = parts.build();
             prop_assert_eq!(
                 filter.decide(&cand, 1.0),
                 reference::filter_candidate(&cand, 1.0, &reference_authors, &config)
@@ -893,13 +904,10 @@ fn shared_key_publication(d: &mut Draw) -> Arc<SourcePublication> {
 }
 
 fn shared_key_candidate(d: &mut Draw) -> MergedCandidate {
-    let mut cand = rebuilt({
-        let mut cand = candidate(d);
-        cand.display_name = d.pick(SHARED_KEY_NAMES).to_string();
-        cand
-    });
-    cand.publications = d.many(4, shared_key_publication);
-    cand
+    let mut parts = Parts::draw(d);
+    parts.display_name = d.pick(SHARED_KEY_NAMES).to_string();
+    parts.publications = d.many(4, shared_key_publication);
+    parts.build()
 }
 
 #[test]

@@ -55,13 +55,18 @@ fn s1_dblp_growth_calibration() {
 #[test]
 fn s2_2_coi_configurability() {
     use minaret::core::coi::{check_coi, AuthorRecord};
-    use minaret::scholarly::MergedCandidate;
-    let candidate = MergedCandidate::new(
-        "Reviewer X",
-        Some("University of Tartu"),
-        Some("Estonia"),
+    use minaret::scholarly::{MergedCandidate, SourceProfile, Vocabulary};
+    let v = Vocabulary::new();
+    let profile = SourceProfile::new(
+        SourceKind::GoogleScholar,
+        "gs:x".into(),
+        v.name("Reviewer X"),
+        Some(v.institution("University of Tartu")),
+        Some(v.label("Estonia")),
         vec![],
+        ScholarId(0),
     );
+    let candidate = MergedCandidate::from_profiles(vec![Arc::new(profile)]);
     let author = AuthorRecord::from_parts(
         "Author Y",
         Some("Tallinn University of Technology"),

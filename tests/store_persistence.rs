@@ -77,7 +77,7 @@ fn fingerprint(report: &RecommendationReport) -> Vec<String> {
     for (cand, reason) in &report.filtered_out {
         lines.push(format!(
             "filtered {} score={:016x} reason={:?}",
-            cand.merged.display_name,
+            cand.merged.display_name(),
             cand.keyword_score.to_bits(),
             reason
         ));
