@@ -36,6 +36,9 @@ cargo test -q -p minaret-scholarly coalesc
 echo "==> sharded map primitives: cargo test -p minaret-concurrent"
 cargo test -q -p minaret-concurrent
 
+echo "==> ASCII normalize path equals the char loop (property test): cargo test -p minaret-ontology ascii_path"
+cargo test -q -p minaret-ontology ascii_path
+
 echo "==> sharded vs single-lock equivalence + linearizability smoke: cargo test --test shard_equivalence"
 cargo test -q --test shard_equivalence
 
@@ -101,7 +104,7 @@ cargo test -q --test filter_rank_equivalence
 echo "==> candidates that hold their profiles vs the copying merge and key-text retrieval: cargo test --test merge_equivalence"
 cargo test -q --test merge_equivalence
 
-echo "==> request strings never grow a source's vocabulary table or profile store: cargo test --test interner_bound"
+echo "==> request strings never fill a source's id-indexed vocabulary slots or grow its profile store: cargo test --test interner_bound"
 cargo test -q --test interner_bound
 
 # The benchmark program is a package of its own that calls crate APIs

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use minaret_core::ManuscriptDetails;
 use minaret_ontology::normalize_label;
-use minaret_scholarly::{merge_profiles, SourceRegistry};
+use minaret_scholarly::{merge_profiles, MergedCandidate, SourceKind, SourceRegistry};
 
 use crate::{RankedCandidate, Recommender};
 
@@ -42,7 +42,7 @@ impl Recommender for ExactKeywordRecommender {
             return Vec::new();
         }
         let mut profiles = Vec::new();
-        let mut matched: HashMap<(minaret_scholarly::SourceKind, String), usize> = HashMap::new();
+        let mut matched: HashMap<(SourceKind, String), usize> = HashMap::new();
         // One batched fan-out; a hit counts once per keyword position.
         for (_, found) in self.registry.search_by_interests_report(&keywords).by_label {
             for p in found {
@@ -62,13 +62,7 @@ impl Recommender for ExactKeywordRecommender {
             .into_iter()
             .filter(|m| !author_names.contains(&normalize_label(m.display_name())))
             .map(|m| {
-                let hits = m
-                    .sources()
-                    .zip(m.keys())
-                    .filter_map(|(s, key)| matched.get(&(s, key.to_string())))
-                    .copied()
-                    .max()
-                    .unwrap_or(0);
+                let hits = keyword_hits(&m, &matched);
                 RankedCandidate {
                     name: m.display_name().to_string(),
                     score: hits as f64 / keywords.len() as f64,
@@ -87,12 +81,25 @@ impl Recommender for ExactKeywordRecommender {
     }
 }
 
+/// The most keyword positions any one of `m`'s profiles matched, each
+/// profile looked up under its own source and key.
+fn keyword_hits(m: &MergedCandidate, matched: &HashMap<(SourceKind, String), usize>) -> usize {
+    m.profiles()
+        .iter()
+        .filter_map(|p| matched.get(&(p.source, p.key.clone())))
+        .copied()
+        .max()
+        .unwrap_or(0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use minaret_core::AuthorInput;
-    use minaret_scholarly::{RegistryConfig, SimulatedSource, SourceSpec};
-    use minaret_synth::{World, WorldConfig, WorldGenerator};
+    use minaret_scholarly::{
+        PersonName, RegistryConfig, SimulatedSource, SourceProfile, SourceSpec,
+    };
+    use minaret_synth::{ScholarId, World, WorldConfig, WorldGenerator};
 
     fn setup() -> (Arc<World>, ExactKeywordRecommender) {
         let world = Arc::new(
@@ -166,6 +173,34 @@ mod tests {
         for c in &out {
             assert_eq!(c.score, 1.0, "{} matched one of two positions", c.name);
         }
+    }
+
+    /// A candidate that merges two profiles of one source lists that
+    /// source once but both keys: each profile's hits are found under
+    /// its own (source, key) pair.
+    #[test]
+    fn hits_are_looked_up_per_profile() {
+        let profile = |source, key: &str| {
+            Arc::new(SourceProfile::new(
+                source,
+                key.into(),
+                Arc::new(PersonName::new("Ada Lovelace")),
+                None,
+                None,
+                vec![],
+                ScholarId(0),
+            ))
+        };
+        let m = MergedCandidate::from_profiles(vec![
+            profile(SourceKind::GoogleScholar, "gs:a"),
+            profile(SourceKind::GoogleScholar, "gs:b"),
+            profile(SourceKind::Dblp, "dblp:c"),
+        ]);
+        assert_eq!(m.sources().count(), 2);
+        let matched = HashMap::from([((SourceKind::GoogleScholar, "gs:b".to_string()), 2)]);
+        assert_eq!(keyword_hits(&m, &matched), 2);
+        let matched = HashMap::from([((SourceKind::Dblp, "dblp:c".to_string()), 1)]);
+        assert_eq!(keyword_hits(&m, &matched), 1);
     }
 
     #[test]

@@ -371,7 +371,8 @@ fn shared_institution<'c>(
 mod tests {
     use super::*;
     use minaret_scholarly::{
-        merge_profiles, AffiliationRecord, SourceKind, SourceProfile, SourcePublication, Vocabulary,
+        merge_profiles, AffiliationRecord, Institution, Label, PersonName, SourceKind,
+        SourceProfile, SourcePublication,
     };
     use minaret_synth::ScholarId;
     use std::sync::Arc;
@@ -385,13 +386,12 @@ mod tests {
         history: Vec<AffiliationRecord>,
         publications: Vec<Arc<SourcePublication>>,
     ) -> MergedCandidate {
-        let v = Vocabulary::new();
         let mut profile = SourceProfile::new(
             SourceKind::GoogleScholar,
             "gs:1".into(),
-            v.name(name),
-            aff.map(|a| v.institution(a)),
-            country.map(|c| v.label(c)),
+            Arc::new(PersonName::new(name)),
+            aff.map(|a| Arc::new(Institution::new(a))),
+            country.map(|c| Arc::new(Label::new(c))),
             vec![],
             ScholarId(1),
         )
@@ -413,12 +413,14 @@ mod tests {
     }
 
     fn pub_with(title: &str, coauthors: &[&str]) -> Arc<SourcePublication> {
-        let v = Vocabulary::new();
         Arc::new(SourcePublication::new(
             title.into(),
             2016,
-            v.label("J"),
-            coauthors.iter().map(|c| v.name(c)).collect(),
+            Arc::new(Label::new("J")),
+            coauthors
+                .iter()
+                .map(|c| Arc::new(PersonName::new(c)))
+                .collect(),
             vec![],
             None,
         ))
@@ -517,12 +519,11 @@ mod tests {
         // after normalization but with different co-authors. The merge
         // keeps the first copy: Google Scholar sorts before DBLP.
         let profile = |source: SourceKind, title: &str, coauthor: &str| {
-            let v = Vocabulary::new();
             let p = SourceProfile::new(
                 source,
                 format!("{}:1", source.prefix()),
-                v.name("Ada Lovelace"),
-                Some(v.institution("U Tartu")),
+                Arc::new(PersonName::new("Ada Lovelace")),
+                Some(Arc::new(Institution::new("U Tartu"))),
                 None,
                 vec![],
                 ScholarId(1),
@@ -658,14 +659,13 @@ mod tests {
     fn orcid_history_catches_past_colleagues() {
         // Candidate moved away years ago, so the *current* affiliations
         // differ — only the ORCID-style history exposes the old overlap.
-        let v = Vocabulary::new();
         let cand = profile_candidate(
             "Past Colleague",
             Some("University of Oslo"),
             Some("Norway"),
             vec![AffiliationRecord::new(
-                v.institution("University of Tartu"),
-                v.label("Estonia"),
+                Arc::new(Institution::new("University of Tartu")),
+                Arc::new(Label::new("Estonia")),
                 2005,
                 2010,
             )],

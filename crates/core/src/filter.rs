@@ -129,23 +129,24 @@ fn is_pc_member(candidate: &MergedCandidate, pc: &NameList) -> bool {
 mod tests {
     use super::*;
     use crate::config::ExpertiseConstraints;
-    use minaret_scholarly::{SourceKind, SourceMetrics, SourceProfile, SourceReview, Vocabulary};
+    use minaret_scholarly::{
+        Label, PersonName, SourceKind, SourceMetrics, SourceProfile, SourceReview,
+    };
     use minaret_synth::ScholarId;
     use std::sync::Arc;
 
     fn candidate(name: &str) -> MergedCandidate {
-        let v = Vocabulary::new();
         let mut profile = SourceProfile::new(
             SourceKind::Publons,
             "pub:1".into(),
-            v.name(name),
+            Arc::new(PersonName::new(name)),
             None,
             None,
             vec![],
             ScholarId(0),
         )
         .with_reviews(vec![Arc::new(SourceReview::new(
-            v.label("J"),
+            Arc::new(Label::new("J")),
             2017,
             20,
             Some(3),

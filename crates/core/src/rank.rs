@@ -371,7 +371,8 @@ mod tests {
     use super::*;
     use minaret_ontology::normalize_label;
     use minaret_scholarly::{
-        SourceKind, SourceMetrics, SourceProfile, SourcePublication, SourceReview, Vocabulary,
+        Label, PersonName, SourceKind, SourceMetrics, SourceProfile, SourcePublication,
+        SourceReview,
     };
     use minaret_synth::ScholarId;
     use proptest::prelude::*;
@@ -383,13 +384,12 @@ mod tests {
         venue: &str,
         keywords: &[&str],
     ) -> Arc<SourcePublication> {
-        let v = Vocabulary::new();
         Arc::new(SourcePublication::new(
             title.into(),
             year,
-            v.label(venue),
+            Arc::new(Label::new(venue)),
             vec![],
-            keywords.iter().map(|k| v.label(k)).collect(),
+            keywords.iter().map(|k| Arc::new(Label::new(k))).collect(),
             None,
         ))
     }
@@ -400,9 +400,8 @@ mod tests {
         turnaround_days: u32,
         quality: Option<u8>,
     ) -> Arc<SourceReview> {
-        let v = Vocabulary::new();
         Arc::new(SourceReview::new(
-            v.label(venue),
+            Arc::new(Label::new(venue)),
             year,
             turnaround_days,
             quality,
@@ -457,14 +456,13 @@ mod tests {
         publications: Vec<Arc<SourcePublication>>,
         reviews: Vec<Arc<SourceReview>>,
     ) -> MergedCandidate {
-        let v = Vocabulary::new();
         let mut profile = SourceProfile::new(
             SourceKind::GoogleScholar,
             "gs:1".into(),
-            v.name("X"),
+            Arc::new(PersonName::new("X")),
             None,
             None,
-            interests.iter().map(|i| v.label(i)).collect(),
+            interests.iter().map(|i| Arc::new(Label::new(i))).collect(),
             ScholarId(0),
         )
         .with_publications(publications)

@@ -110,18 +110,19 @@ pub fn collect_evidence(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minaret_scholarly::{SourceKind, SourceProfile, SourcePublication, Vocabulary};
+    use minaret_scholarly::{
+        Institution, Label, PersonName, SourceKind, SourceProfile, SourcePublication,
+    };
     use minaret_synth::ScholarId;
     use std::sync::Arc;
 
     fn publication(i: usize, keywords: &[&str]) -> Arc<SourcePublication> {
-        let v = Vocabulary::new();
         Arc::new(SourcePublication::new(
             format!("p{i}"),
             2015,
-            v.label("J"),
+            Arc::new(Label::new("J")),
             vec![],
-            keywords.iter().map(|k| v.label(k)).collect(),
+            keywords.iter().map(|k| Arc::new(Label::new(k))).collect(),
             None,
         ))
     }
@@ -132,14 +133,13 @@ mod tests {
         interests: &[&str],
         publications: Vec<Arc<SourcePublication>>,
     ) -> MergedCandidate {
-        let v = Vocabulary::new();
         let profile = SourceProfile::new(
             SourceKind::GoogleScholar,
             "gs:1".into(),
-            v.name("X Y"),
-            Some(v.institution(aff)),
-            Some(v.label(country)),
-            interests.iter().map(|i| v.label(i)).collect(),
+            Arc::new(PersonName::new("X Y")),
+            Some(Arc::new(Institution::new(aff))),
+            Some(Arc::new(Label::new(country))),
+            interests.iter().map(|i| Arc::new(Label::new(i))).collect(),
             ScholarId(0),
         )
         .with_publications(publications);

@@ -3,10 +3,11 @@
 //! covering only Semantic Web (plus related topics).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use minaret_core::{rank, EditorConfig, KeywordExpansionSet};
 use minaret_ontology::normalize_label;
-use minaret_scholarly::{MergedCandidate, SourceKind, SourceProfile, Vocabulary};
+use minaret_scholarly::{Label, MergedCandidate, PersonName, SourceKind, SourceProfile};
 use minaret_synth::ScholarId;
 
 use crate::table::{f3, TextTable};
@@ -25,14 +26,13 @@ pub struct E2Result {
 }
 
 fn reviewer(interests: &[&str]) -> MergedCandidate {
-    let v = Vocabulary::new();
     let profile = SourceProfile::new(
         SourceKind::GoogleScholar,
         "gs:reviewer".into(),
-        v.name("reviewer"),
+        Arc::new(PersonName::new("reviewer")),
         None,
         None,
-        interests.iter().map(|i| v.label(i)).collect(),
+        interests.iter().map(|i| Arc::new(Label::new(i))).collect(),
         ScholarId(0),
     );
     MergedCandidate::from_profiles(vec![std::sync::Arc::new(profile)])

@@ -31,6 +31,29 @@ pub fn normalize_label(s: &str) -> String {
 /// ```
 pub fn normalize_label_onto(s: &str, out: &mut String) {
     let start = out.len();
+    if s.is_ascii() {
+        // For ASCII, `is_ascii_alphanumeric` and `to_ascii_lowercase`
+        // agree with `char::is_alphanumeric` and `char::to_lowercase`:
+        // copy each run of alphanumerics whole, then lowercase in place.
+        let bytes = s.as_bytes();
+        let mut i = 0;
+        while i < bytes.len() {
+            if !bytes[i].is_ascii_alphanumeric() {
+                i += 1;
+                continue;
+            }
+            let word = i;
+            while i < bytes.len() && bytes[i].is_ascii_alphanumeric() {
+                i += 1;
+            }
+            if out.len() > start {
+                out.push(' ');
+            }
+            out.push_str(&s[word..i]);
+        }
+        out[start..].make_ascii_lowercase();
+        return;
+    }
     let mut pending_space = false;
     for ch in s.chars() {
         if ch.is_alphanumeric() {
@@ -124,7 +147,58 @@ mod tests {
         assert_eq!(tokenize("a,b"), vec!["a", "b"]);
     }
 
+    /// The `char` loop [`normalize_label_onto`] runs on any input, kept
+    /// as the reference its ASCII path must equal.
+    fn char_loop_onto(s: &str, out: &mut String) {
+        let start = out.len();
+        let mut pending_space = false;
+        for ch in s.chars() {
+            if ch.is_alphanumeric() {
+                if pending_space && out.len() > start {
+                    out.push(' ');
+                }
+                pending_space = false;
+                for lower in ch.to_lowercase() {
+                    out.push(lower);
+                }
+            } else {
+                pending_space = true;
+            }
+        }
+    }
+
+    /// Strings of ASCII letters in both cases, digits, punctuation,
+    /// whitespace and control bytes, half of them with non-ASCII
+    /// characters mixed in: letters that lowercase to one char, to two
+    /// (`İ`) or not at all (`ß`), a non-Latin digit, a combining mark
+    /// and an emoji.
+    fn mixed_strings() -> impl Strategy<Value = String> {
+        let ascii = vec![
+            'a', 'z', 'A', 'Q', 'Z', '0', '7', '9', '_', '-', '.', ',', '!', '~', '\'', ' ', '\t',
+            '\n', '\0', '\x07', '\x1f', '\x7f',
+        ];
+        let mut mixed = ascii.clone();
+        mixed.extend(['é', 'É', 'ß', 'İ', 'Σ', 'σ', '٣', '\u{301}', '🦀', '\u{a0}']);
+        let string = |chars: Vec<char>| {
+            proptest::collection::vec(proptest::sample::select(chars), 0..40)
+                .prop_map(|cs| cs.into_iter().collect::<String>())
+        };
+        prop_oneof![string(ascii), string(mixed)]
+    }
+
     proptest! {
+        #[test]
+        fn ascii_path_matches_the_char_loop(s in mixed_strings(), prefix in mixed_strings()) {
+            let mut reference = String::new();
+            char_loop_onto(&s, &mut reference);
+            prop_assert_eq!(&normalize_label(&s), &reference);
+            // A non-empty buffer: the space rule must look only at what
+            // this call appended.
+            let mut onto = format!("{prefix}|");
+            normalize_label_onto(&s, &mut onto);
+            prop_assert_eq!(onto, format!("{prefix}|{reference}"));
+        }
+
         #[test]
         fn normalization_is_idempotent(s in ".{0,64}") {
             let once = normalize_label(&s);

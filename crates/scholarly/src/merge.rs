@@ -498,7 +498,7 @@ mod reference;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vocab::Vocabulary;
+    use crate::vocab::{Institution, Label, PersonName};
 
     fn arcs(ps: Vec<SourceProfile>) -> Vec<Arc<SourceProfile>> {
         ps.into_iter().map(Arc::new).collect()
@@ -511,14 +511,13 @@ mod tests {
         truth: u32,
         interests: &[&str],
     ) -> SourceProfile {
-        let v = Vocabulary::new();
         SourceProfile::new(
             source,
             format!("{}:{truth}", source.prefix()),
-            v.name(name),
-            Some(v.institution(aff)),
-            Some(v.label("Estonia")),
-            interests.iter().map(|i| v.label(i)).collect(),
+            Arc::new(PersonName::new(name)),
+            Some(Arc::new(Institution::new(aff))),
+            Some(Arc::new(Label::new("Estonia"))),
+            interests.iter().map(|i| Arc::new(Label::new(i))).collect(),
             ScholarId(truth),
         )
     }
@@ -531,7 +530,7 @@ mod tests {
         Arc::new(SourcePublication::new(
             title.into(),
             year,
-            Vocabulary::new().label("J"),
+            Arc::new(Label::new("J")),
             vec![],
             vec![],
             citations,
@@ -540,7 +539,7 @@ mod tests {
 
     fn review(venue: &str, year: u32) -> Arc<SourceReview> {
         Arc::new(SourceReview::new(
-            Vocabulary::new().label(venue),
+            Arc::new(Label::new(venue)),
             year,
             20,
             Some(3),
@@ -670,8 +669,14 @@ mod tests {
         // Different titles filed under one key stay apart; a copy of
         // either, equal after normalization, merges into it.
         let keyed = |title: &str, year: u32| {
-            let v = Vocabulary::new();
-            let p = SourcePublication::new(title.into(), year, v.label("J"), vec![], vec![], None);
+            let p = SourcePublication::new(
+                title.into(),
+                year,
+                Arc::new(Label::new("J")),
+                vec![],
+                vec![],
+                None,
+            );
             Arc::new(p.rekeyed(7))
         };
         let a = profile(SourceKind::GoogleScholar, "A B", "U", 1).with_publications(vec![
@@ -707,12 +712,11 @@ mod tests {
         let keyed = |seed: usize, count: usize| -> Vec<Arc<SourcePublication>> {
             (0..count)
                 .map(|i| {
-                    let v = Vocabulary::new();
                     let title = TITLES[(seed * 7 + i * 3) % TITLES.len()];
                     let p = SourcePublication::new(
                         title.into(),
                         2015,
-                        v.label("J"),
+                        Arc::new(Label::new("J")),
                         vec![],
                         vec![],
                         None,

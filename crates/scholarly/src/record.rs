@@ -440,24 +440,23 @@ impl SourcePublication {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vocab::Vocabulary;
+    use crate::vocab::{Institution, Label, PersonName};
 
     fn profile() -> SourceProfile {
-        let v = Vocabulary::new();
         SourceProfile::new(
             SourceKind::GoogleScholar,
             "gs:1".into(),
-            v.name("Ada Lovelace"),
-            Some(v.institution("University of Tartu")),
-            Some(v.label("Estonia")),
-            vec![v.label("databases")],
+            Arc::new(PersonName::new("Ada Lovelace")),
+            Some(Arc::new(Institution::new("University of Tartu"))),
+            Some(Arc::new(Label::new("Estonia"))),
+            vec![Arc::new(Label::new("databases"))],
             ScholarId(0),
         )
         .with_publications(vec![
             Arc::new(SourcePublication::new(
                 "A".into(),
                 2015,
-                v.label("J"),
+                Arc::new(Label::new("J")),
                 vec![],
                 vec![],
                 Some(4),
@@ -465,14 +464,14 @@ mod tests {
             Arc::new(SourcePublication::new(
                 "B".into(),
                 2017,
-                v.label("J"),
+                Arc::new(Label::new("J")),
                 vec![],
                 vec![],
                 None,
             )),
         ])
         .with_reviews(vec![Arc::new(SourceReview::new(
-            v.label("J"),
+            Arc::new(Label::new("J")),
             2016,
             21,
             Some(4),

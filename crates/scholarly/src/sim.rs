@@ -15,7 +15,7 @@ use crate::record::{
     AffiliationRecord, SourceMetrics, SourceProfile, SourcePublication, SourceReview,
 };
 use crate::spec::{SourceKind, SourceSpec};
-use crate::vocab::Vocabulary;
+use crate::vocab::{PersonName, Vocabulary};
 
 /// Per-label hit lists from a batched interest search: each queried
 /// label (echoed as the caller's own `Arc<str>`) paired with its
@@ -54,27 +54,18 @@ pub trait ScholarSource: Send + Sync {
 
 /// A lazily-built, per-source store of [`Arc`]-shared profiles.
 ///
-/// Building a [`SourceProfile`] clones institution names and publication
-/// titles out of the world and derives their comparison forms — dozens
-/// of allocations per profile. A source's view of a scholar is
-/// deterministic, so the store builds each profile at most once (on
-/// first request, lock-free via [`OnceLock`]) and every subsequent hit
-/// anywhere — name search, interest search, key fetch — is one `Arc`
-/// clone.
-///
-/// Beside the profiles sits the source's [`Vocabulary`]: venue names,
-/// topic labels and co-author names resolve through it when a profile is
-/// built, so every profile of the source shares one entry per distinct
-/// string.
+/// Building a [`SourceProfile`] clones publication titles out of the
+/// world and derives their comparison forms — dozens of allocations per
+/// profile. A source's view of a scholar is deterministic, so the store
+/// builds each profile at most once (on first request, lock-free via
+/// [`OnceLock`]) and every subsequent hit anywhere — name search,
+/// interest search, key fetch — is one `Arc` clone.
 pub struct ProfileStore {
     slots: Vec<OnceLock<Arc<SourceProfile>>>,
     /// Growth path: profiles for [`ScholarId`]s beyond the fixed slot
     /// range (a world that grew after the store was sized) land in a
     /// sharded map instead of panicking on an out-of-range index.
     overflow: ShardedMap<usize, Arc<SourceProfile>>,
-    /// The source's shared vocabulary entries; only building profiles
-    /// fills it.
-    vocab: Vocabulary,
 }
 
 impl ProfileStore {
@@ -84,7 +75,6 @@ impl ProfileStore {
         Self {
             slots: (0..scholars).map(|_| OnceLock::new()).collect(),
             overflow: ShardedMap::new(),
-            vocab: Vocabulary::new(),
         }
     }
 
@@ -126,12 +116,6 @@ impl ProfileStore {
     /// actual world keeps the hot path `OnceLock`-only.
     pub fn slot_capacity(&self) -> usize {
         self.slots.len()
-    }
-
-    /// The table profiles of this store resolve their vocabulary
-    /// entries through.
-    pub fn vocabulary(&self) -> &Vocabulary {
-        &self.vocab
     }
 }
 
@@ -207,6 +191,9 @@ pub struct SimulatedSource {
     interest_index: HashMap<String, Vec<ScholarId>>,
     /// Memoized profiles: built on first hit, `Arc`-shared ever after.
     profiles: ProfileStore,
+    /// The entries profiles print venues, topics, institutions and names
+    /// with, one per world id; only building profiles fills it.
+    vocab: Vocabulary,
     /// Threads one call's unbuilt profiles build on (`0` = every core).
     build_workers: usize,
     calls: AtomicU64,
@@ -246,6 +233,7 @@ impl SimulatedSource {
     pub fn over(spec: SourceSpec, world: WorldHandle) -> Self {
         let salt = hash64(&[spec.kind as u64 + 1, 0x5eed]);
         let mut name_index: HashMap<String, Vec<ScholarId>> = HashMap::new();
+        let mut full = String::new();
         // Interests gather per topic id; the index keys are the
         // ontology's stored normal forms, so no interest is normalized.
         let mut by_topic: Vec<Vec<ScholarId>> = vec![Vec::new(); world.ontology().len()];
@@ -257,14 +245,19 @@ impl SimulatedSource {
             if !Self::covered_static(salt, spec.coverage, id) {
                 return;
             }
-            let display = Self::display_name_parts(salt, &spec, id, given, family);
-            name_index
-                .entry(normalize_label(&display))
-                .or_default()
-                .push(id);
-            // Also index under the unabbreviated name — sites match both.
-            let full = normalize_label(&format!("{given} {family}"));
-            let entry = name_index.entry(full).or_default();
+            // Sites match the printed name and, when they print it
+            // abbreviated, the full one too.
+            if Self::abbreviates(salt, &spec, id) {
+                name_index
+                    .entry(normalize_label(&Self::abbreviated(given, family)))
+                    .or_default()
+                    .push(id);
+            }
+            full.clear();
+            full.push_str(given);
+            full.push(' ');
+            full.push_str(family);
+            let entry = name_index.entry(normalize_label(&full)).or_default();
             if !entry.contains(&id) {
                 entry.push(id);
             }
@@ -286,6 +279,7 @@ impl SimulatedSource {
             .map(|(topic, ids)| (topic.normalized.clone(), ids))
             .collect();
         let profiles = ProfileStore::with_capacity(world.scholar_count());
+        let vocab = Vocabulary::for_world(&world);
         Self {
             spec,
             world,
@@ -295,6 +289,7 @@ impl SimulatedSource {
             name_index,
             interest_index,
             profiles,
+            vocab,
             build_workers: 0,
             calls: AtomicU64::new(0),
             rate_window_used: AtomicU64::new(0),
@@ -350,9 +345,9 @@ impl SimulatedSource {
         self.profiles.built_count()
     }
 
-    /// The source's vocabulary table (see [`ProfileStore`]).
+    /// The source's vocabulary table.
     pub fn vocabulary(&self) -> &Vocabulary {
-        self.profiles.vocabulary()
+        &self.vocab
     }
 
     /// Number of scholars this source covers.
@@ -366,19 +361,16 @@ impl SimulatedSource {
         unit(hash64(&[salt, 0xc0ffee, id.0 as u64])) < coverage
     }
 
-    fn display_name_parts(
-        salt: u64,
-        spec: &SourceSpec,
-        id: ScholarId,
-        given: &str,
-        family: &str,
-    ) -> String {
-        if unit(hash64(&[salt, 0x4a3e, id.0 as u64])) < spec.name_noise {
-            let initial = given.chars().next().unwrap_or('?');
-            format!("{initial}. {family}")
-        } else {
-            format!("{given} {family}")
-        }
+    /// True when the source prints `id`'s given name as an initial
+    /// ([`SourceSpec::name_noise`]).
+    fn abbreviates(salt: u64, spec: &SourceSpec, id: ScholarId) -> bool {
+        unit(hash64(&[salt, 0x4a3e, id.0 as u64])) < spec.name_noise
+    }
+
+    /// A name as an abbreviating source prints it: `"L. Zhou"`.
+    fn abbreviated(given: &str, family: &str) -> String {
+        let initial = given.chars().next().unwrap_or('?');
+        format!("{initial}. {family}")
     }
 
     /// The per-source key for a scholar — an opaque, source-specific id.
@@ -535,29 +527,29 @@ impl SimulatedSource {
     /// Builds the profile a page fetch would return for `id`. The same
     /// code serves both world representations through [`WorldScope`],
     /// which is what makes lazy profiles byte-identical to eager ones.
+    /// Every venue, topic, institution and full name comes from the
+    /// source's [`Vocabulary`] by id; only an abbreviated display name
+    /// is built for the profile.
     fn build_profile(&self, w: &dyn WorldScope, id: ScholarId) -> SourceProfile {
         let s = w.scholar(id);
         let spec = &self.spec;
-        let vocab = self.profiles.vocabulary();
-        let display_name =
-            Self::display_name_parts(self.salt, spec, id, &s.given_name, &s.family_name);
+        let vocab = &self.vocab;
+        let display_name = if Self::abbreviates(self.salt, spec, id) {
+            Arc::new(PersonName::new(&Self::abbreviated(
+                &s.given_name,
+                &s.family_name,
+            )))
+        } else {
+            vocab.name(w, id)
+        };
 
-        let current_inst = w.institution(s.current_affiliation());
-        let (affiliation, country) = (
-            Some(vocab.institution(&current_inst.name)),
-            Some(vocab.label(&current_inst.country)),
-        );
+        let (affiliation, country) = vocab.institution(w, s.current_affiliation());
         let affiliation_history = if spec.has_affiliation_history {
             s.affiliations
                 .iter()
                 .map(|a| {
-                    let inst = w.institution(a.institution);
-                    AffiliationRecord::new(
-                        vocab.institution(&inst.name),
-                        vocab.label(&inst.country),
-                        a.from_year,
-                        a.to_year,
-                    )
+                    let (institution, country) = vocab.institution(w, a.institution);
+                    AffiliationRecord::new(institution, country, a.from_year, a.to_year)
                 })
                 .collect()
         } else {
@@ -569,15 +561,13 @@ impl SimulatedSource {
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| unit(hash64(&[self.salt, 0x1a7e, id.0 as u64, *i as u64])) < 0.85)
-                .map(|(_, &t)| vocab.label(w.ontology().label(t)))
+                .map(|(_, &t)| vocab.topic(w, t))
                 .collect()
         } else {
             Vec::new()
         };
 
         let mut publications = Vec::new();
-        // Co-author names probe the table through one reused buffer.
-        let mut coauthor = String::new();
         for p in w.papers_of(id) {
             if unit(hash64(&[self.salt, 0x9a9e2, p.id.0 as u64])) >= spec.publication_coverage {
                 continue;
@@ -585,20 +575,13 @@ impl SimulatedSource {
             publications.push(Arc::new(SourcePublication::new(
                 p.title.clone(),
                 p.year,
-                vocab.label(&w.venue(p.venue).name),
+                vocab.venue(w, p.venue),
                 p.authors
                     .iter()
                     .filter(|&&a| a != id)
-                    .map(|&a| {
-                        coauthor.clear();
-                        w.scholar(a).full_name_onto(&mut coauthor);
-                        vocab.name(&coauthor)
-                    })
+                    .map(|&a| vocab.name(w, a))
                     .collect(),
-                p.topics
-                    .iter()
-                    .map(|&t| vocab.label(w.ontology().label(t)))
-                    .collect(),
+                p.topics.iter().map(|&t| vocab.topic(w, t)).collect(),
                 if spec.has_metrics {
                     Some(p.citations)
                 } else {
@@ -633,7 +616,7 @@ impl SimulatedSource {
                 .into_iter()
                 .map(|r| {
                     Arc::new(SourceReview::new(
-                        vocab.label(&w.venue(r.venue).name),
+                        vocab.venue(w, r.venue),
                         r.year,
                         r.turnaround_days,
                         Some(r.quality),
@@ -647,9 +630,9 @@ impl SimulatedSource {
         let mut profile = SourceProfile::new(
             spec.kind,
             self.key_for(id),
-            vocab.name(&display_name),
-            affiliation,
-            country,
+            display_name,
+            Some(affiliation),
+            Some(country),
             interests,
             id,
         )
@@ -1087,7 +1070,7 @@ mod tests {
             SourceProfile::new(
                 SourceKind::GoogleScholar,
                 format!("gs:{}", id.index()),
-                store.vocabulary().name("Late Arrival"),
+                Arc::new(PersonName::new("Late Arrival")),
                 None,
                 None,
                 vec![],
@@ -1184,6 +1167,117 @@ mod tests {
         let unbounded = SimulatedSource::new(spec, w);
         assert_eq!(search_one(&unbounded, &label).len(), all_ids.len());
         assert_eq!(truths(&unbounded), all_named);
+    }
+
+    /// Asserts that every entry `p`, `s`'s profile of `id`, holds has
+    /// exactly the text `w` gives the entry's id.
+    fn assert_world_texts(w: &World, s: &SimulatedSource, id: ScholarId, p: &SourceProfile) {
+        let (salt, spec) = (s.salt, &s.spec);
+        let sc = w.scholar(id);
+        let name = if SimulatedSource::abbreviates(salt, spec, id) {
+            SimulatedSource::abbreviated(&sc.given_name, &sc.family_name)
+        } else {
+            sc.full_name()
+        };
+        assert_eq!(p.display_name(), name);
+        let inst = w.institution(sc.current_affiliation());
+        assert_eq!(p.affiliation(), Some(inst.name.as_str()));
+        assert_eq!(p.country(), Some(inst.country.as_str()));
+        let history: Vec<(&str, &str)> = p
+            .affiliation_history
+            .iter()
+            .map(|a| (a.institution.as_str(), a.country.as_str()))
+            .collect();
+        let expected: Vec<(&str, &str)> = sc
+            .affiliations
+            .iter()
+            .filter(|_| spec.has_affiliation_history)
+            .map(|a| w.institution(a.institution))
+            .map(|i| (i.name.as_str(), i.country.as_str()))
+            .collect();
+        assert_eq!(history, expected);
+        let interests: Vec<&str> = p.interests().iter().map(|l| l.text()).collect();
+        let expected: Vec<&str> = sc
+            .interests
+            .iter()
+            .enumerate()
+            .filter(|_| spec.has_interests)
+            .filter(|(i, _)| unit(hash64(&[salt, 0x1a7e, id.0 as u64, *i as u64])) < 0.85)
+            .map(|(_, &t)| w.ontology.label(t))
+            .collect();
+        assert_eq!(interests, expected);
+        let papers: Vec<&minaret_synth::Paper> = w
+            .papers_of(id)
+            .iter()
+            .map(|&pid| w.paper(pid))
+            .filter(|paper| {
+                unit(hash64(&[salt, 0x9a9e2, paper.id.0 as u64])) < spec.publication_coverage
+            })
+            .collect();
+        assert_eq!(p.publications().len(), papers.len());
+        for (publication, paper) in p.publications().iter().zip(papers) {
+            assert_eq!(publication.title(), paper.title);
+            assert_eq!(publication.venue_name().text(), w.venue(paper.venue).name);
+            let coauthors: Vec<&str> = publication
+                .coauthor_names()
+                .iter()
+                .map(|n| n.text())
+                .collect();
+            let expected: Vec<String> = paper
+                .authors
+                .iter()
+                .filter(|&&a| a != id)
+                .map(|&a| w.scholar(a).full_name())
+                .collect();
+            assert_eq!(coauthors, expected);
+            let keywords: Vec<&str> = publication.keywords().iter().map(|k| k.text()).collect();
+            let expected: Vec<&str> = paper.topics.iter().map(|&t| w.ontology.label(t)).collect();
+            assert_eq!(keywords, expected);
+        }
+        let reviews: Vec<&str> = p.reviews().iter().map(|r| r.venue_name().text()).collect();
+        let expected: Vec<&str> = w
+            .reviews_of(id)
+            .filter(|_| spec.has_reviews)
+            .map(|r| w.venue(r.venue).name.as_str())
+            .collect();
+        assert_eq!(reviews, expected);
+    }
+
+    /// Every profile of every source, over a 2 000-scholar world held
+    /// eagerly and lazily: each entry is the world's text for its id,
+    /// and the vocabulary stays within its stated bound.
+    #[test]
+    fn vocabulary_entries_are_the_world_texts_of_their_ids_within_the_bound() {
+        use minaret_synth::{stream_snapshot_world, LazyWorld, StreamingGenerator};
+        let cfg = WorldConfig::sized(2000);
+        let w = Arc::new(WorldGenerator::new(cfg.clone()).generate());
+        let dir = std::env::temp_dir().join(format!("minaret-sim-vocab-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(
+            minaret_store::Store::open(&dir, minaret_store::StoreConfig::default()).unwrap(),
+        );
+        stream_snapshot_world(&store, &StreamingGenerator::new(cfg), |_| {}).unwrap();
+        let lazy = LazyWorld::open(store).unwrap().unwrap();
+        let bound =
+            w.ontology.len() + w.venues().len() + 2 * w.institutions().len() + w.scholars().len();
+        for spec in SourceSpec::all_defaults() {
+            let sources = [
+                SimulatedSource::new(spec.clone(), w.clone()),
+                SimulatedSource::lazy(spec, lazy.clone()),
+            ];
+            for s in &sources {
+                for sc in w.scholars() {
+                    if SimulatedSource::covered_static(s.salt, s.spec.coverage, sc.id) {
+                        assert_world_texts(&w, s, sc.id, &s.profile(sc.id));
+                    }
+                }
+            }
+            let held = sources[0].vocabulary().len();
+            assert!(held > 0 && held <= bound, "{held} entries, bound {bound}");
+            assert_eq!(sources[1].vocabulary().len(), held);
+        }
+        drop(lazy);
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     fn lazy_source_pair(

@@ -4,15 +4,14 @@
 //! manuscript, and the candidate side of those comparisons reads a few
 //! small vocabularies over and over: venue names, topic labels
 //! (publication keywords and profile interests), countries,
-//! institutions and person names. Each distinct string of those is one
-//! immutable, `Arc`-shared entry holding the printed text and its
-//! comparison form — the normalized label, the token set or the parsed
-//! name — built once, when a profile is built. Readers then only
-//! compare.
+//! institutions and person names. Each of those is one immutable,
+//! `Arc`-shared entry holding the printed text and its comparison form
+//! — the normalized label, the token set or the parsed name — built
+//! once, when a profile first needs it. Readers then only compare.
 //!
-//! Each source keeps one [`Vocabulary`] beside its profile store, and
-//! only profile construction fills it: the world bounds its size,
-//! requests never grow it.
+//! Each source keeps one [`Vocabulary`] beside its profile store: one
+//! slot per world id the entries are printed from, so the world bounds
+//! its size and requests never grow it.
 //!
 //! Every text in comparison form also carries a 64-bit key, the
 //! [`text_key`] of that form, so a reader compares integers first.
@@ -23,10 +22,11 @@ use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use minaret_concurrent::{stable_hash, ConcurrentMap, ShardedMap};
-use minaret_ontology::{normalize_label, tokenize};
+use minaret_concurrent::stable_hash;
+use minaret_ontology::{normalize_label, tokenize, TopicId};
+use minaret_synth::{InstitutionId, ScholarId, VenueId, WorldHandle, WorldScope};
 
 use crate::name::{parse_name, ParsedName};
 
@@ -316,47 +316,91 @@ impl fmt::Display for PersonName {
     }
 }
 
-/// One source's table from printed text to shared entry. Thread-safe:
-/// profiles of one source are built concurrently.
+/// One source's shared entries, in slots indexed by world id: topic
+/// labels by [`TopicId`], venue names by [`VenueId`], institutions and
+/// their country labels by [`InstitutionId`], and printed full names by
+/// [`ScholarId`]. A slot's entry is built from the world's text on first
+/// use, and every profile of the source that references the id shares
+/// it. Thread-safe: profiles of one source are built concurrently.
 ///
-/// Only profile construction calls [`Vocabulary::label`],
-/// [`Vocabulary::name`] and [`Vocabulary::institution`], so the table
-/// holds the source's world vocabulary and nothing a request brought.
-#[derive(Default)]
+/// The bound: the slots are allocated for the world the source serves,
+/// which never changes, so the table holds at most one entry per topic,
+/// venue and scholar and two per institution (its name and country),
+/// whatever the requests. Only profile construction fills it.
 pub struct Vocabulary {
-    labels: ShardedMap<Box<str>, Arc<Label>>,
-    names: ShardedMap<Box<str>, Arc<PersonName>>,
-    institutions: ShardedMap<Box<str>, Arc<Institution>>,
+    topics: Slots<Arc<Label>>,
+    venues: Slots<Arc<Label>>,
+    institutions: Slots<(Arc<Institution>, Arc<Label>)>,
+    names: Slots<Arc<PersonName>>,
+}
+
+/// One entry slot per id, filled on first use.
+type Slots<E> = Box<[OnceLock<E>]>;
+
+fn slots<E>(n: usize) -> Slots<E> {
+    (0..n).map(|_| OnceLock::new()).collect()
 }
 
 impl Vocabulary {
-    /// An empty table.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty table with one slot per topic, venue, institution and
+    /// scholar of `world`.
+    pub(crate) fn for_world(world: &WorldHandle) -> Self {
+        Vocabulary {
+            topics: slots(world.ontology().len()),
+            venues: slots(world.venue_count()),
+            institutions: slots(world.institution_count()),
+            names: slots(world.scholar_count()),
+        }
     }
 
-    /// The shared entry for a topic label, venue name or country
-    /// printed as `text`, built on first sight.
-    pub fn label(&self, text: &str) -> Arc<Label> {
-        shared(&self.labels, text, Label::new)
+    /// The entry for topic `id`'s label.
+    pub(crate) fn topic(&self, w: &dyn WorldScope, id: TopicId) -> Arc<Label> {
+        self.topics[id.index()]
+            .get_or_init(|| Arc::new(Label::new(w.ontology().label(id))))
+            .clone()
     }
 
-    /// The shared entry for a person's name printed as `text`, built on
-    /// first sight.
-    pub fn name(&self, text: &str) -> Arc<PersonName> {
-        shared(&self.names, text, PersonName::new)
+    /// The entry for venue `id`'s name.
+    pub(crate) fn venue(&self, w: &dyn WorldScope, id: VenueId) -> Arc<Label> {
+        self.venues[id.index()]
+            .get_or_init(|| Arc::new(Label::new(&w.venue(id).name)))
+            .clone()
     }
 
-    /// The shared entry for an institution printed as `text`, built on
-    /// first sight.
-    pub fn institution(&self, text: &str) -> Arc<Institution> {
-        shared(&self.institutions, text, Institution::new)
+    /// The entries for institution `id`'s name and its country.
+    pub(crate) fn institution(
+        &self,
+        w: &dyn WorldScope,
+        id: InstitutionId,
+    ) -> (Arc<Institution>, Arc<Label>) {
+        self.institutions[id.index()]
+            .get_or_init(|| {
+                let inst = w.institution(id);
+                (
+                    Arc::new(Institution::new(&inst.name)),
+                    Arc::new(Label::new(&inst.country)),
+                )
+            })
+            .clone()
     }
 
-    /// Number of entries held.
+    /// The entry for scholar `id`'s full name, as
+    /// [`minaret_synth::Scholar::full_name`] prints it.
+    pub(crate) fn name(&self, w: &dyn WorldScope, id: ScholarId) -> Arc<PersonName> {
+        self.names[id.index()]
+            .get_or_init(|| Arc::new(PersonName::new(&w.scholar(id).full_name())))
+            .clone()
+    }
+
+    /// Number of entries built so far; an institution's slot holds two.
     pub fn len(&self) -> usize {
-        self.labels.len() + self.names.len() + self.institutions.len()
+        fn filled<E>(slots: &[OnceLock<E>]) -> usize {
+            slots.iter().filter(|s| s.get().is_some()).count()
+        }
+        filled(&self.topics)
+            + filled(&self.venues)
+            + 2 * filled(&self.institutions)
+            + filled(&self.names)
     }
 
     /// True when no entry has been built yet.
@@ -365,38 +409,30 @@ impl Vocabulary {
     }
 }
 
-fn shared<E: Send + Sync>(
-    table: &ShardedMap<Box<str>, Arc<E>>,
-    text: &str,
-    make: impl FnOnce(&str) -> E,
-) -> Arc<E> {
-    if let Some(hit) = table.get(text) {
-        return hit;
-    }
-    // Same-text racers converge on whichever entry won the insert.
-    table
-        .get_or_insert_with(text.into(), || Arc::new(make(text)))
-        .0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn equal_texts_share_one_entry() {
-        let v = Vocabulary::new();
-        let a = v.label("Semantic Web");
-        let b = v.label("Semantic Web");
-        assert!(Arc::ptr_eq(&a, &b));
-        // Another spelling is another entry with the same form.
-        let c = v.label("semantic-web");
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(a.normalized(), c.normalized());
-        let n = v.name("Lei Zhou");
-        assert!(Arc::ptr_eq(&n, &v.name("Lei Zhou")));
-        assert_eq!(v.len(), 3);
-        assert!(!v.is_empty());
+    fn each_id_has_one_entry() {
+        let world = Arc::new(
+            minaret_synth::WorldGenerator::new(minaret_synth::WorldConfig::sized(50)).generate(),
+        );
+        let v = Vocabulary::for_world(&WorldHandle::Eager(world.clone()));
+        assert!(v.is_empty());
+        let w: &dyn WorldScope = world.as_ref();
+        let topic = TopicId::from_index(1);
+        let a = v.topic(w, topic);
+        assert!(Arc::ptr_eq(&a, &v.topic(w, topic)));
+        assert_eq!(a.text(), w.ontology().label(topic));
+        let n = v.name(w, ScholarId(3));
+        assert!(Arc::ptr_eq(&n, &v.name(w, ScholarId(3))));
+        assert_eq!(n.text(), w.scholar(ScholarId(3)).full_name());
+        let (inst, country) = v.institution(w, InstitutionId(0));
+        assert_eq!(inst.text(), w.institution(InstitutionId(0)).name);
+        assert_eq!(country.text(), w.institution(InstitutionId(0)).country);
+        assert_eq!(v.venue(w, VenueId(2)).text(), w.venue(VenueId(2)).name);
+        assert_eq!(v.len(), 5);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! a set union keyed by identity, whatever the sources return.
 
 use minaret_scholarly::{
-    merge_profiles, SourceKind, SourceMetrics, SourceProfile, SourcePublication, Vocabulary,
+    merge_profiles, Institution, Label, PersonName, SourceKind, SourceMetrics, SourceProfile,
+    SourcePublication,
 };
 use minaret_synth::ScholarId;
 use proptest::prelude::*;
@@ -27,14 +28,13 @@ fn arb_profile() -> impl Strategy<Value = SourceProfile> {
         proptest::option::of(0u64..10_000),            // citations
     )
         .prop_map(|(source, person, name, aff, interests, pubs, citations)| {
-            let vocab = Vocabulary::new();
             let mut p = SourceProfile::new(
                 source,
                 format!("{}:{person}", source.prefix()),
-                vocab.name(name),
-                aff.map(|a| vocab.institution(a)),
+                Arc::new(PersonName::new(name)),
+                aff.map(|a| Arc::new(Institution::new(a))),
                 None,
-                interests.iter().map(|i| vocab.label(i)).collect(),
+                interests.iter().map(|i| Arc::new(Label::new(i))).collect(),
                 ScholarId(person),
             )
             .with_publications(
@@ -43,7 +43,7 @@ fn arb_profile() -> impl Strategy<Value = SourceProfile> {
                         Arc::new(SourcePublication::new(
                             format!("paper {i} by person {person}"),
                             2010 + i as u32,
-                            vocab.label("J"),
+                            Arc::new(Label::new("J")),
                             vec![],
                             vec![],
                             None,

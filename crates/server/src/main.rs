@@ -197,10 +197,13 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let stats = state.world.stats();
+    let w = &state.world;
     eprintln!(
         "world ready: {} scholars, {} papers, {} venues, {} review records",
-        stats.scholars, stats.papers, stats.venues, stats.reviews
+        w.scholars().len(),
+        w.papers().len(),
+        w.venues().len(),
+        w.reviews().len()
     );
     let router = build_router(state);
     let config = ServerConfig {

@@ -77,7 +77,7 @@ pub fn build_router(state: Arc<AppState>) -> Router {
     router.get(
         route,
         instrumented(tel, route, move |_, _| {
-            let stats = s.world.stats();
+            let w = &s.world;
             Response::json(
                 200,
                 &Value::object()
@@ -85,10 +85,10 @@ pub fn build_router(state: Arc<AppState>) -> Router {
                     .set(
                         "world",
                         Value::object()
-                            .set("scholars", stats.scholars)
-                            .set("papers", stats.papers)
-                            .set("venues", stats.venues)
-                            .set("reviews", stats.reviews),
+                            .set("scholars", w.scholars().len())
+                            .set("papers", w.papers().len())
+                            .set("venues", w.venues().len())
+                            .set("reviews", w.reviews().len()),
                     )
                     .set("sources", s.registry.len()),
             )

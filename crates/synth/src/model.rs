@@ -103,16 +103,10 @@ impl Scholar {
     /// `"Given Family"` display form.
     pub fn full_name(&self) -> String {
         let mut name = String::with_capacity(self.given_name.len() + 1 + self.family_name.len());
-        self.full_name_onto(&mut name);
+        name.push_str(&self.given_name);
+        name.push(' ');
+        name.push_str(&self.family_name);
         name
-    }
-
-    /// Appends [`Self::full_name`] to `out`, so a caller naming many
-    /// scholars can reuse one buffer.
-    pub fn full_name_onto(&self, out: &mut String) {
-        out.push_str(&self.given_name);
-        out.push(' ');
-        out.push_str(&self.family_name);
     }
 
     /// Affiliation current in `year`, if any (the latest covering span).

@@ -107,6 +107,22 @@ impl WorldHandle {
         }
     }
 
+    /// Number of venues in the world.
+    pub fn venue_count(&self) -> usize {
+        match self {
+            WorldHandle::Eager(w) => w.venues().len(),
+            WorldHandle::Lazy(w) => w.venues().len(),
+        }
+    }
+
+    /// Number of institutions in the world.
+    pub fn institution_count(&self) -> usize {
+        match self {
+            WorldHandle::Eager(w) => w.institutions().len(),
+            WorldHandle::Lazy(w) => w.institutions().len(),
+        }
+    }
+
     /// The simulation's current year.
     pub fn current_year(&self) -> u32 {
         match self {

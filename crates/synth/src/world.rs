@@ -1,6 +1,7 @@
 //! The generated world and its derived views.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use minaret_ontology::{Ontology, TopicId};
 
@@ -9,10 +10,10 @@ use crate::model::{Institution, Paper, ReviewRecord, Scholar, Venue};
 
 /// A complete synthetic scholarly world plus derived lookup tables.
 ///
-/// The raw entity tables are the ground truth; the derived tables
-/// (papers-by-author, co-author sets, citation totals, h-indexes,
-/// review counts) are computed once at construction and are what both the
-/// simulated sources and the evaluation harness read.
+/// The raw entity tables are the ground truth. Construction derives the
+/// two views serving reads, papers-by-author and reviews-by-scholar.
+/// The views only evaluation and ground truth read (co-author sets,
+/// citation totals, h-indexes) are computed on first call, once each.
 #[derive(Debug)]
 pub struct World {
     /// The topic ontology the world was generated against.
@@ -24,16 +25,18 @@ pub struct World {
     venues: Vec<Venue>,
     institutions: Vec<Institution>,
     reviews: Vec<ReviewRecord>,
-    // Derived:
+    // Derived at construction:
     papers_by_author: Vec<Vec<PaperId>>,
-    coauthors: Vec<Vec<ScholarId>>,
-    citations: Vec<u64>,
-    h_index: Vec<u32>,
     reviews_by_scholar: Vec<Vec<usize>>,
+    // Derived on first call:
+    coauthors: OnceLock<Vec<Vec<ScholarId>>>,
+    citations: OnceLock<Vec<u64>>,
+    h_index: OnceLock<Vec<u32>>,
 }
 
 impl World {
-    /// Assembles a world from raw tables, computing all derived views.
+    /// Assembles a world from raw tables, deriving papers-by-author and
+    /// reviews-by-scholar.
     pub fn assemble(
         ontology: Ontology,
         current_year: u32,
@@ -45,43 +48,10 @@ impl World {
     ) -> Self {
         let n = scholars.len();
         let mut papers_by_author = vec![Vec::new(); n];
-        let mut citations = vec![0u64; n];
         for p in &papers {
             for &a in &p.authors {
                 papers_by_author[a.index()].push(p.id);
-                citations[a.index()] += p.citations as u64;
             }
-        }
-        // Co-authors in first-seen order: a scholar's papers in paper
-        // order, each paper's authors in byline order. `seen[b] == a`
-        // marks `b` as already listed for `a`, so each scholar's pass
-        // is linear in its bylines.
-        let mut seen = vec![usize::MAX; n];
-        let coauthors: Vec<Vec<ScholarId>> = papers_by_author
-            .iter()
-            .enumerate()
-            .map(|(a, pids)| {
-                let mut list = Vec::new();
-                for p in pids {
-                    for &b in &papers[p.index()].authors {
-                        if b.index() != a && seen[b.index()] != a {
-                            seen[b.index()] = a;
-                            list.push(b);
-                        }
-                    }
-                }
-                list
-            })
-            .collect();
-        let mut h_index = vec![0u32; n];
-        for (i, pids) in papers_by_author.iter().enumerate() {
-            let mut cites: Vec<u32> = pids.iter().map(|p| papers[p.index()].citations).collect();
-            cites.sort_unstable_by(|a, b| b.cmp(a));
-            h_index[i] = cites
-                .iter()
-                .enumerate()
-                .take_while(|(rank, &c)| c as usize > *rank)
-                .count() as u32;
         }
         let mut reviews_by_scholar = vec![Vec::new(); n];
         for (ri, r) in reviews.iter().enumerate() {
@@ -96,10 +66,10 @@ impl World {
             institutions,
             reviews,
             papers_by_author,
-            coauthors,
-            citations,
-            h_index,
             reviews_by_scholar,
+            coauthors: OnceLock::new(),
+            citations: OnceLock::new(),
+            h_index: OnceLock::new(),
         }
     }
 
@@ -153,19 +123,66 @@ impl World {
         &self.papers_by_author[s.index()]
     }
 
-    /// Distinct co-authors of `s` (ground-truth COI edges).
+    /// Distinct co-authors of `s` (ground-truth COI edges), in
+    /// first-seen order: the papers of `s` in paper order, each paper's
+    /// authors in byline order.
     pub fn coauthors_of(&self, s: ScholarId) -> &[ScholarId] {
-        &self.coauthors[s.index()]
+        &self.coauthors.get_or_init(|| {
+            // `seen[b] == a` marks `b` as already listed for `a`, so
+            // each scholar's pass is linear in its bylines.
+            let mut seen = vec![usize::MAX; self.scholars.len()];
+            self.papers_by_author
+                .iter()
+                .enumerate()
+                .map(|(a, pids)| {
+                    let mut list = Vec::new();
+                    for p in pids {
+                        for &b in &self.papers[p.index()].authors {
+                            if b.index() != a && seen[b.index()] != a {
+                                seen[b.index()] = a;
+                                list.push(b);
+                            }
+                        }
+                    }
+                    list
+                })
+                .collect()
+        })[s.index()]
     }
 
     /// Total citations across the papers of `s`.
     pub fn citations_of(&self, s: ScholarId) -> u64 {
-        self.citations[s.index()]
+        self.citations.get_or_init(|| {
+            self.papers_by_author
+                .iter()
+                .map(|pids| {
+                    pids.iter()
+                        .map(|p| self.papers[p.index()].citations as u64)
+                        .sum()
+                })
+                .collect()
+        })[s.index()]
     }
 
     /// h-index of `s`.
     pub fn h_index_of(&self, s: ScholarId) -> u32 {
-        self.h_index[s.index()]
+        self.h_index.get_or_init(|| {
+            self.papers_by_author
+                .iter()
+                .map(|pids| {
+                    let mut cites: Vec<u32> = pids
+                        .iter()
+                        .map(|p| self.papers[p.index()].citations)
+                        .collect();
+                    cites.sort_unstable_by(|a, b| b.cmp(a));
+                    cites
+                        .iter()
+                        .enumerate()
+                        .take_while(|(rank, &c)| c as usize > *rank)
+                        .count() as u32
+                })
+                .collect()
+        })[s.index()]
     }
 
     /// Review records of `s`.
@@ -201,7 +218,7 @@ impl World {
 
     /// True when `a` and `b` ever co-authored (ground-truth COI edge).
     pub fn ever_coauthored(&self, a: ScholarId, b: ScholarId) -> bool {
-        self.coauthors[a.index()].contains(&b)
+        self.coauthors_of(a).contains(&b)
     }
 
     /// True when `a` and `b` were ever affiliated with the same

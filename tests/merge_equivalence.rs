@@ -26,9 +26,9 @@ use std::sync::Arc;
 use minaret::core::{AuthorInput, EditorConfig, ManuscriptDetails, Minaret};
 use minaret::ontology::{normalize_label, KeywordExpander, Ontology};
 use minaret::scholarly::{
-    merge_profiles, AffiliationRecord, Institution, MergedCandidate, NormalizedLabel, PersonName,
-    RegistryConfig, SimulatedSource, SourceKind, SourceMetrics, SourceProfile, SourcePublication,
-    SourceRegistry, SourceReview, SourceSpec, Vocabulary,
+    merge_profiles, AffiliationRecord, Institution, Label, MergedCandidate, NormalizedLabel,
+    PersonName, RegistryConfig, SimulatedSource, SourceKind, SourceMetrics, SourceProfile,
+    SourcePublication, SourceRegistry, SourceReview, SourceSpec,
 };
 use minaret::synth::{ScholarId, SubmissionGenerator, World, WorldConfig, WorldGenerator};
 
@@ -170,9 +170,9 @@ const TITLES: &[&str] = &[
 const LABELS: &[&str] = &["Semantic Web", "semantic-web", "Big Data", "RDF", "SPARQL"];
 const VENUES: &[&str] = &["Journal of X", "journal of x", "VLDB"];
 
-fn review(d: &mut Draw, v: &Vocabulary) -> Arc<SourceReview> {
+fn review(d: &mut Draw) -> Arc<SourceReview> {
     Arc::new(SourceReview::new(
-        v.label(d.pick(VENUES)),
+        Arc::new(Label::new(d.pick(VENUES))),
         2016 + d.below(2) as u32,
         [10, 20][d.below(2)],
         d.some(70, |d| 3 + d.below(2) as u8),
@@ -180,28 +180,28 @@ fn review(d: &mut Draw, v: &Vocabulary) -> Arc<SourceReview> {
 }
 
 /// A drawn profile, keyed `{prefix}:{index}` so that keys are unique.
-fn profile(d: &mut Draw, v: &Vocabulary, index: usize) -> SourceProfile {
+fn profile(d: &mut Draw, index: usize) -> SourceProfile {
     let source = SourceKind::ALL[d.below(SourceKind::ALL.len())];
     let mut profile = SourceProfile::new(
         source,
         format!("{}:{index}", source.prefix()),
-        v.name(d.pick(NAMES)),
-        d.some(80, |d| v.institution(d.pick(INSTITUTIONS))),
-        d.some(70, |d| v.label(d.pick(COUNTRIES))),
-        d.many(3, |d| v.label(d.pick(LABELS))),
+        Arc::new(PersonName::new(d.pick(NAMES))),
+        d.some(80, |d| Arc::new(Institution::new(d.pick(INSTITUTIONS)))),
+        d.some(70, |d| Arc::new(Label::new(d.pick(COUNTRIES)))),
+        d.many(3, |d| Arc::new(Label::new(d.pick(LABELS)))),
         ScholarId(d.below(3) as u32),
     );
     let publications = d.many(6, |d| {
         Arc::new(SourcePublication::new(
             d.pick(TITLES).to_string(),
             2010 + d.below(8) as u32,
-            v.label(d.pick(VENUES)),
+            Arc::new(Label::new(d.pick(VENUES))),
             vec![],
-            d.many(2, |d| v.label(d.pick(LABELS))),
+            d.many(2, |d| Arc::new(Label::new(d.pick(LABELS)))),
             d.some(50, |d| d.below(100) as u32),
         ))
     });
-    let mut reviews = d.many(4, |d| review(d, v));
+    let mut reviews = d.many(4, review);
     // The same review listed twice: a second record equal by value.
     if !reviews.is_empty() && d.chance(30) {
         let twin = reviews[d.below(reviews.len())].as_ref().clone();
@@ -213,8 +213,8 @@ fn profile(d: &mut Draw, v: &Vocabulary, index: usize) -> SourceProfile {
     if source == SourceKind::Orcid || d.chance(10) {
         profile.affiliation_history = d.many(3, |d| {
             AffiliationRecord::new(
-                v.institution(d.pick(INSTITUTIONS)),
-                v.label(d.pick(COUNTRIES)),
+                Arc::new(Institution::new(d.pick(INSTITUTIONS))),
+                Arc::new(Label::new(d.pick(COUNTRIES))),
                 2005 + d.below(2) as u32,
                 2010,
             )
@@ -247,9 +247,8 @@ fn every_accessor_reads_what_the_copying_merge_stored() {
     let mut seen = Seen::default();
     for seed in 0..1500 {
         let mut d = Draw(seed);
-        let v = Vocabulary::new();
         let mut profiles: Vec<Arc<SourceProfile>> = (0..1 + d.below(8))
-            .map(|i| Arc::new(profile(&mut d, &v, i)))
+            .map(|i| Arc::new(profile(&mut d, i)))
             .collect();
         let rotation = d.below(profiles.len());
         profiles.rotate_left(rotation);
@@ -303,9 +302,8 @@ fn every_accessor_reads_what_the_copying_merge_stored() {
 fn candidates_print_and_order_like_the_copying_merge_under_any_input_order() {
     for seed in 0..200 {
         let mut d = Draw(seed + 10_000);
-        let v = Vocabulary::new();
         let profiles: Vec<Arc<SourceProfile>> =
-            (0..12).map(|i| Arc::new(profile(&mut d, &v, i))).collect();
+            (0..12).map(|i| Arc::new(profile(&mut d, i))).collect();
         let want: Vec<String> = reference::merge_profiles(profiles.clone())
             .iter()
             .map(|c| format!("{c:?}"))
@@ -448,7 +446,6 @@ fn keyword_scores_and_matched_labels_equal_the_key_text_retrieval() {
 
 #[test]
 fn interest_forms_hold_the_sorted_union() {
-    let v = Vocabulary::new();
     let with_interests = |key: &str, interests: &[&str]| {
         Arc::new(SourceProfile::new(
             SourceKind::GoogleScholar,
@@ -456,7 +453,7 @@ fn interest_forms_hold_the_sorted_union() {
             Arc::new(PersonName::new("Lei Zhou")),
             Some(Arc::new(Institution::new("U"))),
             None,
-            interests.iter().map(|i| v.label(i)).collect(),
+            interests.iter().map(|i| Arc::new(Label::new(i))).collect(),
             ScholarId(1),
         ))
     };

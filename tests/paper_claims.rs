@@ -55,14 +55,13 @@ fn s1_dblp_growth_calibration() {
 #[test]
 fn s2_2_coi_configurability() {
     use minaret::core::coi::{check_coi, AuthorRecord};
-    use minaret::scholarly::{MergedCandidate, SourceProfile, Vocabulary};
-    let v = Vocabulary::new();
+    use minaret::scholarly::{Institution, Label, MergedCandidate, PersonName, SourceProfile};
     let profile = SourceProfile::new(
         SourceKind::GoogleScholar,
         "gs:x".into(),
-        v.name("Reviewer X"),
-        Some(v.institution("University of Tartu")),
-        Some(v.label("Estonia")),
+        Arc::new(PersonName::new("Reviewer X")),
+        Some(Arc::new(Institution::new("University of Tartu"))),
+        Some(Arc::new(Label::new("Estonia"))),
         vec![],
         ScholarId(0),
     );
