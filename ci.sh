@@ -51,12 +51,13 @@ cargo test -q --test keep_alive
 echo "==> result cache: cargo test --test result_cache"
 cargo test -q --test result_cache
 
-echo "==> embedded store (WAL, tables, recovery, crash safety): cargo test -p minaret-store"
+echo "==> embedded store (CRC, streamed table writer, publish, open-time validation, damaged snapshots): cargo test -p minaret-store"
 cargo test -q -p minaret-store
 
-# Release builds wrap integer overflow instead of panicking: the form a
-# damaged table's offsets take in a server build.
-echo "==> embedded store in release: cargo test --release -p minaret-store"
+# Release builds wrap integer overflow instead of panicking and drop
+# debug assertions: the form a damaged snapshot's offsets and a
+# misordered key take in a server build.
+echo "==> embedded store in release (damaged snapshots, key order): cargo test --release -p minaret-store"
 cargo test -q --release -p minaret-store
 
 echo "==> store persistence goldens (RAM vs --data-dir byte-identical): cargo test --test store_persistence"
@@ -117,10 +118,17 @@ echo "==> streaming smoke: minaret synth streams a 10^5-scholar snapshot"
 SYNTH_DIR="$(mktemp -d)"
 trap 'rm -rf "$SYNTH_DIR"' EXIT
 cargo run -q --release -p minaret-cli -- synth --scholars 100000 --seed 231 --data-dir "$SYNTH_DIR"
+files="$(ls -A "$SYNTH_DIR")"
+if [ "$files" != "snapshot.sst" ]; then
+    echo "FAIL: the data dir holds '$files', not the one snapshot file snapshot.sst" >&2
+    exit 1
+fi
 
 # A boot over that dir must load the snapshot (no chunk written) and
-# serve without writing to the store (no WAL append).
-echo "==> restart smoke: minaret stats over the snapshot loads it and writes nothing to the store"
+# serve without writing to the data dir (every file's checksum the same).
+echo "==> restart smoke: minaret stats over the snapshot loads it and leaves every file unchanged"
+listing() { (cd "$SYNTH_DIR" && for f in $(ls -A); do cksum "$f"; done); }
+before="$(listing)"
 STATS="$(cargo run -q --release -p minaret-cli -- stats --scholars 100000 --seed 231 --data-dir "$SYNTH_DIR")"
 metric() { awk -v name="$1" '$1 == name { print $NF }' <<<"$STATS"; }
 chunk_writes="$(metric minaret_world_chunk_writes_total)"
@@ -128,9 +136,11 @@ if [ "$chunk_writes" != "0" ]; then
     echo "FAIL: minaret_world_chunk_writes_total is '${chunk_writes:-absent}', not 0: the boot did not load the snapshot" >&2
     exit 1
 fi
-wal_appends="$(metric store_wal_appends)"
-if [ -n "$wal_appends" ] && [ "$wal_appends" != "0" ]; then
-    echo "FAIL: serving appended $wal_appends records to the store" >&2
+after="$(listing)"
+if [ "$after" != "$before" ]; then
+    echo "FAIL: the boot and its serving changed the data dir" >&2
+    echo "before: $before" >&2
+    echo "after:  $after" >&2
     exit 1
 fi
 rm -rf "$SYNTH_DIR"

@@ -115,9 +115,10 @@ impl AppState {
                     Some(world) => Arc::new(world),
                     None => {
                         // Write-through streaming: chunks land in the
-                        // store as they are generated (peak memory one
-                        // community block + memtable), then the snapshot
-                        // is loaded back for the resident serving world.
+                        // store's snapshot file as they are generated
+                        // (peak memory one community block), then the
+                        // snapshot is loaded back for the resident
+                        // serving world.
                         stream_snapshot_world(store, &StreamingGenerator::new(config), |p| {
                             chunk_writes.inc();
                             chunk_bytes.inc_by(p.bytes as u64);

@@ -1,7 +1,7 @@
 //! Versioned binary encoding primitives.
 //!
-//! Every payload the storage layer persists — scholar profiles, world
-//! snapshots, table blocks — goes through this module so the on-disk
+//! Every payload the storage layer persists — world snapshot sections
+//! and the table file itself — goes through this module so the on-disk
 //! bytes always start with an explicit envelope:
 //!
 //! ```text
@@ -87,12 +87,6 @@ impl Writer {
     /// sections).
     pub fn raw(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
-    }
-
-    /// Bytes written so far.
-    #[must_use]
-    pub fn finish_len(&self) -> usize {
-        self.buf.len()
     }
 
     /// Appends an `Option<u32>` as a presence byte plus the value.

@@ -19,13 +19,13 @@ pub enum StoreError {
         /// The OS error.
         source: std::io::Error,
     },
-    /// A fully-written record failed its checksum with valid data
-    /// following it — mid-log corruption, not a torn tail. The store
-    /// refuses to open rather than silently drop committed records.
+    /// A snapshot failed its checksum or a structural check: a
+    /// damaged or truncated file. The store refuses to open rather
+    /// than serve bytes that did not validate.
     Corrupt {
         /// The damaged file.
         path: PathBuf,
-        /// Byte offset where the failing record begins.
+        /// Byte offset of the part that failed to validate.
         offset: u64,
         /// What failed to validate.
         detail: String,
@@ -66,7 +66,7 @@ impl fmt::Display for StoreError {
                 detail,
             } => write!(
                 f,
-                "corrupt record in {} at byte {offset}: {detail}",
+                "corrupt data in {} at byte {offset}: {detail}",
                 path.display()
             ),
             StoreError::VersionMismatch {
@@ -118,13 +118,13 @@ mod tests {
     #[test]
     fn display_carries_context() {
         let e = StoreError::io(
-            "/tmp/x/wal-0.log",
-            "appending WAL record",
+            "/tmp/x/snapshot.sst",
+            "writing table",
             std::io::Error::other("disk full"),
         );
         let msg = e.to_string();
-        assert!(msg.contains("appending WAL record"), "{msg}");
-        assert!(msg.contains("wal-0.log"), "{msg}");
+        assert!(msg.contains("writing table"), "{msg}");
+        assert!(msg.contains("snapshot.sst"), "{msg}");
 
         let v = StoreError::VersionMismatch {
             what: "scholar profile",

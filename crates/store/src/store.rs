@@ -1,29 +1,17 @@
-//! The storage engine: WAL + memtable + sorted tables.
+//! The store: one immutable sorted table, published whole.
 //!
-//! Write path: append to the WAL (fsync per batch or per write,
-//! depending on [`SyncMode`]), then apply to the in-memory memtable.
-//! When the memtable's byte footprint passes the configured threshold
-//! it is flushed: frozen, written as an immutable sorted table (see
-//! [`crate::table`]), and the WAL that covered it deleted.
+//! A data dir holds at most one snapshot, [`SNAPSHOT_FILE`] (layout in
+//! [`crate::table`]). A writer streams a new one in key order to
+//! `snapshot.sst.tmp` ([`Store::writer`]); [`Store::publish`] fsyncs
+//! it, renames it over the previous snapshot and fsyncs the directory.
+//! The rename is the load gate: a reader sees the whole old file or the
+//! whole new one, never a mix, and a crash before it leaves only a
+//! `.tmp` file, which the next open removes.
 //!
-//! Read path: memtable first, then tables newest-to-oldest; the first
-//! hit (value *or* tombstone) wins.
-//!
-//! Recovery ([`Store::open`]): delete leftover `.tmp` staging files,
-//! load every published table, then replay every WAL in sequence
-//! order into the memtable. Replay is idempotent — records are
-//! upserts — so a crash between "table published" and "WAL deleted"
-//! merely replays data the table already holds. A torn WAL tail is
-//! truncated; mid-log corruption refuses to open.
-//!
-//! File naming: `wal-<seq>.log` and `table-<seq>.sst`, with `<seq>`
-//! drawn from one monotone counter. Compaction merges every table into
-//! a single new one at the *newest* seq, then deletes the inputs; a
-//! crash mid-compaction leaves the inputs in place and the output
-//! either absent (staging `.tmp`) or complete (renamed), and
-//! newest-wins reads stay correct in both cases.
+//! Opening ([`Store::open`]) is the whole of recovery: remove leftover
+//! `.tmp` files, then load and fully validate the snapshot if there is
+//! one. It writes nothing else.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -31,429 +19,158 @@ use std::time::Instant;
 use minaret_telemetry::Telemetry;
 
 use crate::error::StoreError;
-use crate::table::{self, Table, TableEntry};
-use crate::wal::{self, WalOp, WalWriter};
+use crate::table::{self, Table, TableWriter};
 
-/// When WAL bytes are forced to disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncMode {
-    /// Fsync after every mutation — maximum durability, slowest.
-    EveryWrite,
-    /// Fsync only on [`Store::sync`], flush, and close. A crash can
-    /// lose writes since the last sync, but never corrupt the store.
-    OnFlush,
-}
+/// The file a data dir's snapshot is published as.
+pub const SNAPSHOT_FILE: &str = "snapshot.sst";
 
-/// Tuning knobs for the engine.
-#[derive(Debug, Clone)]
-pub struct StoreConfig {
-    /// Flush the memtable once its keys+values exceed this many bytes.
-    pub memtable_bytes: usize,
-    /// Index every Nth table entry in the sparse index.
-    pub sparse_interval: usize,
-    /// Durability mode for the WAL.
-    pub sync_mode: SyncMode,
-    /// Compact when the number of live tables reaches this count.
-    pub max_tables: usize,
-}
+/// Where a snapshot is staged until [`Store::publish`] renames it.
+const STAGING_FILE: &str = "snapshot.sst.tmp";
 
-impl Default for StoreConfig {
-    fn default() -> Self {
-        Self {
-            memtable_bytes: 4 << 20, // 4 MiB
-            sparse_interval: 16,
-            sync_mode: SyncMode::OnFlush,
-            max_tables: 8,
-        }
-    }
-}
+/// Settings for [`Store::open`]. There are none: a data dir holds one
+/// snapshot, written once, and the sparse-index interval is
+/// [`table::SPARSE_INTERVAL`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct StoreConfig {}
 
-/// Counters describing the engine's current shape.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Live keys + tombstones in the memtable.
-    pub memtable_entries: usize,
-    /// Approximate memtable byte footprint.
-    pub memtable_bytes: usize,
-    /// Published sorted tables on disk.
-    pub table_count: usize,
-    /// Memtable flushes since open.
-    pub flushes: u64,
-    /// Compactions since open.
-    pub compactions: u64,
-    /// WAL records appended since open.
-    pub wal_appends: u64,
-    /// Milliseconds the last [`Store::open`] spent recovering.
-    pub recovery_millis: u64,
-    /// WAL records replayed by the last recovery.
-    pub recovered_records: u64,
-    /// Bytes dropped as a torn WAL tail by the last recovery.
-    pub torn_bytes_discarded: u64,
-}
-
-struct Inner {
-    /// `None` marks a tombstone awaiting flush.
-    memtable: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
-    memtable_bytes: usize,
-    /// Open tables, oldest first (read newest-to-oldest).
-    tables: Vec<Table>,
-    wal: WalWriter,
-    wal_path: PathBuf,
-    next_seq: u64,
-    stats: StoreStats,
-}
-
-/// An embedded, crash-safe, log-structured key-value store.
+/// A data dir's one snapshot table.
 ///
-/// All operations take `&self`; the engine is internally synchronized
+/// All operations take `&self`; the store is internally synchronized
 /// and safe to share behind an `Arc` across threads.
 pub struct Store {
     dir: PathBuf,
-    config: StoreConfig,
-    telemetry: Option<Telemetry>,
-    inner: Mutex<Inner>,
+    /// The published snapshot, loaded and validated. `None` when the
+    /// dir has none, and after a publish until a `get` opens the new
+    /// file.
+    table: Mutex<Option<Table>>,
 }
 
 impl std::fmt::Debug for Store {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Store")
             .field("dir", &self.dir)
-            .field("config", &self.config)
             .finish_non_exhaustive()
     }
 }
 
-fn wal_path(dir: &Path, seq: u64) -> PathBuf {
-    dir.join(format!("wal-{seq:010}.log"))
+/// The table at `dir`'s snapshot path, opened and fully validated, if
+/// the file exists.
+fn open_snapshot(dir: &Path) -> Result<Option<Table>, StoreError> {
+    let path = dir.join(SNAPSHOT_FILE);
+    let exists = path
+        .try_exists()
+        .map_err(|e| StoreError::io(&path, "looking for the snapshot", e))?;
+    exists.then(|| Table::open(&path)).transpose()
 }
 
-fn table_path(dir: &Path, seq: u64) -> PathBuf {
-    dir.join(format!("table-{seq:010}.sst"))
+/// The file names a data dir held before snapshots were one table:
+/// `wal-<seq>.log` and `table-<seq>.sst`.
+fn is_old_format(name: &str) -> bool {
+    let numbered = |prefix: &str, suffix: &str| {
+        name.strip_prefix(prefix)
+            .and_then(|rest| rest.strip_suffix(suffix))
+            .is_some_and(|seq| !seq.is_empty() && seq.bytes().all(|b| b.is_ascii_digit()))
+    };
+    numbered("wal-", ".log") || numbered("table-", ".sst")
 }
 
-fn parse_seq(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
-    name.strip_prefix(prefix)?
-        .strip_suffix(suffix)?
-        .parse()
-        .ok()
+/// Removes every file in `dir` whose name `remove` selects.
+fn remove_files(
+    dir: &Path,
+    remove: impl Fn(&str) -> bool,
+    context: &'static str,
+) -> Result<(), StoreError> {
+    let listing =
+        std::fs::read_dir(dir).map_err(|e| StoreError::io(dir, "listing data directory", e))?;
+    for entry in listing {
+        let entry = entry.map_err(|e| StoreError::io(dir, "listing data directory", e))?;
+        if entry.file_name().to_str().is_some_and(&remove) {
+            std::fs::remove_file(entry.path())
+                .map_err(|e| StoreError::io(entry.path(), context, e))?;
+        }
+    }
+    Ok(())
 }
 
 impl Store {
-    /// Opens (or creates) a store in `dir`, recovering any state a
-    /// previous process left behind.
-    pub fn open(dir: &Path, config: StoreConfig) -> Result<Self, StoreError> {
-        Self::open_inner(dir, config, None)
+    /// Opens (or creates) a store in `dir`: removes leftover staging
+    /// files and validates the snapshot, if there is one.
+    pub fn open(dir: &Path, _config: StoreConfig) -> Result<Self, StoreError> {
+        Self::open_inner(dir, None)
     }
 
-    /// Like [`Store::open`], with engine internals exported through
-    /// `telemetry` (WAL appends, flushes, table counts, recovery time).
+    /// Like [`Store::open`], exporting the time it spent validating
+    /// through `telemetry` as `store_recovery_millis`.
     pub fn open_with_telemetry(
         dir: &Path,
-        config: StoreConfig,
+        _config: StoreConfig,
         telemetry: Telemetry,
     ) -> Result<Self, StoreError> {
-        Self::open_inner(dir, config, Some(telemetry))
+        Self::open_inner(dir, Some(telemetry))
     }
 
-    fn open_inner(
-        dir: &Path,
-        config: StoreConfig,
-        telemetry: Option<Telemetry>,
-    ) -> Result<Self, StoreError> {
+    fn open_inner(dir: &Path, telemetry: Option<Telemetry>) -> Result<Self, StoreError> {
         let started = Instant::now();
         std::fs::create_dir_all(dir)
             .map_err(|e| StoreError::io(dir, "creating data directory", e))?;
-
-        // Catalogue what the previous process left: published tables,
-        // WALs, and any half-staged .tmp files (which by construction
-        // are incomplete and must be discarded).
-        let mut table_seqs: Vec<u64> = Vec::new();
-        let mut wal_seqs: Vec<u64> = Vec::new();
-        let listing =
-            std::fs::read_dir(dir).map_err(|e| StoreError::io(dir, "listing data directory", e))?;
-        for entry in listing {
-            let entry = entry.map_err(|e| StoreError::io(dir, "listing data directory", e))?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if name.ends_with(".tmp") {
-                std::fs::remove_file(entry.path())
-                    .map_err(|e| StoreError::io(entry.path(), "removing stale staging file", e))?;
-            } else if let Some(seq) = parse_seq(name, "table-", ".sst") {
-                table_seqs.push(seq);
-            } else if let Some(seq) = parse_seq(name, "wal-", ".log") {
-                wal_seqs.push(seq);
-            }
-        }
-        table_seqs.sort_unstable();
-        wal_seqs.sort_unstable();
-
-        let mut tables = Vec::with_capacity(table_seqs.len());
-        for &seq in &table_seqs {
-            tables.push(Table::open(&table_path(dir, seq))?);
-        }
-
-        // Replay WALs oldest-first. Records are upserts, so replaying a
-        // WAL whose table was already published is harmless.
-        let mut memtable: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
-        let mut memtable_bytes = 0usize;
-        let mut recovered_records = 0u64;
-        let mut torn_total = 0u64;
-        let mut resume: Option<(PathBuf, u64)> = None;
-        for (i, &seq) in wal_seqs.iter().enumerate() {
-            let path = wal_path(dir, seq);
-            let replay = wal::replay(&path)?;
-            recovered_records += replay.ops.len() as u64;
-            torn_total += replay.torn_bytes;
-            for op in replay.ops {
-                match op {
-                    WalOp::Put { key, value } => {
-                        memtable_bytes += key.len() + value.len();
-                        memtable.insert(key, Some(value));
-                    }
-                    WalOp::Delete { key } => {
-                        memtable_bytes += key.len();
-                        memtable.insert(key, None);
-                    }
-                }
-            }
-            if i + 1 == wal_seqs.len() {
-                resume = Some((path, replay.committed_bytes));
-            }
-        }
-
-        let max_seq = table_seqs
-            .iter()
-            .chain(wal_seqs.iter())
-            .copied()
-            .max()
-            .unwrap_or(0);
-        let (wal, active_wal_path, next_seq) = match resume {
-            Some((path, committed)) => (WalWriter::resume(&path, committed)?, path, max_seq + 1),
-            None => {
-                let seq = max_seq + 1;
-                let path = wal_path(dir, seq);
-                (WalWriter::create(&path)?, path, seq + 1)
-            }
-        };
-
-        let recovery_millis = started.elapsed().as_millis() as u64;
-        let stats = StoreStats {
-            memtable_entries: memtable.len(),
-            memtable_bytes,
-            table_count: tables.len(),
-            recovery_millis,
-            recovered_records,
-            torn_bytes_discarded: torn_total,
-            ..StoreStats::default()
-        };
-        let store = Self {
-            dir: dir.to_path_buf(),
-            config,
-            telemetry,
-            inner: Mutex::new(Inner {
-                memtable,
-                memtable_bytes,
-                tables,
-                wal,
-                wal_path: active_wal_path,
-                next_seq,
-                stats,
-            }),
-        };
-        if let Some(t) = &store.telemetry {
+        // A staged file is by construction incomplete.
+        remove_files(
+            dir,
+            |name| name.ends_with(".tmp"),
+            "removing stale staging file",
+        )?;
+        let table = open_snapshot(dir)?;
+        if let Some(t) = &telemetry {
             t.gauge("store_recovery_millis", &[])
-                .set(recovery_millis as i64);
-            t.counter("store_recovered_records", &[])
-                .inc_by(recovered_records);
-            t.gauge("store_table_count", &[])
-                .set(table_seqs.len() as i64);
+                .set(started.elapsed().as_millis() as i64);
         }
-        Ok(store)
-    }
-
-    /// Stores `value` under `key`, overwriting any prior value.
-    pub fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        self.apply(WalOp::Put {
-            key: key.to_vec(),
-            value: value.to_vec(),
+        Ok(Self {
+            dir: dir.to_path_buf(),
+            table: Mutex::new(table),
         })
     }
 
-    /// Removes `key`. Removing an absent key is not an error.
-    pub fn delete(&self, key: &[u8]) -> Result<(), StoreError> {
-        self.apply(WalOp::Delete { key: key.to_vec() })
-    }
-
-    fn apply(&self, op: WalOp) -> Result<(), StoreError> {
-        let mut inner = self.inner.lock().expect("store lock poisoned");
-        inner.wal.append(&op)?;
-        if self.config.sync_mode == SyncMode::EveryWrite {
-            inner.wal.sync()?;
-        }
-        inner.stats.wal_appends += 1;
-        match op {
-            WalOp::Put { key, value } => {
-                inner.memtable_bytes += key.len() + value.len();
-                inner.memtable.insert(key, Some(value));
-            }
-            WalOp::Delete { key } => {
-                inner.memtable_bytes += key.len();
-                inner.memtable.insert(key, None);
-            }
-        }
-        if let Some(t) = &self.telemetry {
-            t.counter("store_wal_appends", &[]).inc();
-        }
-        if inner.memtable_bytes >= self.config.memtable_bytes {
-            self.flush_locked(&mut inner)?;
-        }
-        Ok(())
-    }
-
-    /// Fetches the value stored under `key`, if any.
+    /// Fetches the value stored under `key` in the published snapshot.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
-        let inner = self.inner.lock().expect("store lock poisoned");
-        if let Some(slot) = inner.memtable.get(key) {
-            return Ok(slot.clone());
+        let mut table = self.table.lock().expect("store lock poisoned");
+        if table.is_none() {
+            *table = open_snapshot(&self.dir)?;
         }
-        for t in inner.tables.iter().rev() {
-            if let Some(hit) = t.get(key)? {
-                return Ok(hit); // value or tombstone — newest wins
-            }
+        match table.as_ref() {
+            Some(t) => Ok(t.get(key)?.map(<[u8]>::to_vec)),
+            None => Ok(None),
         }
-        Ok(None)
     }
 
-    /// Forces buffered WAL bytes to disk.
-    pub fn sync(&self) -> Result<(), StoreError> {
-        self.inner.lock().expect("store lock poisoned").wal.sync()
+    /// Starts staging a new snapshot. Nothing changes for readers until
+    /// [`Store::publish`].
+    pub fn writer(&self) -> Result<TableWriter, StoreError> {
+        TableWriter::create(&self.dir.join(STAGING_FILE))
     }
 
-    /// Flushes the memtable to a new sorted table and starts a fresh
-    /// WAL. No-op when the memtable is empty.
-    pub fn flush(&self) -> Result<(), StoreError> {
-        let mut inner = self.inner.lock().expect("store lock poisoned");
-        self.flush_locked(&mut inner)
-    }
-
-    fn flush_locked(&self, inner: &mut Inner) -> Result<(), StoreError> {
-        if inner.memtable.is_empty() {
-            return Ok(());
-        }
-        // Durability order: WAL synced → table published → old WAL
-        // removed. A crash at any point leaves a replayable WAL or a
-        // published table (or both, which replay tolerates).
-        inner.wal.sync()?;
-        let entries: Vec<TableEntry> = inner
-            .memtable
-            .iter()
-            .map(|(k, v)| TableEntry {
-                key: k.clone(),
-                value: v.clone(),
-            })
-            .collect();
-        let table_seq = inner.next_seq;
-        inner.next_seq += 1;
-        let tpath = table_path(&self.dir, table_seq);
-        table::write_table(&tpath, &entries, self.config.sparse_interval)?;
-        inner.tables.push(Table::open(&tpath)?);
-
-        let wal_seq = inner.next_seq;
-        inner.next_seq += 1;
-        let new_wal_path = wal_path(&self.dir, wal_seq);
-        inner.wal = WalWriter::create(&new_wal_path)?;
-        let old_wal = std::mem::replace(&mut inner.wal_path, new_wal_path);
-        std::fs::remove_file(&old_wal)
-            .map_err(|e| StoreError::io(&old_wal, "removing flushed WAL", e))?;
-
-        inner.memtable.clear();
-        inner.memtable_bytes = 0;
-        inner.stats.flushes += 1;
-        if let Some(t) = &self.telemetry {
-            t.counter("store_flushes", &[]).inc();
-            t.gauge("store_table_count", &[])
-                .set(inner.tables.len() as i64);
-        }
-        if inner.tables.len() >= self.config.max_tables {
-            self.compact_locked(inner)?;
-        }
-        Ok(())
-    }
-
-    /// Merges every table (and the current memtable) into one table,
-    /// dropping tombstones and shadowed versions, bounding file count
-    /// and disk usage.
-    pub fn compact(&self) -> Result<(), StoreError> {
-        let mut inner = self.inner.lock().expect("store lock poisoned");
-        self.flush_locked(&mut inner)?;
-        self.compact_locked(&mut inner)
-    }
-
-    fn compact_locked(&self, inner: &mut Inner) -> Result<(), StoreError> {
-        if inner.tables.len() <= 1 {
-            return Ok(());
-        }
-        // Merge oldest→newest so later entries overwrite earlier ones.
-        let mut merged: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
-        for t in &inner.tables {
-            for e in t.iter_entries()? {
-                merged.insert(e.key, e.value);
-            }
-        }
-        // With every table merged, tombstones have nothing left to
-        // shadow and can be dropped.
-        let entries: Vec<TableEntry> = merged
-            .into_iter()
-            .filter_map(|(key, value)| {
-                value.map(|v| TableEntry {
-                    key,
-                    value: Some(v),
-                })
-            })
-            .collect();
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        let tpath = table_path(&self.dir, seq);
-        table::write_table(&tpath, &entries, self.config.sparse_interval)?;
-        let new_table = Table::open(&tpath)?;
-        // Output is durable; now the inputs can go. A crash before
-        // these deletes leaves shadowed duplicates, which newest-wins
-        // reads and the next compaction both handle.
-        let old = std::mem::replace(&mut inner.tables, vec![new_table]);
-        for t in old {
-            std::fs::remove_file(t.path())
-                .map_err(|e| StoreError::io(t.path(), "removing compacted table", e))?;
-        }
-        inner.stats.compactions += 1;
-        if let Some(t) = &self.telemetry {
-            t.counter("store_compactions", &[]).inc();
-            t.gauge("store_table_count", &[]).set(1);
-        }
-        Ok(())
-    }
-
-    /// A snapshot of the engine's counters.
-    pub fn stats(&self) -> StoreStats {
-        let inner = self.inner.lock().expect("store lock poisoned");
-        let mut s = inner.stats.clone();
-        s.memtable_entries = inner.memtable.len();
-        s.memtable_bytes = inner.memtable_bytes;
-        s.table_count = inner.tables.len();
-        s
+    /// Publishes a snapshot staged by [`Store::writer`] in place of the
+    /// previous one: finishes and fsyncs the file, renames it into
+    /// place, fsyncs the directory, and checks the published bytes
+    /// against their checksum. Then removes the files of the format
+    /// that preceded this one, `wal-<seq>.log` and `table-<seq>.sst`;
+    /// no other file in the directory is touched.
+    pub fn publish(&self, writer: TableWriter) -> Result<(), StoreError> {
+        let staged = writer.finish()?;
+        let path = self.dir.join(SNAPSHOT_FILE);
+        std::fs::rename(&staged, &path)
+            .map_err(|e| StoreError::io(&path, "publishing snapshot", e))?;
+        std::fs::File::open(&self.dir)
+            .and_then(|d| d.sync_all())
+            .map_err(|e| StoreError::io(&self.dir, "fsyncing data directory", e))?;
+        *self.table.lock().expect("store lock poisoned") = None;
+        table::verify(&path)?;
+        remove_files(&self.dir, is_old_format, "removing old-format file")
     }
 
     /// The directory this store lives in.
     #[must_use]
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-}
-
-impl Drop for Store {
-    fn drop(&mut self) {
-        if let Ok(inner) = self.inner.get_mut() {
-            let _ = inner.wal.sync();
-        }
     }
 }
 
@@ -467,146 +184,51 @@ mod tests {
         dir
     }
 
-    fn small_config() -> StoreConfig {
-        StoreConfig {
-            memtable_bytes: 512,
-            sparse_interval: 4,
-            sync_mode: SyncMode::OnFlush,
-            max_tables: 4,
+    fn publish(store: &Store, entries: &[(&[u8], &[u8])]) {
+        let mut w = store.writer().unwrap();
+        for (key, value) in entries {
+            w.add(key, value).unwrap();
         }
+        store.publish(w).unwrap();
     }
 
-    #[test]
-    fn put_get_delete_round_trip() {
-        let dir = tmp_dir("crud");
-        let store = Store::open(&dir, StoreConfig::default()).unwrap();
-        assert_eq!(store.get(b"a").unwrap(), None);
-        store.put(b"a", b"1").unwrap();
-        store.put(b"b", b"2").unwrap();
-        assert_eq!(store.get(b"a").unwrap(), Some(b"1".to_vec()));
-        store.put(b"a", b"updated").unwrap();
-        assert_eq!(store.get(b"a").unwrap(), Some(b"updated".to_vec()));
-        store.delete(b"a").unwrap();
-        assert_eq!(store.get(b"a").unwrap(), None);
-        assert_eq!(store.get(b"b").unwrap(), Some(b"2".to_vec()));
-        drop(store);
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn restart_rebuilds_exact_state() {
-        let dir = tmp_dir("restart");
-        {
-            let store = Store::open(&dir, small_config()).unwrap();
-            for i in 0..200 {
-                store
-                    .put(format!("k{i:04}").as_bytes(), format!("v{i}").as_bytes())
-                    .unwrap();
-            }
-            store.delete(b"k0007").unwrap();
-            store.put(b"k0003", b"rewritten").unwrap();
-            store.sync().unwrap();
-        }
-        let store = Store::open(&dir, small_config()).unwrap();
-        assert!(store.stats().table_count > 0, "small memtable should flush");
-        assert_eq!(
-            store.get(b"k0007").unwrap(),
-            None,
-            "delete survives restart"
-        );
-        assert_eq!(store.get(b"k0003").unwrap(), Some(b"rewritten".to_vec()));
-        for i in 0..200 {
-            if i == 7 || i == 3 {
-                continue;
-            }
-            assert_eq!(
-                store.get(format!("k{i:04}").as_bytes()).unwrap(),
-                Some(format!("v{i}").into_bytes()),
-                "k{i:04}"
-            );
-        }
-        drop(store);
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn tombstone_in_memtable_shadows_table_value() {
-        let dir = tmp_dir("shadow");
-        let store = Store::open(&dir, StoreConfig::default()).unwrap();
-        store.put(b"k", b"old").unwrap();
-        store.flush().unwrap();
-        store.delete(b"k").unwrap();
-        assert_eq!(store.get(b"k").unwrap(), None);
-        // And across a flush of the tombstone itself:
-        store.flush().unwrap();
-        assert_eq!(store.get(b"k").unwrap(), None);
-        drop(store);
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn compaction_bounds_table_count_and_preserves_data() {
-        let dir = tmp_dir("compact");
-        let cfg = small_config();
-        let store = Store::open(&dir, cfg.clone()).unwrap();
-        for round in 0..6 {
-            for i in 0..40 {
-                store
-                    .put(
-                        format!("key-{i:03}").as_bytes(),
-                        format!("round-{round}-value-{i}").as_bytes(),
-                    )
-                    .unwrap();
-            }
-            store.flush().unwrap();
-        }
-        let stats = store.stats();
-        assert!(
-            stats.table_count < cfg.max_tables,
-            "compaction should bound tables, got {}",
-            stats.table_count
-        );
-        assert!(stats.compactions > 0);
-        for i in 0..40 {
-            assert_eq!(
-                store.get(format!("key-{i:03}").as_bytes()).unwrap(),
-                Some(format!("round-5-value-{i}").into_bytes())
-            );
-        }
-        // On-disk file count matches the in-memory view.
-        let sst_files = std::fs::read_dir(&dir)
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
             .unwrap()
-            .filter(|e| {
-                e.as_ref()
-                    .unwrap()
-                    .file_name()
-                    .to_string_lossy()
-                    .ends_with(".sst")
-            })
-            .count();
-        assert_eq!(sst_files, stats.table_count);
-        drop(store);
-        std::fs::remove_dir_all(dir).unwrap();
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
     }
 
     #[test]
-    fn compaction_drops_tombstones_from_disk() {
-        let dir = tmp_dir("tombstone-gc");
+    fn publish_replaces_the_snapshot_and_removes_only_old_format_files() {
+        let dir = tmp_dir("publish");
         let store = Store::open(&dir, StoreConfig::default()).unwrap();
-        store.put(b"keep", b"x").unwrap();
-        store.put(b"gone", b"y").unwrap();
-        store.flush().unwrap();
-        store.delete(b"gone").unwrap();
-        store.flush().unwrap();
-        store.compact().unwrap();
-        let stats = store.stats();
-        assert_eq!(stats.table_count, 1);
-        assert_eq!(store.get(b"gone").unwrap(), None);
-        assert_eq!(store.get(b"keep").unwrap(), Some(b"x".to_vec()));
-        // After compaction the sole table holds exactly one entry.
-        let inner = store.inner.lock().unwrap();
-        assert_eq!(inner.tables[0].len(), 1);
-        drop(inner);
+        assert_eq!(store.get(b"a").unwrap(), None);
+        for name in [
+            "wal-0000000001.log",
+            "table-0000000002.sst",
+            "wal-notes.log",
+            "table-.sst",
+            "notes.txt",
+        ] {
+            std::fs::write(dir.join(name), b"kept unless old-format").unwrap();
+        }
+        publish(&store, &[(b"a", b"1"), (b"b", b"2")]);
+        assert_eq!(store.get(b"a").unwrap(), Some(b"1".to_vec()));
+        assert_eq!(
+            listing(&dir),
+            ["notes.txt", "snapshot.sst", "table-.sst", "wal-notes.log"]
+        );
+        // A second publish replaces the first whole.
+        publish(&store, &[(b"b", b"3"), (b"c", b"4")]);
+        assert_eq!(store.get(b"a").unwrap(), None);
+        assert_eq!(store.get(b"b").unwrap(), Some(b"3".to_vec()));
+        drop(store);
+        let store = Store::open(&dir, StoreConfig::default()).unwrap();
+        assert_eq!(store.get(b"a").unwrap(), None);
+        assert_eq!(store.get(b"c").unwrap(), Some(b"4".to_vec()));
         drop(store);
         std::fs::remove_dir_all(dir).unwrap();
     }
@@ -618,23 +240,6 @@ mod tests {
         std::fs::write(dir.join("table-0000000005.sst.tmp"), b"half written").unwrap();
         let store = Store::open(&dir, StoreConfig::default()).unwrap();
         assert!(!dir.join("table-0000000005.sst.tmp").exists());
-        drop(store);
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn unsynced_writes_may_be_lost_but_synced_ones_never() {
-        let dir = tmp_dir("durability");
-        {
-            let store = Store::open(&dir, StoreConfig::default()).unwrap();
-            store.put(b"synced", b"yes").unwrap();
-            store.sync().unwrap();
-            // Simulate a crash: drop without an explicit close. (Drop
-            // best-effort syncs, so "synced" is the floor, not the
-            // ceiling.)
-        }
-        let store = Store::open(&dir, StoreConfig::default()).unwrap();
-        assert_eq!(store.get(b"synced").unwrap(), Some(b"yes".to_vec()));
         drop(store);
         std::fs::remove_dir_all(dir).unwrap();
     }

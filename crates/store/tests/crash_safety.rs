@@ -1,22 +1,14 @@
-//! Kill-replay crash-safety suite for the storage engine.
+//! Crash-safety suite for the storage engine.
 //!
-//! These tests simulate a crashed process by taking the on-disk bytes a
-//! live store produced and damaging them the way real crashes do:
-//! truncating the WAL at **every** byte offset (a torn append) and
-//! flipping bits in the tail and the middle. Recovery must restore
-//! exactly the committed prefix, or report a checksum error — it must
-//! never silently serve corrupt state.
-//!
-//! Everything here is deterministic: damage offsets are enumerated or
-//! drawn from the proptest shim's fixed per-test RNG stream, and
-//! "crash" means operating on copied bytes — no sleeps, no signals, no
-//! real process kills.
+//! A published snapshot is immutable, so it has no torn tail to
+//! tolerate: damage at rest — a flipped bit anywhere, or a file cut
+//! short at any offset — must make the store refuse to open, never
+//! serve altered bytes. Damage offsets are enumerated, so every run
+//! checks the same cases.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use minaret_store::{Store, StoreConfig, StoreError, SyncMode};
-use proptest::prelude::*;
+use minaret_store::{Store, StoreConfig, StoreError, SNAPSHOT_FILE};
 
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -29,308 +21,62 @@ fn tmp_dir(name: &str) -> PathBuf {
     dir
 }
 
-fn no_flush_config() -> StoreConfig {
-    StoreConfig {
-        memtable_bytes: usize::MAX, // keep everything in the WAL
-        sparse_interval: 4,
-        sync_mode: SyncMode::OnFlush,
-        max_tables: 8,
+/// Publishes a snapshot of a few entries, with values of several sizes,
+/// and returns its path.
+fn publish(dir: &Path) -> PathBuf {
+    let store = Store::open(dir, StoreConfig::default()).unwrap();
+    let mut w = store.writer().unwrap();
+    for (key, value) in [
+        (&b"alpha"[..], &b"2-overwrite"[..]),
+        (b"beta", &[0xAB; 120]),
+        (b"delta", &[0x00; 64]),
+        (b"gamma", b"3"),
+    ] {
+        w.add(key, value).unwrap();
     }
+    store.publish(w).unwrap();
+    dir.join(SNAPSHOT_FILE)
 }
 
-/// The single `wal-*.log` file in `dir`.
-fn wal_file(dir: &Path) -> PathBuf {
-    let mut wals: Vec<PathBuf> = std::fs::read_dir(dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.to_string_lossy().ends_with(".log"))
-        .collect();
-    assert_eq!(
-        wals.len(),
-        1,
-        "expected exactly one WAL in {}",
-        dir.display()
+fn assert_refuses(dir: &Path, what: &str) {
+    let err = Store::open(dir, StoreConfig::default()).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            StoreError::Corrupt { .. }
+                | StoreError::Codec { .. }
+                | StoreError::VersionMismatch { .. }
+        ),
+        "{what} not rejected: {err}"
     );
-    wals.pop().unwrap()
 }
 
-/// Writes `ops` through a store (no flushes, so all state lives in one
-/// WAL), records the WAL length after each op, and returns
-/// `(wal_bytes, boundaries, expected_state_after_each_op)`.
-#[allow(clippy::type_complexity)]
-fn build_wal(
-    dir: &Path,
-    ops: &[(Vec<u8>, Option<Vec<u8>>)],
-) -> (Vec<u8>, Vec<usize>, Vec<BTreeMap<Vec<u8>, Option<Vec<u8>>>>) {
-    let store = Store::open(dir, no_flush_config()).unwrap();
-    let path = wal_file(dir);
-    let mut boundaries = vec![0usize];
-    let mut states = vec![BTreeMap::new()];
-    let mut model: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
-    for (key, value) in ops {
-        match value {
-            Some(v) => store.put(key, v).unwrap(),
-            None => store.delete(key).unwrap(),
-        }
-        store.sync().unwrap();
-        boundaries.push(std::fs::metadata(&path).unwrap().len() as usize);
-        model.insert(key.clone(), value.clone());
-        states.push(model.clone());
-    }
-    drop(store);
-    (std::fs::read(&path).unwrap(), boundaries, states)
-}
-
-/// Asserts the reopened store's visible state equals `expected`
-/// (including that tombstoned/absent keys read as absent).
-fn assert_state(store: &Store, expected: &BTreeMap<Vec<u8>, Option<Vec<u8>>>) {
-    for (key, value) in expected {
-        assert_eq!(&store.get(key).unwrap(), value, "key {key:?}");
-    }
-}
-
-/// A deterministic operation sequence with key reuse (so torn tails
-/// drop *overwrites*, not just inserts) and tombstones.
-fn scripted_ops() -> Vec<(Vec<u8>, Option<Vec<u8>>)> {
-    vec![
-        (b"alpha".to_vec(), Some(b"1".to_vec())),
-        (b"beta".to_vec(), Some(vec![0xAB; 120])),
-        (b"alpha".to_vec(), Some(b"2-overwrite".to_vec())),
-        (b"gamma".to_vec(), Some(b"3".to_vec())),
-        (b"beta".to_vec(), None), // tombstone
-        (b"delta".to_vec(), Some(vec![0x00; 64])),
-    ]
-}
-
-/// Truncating the WAL at every single byte offset recovers exactly the
-/// committed prefix of operations — the state after the last record
-/// wholly contained in the surviving bytes.
+/// A damaged sorted table must be rejected at open — immutable files
+/// admit no torn-tail excuse.
 #[test]
-fn truncation_at_every_offset_recovers_committed_prefix() {
-    let base = tmp_dir("trunc-every");
-    let (wal, boundaries, states) = build_wal(&base, &scripted_ops());
-
-    let crash_dir = tmp_dir("trunc-every-crash");
-    for cut in 0..=wal.len() {
-        let path = crash_dir.join("wal-0000000001.log");
-        std::fs::write(&path, &wal[..cut]).unwrap();
-        let store = Store::open(&crash_dir, no_flush_config()).unwrap();
-        let committed = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
-        assert_state(&store, &states[committed]);
-        // Ops beyond the committed prefix must be invisible.
-        if committed < states.len() - 1 {
-            let stats = store.stats();
-            assert_eq!(
-                stats.recovered_records, committed as u64,
-                "cut at {cut}: wrong record count"
-            );
-            assert_eq!(
-                stats.torn_bytes_discarded as usize,
-                cut - boundaries[committed]
-            );
-        }
-        drop(store);
-        // Reset the crash dir for the next cut (recovery resumes the
-        // WAL and truncates its tail, so rebuild from scratch).
-        std::fs::remove_dir_all(&crash_dir).unwrap();
-        std::fs::create_dir_all(&crash_dir).unwrap();
-    }
-    std::fs::remove_dir_all(base).unwrap();
-    std::fs::remove_dir_all(crash_dir).unwrap();
-}
-
-/// After recovering from any truncation, the store accepts new writes
-/// and a further clean restart sees both the recovered prefix and the
-/// post-recovery writes.
-#[test]
-fn recovery_then_write_then_restart_is_consistent() {
-    let base = tmp_dir("trunc-resume");
-    let (wal, boundaries, states) = build_wal(&base, &scripted_ops());
-
-    let crash_dir = tmp_dir("trunc-resume-crash");
-    // Sample a spread of cut points including every record boundary.
-    let mut cuts: Vec<usize> = boundaries.clone();
-    cuts.extend((0..wal.len()).step_by(17));
-    for cut in cuts {
-        let path = crash_dir.join("wal-0000000001.log");
-        std::fs::write(&path, &wal[..cut]).unwrap();
-        {
-            let store = Store::open(&crash_dir, no_flush_config()).unwrap();
-            store.put(b"post-crash", b"written-after-recovery").unwrap();
-            store.sync().unwrap();
-        }
-        let store = Store::open(&crash_dir, no_flush_config()).unwrap();
-        let committed = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
-        assert_state(&store, &states[committed]);
-        assert_eq!(
-            store.get(b"post-crash").unwrap(),
-            Some(b"written-after-recovery".to_vec())
-        );
-        drop(store);
-        std::fs::remove_dir_all(&crash_dir).unwrap();
-        std::fs::create_dir_all(&crash_dir).unwrap();
-    }
-    std::fs::remove_dir_all(base).unwrap();
-    std::fs::remove_dir_all(crash_dir).unwrap();
-}
-
-/// Bit flips inside the last record are a torn tail: recovery keeps the
-/// prefix before it. Bit flips in earlier records are mid-log
-/// corruption: open must fail with a checksum error — never succeed
-/// with silently altered data.
-#[test]
-fn bitflip_at_every_offset_recovers_prefix_or_errors() {
-    let base = tmp_dir("flip-every");
-    let (wal, boundaries, states) = build_wal(&base, &scripted_ops());
-    let last_record_start = boundaries[boundaries.len() - 2];
-
-    let crash_dir = tmp_dir("flip-every-crash");
-    for pos in 0..wal.len() {
-        for bit in [0x01u8, 0x80u8] {
-            let mut damaged = wal.clone();
-            damaged[pos] ^= bit;
-            let path = crash_dir.join("wal-0000000001.log");
-            std::fs::write(&path, &damaged).unwrap();
-            match Store::open(&crash_dir, no_flush_config()) {
-                Ok(store) => {
-                    // Only acceptable if the damage hit the final record
-                    // (torn tail) — and then the state must be exactly
-                    // the prefix before it...
-                    if pos >= last_record_start {
-                        assert_state(&store, &states[states.len() - 2]);
-                    } else {
-                        // ...or the flip landed in a length field and
-                        // made an earlier record claim bytes past EOF,
-                        // which truncates the log there. Whatever
-                        // prefix survived must match a committed state.
-                        let recovered = store.stats().recovered_records as usize;
-                        assert!(
-                            recovered < states.len(),
-                            "flip at {pos} recovered impossible record count {recovered}"
-                        );
-                        // A corrupted-but-accepted record would make
-                        // some key disagree with every committed state;
-                        // the recovered count's state must match.
-                        assert_state(&store, &states[recovered]);
-                    }
-                    drop(store);
-                }
-                Err(e) => {
-                    assert!(
-                        e.is_corruption(),
-                        "flip at {pos} bit {bit:#04x}: expected corruption error, got {e}"
-                    );
-                }
-            }
-            std::fs::remove_dir_all(&crash_dir).unwrap();
-            std::fs::create_dir_all(&crash_dir).unwrap();
-        }
-    }
-    std::fs::remove_dir_all(base).unwrap();
-    std::fs::remove_dir_all(crash_dir).unwrap();
-}
-
-/// A damaged sorted table (post-flush state) must be rejected at open —
-/// immutable files admit no torn-tail excuse.
-#[test]
-fn flushed_table_bitflip_refuses_to_open() {
+fn published_snapshot_bitflip_refuses_to_open() {
     let dir = tmp_dir("table-flip");
-    {
-        let store = Store::open(&dir, no_flush_config()).unwrap();
-        for (k, v) in scripted_ops() {
-            match v {
-                Some(v) => store.put(&k, &v).unwrap(),
-                None => store.delete(&k).unwrap(),
-            }
-        }
-        store.flush().unwrap();
-    }
-    let sst: PathBuf = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .find(|p| p.to_string_lossy().ends_with(".sst"))
-        .expect("flush should have produced a table");
-    let clean = std::fs::read(&sst).unwrap();
+    let path = publish(&dir);
+    let clean = std::fs::read(&path).unwrap();
     for pos in (0..clean.len()).step_by(7) {
         let mut damaged = clean.clone();
         damaged[pos] ^= 0x20;
-        std::fs::write(&sst, &damaged).unwrap();
-        let err = Store::open(&dir, no_flush_config()).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                StoreError::Corrupt { .. }
-                    | StoreError::Codec { .. }
-                    | StoreError::VersionMismatch { .. }
-            ),
-            "table flip at {pos} not rejected: {err}"
-        );
+        std::fs::write(&path, &damaged).unwrap();
+        assert_refuses(&dir, &format!("table flip at {pos}"));
     }
     std::fs::remove_dir_all(dir).unwrap();
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
-
-    /// Random op sequences, random truncation point: the recovered
-    /// store always equals the model state of the committed prefix.
-    #[test]
-    fn random_ops_random_truncation_recovers_a_committed_state(
-        seed_ops in proptest::collection::vec(
-            (
-                proptest::collection::vec(0u8..=255, 1..12),
-                proptest::option::of(proptest::collection::vec(0u8..=255, 0..200)),
-            ),
-            1..24,
-        ),
-        cut_frac in 0.0f64..1.0,
-    ) {
-        // Dedup trailing NUL ambiguity is irrelevant: keys are raw bytes.
-        let dir = tmp_dir("prop-trunc");
-        let (wal, boundaries, states) = build_wal(&dir, &seed_ops);
-        let cut = ((wal.len() as f64) * cut_frac) as usize;
-
-        let crash_dir = tmp_dir("prop-trunc-crash");
-        let path = crash_dir.join("wal-0000000001.log");
-        std::fs::write(&path, &wal[..cut]).unwrap();
-        let store = Store::open(&crash_dir, no_flush_config()).unwrap();
-        let committed = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
-        for (key, value) in &states[committed] {
-            prop_assert_eq!(&store.get(key).unwrap(), value);
-        }
-        drop(store);
-        std::fs::remove_dir_all(dir).unwrap();
-        std::fs::remove_dir_all(crash_dir).unwrap();
+/// A snapshot cut short at any offset, down to an empty file, refuses
+/// to open.
+#[test]
+fn truncated_snapshot_refuses_to_open_at_every_offset() {
+    let dir = tmp_dir("table-trunc");
+    let path = publish(&dir);
+    let clean = std::fs::read(&path).unwrap();
+    for cut in 0..clean.len() {
+        std::fs::write(&path, &clean[..cut]).unwrap();
+        assert_refuses(&dir, &format!("cut at {cut}"));
     }
-
-    /// Random bit flip anywhere in a WAL with a multi-record body:
-    /// recovery yields a committed prefix state or a corruption error.
-    #[test]
-    fn random_bitflip_never_serves_uncommitted_state(
-        pos_frac in 0.0f64..1.0,
-        bit in 0u8..8,
-    ) {
-        let dir = tmp_dir("prop-flip");
-        let (wal, _boundaries, states) = build_wal(&dir, &scripted_ops());
-        let pos = (((wal.len() - 1) as f64) * pos_frac) as usize;
-        let mut damaged = wal.clone();
-        damaged[pos] ^= 1u8 << bit;
-
-        let crash_dir = tmp_dir("prop-flip-crash");
-        let path = crash_dir.join("wal-0000000001.log");
-        std::fs::write(&path, &damaged).unwrap();
-        match Store::open(&crash_dir, no_flush_config()) {
-            Ok(store) => {
-                let recovered = store.stats().recovered_records as usize;
-                prop_assert!(recovered < states.len() + 1);
-                for (key, value) in &states[recovered.min(states.len() - 1)] {
-                    prop_assert_eq!(&store.get(key).unwrap(), value);
-                }
-                drop(store);
-            }
-            Err(e) => prop_assert!(e.is_corruption(), "unexpected error kind: {e}"),
-        }
-        std::fs::remove_dir_all(dir).unwrap();
-        std::fs::remove_dir_all(crash_dir).unwrap();
-    }
+    std::fs::remove_dir_all(dir).unwrap();
 }

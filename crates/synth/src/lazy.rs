@@ -233,7 +233,7 @@ impl LazyWorld {
         let mut seen = HashMap::new();
         for k in 0..meta.chunks as usize {
             let chunk = persist::decode_summaries(&section(
-                &persist::summaries_key(k),
+                &persist::chunk_key(k, "summaries"),
                 "world summaries section",
             )?)?;
             for ((given, family), interests) in chunk.names.into_iter().zip(chunk.interests) {

@@ -46,10 +46,6 @@ pub(crate) fn chunk_key(chunk: usize, section: &str) -> Vec<u8> {
     format!("world/chunk/{chunk:08}/{section}").into_bytes()
 }
 
-pub(crate) fn summaries_key(chunk: usize) -> Vec<u8> {
-    format!("world/summaries/{chunk:08}").into_bytes()
-}
-
 /// Provenance recorded alongside a snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapshotMeta {
@@ -140,24 +136,25 @@ impl StreamTotals {
     }
 }
 
-/// Streams `gen`'s world into `store` as a chunked snapshot,
-/// writing each chunk as it is produced so peak memory is one community
-/// block plus the store's memtable. Layout:
+/// Streams `gen`'s world into `store` as a chunked snapshot, writing
+/// each chunk as it is produced so peak memory is one community block.
+/// Keys, in the sorted order they are written:
 ///
 /// | key                          | payload                         |
 /// |------------------------------|---------------------------------|
+/// | `world/chunk/{k}/papers`     | papers led by chunk `k`         |
+/// | `world/chunk/{k}/reviews`    | reviews by chunk `k`            |
+/// | `world/chunk/{k}/scholars`   | scholar table of chunk `k`      |
+/// | `world/chunk/{k}/summaries`  | names + interests of chunk `k`  |
+/// | `world/institutions`         | institution table               |
 /// | `world/meta2`                | counts, seed, block/chunk shape |
 /// | `world/ontology`             | verbatim ontology tables        |
 /// | `world/venues`               | venue table                     |
-/// | `world/institutions`         | institution table               |
-/// | `world/chunk/{k}/scholars`   | scholar table of chunk `k`      |
-/// | `world/chunk/{k}/papers`     | papers led by chunk `k`         |
-/// | `world/chunk/{k}/reviews`    | reviews by chunk `k`            |
-/// | `world/summaries/{k}`        | names + interests of chunk `k`  |
 ///
-/// `world/meta2` is written *last* and is the load gate, so an
-/// interrupted snapshot is invisible to loaders. `on_chunk` fires
-/// after each chunk is handed to the store.
+/// The snapshot replaces the store's previous one only when it is
+/// complete ([`Store::publish`]), so an interrupted write leaves the
+/// old world whole. `on_chunk` fires after each chunk is handed to the
+/// writer.
 pub fn stream_snapshot_world(
     store: &Store,
     gen: &StreamingGenerator,
@@ -180,16 +177,17 @@ pub fn stream_snapshot_world(
     // Full-name collision counting via 64-bit name hashes keeps the
     // accumulator a few MB even at 10^6 scholars.
     let mut name_counts: HashMap<u64, u32> = HashMap::new();
+    let mut table = store.writer()?;
     for chunk in gen.chunks(COMMUNITY_BLOCK) {
         let scholars = encode_scholars(&chunk.scholars);
         let papers = encode_papers(&chunk.papers);
         let reviews = encode_reviews(&chunk.reviews);
         let summaries = encode_summaries(&chunk.scholars);
         let bytes = scholars.len() + papers.len() + reviews.len() + summaries.len();
-        store.put(&chunk_key(chunk.index, "scholars"), &scholars)?;
-        store.put(&chunk_key(chunk.index, "papers"), &papers)?;
-        store.put(&chunk_key(chunk.index, "reviews"), &reviews)?;
-        store.put(&summaries_key(chunk.index), &summaries)?;
+        table.add(&chunk_key(chunk.index, "papers"), &papers)?;
+        table.add(&chunk_key(chunk.index, "reviews"), &reviews)?;
+        table.add(&chunk_key(chunk.index, "scholars"), &scholars)?;
+        table.add(&chunk_key(chunk.index, "summaries"), &summaries)?;
         for s in &chunk.scholars {
             *name_counts.entry(name_hash(s)).or_insert(0) += 1;
         }
@@ -214,10 +212,8 @@ pub fn stream_snapshot_world(
         .filter(|&&c| c > 1)
         .map(|&c| c as usize)
         .sum();
-    store.put(KEY_ONTOLOGY, &encode_ontology(&gen.ontology().to_tables()))?;
-    store.put(KEY_VENUES, &encode_venues(gen.venues()))?;
-    store.put(KEY_INSTITUTIONS, &encode_institutions(gen.institutions()))?;
-    store.put(
+    table.add(KEY_INSTITUTIONS, &encode_institutions(gen.institutions()))?;
+    table.add(
         KEY_STREAM_META,
         &encode_stream_meta(StreamMeta {
             scholars: totals.scholars as u32,
@@ -229,8 +225,9 @@ pub fn stream_snapshot_world(
             reviews: totals.reviews as u64,
         }),
     )?;
-    store.flush()?;
-    store.sync()?;
+    table.add(KEY_ONTOLOGY, &encode_ontology(&gen.ontology().to_tables()))?;
+    table.add(KEY_VENUES, &encode_venues(gen.venues()))?;
+    store.publish(table)?;
     Ok(totals)
 }
 
@@ -778,6 +775,41 @@ mod tests {
         std::fs::remove_dir_all(dir).unwrap();
     }
 
+    /// A regeneration that dies part-way leaves the previous world
+    /// whole: never one world's early chunks under another's meta.
+    #[test]
+    fn an_interrupted_regeneration_never_mixes_two_worlds() {
+        let dir = tmp_dir("interrupted");
+        let config = |seed| WorldConfig {
+            seed,
+            ..WorldConfig::sized(3000) // three community blocks
+        };
+        let seed_one = world_fingerprint(&WorldGenerator::new(config(1)).generate());
+        let store = Store::open(&dir, StoreConfig::default()).unwrap();
+        stream_snapshot_world(&store, &StreamingGenerator::new(config(1)), |_| {}).unwrap();
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            stream_snapshot_world(&store, &StreamingGenerator::new(config(2)), |_| {
+                panic!("crash after chunk 0")
+            })
+        }));
+        assert!(crashed.is_err());
+        drop(store);
+
+        let store = Store::open(&dir, StoreConfig::default()).unwrap();
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let name = entry.unwrap().file_name();
+            assert!(
+                !name.to_string_lossy().ends_with(".tmp"),
+                "{name:?} survived the reopen"
+            );
+        }
+        let (world, meta) = load_world_streamed(&store).unwrap().expect("snapshot");
+        assert_eq!(meta.seed, 1);
+        assert_eq!(world_fingerprint(&world), seed_one);
+        drop(store);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
     #[test]
     fn empty_store_loads_nothing() {
         let dir = tmp_dir("empty");
@@ -799,7 +831,9 @@ mod tests {
         w.u32(1);
         w.u64(4);
         w.u64(5);
-        store.put(KEY_STREAM_META, &w.finish()).unwrap();
+        let mut table = store.writer().unwrap();
+        table.add(KEY_STREAM_META, &w.finish()).unwrap();
+        store.publish(table).unwrap();
         let err = load_world_streamed(&store).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("format version"), "{msg}");

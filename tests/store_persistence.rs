@@ -7,15 +7,18 @@
 //! data directory serves the snapshotted world without regeneration,
 //! again byte-identically; (3) serving writes nothing: the data dir
 //! holds the world snapshot only, and profiles are built from the
-//! resident world as in RAM mode.
+//! resident world as in RAM mode; (4) a data dir in the format that
+//! preceded the one-table snapshot is regenerated once and left holding
+//! the snapshot alone.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use minaret::prelude::*;
+use minaret::store::SNAPSHOT_FILE;
 use minaret_server::AppState;
 use minaret_synth::SubmissionGenerator;
-use minaret_telemetry::Telemetry;
+use minaret_telemetry::{SnapshotValue, Telemetry};
 
 const SCHOLARS: usize = 260;
 const WORLD_SEED: u64 = 42;
@@ -85,6 +88,20 @@ fn fingerprint(report: &RecommendationReport) -> Vec<String> {
     lines
 }
 
+/// Every file in `dir` with its bytes, by name.
+fn dir_listing(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            let name = e.file_name().into_string().unwrap();
+            (name, std::fs::read(e.path()).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
 /// Fingerprints one recommendation per submission seed on `state`.
 fn golden_fingerprints(state: &AppState) -> Vec<Vec<String>> {
     SUBMISSION_SEEDS
@@ -117,18 +134,12 @@ fn restart_over_snapshot_serves_identical_recommendations() {
 
     // First boot: generates and snapshots the world, then serves.
     let first = store_state(&dir);
-    let store = first.store.clone().expect("data-dir state carries a store");
-    let booted = store.stats();
+    assert!(first.store.is_some(), "data-dir state carries a store");
+    let booted = dir_listing(&dir);
     let goldens = golden_fingerprints(&first);
     let scholars = first.world.scholars().to_vec();
-    // Serving the goldens appended nothing to the store.
-    let served = store.stats();
-    assert_eq!(
-        (served.wal_appends, served.flushes),
-        (booted.wal_appends, booted.flushes),
-        "serving wrote to the store"
-    );
-    drop(store);
+    // Serving the goldens wrote nothing to the data dir.
+    assert!(dir_listing(&dir) == booted, "serving changed the data dir");
     drop(first);
 
     // Second boot: the world must come from the snapshot, and every
@@ -145,15 +156,44 @@ fn restart_over_snapshot_serves_identical_recommendations() {
         "recommendations diverged across a restart over the same data dir"
     );
     // A boot that loads the snapshot, then serves, writes nothing.
-    let stats = second.store.as_ref().expect("store").stats();
-    assert_eq!(
-        stats.wal_appends, 0,
-        "restart plus serving appended to the WAL"
-    );
-    assert_eq!(
-        stats.flushes, 0,
-        "restart plus serving flushed the memtable"
+    assert!(
+        dir_listing(&dir) == booted,
+        "restart plus serving changed the data dir"
     );
     drop(second);
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// A data dir written before snapshots were one table holds a WAL and
+/// numbered tables, which the store does not read: the boot finds no
+/// snapshot, regenerates the world, serves it byte-identically, and
+/// leaves the new snapshot as the dir's only file.
+#[test]
+fn an_old_format_data_dir_is_regenerated_once() {
+    let dir = tmp_dir("old-format");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("wal-0000000001.log"), [0u8; 64]).unwrap();
+    std::fs::write(dir.join("table-0000000002.sst"), [0xA5, 0x54, 1]).unwrap();
+    let telemetry = Telemetry::new();
+    let state =
+        AppState::demo_with_data_dir(SCHOLARS, WORLD_SEED, telemetry.clone(), 0, Some(&dir))
+            .expect("boot over an old-format data dir");
+    let chunk_writes = telemetry
+        .snapshot()
+        .into_iter()
+        .find(|m| m.name == "minaret_world_chunk_writes_total")
+        .map(|m| m.value);
+    assert!(
+        matches!(chunk_writes, Some(SnapshotValue::Counter(n)) if n > 0),
+        "the boot did not regenerate: {chunk_writes:?}"
+    );
+    assert_eq!(
+        golden_fingerprints(&state),
+        golden_fingerprints(&ram_state()),
+        "a regenerated old-format dir diverged from pure RAM"
+    );
+    let names: Vec<String> = dir_listing(&dir).into_iter().map(|(n, _)| n).collect();
+    assert_eq!(names, [SNAPSHOT_FILE]);
+    drop(state);
     std::fs::remove_dir_all(dir).unwrap();
 }
