@@ -10,6 +10,10 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (workspace, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# A doc link to a deleted or private item is a warning; deny it.
+echo "==> cargo doc (workspace, -D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> tier-1: cargo build --release"
 cargo build --release
 

@@ -17,11 +17,11 @@
 //! 3. **Solve** — greedy seeding (papers in order take their best
 //!    available reviewers) followed by min-cost-flow refinement
 //!    (successive shortest augmenting paths on an in-crate network,
-//!    [`flow`]): source → paper (capacity `reviewers_per_paper`) →
-//!    reviewer (capacity 1 per pair, cost −score) → sink (capacity
-//!    `max_load`). Max-flow short of `papers × reviewers_per_paper`
-//!    is an explicit [`AssignError::Infeasible`], never a silent
-//!    partial assignment. The refined solution never scores below the
+//!    the private `flow` module): source → paper (capacity
+//!    `reviewers_per_paper`) → reviewer (capacity 1 per pair, cost
+//!    −score) → sink (capacity `max_load`). Max-flow short of
+//!    `papers × reviewers_per_paper` is an explicit
+//!    [`AssignError::Infeasible`], never a silent partial assignment. The refined solution never scores below the
 //!    greedy seed — if integer-cost rounding ever ties the two, the
 //!    greedy pairing is kept.
 //!
@@ -624,9 +624,10 @@ pub fn manuscript_from_submission(world: &World, sub: &SubmissionSpec) -> Manusc
 
 /// Scores a solved batch against the synthetic world's ground truth:
 /// for each paper, the ideal reviewer pool is every scholar with
-/// positive [`ground_truth_relevance`], ranked, truncated to
-/// `max(2k, 10)`; coverage@k is the fraction of the paper's `k`
-/// assigned reviewers whose ground-truth identity lands in that pool.
+/// positive [`minaret_synth::ground_truth_relevance`], ranked,
+/// truncated to `max(2k, 10)`; coverage@k is the fraction of the
+/// paper's `k` assigned reviewers whose ground-truth identity lands in
+/// that pool.
 /// Returns the mean over papers whose keywords resolve to ontology
 /// topics, or `None` when no paper does.
 pub fn coverage_against_world(

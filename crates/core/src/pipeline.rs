@@ -1,6 +1,6 @@
 //! The three-phase recommendation pipeline (Figure 2 of the paper).
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -235,14 +235,19 @@ impl RecommendationReport {
 /// shared candidate pool.
 #[derive(Debug)]
 pub struct PaperExtraction {
+    /// Identity-verification results, one per author.
+    pub verified_authors: Vec<VerifiedAuthor>,
     /// COI records for the manuscript's authors (identity-verified).
     pub author_records: Vec<AuthorRecord>,
     /// The manuscript's expanded keyword sets (drive coverage scoring).
     pub expansion_sets: Vec<KeywordExpansionSet>,
+    /// Keyword expansions, for the report.
+    pub expansions: Vec<ExpansionSummary>,
     /// Keywords that resolved to no ontology topic (searched literally).
     pub unknown_keywords: Vec<String>,
     /// Pool candidates matched by at least one of this manuscript's
-    /// expanded labels, ascending by pool index.
+    /// expanded labels, ascending by pool index. In a one-paper batch
+    /// every pool entry is matched, so entry `i` is pool entry `i`.
     pub matches: Vec<PaperCandidate>,
 }
 
@@ -266,12 +271,30 @@ pub struct BatchExtraction {
     pub pool: Vec<MergedCandidate>,
     /// Per-manuscript slices, index-aligned with the input batch.
     pub papers: Vec<PaperExtraction>,
-    /// Number of distinct normalized labels in the union fan-out.
-    pub union_labels: usize,
     /// Aggregated per-source errors survived during the fan-out.
     pub source_errors: Vec<String>,
     /// Names of the sources missing from a degraded fan-out, sorted.
     pub degraded_sources: Vec<String>,
+    /// How many sources answered the fan-out.
+    responded: usize,
+}
+
+impl BatchExtraction {
+    /// Whether the extraction can be ranked: too few sources answering
+    /// fails first, then an empty pool.
+    fn usable(&self, min_sources: usize) -> Result<(), MinaretError> {
+        if self.responded < min_sources {
+            return Err(MinaretError::SourcesUnavailable {
+                responded: self.responded,
+                required: min_sources,
+                degraded: self.degraded_sources.clone(),
+            });
+        }
+        if self.pool.is_empty() {
+            return Err(MinaretError::NoCandidates);
+        }
+        Ok(())
+    }
 }
 
 fn truncate(s: &str, n: usize) -> String {
@@ -342,12 +365,6 @@ impl Minaret {
         &self.config
     }
 
-    /// Replaces the editor configuration (weights, thresholds, COI level
-    /// are all re-configurable between runs, per the paper).
-    pub fn set_config(&mut self, config: EditorConfig) {
-        self.config = config;
-    }
-
     /// Records one phase's duration histogram and candidate in/out
     /// gauges.
     fn note_phase(&self, phase: &str, took: std::time::Duration, cand_in: usize, cand_out: usize) {
@@ -380,31 +397,34 @@ impl Minaret {
                 .inc();
             return Err(e);
         }
-        let mut source_errors = Vec::new();
 
-        // ---- Phase 1: information extraction --------------------------
+        // ---- Phase 1: information extraction, as a one-paper batch ----
         let phase_span = trace.span("extraction");
         let t0 = Instant::now();
-        let verified_authors = self.verify_authors(manuscript);
-        let author_records: Vec<AuthorRecord> = manuscript
-            .authors
-            .iter()
-            .zip(&verified_authors)
-            .map(|(input, verified)| {
-                AuthorRecord::from_parts(
-                    &input.name,
-                    input.affiliation.as_deref(),
-                    input.country.as_deref(),
-                    verified.chosen.as_ref().map(|m| &m.candidate),
-                )
+        let (batch, label_hits) = self.extract(std::slice::from_ref(manuscript));
+        let usable = batch.usable(self.config.min_sources);
+        let BatchExtraction {
+            pool,
+            papers,
+            source_errors,
+            degraded_sources,
+            ..
+        } = batch;
+        let paper = papers
+            .into_iter()
+            .next()
+            .expect("one manuscript, one paper");
+        // Every pool entry matches the one paper, with the best score
+        // any of its profiles has.
+        let candidates: Vec<CandidateProfile> = pool
+            .into_iter()
+            .map(|merged| CandidateProfile {
+                keyword_score: label_hits
+                    .scores(&merged)
+                    .fold(f64::NEG_INFINITY, |best, (_, score)| best.max(score)),
+                merged,
             })
             .collect();
-
-        let (expansion_sets, expansions, unknown_keywords) =
-            self.expand_keywords(&manuscript.keywords);
-
-        let (candidates, label_hits, coverage) =
-            self.retrieve_candidates(&expansion_sets, &mut source_errors);
         let candidates_retrieved = candidates.len();
         let extraction = t0.elapsed();
         drop(phase_span);
@@ -414,28 +434,25 @@ impl Minaret {
             manuscript.keywords.len(),
             candidates_retrieved,
         );
-        let degraded_sources: Vec<String> =
-            coverage.degraded.iter().map(|k| k.to_string()).collect();
+        if let Err(e) = usable {
+            let result = match e {
+                MinaretError::NoCandidates => "no_candidates",
+                _ => "sources_unavailable",
+            };
+            self.telemetry
+                .counter("minaret_recommend_total", &[("result", result)])
+                .inc();
+            return Err(e);
+        }
         let degraded = !degraded_sources.is_empty();
-        if coverage.responded.len() < self.config.min_sources {
-            self.telemetry
-                .counter(
-                    "minaret_recommend_total",
-                    &[("result", "sources_unavailable")],
-                )
-                .inc();
-            return Err(MinaretError::SourcesUnavailable {
-                responded: coverage.responded.len(),
-                required: self.config.min_sources,
-                degraded: degraded_sources,
-            });
-        }
-        if candidates_retrieved == 0 {
-            self.telemetry
-                .counter("minaret_recommend_total", &[("result", "no_candidates")])
-                .inc();
-            return Err(MinaretError::NoCandidates);
-        }
+        let PaperExtraction {
+            verified_authors,
+            author_records,
+            expansion_sets,
+            expansions,
+            unknown_keywords,
+            ..
+        } = paper;
 
         // ---- Phase 2: filtering ---------------------------------------
         let phase_span = trace.span("filtering");
@@ -500,7 +517,7 @@ impl Minaret {
                 name: cand.merged.display_name().to_string(),
                 affiliation: cand.merged.affiliation().map(str::to_string),
                 sources: cand.merged.sources().collect(),
-                matched_keywords: label_hits.matched_keywords(&cand.merged),
+                matched_keywords: label_hits.matched_keywords(&cand.merged, 0),
                 breakdown,
                 total,
                 candidate: cand.merged,
@@ -540,39 +557,6 @@ impl Minaret {
         })
     }
 
-    /// Runs the pipeline for several manuscripts concurrently, using up
-    /// to `parallelism` worker threads (an editor clearing a submission
-    /// queue). Results are returned in input order. The sources are
-    /// already `Sync`, so the workers share the registry directly.
-    pub fn recommend_batch(
-        &self,
-        manuscripts: &[ManuscriptDetails],
-        parallelism: usize,
-    ) -> Vec<Result<RecommendationReport, MinaretError>> {
-        let parallelism = parallelism.max(1);
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let mut slots: Vec<Option<Result<RecommendationReport, MinaretError>>> =
-            (0..manuscripts.len()).map(|_| None).collect();
-        let slot_cells: Vec<std::sync::Mutex<&mut Option<_>>> =
-            slots.iter_mut().map(std::sync::Mutex::new).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..parallelism.min(manuscripts.len().max(1)) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= manuscripts.len() {
-                        break;
-                    }
-                    let result = self.recommend(&manuscripts[i]);
-                    **slot_cells[i].lock().expect("slot lock never poisoned") = Some(result);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.expect("every slot filled by a worker"))
-            .collect()
-    }
-
     /// The worker-thread cap configured via
     /// [`with_parallelism`](Self::with_parallelism) (`0` = all cores).
     pub fn parallelism(&self) -> usize {
@@ -588,10 +572,11 @@ impl Minaret {
     /// scoring remain per-paper concerns for the caller (the batch
     /// assignment solver scores each paper against its slice).
     ///
-    /// Errors mirror [`recommend`](Self::recommend): an invalid
-    /// manuscript (or empty batch) fails fast, too few responding
-    /// sources is [`MinaretError::SourcesUnavailable`], and an empty
-    /// pool is [`MinaretError::NoCandidates`].
+    /// [`recommend`](Self::recommend) runs the same extraction on a
+    /// one-paper batch, and errors mirror it: an invalid manuscript (or
+    /// empty batch) fails fast, too few responding sources is
+    /// [`MinaretError::SourcesUnavailable`], and an empty pool is
+    /// [`MinaretError::NoCandidates`].
     pub fn extract_batch(
         &self,
         manuscripts: &[ManuscriptDetails],
@@ -604,172 +589,152 @@ impl Minaret {
         for m in manuscripts {
             m.validate()?;
         }
-
-        // Per-paper preparation: author verification + keyword expansion.
-        struct Prep {
-            author_records: Vec<AuthorRecord>,
-            expansion_sets: Vec<KeywordExpansionSet>,
-            unknown_keywords: Vec<String>,
+        let (mut batch, label_hits) = self.extract(manuscripts);
+        batch.usable(self.config.min_sources)?;
+        // A candidate's scores arrive per profile, so a paper's best is
+        // kept in its last match; walking the pool in order keeps each
+        // paper's matches ascending by pool index.
+        for (pool_index, candidate) in batch.pool.iter().enumerate() {
+            for (paper, score) in label_hits.scores(candidate) {
+                let matches = &mut batch.papers[paper].matches;
+                match matches.last_mut() {
+                    Some(m) if m.pool_index == pool_index => {
+                        m.keyword_score = m.keyword_score.max(score);
+                    }
+                    _ => matches.push(PaperCandidate {
+                        pool_index,
+                        keyword_score: score,
+                    }),
+                }
+            }
         }
-        let mut preps: Vec<Prep> = Vec::with_capacity(manuscripts.len());
-        for m in manuscripts {
-            let verified = self.verify_authors(m);
-            let author_records: Vec<AuthorRecord> = m
-                .authors
-                .iter()
-                .zip(&verified)
-                .map(|(input, verified)| {
-                    AuthorRecord::from_parts(
-                        &input.name,
-                        input.affiliation.as_deref(),
-                        input.country.as_deref(),
-                        verified.chosen.as_ref().map(|c| &c.candidate),
-                    )
-                })
-                .collect();
-            let (expansion_sets, _summaries, unknown_keywords) = self.expand_keywords(&m.keywords);
-            preps.push(Prep {
-                author_records,
-                expansion_sets,
-                unknown_keywords,
-            });
-        }
+        Ok(batch)
+    }
 
-        // The union label set, sorted for a deterministic single fan-out.
-        let union: std::collections::BTreeSet<&str> = preps
+    /// Phase 1 for validated manuscripts, behind both routes. Each
+    /// paper's authors are verified and its keywords expanded, in batch
+    /// order; then the sorted union of the papers' labels goes out as
+    /// **one** batched fan-out, so every interest-capable source answers
+    /// all labels in a single policy-governed call, and the profiles
+    /// found merge into one pool. A candidate matches a paper when one of
+    /// its profiles was found under one of the paper's labels, with the
+    /// best such label's score: the returned hits give each candidate's
+    /// scores and list a ranked candidate's matched labels. The papers'
+    /// match lists are left to the caller.
+    fn extract(&self, manuscripts: &[ManuscriptDetails]) -> (BatchExtraction, LabelHits) {
+        let papers: Vec<PaperExtraction> = manuscripts
             .iter()
-            .flat_map(|p| &p.expansion_sets)
-            .flat_map(|set| set.scores.keys().map(String::as_str))
-            .collect();
-        let sorted_labels: Vec<String> = union.into_iter().map(str::to_string).collect();
-        // Each paper's labels as (index into the union, best score). The
-        // same label can expand with different similarity from different
-        // typed keywords, so each paper keeps its own best.
-        let paper_labels: Vec<Vec<(usize, f64)>> = preps
-            .iter()
-            .map(|prep| {
-                let mut labels: Vec<(usize, f64)> = prep
-                    .expansion_sets
+            .map(|m| {
+                let verified_authors = self.verify_authors(m);
+                let author_records = m
+                    .authors
                     .iter()
-                    .flat_map(|set| &set.scores)
-                    .map(|(label, &score)| {
-                        let index = sorted_labels
-                            .binary_search(label)
-                            .expect("every label is in the union");
-                        (index, score)
+                    .zip(&verified_authors)
+                    .map(|(input, verified)| {
+                        AuthorRecord::from_parts(
+                            &input.name,
+                            input.affiliation.as_deref(),
+                            input.country.as_deref(),
+                            verified.chosen.as_ref().map(|c| &c.candidate),
+                        )
                     })
                     .collect();
-                // Stable, so a label's scores stay in set order.
-                labels.sort_by_key(|&(index, _)| index);
-                labels.dedup_by(|later, first| {
-                    let same = later.0 == first.0;
-                    if same {
-                        first.1 = first.1.max(later.1);
-                    }
-                    same
-                });
-                labels
+                let (expansion_sets, expansions, unknown_keywords) =
+                    self.expand_keywords(&m.keywords);
+                PaperExtraction {
+                    verified_authors,
+                    author_records,
+                    expansion_sets,
+                    expansions,
+                    unknown_keywords,
+                    matches: Vec::new(),
+                }
             })
             .collect();
 
+        // Every paper's labels as (label, paper, score), sorted. The same
+        // label can expand with different similarity from different typed
+        // keywords, so each paper keeps its own best.
+        let sets = papers
+            .iter()
+            .enumerate()
+            .flat_map(|(paper, p)| p.expansion_sets.iter().map(move |set| (paper, set)));
+        let mut entries: Vec<(&str, usize, f64)> =
+            Vec::with_capacity(sets.clone().map(|(_, set)| set.scores.len()).sum());
+        for (paper, set) in sets {
+            entries.extend(
+                set.scores
+                    .iter()
+                    .map(|(label, &score)| (label.as_str(), paper, score)),
+            );
+        }
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0).then(a.1.cmp(&b.1)));
+        entries.dedup_by(|later, first| {
+            let same = later.0 == first.0 && later.1 == first.1;
+            if same {
+                first.2 = first.2.max(later.2);
+            }
+            same
+        });
+        let mut labels: Vec<String> = Vec::with_capacity(entries.len());
+        let mut scores: Vec<(usize, f64)> = Vec::with_capacity(entries.len());
+        let mut starts: Vec<usize> = Vec::with_capacity(entries.len() + 1);
+        starts.push(0);
+        for run in entries.chunk_by(|a, b| a.0 == b.0) {
+            labels.push(run[0].0.to_string());
+            scores.extend(run.iter().map(|&(_, paper, score)| (paper, score)));
+            starts.push(scores.len());
+        }
+
+        let mut responded = BTreeSet::new();
+        let mut degraded = BTreeSet::new();
         let mut source_errors = Vec::new();
-        let mut coverage = SourceCoverage::default();
-        // The hits of each union label from the one fan-out; each paper
-        // re-reads only the labels it expanded.
-        let mut hits_by_label: Vec<Vec<Arc<SourceProfile>>> = Vec::new();
-        if !sorted_labels.is_empty() {
-            let report = self.registry.search_by_interests_report(&sorted_labels);
+        let mut by_label = Vec::new();
+        if !labels.is_empty() {
+            let report = self.registry.search_by_interests_report(&labels);
             for outcome in &report.outcomes {
                 match &outcome.status {
                     SourceStatus::Ok => {
-                        coverage.responded.insert(outcome.source);
+                        responded.insert(outcome.source);
                     }
                     SourceStatus::Failed(e) => {
-                        coverage.degraded.insert(outcome.source);
-                        source_errors
-                            .push(format!("{e} ({} labels affected)", sorted_labels.len()));
+                        degraded.insert(outcome.source);
+                        // One aggregated entry per failed source — a dead
+                        // source fails the whole batch once, not once per
+                        // label.
+                        source_errors.push(format!("{e} ({} labels affected)", labels.len()));
                     }
+                    // Skipped sources neither responded nor degrade the
+                    // run — they were never expected to answer.
                     SourceStatus::Skipped => {}
                 }
             }
-            hits_by_label = report.by_label.into_iter().map(|(_, hits)| hits).collect();
+            by_label = report.by_label;
         }
-        let degraded_sources: Vec<String> =
-            coverage.degraded.iter().map(|k| k.to_string()).collect();
-        if coverage.responded.len() < self.config.min_sources {
-            return Err(MinaretError::SourcesUnavailable {
-                responded: coverage.responded.len(),
-                required: self.config.min_sources,
-                degraded: degraded_sources,
-            });
-        }
-
-        // One global pool: every profile any label returned, once, merged
-        // exactly the way the single-manuscript path does it.
-        let mut profiles: Vec<Arc<SourceProfile>> =
-            hits_by_label.iter().flatten().cloned().collect();
+        // Every hit as (profile identity, label index). Labels are
+        // sorted, so an index orders like its text.
+        let mut hits: Vec<(usize, usize)> = (0..)
+            .zip(&by_label)
+            .flat_map(|(label, (_, profiles))| profiles.iter().map(move |p| (identity(p), label)))
+            .collect();
+        hits.sort_unstable();
+        // Each profile found under several labels merges once.
+        let mut profiles: Vec<Arc<SourceProfile>> = by_label
+            .into_iter()
+            .flat_map(|(_, profiles)| profiles)
+            .collect();
         profiles.sort_unstable_by_key(identity);
         profiles.dedup_by(|a, b| Arc::ptr_eq(a, b));
-        if profiles.is_empty() {
-            return Err(MinaretError::NoCandidates);
-        }
+        let label_hits = LabelHits::new(labels, scores, starts, hits);
         let pool = merge_profiles(profiles);
-        // Each profile lands in exactly one pool entry.
-        let mut pool_of: Vec<(usize, usize)> = pool
-            .iter()
-            .enumerate()
-            .flat_map(|(i, cand)| cand.profiles().iter().map(move |p| (identity(p), i)))
-            .collect();
-        pool_of.sort_unstable();
-        let pool_index = |p: &Arc<SourceProfile>| {
-            let id = identity(p);
-            pool_of[pool_of.partition_point(|&(other, _)| other < id)].1
-        };
-
-        // Per-paper slices: walk the paper's own labels over the shared
-        // hits, scoring with the paper's own expansion scores. Each hit
-        // is one (pool index, score) pair; sorted, a candidate's pairs
-        // are a run, best score first.
-        let papers: Vec<PaperExtraction> = preps
-            .into_iter()
-            .zip(paper_labels)
-            .map(|(prep, labels)| {
-                let mut pairs: Vec<(usize, f64)> = labels
-                    .iter()
-                    .flat_map(|&(label, score)| {
-                        hits_by_label[label]
-                            .iter()
-                            .map(move |p| (pool_index(p), score))
-                    })
-                    .collect();
-                pairs.sort_unstable_by(|a, b| {
-                    a.0.cmp(&b.0)
-                        .then_with(|| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal))
-                });
-                pairs.dedup_by_key(|&mut (pool_index, _)| pool_index);
-                let matches: Vec<PaperCandidate> = pairs
-                    .into_iter()
-                    .map(|(pool_index, keyword_score)| PaperCandidate {
-                        pool_index,
-                        keyword_score,
-                    })
-                    .collect();
-                PaperExtraction {
-                    author_records: prep.author_records,
-                    expansion_sets: prep.expansion_sets,
-                    unknown_keywords: prep.unknown_keywords,
-                    matches,
-                }
-            })
-            .collect();
-
-        Ok(BatchExtraction {
+        let batch = BatchExtraction {
             pool,
             papers,
-            union_labels: sorted_labels.len(),
             source_errors,
-            degraded_sources,
-        })
+            degraded_sources: degraded.iter().map(|k| k.to_string()).collect(),
+            responded: responded.len(),
+        };
+        (batch, label_hits)
     }
 
     /// Phase-1 step: verify each author's identity and pull their track
@@ -851,115 +816,6 @@ impl Minaret {
         }
         (sets, summaries, unknown)
     }
-
-    /// Phase-1 step: retrieve candidate reviewers by issuing the whole
-    /// expanded label set as **one batched fan-out** — every
-    /// interest-capable source answers all labels in a single
-    /// policy-governed call — then merging per-source profiles into
-    /// candidates. Returns the candidates, each with its best label
-    /// score, the hits that list a candidate's matched labels, and the
-    /// per-source health ledger of that fan-out, which drives the
-    /// degraded-mode decision.
-    fn retrieve_candidates(
-        &self,
-        expansion_sets: &[KeywordExpansionSet],
-        source_errors: &mut Vec<String>,
-    ) -> (Vec<CandidateProfile>, LabelHits, SourceCoverage) {
-        // Collect the distinct labels to search, with their best score.
-        let mut labels: HashMap<String, f64> = HashMap::new();
-        for set in expansion_sets {
-            for (label, &score) in &set.scores {
-                labels
-                    .entry(label.clone())
-                    .and_modify(|s| *s = s.max(score))
-                    .or_insert(score);
-            }
-        }
-        let mut sorted_labels: Vec<(String, f64)> = labels.into_iter().collect();
-        sorted_labels.sort_by(|a, b| a.0.cmp(&b.0));
-
-        let mut coverage = SourceCoverage::default();
-        let mut by_label = Vec::new();
-        if !sorted_labels.is_empty() {
-            let label_names: Vec<String> = sorted_labels
-                .iter()
-                .map(|(label, _)| label.clone())
-                .collect();
-            let report = self.registry.search_by_interests_report(&label_names);
-            for outcome in &report.outcomes {
-                match &outcome.status {
-                    SourceStatus::Ok => {
-                        coverage.responded.insert(outcome.source);
-                    }
-                    SourceStatus::Failed(e) => {
-                        coverage.degraded.insert(outcome.source);
-                        // One aggregated entry per failed source — a dead
-                        // source fails the whole batch once, not once per
-                        // label.
-                        source_errors.push(format!("{e} ({} labels affected)", label_names.len()));
-                    }
-                    // Skipped sources neither responded nor degrade the
-                    // run — they were never expected to answer.
-                    SourceStatus::Skipped => {}
-                }
-            }
-            by_label = report.by_label;
-        }
-        // Every hit as (profile identity, label index). Labels are
-        // sorted, so an index orders like its text.
-        let mut hits: Vec<(usize, usize)> = (0..)
-            .zip(&by_label)
-            .flat_map(|(label, (_, profiles))| profiles.iter().map(move |p| (identity(p), label)))
-            .collect();
-        hits.sort_unstable();
-        let label_hits = LabelHits {
-            labels: sorted_labels,
-            hits,
-        };
-        // Each profile found under several labels merges once.
-        let mut profiles: Vec<Arc<SourceProfile>> = by_label
-            .into_iter()
-            .flat_map(|(_, profiles)| profiles)
-            .collect();
-        profiles.sort_unstable_by_key(identity);
-        profiles.dedup_by(|a, b| Arc::ptr_eq(a, b));
-        // Each profile's best label, as (profile identity, label index),
-        // in the order of `profiles`.
-        let best: Vec<(usize, usize)> = label_hits
-            .hits
-            .chunk_by(|a, b| a.0 == b.0)
-            .map(|run| {
-                let label = run
-                    .iter()
-                    .map(|&(_, label)| label)
-                    .min_by(|&a, &b| label_hits.by_rank(a, b))
-                    .expect("a run holds a hit");
-                (run[0].0, label)
-            })
-            .collect();
-
-        // A candidate's keyword score is its best label's score over all
-        // its profiles' hits.
-        let candidates = merge_profiles(profiles)
-            .into_iter()
-            .map(|merged| {
-                let label = merged
-                    .profiles()
-                    .iter()
-                    .map(|p| {
-                        let id = identity(p);
-                        best[best.partition_point(|&(other, _)| other < id)].1
-                    })
-                    .min_by(|&a, &b| label_hits.by_rank(a, b))
-                    .expect("a candidate merges at least one profile");
-                CandidateProfile {
-                    keyword_score: label_hits.labels[label].1,
-                    merged,
-                }
-            })
-            .collect();
-        (candidates, label_hits, coverage)
-    }
 }
 
 /// The identity of a profile: its allocation. A source hands out one
@@ -968,54 +824,114 @@ fn identity(profile: &Arc<SourceProfile>) -> usize {
     Arc::as_ptr(profile) as usize
 }
 
-/// A retrieval's searched labels and hits: what listing a candidate's
-/// matched labels reads, which only the ranked candidates need.
+/// A retrieval's searched labels and hits: what scores a candidate for
+/// each paper, and what lists a ranked candidate's matched labels.
 struct LabelHits {
-    /// The searched labels, sorted, each with its best similarity.
-    labels: Vec<(String, f64)>,
+    /// The searched labels, sorted: the union of every paper's.
+    labels: Vec<String>,
+    /// Each label's papers as (paper, best score), ascending by paper;
+    /// label `l`'s are `scores[starts[l]..starts[l + 1]]`.
+    scores: Vec<(usize, f64)>,
+    starts: Vec<usize>,
     /// Every hit as (profile identity, label index), sorted.
     hits: Vec<(usize, usize)>,
+    /// Each profile's best score for each paper it matched, as (profile
+    /// identity, paper, score), sorted.
+    best: Vec<(usize, usize, f64)>,
 }
 
 impl LabelHits {
-    /// Label `a` before label `b`: the better score first, then the
-    /// label text.
-    fn by_rank(&self, a: usize, b: usize) -> std::cmp::Ordering {
-        self.labels[b]
-            .1
-            .partial_cmp(&self.labels[a].1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    }
-
-    /// The labels `candidate`'s profiles were found under, each once
-    /// with its score, best first, then by label text.
-    fn matched_keywords(&self, candidate: &MergedCandidate) -> Vec<(String, f64)> {
-        let mut matched: Vec<usize> = Vec::new();
-        for p in candidate.profiles() {
-            let id = identity(p);
-            let first = self.hits.partition_point(|&(other, _)| other < id);
-            matched.extend(
-                self.hits[first..]
-                    .iter()
-                    .take_while(|&&(other, _)| other == id)
-                    .map(|&(_, label)| label),
-            );
+    /// Folds each profile's run of the sorted hits into its best score
+    /// per paper. `extract` builds this before the merge, while the hits
+    /// are still in cache.
+    fn new(
+        labels: Vec<String>,
+        scores: Vec<(usize, f64)>,
+        starts: Vec<usize>,
+        hits: Vec<(usize, usize)>,
+    ) -> Self {
+        let mut best = Vec::with_capacity(hits.len());
+        let mut run_scores: Vec<(usize, f64)> = Vec::new();
+        for run in hits.chunk_by(|a, b| a.0 == b.0) {
+            run_scores.clear();
+            for &(_, label) in run {
+                run_scores.extend_from_slice(&scores[starts[label]..starts[label + 1]]);
+            }
+            run_scores.sort_unstable_by_key(|&(paper, _)| paper);
+            run_scores.dedup_by(|later, first| {
+                let same = later.0 == first.0;
+                if same {
+                    first.1 = first.1.max(later.1);
+                }
+                same
+            });
+            let id = run[0].0;
+            best.extend(run_scores.iter().map(|&(paper, score)| (id, paper, score)));
         }
-        matched.sort_unstable_by(|&a, &b| self.by_rank(a, b));
-        matched.dedup();
-        matched.iter().map(|&l| self.labels[l].clone()).collect()
+        Self {
+            labels,
+            scores,
+            starts,
+            hits,
+            best,
+        }
     }
-}
 
-/// Which sources answered (vs. failed) the run's batched retrieval
-/// fan-out. With batching a source answers or fails the whole label set
-/// in one call, so each source lands in exactly one bucket (or neither,
-/// when it was skipped as interest-incapable).
-#[derive(Debug, Default)]
-struct SourceCoverage {
-    responded: std::collections::BTreeSet<SourceKind>,
-    degraded: std::collections::BTreeSet<SourceKind>,
+    /// The labels `profile` was found under, ascending.
+    fn labels_of(&self, profile: &Arc<SourceProfile>) -> impl Iterator<Item = usize> + '_ {
+        let id = identity(profile);
+        let first = self.hits.partition_point(|&(other, _)| other < id);
+        self.hits[first..]
+            .iter()
+            .take_while(move |&&(other, _)| other == id)
+            .map(|&(_, label)| label)
+    }
+
+    /// The papers that expanded `label`, each with its best score.
+    fn papers_of(&self, label: usize) -> &[(usize, f64)] {
+        &self.scores[self.starts[label]..self.starts[label + 1]]
+    }
+
+    /// `candidate`'s scores as (paper, score): each of its profiles'
+    /// best score for each paper that profile matched.
+    fn scores<'a>(
+        &'a self,
+        candidate: &'a MergedCandidate,
+    ) -> impl Iterator<Item = (usize, f64)> + 'a {
+        candidate.profiles().iter().flat_map(move |profile| {
+            let id = identity(profile);
+            let first = self.best.partition_point(|&(other, _, _)| other < id);
+            self.best[first..]
+                .iter()
+                .take_while(move |&&(other, _, _)| other == id)
+                .map(|&(_, paper, score)| (paper, score))
+        })
+    }
+
+    /// The labels of `paper` that `candidate`'s profiles were found
+    /// under, each once with the paper's score, best first, then by
+    /// label text.
+    fn matched_keywords(&self, candidate: &MergedCandidate, paper: usize) -> Vec<(String, f64)> {
+        let mut matched: Vec<(usize, f64)> = Vec::new();
+        for profile in candidate.profiles() {
+            for label in self.labels_of(profile) {
+                let papers = self.papers_of(label);
+                if let Some(&(_, score)) = papers.iter().find(|&&(other, _)| other == paper) {
+                    matched.push((label, score));
+                }
+            }
+        }
+        matched.sort_unstable_by(|a, b| {
+            b.1.partial_cmp(&a.1)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.0.cmp(&b.0))
+        });
+        matched.dedup_by_key(|&mut (label, _)| label);
+        matched
+            .into_iter()
+            .map(|(label, score)| (self.labels[label].clone(), score))
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -1432,60 +1348,6 @@ mod tests {
         if top.breakdown.coverage > 0.0 {
             assert!(text.contains("covers"));
         }
-    }
-
-    #[test]
-    fn batch_recommendation_matches_sequential_and_keeps_order() {
-        let (world, minaret) = setup();
-        let mut manuscripts = Vec::new();
-        for s in world
-            .scholars()
-            .iter()
-            .filter(|s| !world.papers_of(s.id).is_empty())
-            .take(4)
-        {
-            let inst = world.institution(s.current_affiliation());
-            manuscripts.push(ManuscriptDetails {
-                title: format!("Batch manuscript by {}", s.full_name()),
-                keywords: s
-                    .interests
-                    .iter()
-                    .take(2)
-                    .map(|&t| world.ontology.label(t).to_string())
-                    .collect(),
-                authors: vec![AuthorInput::named(s.full_name())
-                    .with_affiliation(inst.name.clone())],
-                target_venue: world.venues()[0].name.clone(),
-            });
-        }
-        let batch = minaret.recommend_batch(&manuscripts, 3);
-        assert_eq!(batch.len(), manuscripts.len());
-        for (m, result) in manuscripts.iter().zip(&batch) {
-            let sequential = minaret.recommend(m);
-            match (result, sequential) {
-                (Ok(b), Ok(s)) => {
-                    let names = |r: &RecommendationReport| {
-                        r.recommendations
-                            .iter()
-                            .map(|x| x.name.clone())
-                            .collect::<Vec<_>>()
-                    };
-                    assert_eq!(names(b), names(&s), "batch diverged for {}", m.title);
-                }
-                (Err(a), Err(b)) => assert_eq!(format!("{a}"), format!("{b}")),
-                (a, b) => panic!("batch {a:?} vs sequential {b:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn batch_with_zero_parallelism_still_works() {
-        let (world, minaret) = setup();
-        let m = manuscript_from_world(&world);
-        let results = minaret.recommend_batch(std::slice::from_ref(&m), 0);
-        assert_eq!(results.len(), 1);
-        assert!(results[0].is_ok());
-        assert!(minaret.recommend_batch(&[], 4).is_empty());
     }
 
     #[test]

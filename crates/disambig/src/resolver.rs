@@ -135,12 +135,6 @@ impl<'r> IdentityResolver<'r> {
         }
     }
 
-    /// Overrides the evidence weights.
-    pub fn with_weights(mut self, weights: EvidenceWeights) -> Self {
-        self.weights = weights;
-        self
-    }
-
     /// Reports `minaret_resolution_outcomes_total{policy,outcome}` and
     /// candidate-count histograms to `telemetry`.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {

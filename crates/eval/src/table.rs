@@ -27,12 +27,6 @@ impl TextTable {
         self
     }
 
-    /// Convenience for rows of displayable values.
-    pub fn row_display<T: std::fmt::Display>(&mut self, cells: &[T]) -> &mut Self {
-        let owned: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&owned)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()

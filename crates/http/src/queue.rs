@@ -130,11 +130,6 @@ impl<T> BoundedQueue<T> {
         drop(inner);
         self.not_empty.notify_all();
     }
-
-    /// Whether `close` has been called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().expect("queue lock poisoned").closed
-    }
 }
 
 #[cfg(test)]

@@ -1,8 +1,7 @@
 //! HTTP request parsing.
 
 use std::fmt;
-use std::io::{BufRead, BufReader};
-use std::net::TcpStream;
+use std::io::BufRead;
 use std::time::Instant;
 
 /// Maximum accepted header block, in bytes.
@@ -138,18 +137,6 @@ impl Request {
             Some(v) if v.eq_ignore_ascii_case("keep-alive") => false,
             // HTTP/1.0 defaults to close, HTTP/1.1 to keep-alive.
             _ => self.minor_version == 0,
-        }
-    }
-
-    /// Reads and parses one request from a stream. Convenience wrapper
-    /// around [`Request::read_from_buffered`] for close-per-request use;
-    /// keep-alive servers must hold one `BufReader` across requests so
-    /// pipelined bytes are not dropped between them.
-    pub fn read_from(stream: &mut TcpStream) -> Result<Request, HttpError> {
-        let mut reader = BufReader::new(stream);
-        match Request::read_from_buffered(&mut reader)? {
-            Some(request) => Ok(request),
-            None => Err(HttpError::Io("connection closed before request".into())),
         }
     }
 

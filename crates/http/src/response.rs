@@ -1,8 +1,5 @@
 //! HTTP response construction and writing.
 
-use std::io::Write;
-use std::net::TcpStream;
-
 use minaret_json::Value;
 
 /// An HTTP response about to be written.
@@ -107,19 +104,6 @@ impl Response {
     /// write buffer instead of writing to the socket directly.
     pub fn to_bytes_with(&self, close: bool) -> Vec<u8> {
         self.serialize(close)
-    }
-
-    /// Writes the response to a stream; errors are swallowed (the client
-    /// hung up — nothing useful to do).
-    pub fn write_to(&self, stream: &mut TcpStream) {
-        self.write_to_with(stream, true);
-    }
-
-    /// Writes the response, announcing whether the server will keep the
-    /// connection open afterwards. Returns false if the write failed
-    /// (client gone or write deadline expired).
-    pub fn write_to_with(&self, stream: &mut TcpStream, close: bool) -> bool {
-        stream.write_all(&self.serialize(close)).is_ok() && stream.flush().is_ok()
     }
 }
 

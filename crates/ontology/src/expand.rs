@@ -184,40 +184,6 @@ impl<'a> KeywordExpander<'a> {
         out
     }
 
-    /// Expands every keyword of a manuscript, merging duplicates at their
-    /// maximum score. Unknown keywords are returned in the second element
-    /// rather than failing the whole expansion — the paper's prototype
-    /// likewise simply finds no candidates for unknown keywords.
-    pub fn expand_all(&self, keywords: &[String]) -> (Vec<ExpandedKeyword>, Vec<String>) {
-        let mut merged: HashMap<TopicId, ExpandedKeyword> = HashMap::new();
-        let mut unknown = Vec::new();
-        for kw in keywords {
-            match self.expand(kw) {
-                Ok(exps) => {
-                    for e in exps {
-                        merged
-                            .entry(e.topic)
-                            .and_modify(|cur| {
-                                if e.score > cur.score {
-                                    *cur = e.clone();
-                                }
-                            })
-                            .or_insert(e);
-                    }
-                }
-                Err(_) => unknown.push(kw.clone()),
-            }
-        }
-        let mut out: Vec<ExpandedKeyword> = merged.into_values().collect();
-        out.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.label.cmp(&b.label))
-        });
-        (out, unknown)
-    }
-
     fn neighbours(&self, t: TopicId) -> Vec<TopicId> {
         let mut out: Vec<TopicId> = self.ontology.related(t).to_vec();
         if self.config.include_ancestors {
@@ -303,30 +269,6 @@ mod tests {
         };
         let ex = KeywordExpander::new(&o, cfg).expand("rdf").unwrap();
         assert_eq!(ex.len(), 1);
-    }
-
-    #[test]
-    fn expand_all_merges_and_reports_unknown() {
-        let o = fixture();
-        let exp = KeywordExpander::with_defaults(&o);
-        let (merged, unknown) = exp.expand_all(&[
-            "rdf".to_string(),
-            "sparql".to_string(),
-            "underwater basket weaving".to_string(),
-        ]);
-        assert_eq!(unknown, vec!["underwater basket weaving".to_string()]);
-        // Both seeds appear at score 1.0.
-        let top: Vec<&str> = merged
-            .iter()
-            .filter(|e| e.score == 1.0)
-            .map(|e| e.label.as_str())
-            .collect();
-        assert!(top.contains(&"rdf") && top.contains(&"sparql"));
-        // No topic appears twice.
-        let mut topics: Vec<_> = merged.iter().map(|e| e.topic).collect();
-        topics.sort();
-        topics.dedup();
-        assert_eq!(topics.len(), merged.len());
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use minaret_concurrent::{chunked_map, ConcurrentMap, ShardedMap, MIN_PARALLEL_ITEMS};
+use minaret_concurrent::{chunked_map, MIN_PARALLEL_ITEMS};
 use minaret_ontology::{normalize_label, normalize_label_onto};
 use minaret_synth::{LazyWorld, ScholarId, World, WorldHandle, WorldScope};
 use minaret_telemetry::Telemetry;
@@ -62,10 +62,6 @@ pub trait ScholarSource: Send + Sync {
 /// interest search, key fetch — is one `Arc` clone.
 pub struct ProfileStore {
     slots: Vec<OnceLock<Arc<SourceProfile>>>,
-    /// Growth path: profiles for [`ScholarId`]s beyond the fixed slot
-    /// range (a world that grew after the store was sized) land in a
-    /// sharded map instead of panicking on an out-of-range index.
-    overflow: ShardedMap<usize, Arc<SourceProfile>>,
 }
 
 impl ProfileStore {
@@ -74,46 +70,37 @@ impl ProfileStore {
     pub fn with_capacity(scholars: usize) -> Self {
         Self {
             slots: (0..scholars).map(|_| OnceLock::new()).collect(),
-            overflow: ShardedMap::new(),
         }
     }
 
     /// The shared profile for `id`, building it via `build` exactly once
     /// across all threads.
+    ///
+    /// # Panics
+    ///
+    /// If `id` is not below the store's capacity. A source sizes its
+    /// store from its world and only handles that world's ids.
     pub fn get_or_build(
         &self,
         id: ScholarId,
         build: impl FnOnce() -> SourceProfile,
     ) -> Arc<SourceProfile> {
-        match self.slots.get(id.index()) {
-            Some(slot) => slot.get_or_init(|| Arc::new(build())).clone(),
-            // Out-of-range ids take the sharded overflow path instead of
-            // panicking; same build-at-most-once guarantee, enforced by
-            // the shard lock rather than a `OnceLock`.
-            None => {
-                self.overflow
-                    .get_or_insert_with(id.index(), || Arc::new(build()))
-                    .0
-            }
-        }
+        self.slots[id.index()]
+            .get_or_init(|| Arc::new(build()))
+            .clone()
     }
 
     /// True once the profile for `id` has been built. Allocates nothing.
     pub(crate) fn is_built(&self, id: ScholarId) -> bool {
-        match self.slots.get(id.index()) {
-            Some(slot) => slot.get().is_some(),
-            None => self.overflow.contains(&id.index()),
-        }
+        self.slots[id.index()].get().is_some()
     }
 
     /// How many profiles have been built so far.
     pub fn built_count(&self) -> usize {
-        self.slots.iter().filter(|s| s.get().is_some()).count() + self.overflow.len()
+        self.slots.iter().filter(|s| s.get().is_some()).count()
     }
 
-    /// How many fixed (lock-free) slots the store was sized with. Ids
-    /// beyond this take the sharded overflow path, so sizing from the
-    /// actual world keeps the hot path `OnceLock`-only.
+    /// How many slots the store was sized with: one per scholar.
     pub fn slot_capacity(&self) -> usize {
         self.slots.len()
     }
@@ -671,7 +658,7 @@ impl ScholarSource for SimulatedSource {
     /// request cost is paid. Echoed labels are the caller's own
     /// `Arc<str>`s — no string clone per label — and every label is
     /// normalized into one reused buffer. The batch's unbuilt hits
-    /// build together (see [`Self::build_unbuilt`]) before any page is
+    /// build together (see `build_unbuilt`) before any page is
     /// read.
     fn search_by_interests(&self, labels: &[Arc<str>]) -> Result<LabeledHits, SourceError> {
         if !self.spec.supports_interest_search {
@@ -1059,38 +1046,6 @@ mod tests {
         );
         let again = s.fetch_profile(&s.key_for(id)).unwrap();
         assert!(Arc::ptr_eq(&fetched, &again));
-    }
-
-    #[test]
-    fn profile_store_grows_past_its_fixed_slots() {
-        // A store sized for 2 scholars asked about id 40: the overflow
-        // path must build (once) instead of panicking on the slot index.
-        let store = ProfileStore::with_capacity(2);
-        let make = |id: ScholarId| {
-            SourceProfile::new(
-                SourceKind::GoogleScholar,
-                format!("gs:{}", id.index()),
-                Arc::new(PersonName::new("Late Arrival")),
-                None,
-                None,
-                vec![],
-                id,
-            )
-        };
-        let id = ScholarId(40);
-        assert!(!store.is_built(id));
-        let a = store.get_or_build(id, || make(id));
-        let b = store.get_or_build(id, || panic!("already built"));
-        assert!(Arc::ptr_eq(&a, &b), "overflow entries build once");
-        assert!(store.is_built(id));
-        assert_eq!(store.built_count(), 1);
-        // In-range ids still use their fixed slot.
-        let low = ScholarId(1);
-        assert!(!store.is_built(low));
-        let c = store.get_or_build(low, || make(low));
-        assert_eq!(c.truth, low);
-        assert!(store.is_built(low));
-        assert_eq!(store.built_count(), 2);
     }
 
     /// The index keyed on the ontology's stored normal forms equals the

@@ -40,11 +40,6 @@ pub struct AppState {
     /// (the [`AppState::with_registry`] test path, so scripted-fault
     /// tests always exercise the live pipeline).
     pub result_cache: Option<Arc<ResultCache>>,
-    /// The embedded store backing `--data-dir` mode: the world
-    /// snapshot, read at boot and never by a request. `None` in
-    /// pure-RAM mode, where serving behaviour is byte-identical to a
-    /// store-backed server over the same (scholars, seed).
-    pub store: Option<Arc<Store>>,
 }
 
 impl AppState {
@@ -80,9 +75,11 @@ impl AppState {
     /// there when one exists for the same `(scholars, seed)` — skipping
     /// regeneration entirely — and snapshotted after generation
     /// otherwise. Source profiles are built from the resident world on
-    /// first touch, as in RAM mode; nothing is written after boot.
-    /// With `None`, behaviour (and every recommendation byte) is
-    /// identical to the historical pure-RAM path.
+    /// first touch, as in RAM mode. The store is dropped before this
+    /// returns: no request reads it, so the server keeps none of the
+    /// snapshot's bytes and writes nothing after boot. With `None`,
+    /// behaviour (and every recommendation byte) is identical to the
+    /// historical pure-RAM path.
     pub fn demo_with_data_dir(
         scholars: usize,
         seed: u64,
@@ -90,25 +87,19 @@ impl AppState {
         cache_ttl_micros: u64,
         data_dir: Option<&Path>,
     ) -> Result<Arc<AppState>, StoreError> {
-        let store = match data_dir {
-            Some(dir) => Some(Arc::new(Store::open_with_telemetry(
-                dir,
-                StoreConfig::default(),
-                telemetry.clone(),
-            )?)),
-            None => None,
-        };
         let config = WorldConfig {
             seed,
             ..WorldConfig::sized(scholars)
         };
-        let world = match &store {
-            Some(store) => {
+        let world = match data_dir {
+            Some(dir) => {
+                let store =
+                    Store::open_with_telemetry(dir, StoreConfig::default(), telemetry.clone())?;
                 // Registered before the load-or-generate choice, so a
                 // boot that loads the snapshot exports both at 0.
                 let chunk_writes = telemetry.counter("minaret_world_chunk_writes_total", &[]);
                 let chunk_bytes = telemetry.counter("minaret_world_chunk_bytes_total", &[]);
-                match load_snapshot(store, scholars, seed)? {
+                match load_snapshot(&store, scholars, seed)? {
                     // Serve the snapshot only when it matches what was
                     // asked for; a stale snapshot (different size or
                     // seed) is regenerated and overwritten.
@@ -119,11 +110,11 @@ impl AppState {
                         // (peak memory one community block), then the
                         // snapshot is loaded back for the resident
                         // serving world.
-                        stream_snapshot_world(store, &StreamingGenerator::new(config), |p| {
+                        stream_snapshot_world(&store, &StreamingGenerator::new(config), |p| {
                             chunk_writes.inc();
                             chunk_bytes.inc_by(p.bytes as u64);
                         })?;
-                        let (world, _) = load_world_streamed(store)?
+                        let (world, _) = load_world_streamed(&store)?
                             .expect("a just-written streamed snapshot must load");
                         Arc::new(world)
                     }
@@ -165,13 +156,12 @@ impl AppState {
                     .with_telemetry(telemetry.clone()),
             )
         });
-        let mut state = Self::with_registry_and_cache(world, Arc::new(registry), telemetry, cache);
-        if let Some(store) = store {
-            Arc::get_mut(&mut state)
-                .expect("state Arc is unshared at construction")
-                .store = Some(store);
-        }
-        Ok(state)
+        Ok(Self::with_registry_and_cache(
+            world,
+            Arc::new(registry),
+            telemetry,
+            cache,
+        ))
     }
 
     /// Builds state over a caller-assembled registry (tests inject
@@ -203,7 +193,6 @@ impl AppState {
             minaret,
             telemetry,
             result_cache,
-            store: None,
         })
     }
 
@@ -252,7 +241,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let first = AppState::demo_with_data_dir(80, 11, Telemetry::disabled(), 0, Some(&dir))
             .expect("fresh data dir");
-        assert!(first.store.is_some());
         let scholars_first = first.world.scholars().to_vec();
         drop(first);
 
@@ -299,10 +287,10 @@ mod tests {
         assert!(
             matches!(value("minaret_world_chunk_bytes_total"), Some(SnapshotValue::Counter(n)) if n > 0)
         );
-        // The store now holds a chunked snapshot.
-        let store = state.store.clone().expect("data-dir state has a store");
-        assert!(load_world_streamed(&store).unwrap().is_some());
+        // The dir now holds a chunked snapshot.
         drop(state);
+        let store = Store::open(&dir, StoreConfig::default()).unwrap();
+        assert!(load_world_streamed(&store).unwrap().is_some());
         drop(store);
         std::fs::remove_dir_all(dir).unwrap();
     }

@@ -192,11 +192,6 @@ impl World {
             .map(move |&i| &self.reviews[i])
     }
 
-    /// Number of reviews `s` performed for `venue`.
-    pub fn reviews_for_venue(&self, s: ScholarId, venue: VenueId) -> u32 {
-        self.reviews_of(s).filter(|r| r.venue == venue).count() as u32
-    }
-
     /// Number of papers `s` published in `venue`.
     pub fn pubs_in_venue(&self, s: ScholarId, venue: VenueId) -> u32 {
         self.papers_of(s)
@@ -387,7 +382,6 @@ mod tests {
         assert_eq!(w.citations_of(ScholarId(1)), 10);
         // h-index: citations [10, 1] -> h = 1? rank0: 10>0 yes; rank1: 1>1 no => 1.
         assert_eq!(w.h_index_of(ScholarId(0)), 1);
-        assert_eq!(w.reviews_for_venue(ScholarId(2), VenueId(0)), 1);
         assert_eq!(w.pubs_in_venue(ScholarId(0), VenueId(0)), 2);
     }
 

@@ -83,11 +83,6 @@ impl Trace {
         Trace { inner: None }
     }
 
-    /// Whether this trace records anything.
-    pub fn is_recording(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Opens a timed span; it records itself when dropped. Spans opened
     /// while another span guard is alive are marked one level deeper.
     pub fn span(&self, name: &str) -> Span<'_> {

@@ -134,7 +134,6 @@ fn restart_over_snapshot_serves_identical_recommendations() {
 
     // First boot: generates and snapshots the world, then serves.
     let first = store_state(&dir);
-    assert!(first.store.is_some(), "data-dir state carries a store");
     let booted = dir_listing(&dir);
     let goldens = golden_fingerprints(&first);
     let scholars = first.world.scholars().to_vec();
