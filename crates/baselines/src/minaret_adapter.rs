@@ -14,11 +14,6 @@ impl MinaretRecommender {
     pub fn new(inner: Minaret) -> Self {
         Self { inner }
     }
-
-    /// Access to the wrapped framework.
-    pub fn inner(&self) -> &Minaret {
-        &self.inner
-    }
 }
 
 impl Recommender for MinaretRecommender {

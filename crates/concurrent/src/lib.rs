@@ -1,12 +1,10 @@
 //! Sharded concurrent maps and order-preserving parallel maps for
 //! MINARET's hot shared state.
 //!
-//! The serving layer runs many worker threads against a handful of
-//! shared structures — per-source caches and vocabulary tables, the
-//! result cache, the single-flight coalescing map. Guarding each with
-//! one process-wide lock serializes every worker on every touch; this
-//! crate provides the [`ConcurrentMap`] abstraction those structures
-//! share, with two interchangeable implementations:
+//! The serving layer runs many worker threads against shared state.
+//! Guarding a map with one process-wide lock serializes every worker on
+//! every touch; this crate provides the [`ConcurrentMap`] abstraction
+//! with two interchangeable implementations:
 //!
 //! - [`SingleLockMap`] — one `RwLock<HashMap>`, the pre-sharding
 //!   design, kept as the observable-behaviour baseline for equivalence
@@ -15,6 +13,10 @@
 //!   by the high bits of a deterministic key hash, so operations on
 //!   different keys almost never contend and no operation ever takes a
 //!   whole-map lock.
+//!
+//! [`ShardedMap`] backs the source registry's single-flight coalescing
+//! map. The result cache keeps its own shards and shares only
+//! [`stable_hash`] with this crate.
 //!
 //! The trait follows the `Collection`/`Handle` shape of concurrent
 //! map benchmarks: a map is `Sync`, handed around behind an `Arc`, and

@@ -1,35 +1,64 @@
-//! E6 — what on-the-fly extraction costs, and what the per-run cache
-//! buys back, under web-scraping-scale latency and transient failures.
+//! E6 — what on-the-fly extraction costs under web-scraping-scale
+//! latency and transient failures, and what each source's profile memo
+//! saves when the same manuscript is asked again.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use minaret_core::{ManuscriptDetails, MinaretError, RecommendationReport};
 use minaret_scholarly::{BreakerConfig, RegistryConfig, ResilienceConfig, SourceKind};
 use minaret_synth::WorldConfig;
 
 use crate::harness::{EvalContext, ScenarioConfig};
 use crate::table::TextTable;
 
+/// What one recommendation run cost.
+#[derive(Debug, Clone, Copy)]
+pub struct E6Run {
+    /// Wall clock of the run.
+    pub wall: Duration,
+    /// Source calls the registry issued during the run, retries included.
+    pub calls: u64,
+    /// Profiles the sources built during the run (first requests of
+    /// their profile memos).
+    pub built: usize,
+}
+
 /// Result of experiment E6.
 #[derive(Debug)]
 pub struct E6Result {
-    /// Wall-clock of the cold run (empty caches).
-    pub cold: Duration,
-    /// Wall-clock of the warm run (same manuscript again).
-    pub warm: Duration,
-    /// Cache hit ratio after the warm run.
-    pub hit_ratio: f64,
-    /// Registry call counters after both runs.
-    pub calls: u64,
-    /// Retries absorbed (injected transient failures).
+    /// The first run, over sources that have built no profile.
+    pub cold: E6Run,
+    /// The same manuscript again: every source is asked afresh, and
+    /// every profile it returns is already built.
+    pub warm: E6Run,
+    /// Retries absorbed (injected transient failures) across both runs.
     pub retries: u64,
-    /// Wall-clock of the cold run with Publons scripted permanently dead.
-    pub degraded_cold: Duration,
-    /// Wall-clock of the warm degraded run (cache hot, breaker open).
-    pub degraded_warm: Duration,
+    /// The cold run with Publons scripted permanently dead.
+    pub degraded_cold: E6Run,
+    /// The degraded run again, with the breaker open.
+    pub degraded_warm: E6Run,
     /// Calls the open breaker rejected across both degraded runs.
     pub short_circuited: u64,
     /// Rendered report.
     pub report: String,
+}
+
+/// Recommends `m` once and measures the run.
+fn run_once(
+    ctx: &EvalContext,
+    m: &ManuscriptDetails,
+) -> (Result<RecommendationReport, MinaretError>, E6Run) {
+    let built = || -> usize { ctx.sources.iter().map(|s| s.built_profiles()).sum() };
+    let (calls_before, built_before) = (ctx.registry.stats().calls, built());
+    let t = Instant::now();
+    let result = ctx.minaret.recommend(m);
+    let wall = t.elapsed();
+    let run = E6Run {
+        wall,
+        calls: ctx.registry.stats().calls - calls_before,
+        built: built() - built_before,
+    };
+    (result, run)
 }
 
 /// Runs the cold/warm extraction comparison.
@@ -41,34 +70,17 @@ pub fn run_e6(scholars: usize, latency_micros: u64, failure_rate: f64) -> E6Resu
         world: WorldConfig::sized(scholars),
         source_latency_micros: latency_micros,
         source_failure_rate: failure_rate,
-        cached: true,
         ..Default::default()
     });
     let sub = ctx.submissions(1, 0xE6).pop().expect("submission");
     let m = ctx.manuscript_for(&sub);
 
-    let t0 = std::time::Instant::now();
-    let first = ctx.minaret.recommend(&m);
-    let cold = t0.elapsed();
-    let t1 = std::time::Instant::now();
-    let second = ctx.minaret.recommend(&m);
-    let warm = t1.elapsed();
+    let (first, cold) = run_once(&ctx, &m);
+    let (second, warm) = run_once(&ctx, &m);
     assert!(
         first.is_ok() && second.is_ok(),
         "pipeline failed under injection"
     );
-
-    let (mut hits, mut misses) = (0u64, 0u64);
-    for c in &ctx.caches {
-        let s = c.stats();
-        hits += s.hits;
-        misses += s.misses;
-    }
-    let hit_ratio = if hits + misses == 0 {
-        0.0
-    } else {
-        hits as f64 / (hits + misses) as f64
-    };
     let stats = ctx.registry.stats();
 
     // Same scenario, but Publons is scripted permanently dead and the
@@ -79,7 +91,6 @@ pub fn run_e6(scholars: usize, latency_micros: u64, failure_rate: f64) -> E6Resu
         world: WorldConfig::sized(scholars),
         source_latency_micros: latency_micros,
         source_failure_rate: 0.0,
-        cached: true,
         registry: RegistryConfig {
             resilience: ResilienceConfig {
                 breaker: BreakerConfig {
@@ -96,15 +107,10 @@ pub fn run_e6(scholars: usize, latency_micros: u64, failure_rate: f64) -> E6Resu
     });
     let dead_sub = dead_ctx.submissions(1, 0xE6).pop().expect("submission");
     let dm = dead_ctx.manuscript_for(&dead_sub);
-    let t2 = std::time::Instant::now();
-    let degraded_run = dead_ctx
-        .minaret
-        .recommend(&dm)
-        .expect("five healthy sources still recommend");
-    let degraded_cold = t2.elapsed();
-    let t3 = std::time::Instant::now();
-    dead_ctx.minaret.recommend(&dm).expect("warm degraded run");
-    let degraded_warm = t3.elapsed();
+    let (degraded_run, degraded_cold) = run_once(&dead_ctx, &dm);
+    let degraded_run = degraded_run.expect("five healthy sources still recommend");
+    let (again, degraded_warm) = run_once(&dead_ctx, &dm);
+    again.expect("warm degraded run");
     assert!(
         degraded_run.degraded
             && degraded_run
@@ -115,36 +121,32 @@ pub fn run_e6(scholars: usize, latency_micros: u64, failure_rate: f64) -> E6Resu
     );
     let dead_stats = dead_ctx.registry.stats();
 
-    let mut table = TextTable::new(&["run", "wall clock"]);
-    table.row(&[
-        "cold (empty cache)".into(),
-        format!("{:.1} ms", cold.as_secs_f64() * 1e3),
-    ]);
-    table.row(&[
-        "warm (cached)".into(),
-        format!("{:.1} ms", warm.as_secs_f64() * 1e3),
-    ]);
-    table.row(&[
-        "degraded cold (Publons dead)".into(),
-        format!("{:.1} ms", degraded_cold.as_secs_f64() * 1e3),
-    ]);
-    table.row(&[
-        "degraded warm (breaker open)".into(),
-        format!("{:.1} ms", degraded_warm.as_secs_f64() * 1e3),
-    ]);
+    let mut table = TextTable::new(&["run", "wall clock", "source calls", "profiles built"]);
+    for (name, run) in [
+        ("cold (no profile built)", cold),
+        ("warm (profiles built)", warm),
+        ("degraded cold (Publons dead)", degraded_cold),
+        ("degraded warm (breaker open)", degraded_warm),
+    ] {
+        table.row(&[
+            name.into(),
+            format!("{:.1} ms", run.wall.as_secs_f64() * 1e3),
+            run.calls.to_string(),
+            run.built.to_string(),
+        ]);
+    }
     let report = format!(
         "E6  on-the-fly extraction cost ({scholars} scholars, {latency_micros} µs/call, \
          {failure_rate} failure rate)\n{}\
-         cache hit ratio {:.2}; registry calls {}, retries {}, gave up {}\n\
-         speedup warm/cold: {:.1}x\n\
+         retries {}, gave up {}\n\
+         speedup warm/cold: {:.1}x (the warm run asks every source again; only the \
+         profile builds are saved)\n\
          degraded runs: flagged degraded, missing {:?}; breaker short-circuited {} calls\n",
         table.render(),
-        hit_ratio,
-        stats.calls,
         stats.retries,
         stats.gave_up,
-        if warm.as_secs_f64() > 0.0 {
-            cold.as_secs_f64() / warm.as_secs_f64()
+        if warm.wall.as_secs_f64() > 0.0 {
+            cold.wall.as_secs_f64() / warm.wall.as_secs_f64()
         } else {
             f64::INFINITY
         },
@@ -154,8 +156,6 @@ pub fn run_e6(scholars: usize, latency_micros: u64, failure_rate: f64) -> E6Resu
     E6Result {
         cold,
         warm,
-        hit_ratio,
-        calls: stats.calls,
         retries: stats.retries,
         degraded_cold,
         degraded_warm,
@@ -169,11 +169,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn e6_cache_makes_warm_runs_cheaper() {
-        let r = run_e6(150, 200, 0.05);
-        assert!(r.warm <= r.cold, "warm {:?} vs cold {:?}", r.warm, r.cold);
-        assert!(r.hit_ratio > 0.3, "hit ratio {}", r.hit_ratio);
-        assert!(r.calls > 0);
+    fn e6_warm_runs_ask_every_source_again_and_build_nothing() {
+        let r = run_e6(150, 200, 0.0);
+        assert!(r.cold.calls > 0, "{r:?}");
+        assert_eq!(r.warm.calls, r.cold.calls, "{r:?}");
+        assert!(r.cold.built > 0, "{r:?}");
+        assert_eq!(r.warm.built, 0, "{r:?}");
     }
 
     #[test]

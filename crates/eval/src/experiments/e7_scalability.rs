@@ -295,11 +295,10 @@ mod tests {
         assert_eq!(r.label_sweep.len(), E7_LABEL_SIZES.len());
         assert_eq!(r.parallelism_sweep.len(), E7_PARALLELISM.len());
         // One batched call replaces N per-label fan-outs, so batched
-        // retrieval must win at every set size. The margin is profile-
-        // dependent (debug builds are CPU-bound on profile assembly, so
-        // the 200us round trips matter less than in release); the
-        // release-mode e7 bench and the CI perf smoke assert the full
-        // >=2x speedup.
+        // retrieval must win at every set size, and by at least 1.5x at
+        // the largest. The margin is profile-dependent: debug builds are
+        // CPU-bound on profile assembly, so the 200us round trips matter
+        // less than in release.
         for point in &r.label_sweep {
             assert!(
                 point.batched < point.per_label,

@@ -27,7 +27,7 @@ pub use e2_coverage::{run_e2, E2Result};
 pub use e3_coi::{run_e3, E3Result};
 pub use e4_quality::{run_e4, E4Config, E4Result, MethodQuality};
 pub use e5_weights::{run_e5, E5Result};
-pub use e6_extraction::{run_e6, E6Result};
+pub use e6_extraction::{run_e6, E6Result, E6Run};
 pub use e7_scalability::{
     run_e7, run_e7_addendum, E7AddendumResult, E7Result, LabelSweepPoint, ParallelismPoint,
     ScalePoint, E7_LABEL_SIZES, E7_PARALLELISM,

@@ -5,8 +5,7 @@ use std::sync::Arc;
 use minaret_core::{EditorConfig, Minaret};
 use minaret_ontology::{seed::curated_cs_ontology, Ontology};
 use minaret_scholarly::{
-    CachingSource, FaultSchedule, RegistryConfig, ScholarSource, SimulatedSource, SourceKind,
-    SourceRegistry, SourceSpec,
+    FaultSchedule, RegistryConfig, SimulatedSource, SourceKind, SourceRegistry, SourceSpec,
 };
 use minaret_synth::{SubmissionGenerator, SubmissionSpec, World, WorldConfig, WorldGenerator};
 
@@ -22,8 +21,6 @@ pub struct ScenarioConfig {
     pub source_latency_micros: u64,
     /// Per-call transient failure probability injected into each source.
     pub source_failure_rate: f64,
-    /// Whether to wrap sources in the read-through cache.
-    pub cached: bool,
     /// Registry behaviour: retries, concurrency, and the resilience
     /// policy (deadlines, backoff, circuit breakers).
     pub registry: RegistryConfig,
@@ -42,7 +39,6 @@ impl Default for ScenarioConfig {
             editor: EditorConfig::default(),
             source_latency_micros: 0,
             source_failure_rate: 0.0,
-            cached: false,
             registry: RegistryConfig::default(),
             dead_sources: Vec::new(),
             pipeline_parallelism: 0,
@@ -66,9 +62,8 @@ pub struct EvalContext {
     pub world: Arc<World>,
     /// The source registry the framework queries.
     pub registry: Arc<SourceRegistry>,
-    /// Cache handles (present when the scenario enabled caching), in
-    /// source registration order.
-    pub caches: Vec<Arc<CachingSource>>,
+    /// The six sources the registry queries, in registration order.
+    pub sources: Vec<Arc<SimulatedSource>>,
     /// The ontology used for expansion.
     pub ontology: Arc<Ontology>,
     /// The framework under test.
@@ -79,13 +74,13 @@ pub struct EvalContext {
 
 impl EvalContext {
     /// Builds the context: generates the world, instantiates the six
-    /// sources (optionally latency/failure-injected and cached), and
-    /// wires the framework.
+    /// sources (optionally latency/failure-injected), and wires the
+    /// framework.
     pub fn build(scenario: ScenarioConfig) -> Self {
         let world = Arc::new(WorldGenerator::new(scenario.world.clone()).generate());
         let ontology = Arc::new(curated_cs_ontology());
         let mut registry = SourceRegistry::new(scenario.registry);
-        let mut caches = Vec::new();
+        let mut sources = Vec::new();
         for mut spec in SourceSpec::all_defaults() {
             spec.latency_micros = scenario.source_latency_micros;
             spec.failure_rate = scenario.source_failure_rate;
@@ -94,14 +89,9 @@ impl EvalContext {
             if scenario.dead_sources.contains(&kind) {
                 sim = sim.with_fault(FaultSchedule::PermanentOutage);
             }
-            let sim: Arc<dyn ScholarSource> = Arc::new(sim);
-            if scenario.cached {
-                let cached = Arc::new(CachingSource::new(sim));
-                caches.push(cached.clone());
-                registry.register(cached);
-            } else {
-                registry.register(sim);
-            }
+            let sim = Arc::new(sim);
+            sources.push(sim.clone());
+            registry.register(sim);
         }
         let registry = Arc::new(registry);
         let minaret = Minaret::new(registry.clone(), ontology.clone(), scenario.editor.clone())
@@ -109,7 +99,7 @@ impl EvalContext {
         Self {
             world,
             registry,
-            caches,
+            sources,
             ontology,
             minaret,
             scenario,
@@ -152,25 +142,11 @@ mod tests {
     fn context_builds_and_recommends() {
         let ctx = EvalContext::build(ScenarioConfig::sized(200));
         assert_eq!(ctx.registry.len(), 6);
-        assert!(ctx.caches.is_empty());
         let subs = ctx.submissions(3, 1);
         assert_eq!(subs.len(), 3);
         let m = ctx.manuscript_for(&subs[0]);
         assert!(m.validate().is_ok());
         let report = ctx.minaret.recommend(&m).unwrap();
         assert!(!report.recommendations.is_empty());
-    }
-
-    #[test]
-    fn cached_scenario_exposes_cache_handles() {
-        let mut scenario = ScenarioConfig::sized(100);
-        scenario.cached = true;
-        let ctx = EvalContext::build(scenario);
-        assert_eq!(ctx.caches.len(), 6);
-        let subs = ctx.submissions(1, 2);
-        let m = ctx.manuscript_for(&subs[0]);
-        ctx.minaret.recommend(&m).unwrap();
-        let total_misses: u64 = ctx.caches.iter().map(|c| c.stats().misses).sum();
-        assert!(total_misses > 0);
     }
 }

@@ -50,14 +50,6 @@ pub struct Topic {
     pub aliases: Vec<String>,
 }
 
-impl Topic {
-    /// True when `needle` (already normalized) matches the canonical label
-    /// or any alias.
-    pub fn matches_normalized(&self, needle: &str) -> bool {
-        self.normalized == needle || self.aliases.iter().any(|a| a == needle)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,18 +59,5 @@ mod tests {
         let id = TopicId::from_index(42);
         assert_eq!(id.index(), 42);
         assert_eq!(id.to_string(), "t42");
-    }
-
-    #[test]
-    fn topic_matches_label_and_aliases() {
-        let t = Topic {
-            id: TopicId(0),
-            label: "RDF".into(),
-            normalized: "rdf".into(),
-            aliases: vec!["resource description framework".into()],
-        };
-        assert!(t.matches_normalized("rdf"));
-        assert!(t.matches_normalized("resource description framework"));
-        assert!(!t.matches_normalized("sparql"));
     }
 }

@@ -8,7 +8,7 @@
 //! interests and citation metrics, DBLP has complete publication lists but
 //! no interests, Publons has review histories, ORCID has affiliation
 //! history, and so on — so the framework still faces the real integration
-//! problems: fan-out, heterogeneous records, merging, failures, caching.
+//! problems: fan-out, heterogeneous records, merging, failures.
 //!
 //! Key pieces:
 //!
@@ -17,8 +17,6 @@
 //!   information from any additional scholarly resource", which this trait
 //!   is the seam for.
 //! * [`SimulatedSource`] / [`SourceSpec`] — the six built-in simulations.
-//! * [`CachingSource`] — a caching decorator with hit/miss statistics
-//!   (experiment E6 measures cold vs. warm extraction).
 //! * [`SourceRegistry`] — concurrent fan-out with retry over all sources,
 //!   running on a persistent worker pool (one long-lived worker per
 //!   source plus a shared overflow crew) and hardened by a resilience
@@ -47,7 +45,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod cache;
 mod clock;
 mod error;
 mod merge;
@@ -59,7 +56,6 @@ mod sim;
 mod spec;
 mod vocab;
 
-pub use cache::{CacheStats, CachingSource};
 pub use clock::{Clock, SimulatedClock, SystemClock};
 pub use error::SourceError;
 pub use merge::{merge_profiles, MergedCandidate};
@@ -73,6 +69,6 @@ pub use registry::{
 pub use resilience::{
     BackoffConfig, BreakerConfig, BreakerState, CircuitBreaker, ResilienceConfig,
 };
-pub use sim::{FaultSchedule, LabeledHits, ProfileStore, ScholarSource, SimulatedSource};
+pub use sim::{FaultSchedule, LabeledHits, ScholarSource, SimulatedSource};
 pub use spec::{SourceKind, SourceSpec};
 pub use vocab::{text_key, Institution, Label, NormalizedLabel, PersonName, TokenSet, Vocabulary};

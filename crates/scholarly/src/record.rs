@@ -400,11 +400,6 @@ impl SourceProfile {
     pub fn review_count(&self) -> u32 {
         self.reviews.len() as u32
     }
-
-    /// Most recent publication year on the profile, if any.
-    pub fn latest_publication_year(&self) -> Option<u32> {
-        self.publications.iter().map(|p| p.year).max()
-    }
 }
 
 /// Prints the data only; the merge key's hash and the notes on repeated
@@ -482,12 +477,5 @@ mod tests {
     fn helpers_summarize_profile() {
         let p = profile();
         assert_eq!(p.review_count(), 1);
-        assert_eq!(p.latest_publication_year(), Some(2017));
-    }
-
-    #[test]
-    fn empty_profile_has_no_latest_year() {
-        let p = profile().with_publications(vec![]);
-        assert_eq!(p.latest_publication_year(), None);
     }
 }

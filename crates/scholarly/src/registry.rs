@@ -109,8 +109,8 @@ pub struct SourceOutcome {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FanOutReport {
     /// Successful sources' profiles, concatenated. `Arc`-shared with the
-    /// sources' own stores (and any cache layer): fanning the same
-    /// profile out twice clones a pointer, not the record.
+    /// sources' own stores: fanning the same profile out twice clones a
+    /// pointer, not the record.
     pub profiles: Vec<Arc<SourceProfile>>,
     /// One outcome per registered source, in registration order.
     pub outcomes: Vec<SourceOutcome>,

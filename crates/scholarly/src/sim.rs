@@ -60,7 +60,7 @@ pub trait ScholarSource: Send + Sync {
 /// builds each profile at most once (on first request, lock-free via
 /// [`OnceLock`]) and every subsequent hit anywhere — name search,
 /// interest search, key fetch — is one `Arc` clone.
-pub struct ProfileStore {
+pub(crate) struct ProfileStore {
     slots: Vec<OnceLock<Arc<SourceProfile>>>,
 }
 
@@ -101,6 +101,7 @@ impl ProfileStore {
     }
 
     /// How many slots the store was sized with: one per scholar.
+    #[cfg(test)]
     pub fn slot_capacity(&self) -> usize {
         self.slots.len()
     }
@@ -315,16 +316,6 @@ impl SimulatedSource {
             &[("source", self.spec.kind.prefix())],
         );
         self
-    }
-
-    /// The source's simulation parameters.
-    pub fn spec(&self) -> &SourceSpec {
-        &self.spec
-    }
-
-    /// The scripted fault schedule, if any.
-    pub fn fault(&self) -> FaultSchedule {
-        self.fault
     }
 
     /// How many profiles this source has built so far.

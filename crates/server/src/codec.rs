@@ -1,5 +1,7 @@
 //! JSON ↔ domain-type mapping.
 
+use std::fmt::Display;
+
 use minaret_assign::{AssignmentSpec, BatchAssignment};
 use minaret_core::{
     AffiliationMatchLevel, AuthorInput, EditorConfig, ManuscriptDetails, RecommendationReport,
@@ -9,7 +11,8 @@ use minaret_json::Value;
 /// Parses the `/recommend` request body: the manuscript plus optional
 /// editor-configuration overrides under `"config"`.
 ///
-/// Expected shape (config entirely optional):
+/// Expected shape (config entirely optional; a key not shown here, or
+/// one given twice in the same object, is an error):
 /// ```json
 /// {
 ///   "title": "...", "keywords": ["RDF"],
@@ -20,7 +23,8 @@ use minaret_json::Value;
 ///     "max_recommendations": 10,
 ///     "coi_affiliation_level": "university" | "country" | "off",
 ///     "weights": {"coverage": 0.4, "impact": 0.2, "recency": 0.2,
-///                  "experience": 0.1, "familiarity": 0.1},
+///                  "experience": 0.1, "familiarity": 0.1,
+///                  "responsiveness": 0.0},
 ///     "min_sources": 2,
 ///     "min_citations": 100, "max_citations": 50000,
 ///     "min_h_index": 5, "max_h_index": 60,
@@ -33,7 +37,7 @@ pub fn manuscript_from_json(
     body: &Value,
     base: &EditorConfig,
 ) -> Result<(ManuscriptDetails, EditorConfig), String> {
-    let manuscript = manuscript_details(body)?;
+    let manuscript = manuscript_details(body, "the manuscript")?;
     let mut config = base.clone();
     if let Some(cfg) = field(body, "config", "an object", object)? {
         apply_config_overrides(cfg, &mut config)?;
@@ -41,8 +45,15 @@ pub fn manuscript_from_json(
     Ok((manuscript, config))
 }
 
-/// Parses one manuscript's own fields: everything but `"config"`.
-fn manuscript_details(body: &Value) -> Result<ManuscriptDetails, String> {
+/// Parses one manuscript's own fields, everything but `"config"`, from
+/// the object that `name` names in errors.
+fn manuscript_details(body: &Value, name: impl Display) -> Result<ManuscriptDetails, String> {
+    // The caller reads `"config"`.
+    check_keys(
+        body,
+        name,
+        &["title", "keywords", "authors", "target_venue", "config"],
+    )?;
     let title = body
         .get("title")
         .and_then(Value::as_str)
@@ -66,6 +77,11 @@ fn manuscript_details(body: &Value) -> Result<ManuscriptDetails, String> {
         .iter()
         .enumerate()
         .map(|(i, a)| {
+            check_keys(
+                a,
+                format_args!("authors[{i}]"),
+                &["name", "affiliation", "country"],
+            )?;
             let name = a
                 .get("name")
                 .and_then(Value::as_str)
@@ -92,6 +108,28 @@ fn manuscript_details(body: &Value) -> Result<ManuscriptDetails, String> {
         authors,
         target_venue,
     })
+}
+
+/// Rejects a key of `obj` that is not one of `known`, or that `obj`
+/// holds twice, with an error naming the key and `object`: a misspelled
+/// override is never dropped in favour of its default, and a repeated
+/// one is never resolved by position. Compares `&str`s and allocates
+/// nothing unless it fails. A non-object passes; its reader rejects it.
+fn check_keys(obj: &Value, object: impl Display, known: &[&str]) -> Result<(), String> {
+    let Value::Object(fields) = obj else {
+        return Ok(());
+    };
+    for (i, (key, _)) in fields.iter().enumerate() {
+        if !known.contains(&key.as_str()) {
+            return Err(format!("unknown key \"{key}\" in {object}"));
+        }
+        // Every earlier key is known and distinct, so this scans at
+        // most `known.len()` keys.
+        if fields[..i].iter().any(|(k, _)| k == key) {
+            return Err(format!("repeated key \"{key}\" in {object}"));
+        }
+    }
+    Ok(())
 }
 
 /// Largest integer a JSON number holds exactly (2^53), the ceiling of
@@ -141,6 +179,24 @@ fn affiliation_level(v: &Value) -> Option<AffiliationMatchLevel> {
 }
 
 fn apply_config_overrides(cfg: &Value, config: &mut EditorConfig) -> Result<(), String> {
+    check_keys(
+        cfg,
+        "config",
+        &[
+            "keyword_score_threshold",
+            "max_recommendations",
+            "min_sources",
+            "coi_affiliation_level",
+            "weights",
+            "min_citations",
+            "max_citations",
+            "min_h_index",
+            "max_h_index",
+            "min_reviews",
+            "max_reviews",
+            "pc_members",
+        ],
+    )?;
     if let Some(t) = field(cfg, "keyword_score_threshold", "a number in [0, 1]", |v| {
         v.as_f64().filter(|t| (0.0..=1.0).contains(t))
     })? {
@@ -161,6 +217,18 @@ fn apply_config_overrides(cfg: &Value, config: &mut EditorConfig) -> Result<(), 
         config.coi.affiliation_level = level;
     }
     if let Some(w) = field(cfg, "weights", "an object", object)? {
+        check_keys(
+            w,
+            "config.weights",
+            &[
+                "coverage",
+                "impact",
+                "recency",
+                "experience",
+                "familiarity",
+                "responsiveness",
+            ],
+        )?;
         let weights = &mut config.weights;
         for (key, slot) in [
             ("coverage", &mut weights.coverage),
@@ -204,7 +272,8 @@ fn apply_config_overrides(cfg: &Value, config: &mut EditorConfig) -> Result<(), 
 /// by every paper. The batch is solved under one config, so a
 /// `"config"` inside a manuscript is rejected, not ignored.
 ///
-/// Expected shape (spec and config optional):
+/// Expected shape (spec and config optional; a key not shown here, or
+/// one given twice in the same object, is an error):
 /// ```json
 /// {
 ///   "manuscripts": [{"title": "...", "keywords": [...],
@@ -212,6 +281,7 @@ fn apply_config_overrides(cfg: &Value, config: &mut EditorConfig) -> Result<(), 
 ///   "spec": {
 ///     "reviewers_per_paper": 3,
 ///     "max_load": 5,
+///     "max_candidates_per_paper": 400,
 ///     "coi": {"coauthorship": true,
 ///              "affiliation_level": "university" | "country" | "off"}
 ///   },
@@ -222,6 +292,7 @@ pub fn assign_request_from_json(
     body: &Value,
     base: &EditorConfig,
 ) -> Result<(Vec<ManuscriptDetails>, AssignmentSpec, EditorConfig), String> {
+    check_keys(body, "the batch", &["manuscripts", "spec", "config"])?;
     let mut config = base.clone();
     if let Some(cfg) = field(body, "config", "an object", object)? {
         apply_config_overrides(cfg, &mut config)?;
@@ -239,12 +310,22 @@ pub fn assign_request_from_json(
                      \"config\", at the top level"
                 ));
             }
-            manuscript_details(item)
+            manuscript_details(item, format_args!("manuscripts[{i}]"))
         })
         .collect::<Result<Vec<_>, _>>()?;
 
     let mut spec = AssignmentSpec::new(3, 5);
     if let Some(s) = field(body, "spec", "an object", object)? {
+        check_keys(
+            s,
+            "spec",
+            &[
+                "reviewers_per_paper",
+                "max_load",
+                "max_candidates_per_paper",
+                "coi",
+            ],
+        )?;
         // Zero passes here; `AssignmentSpec::validate` rejects a zero
         // `reviewers_per_paper` or `max_load` with its own message.
         for (key, slot) in [
@@ -258,6 +339,7 @@ pub fn assign_request_from_json(
             *slot = integer(s, key, MAX_JSON_INT)?.unwrap_or(*slot);
         }
         if let Some(coi) = field(s, "coi", "an object", object)? {
+            check_keys(coi, "spec.coi", &["coauthorship", "affiliation_level"])?;
             let mut policy = config.coi;
             let prefixed = |e: String| format!("coi.{e}");
             if let Some(c) =
@@ -685,5 +767,120 @@ mod tests {
         )
         .unwrap();
         assert_eq!((spec.reviewers_per_paper, spec.max_load), (0, 1 << 53));
+    }
+
+    #[test]
+    fn rejects_unknown_and_repeated_keys_in_every_object() {
+        type Decode = fn(&str) -> Result<(), String>;
+        let recommend: Decode =
+            |body| manuscript_from_json(&parse(body).unwrap(), &base()).map(drop);
+        let assign: Decode =
+            |body| assign_request_from_json(&parse(body).unwrap(), &base()).map(drop);
+        // Every key each object reads is accepted.
+        recommend(
+            r#"{"title":"T","keywords":["k"],
+                "authors":[{"name":"A","affiliation":"U","country":"C"}],"target_venue":"J",
+                "config":{"keyword_score_threshold":0.5,"max_recommendations":3,"min_sources":1,
+                    "coi_affiliation_level":"off",
+                    "weights":{"coverage":1,"impact":1,"recency":1,"experience":1,
+                        "familiarity":1,"responsiveness":1},
+                    "min_citations":1,"max_citations":2,"min_h_index":1,"max_h_index":2,
+                    "min_reviews":1,"max_reviews":2,"pc_members":[]}}"#,
+        )
+        .unwrap();
+        assign(
+            r#"{"manuscripts":[{"title":"T","keywords":[],"authors":[],"target_venue":"J",
+                    "config":null}],
+                "spec":{"reviewers_per_paper":1,"max_load":1,"max_candidates_per_paper":1,
+                    "coi":{"coauthorship":true,"affiliation_level":"off"}},
+                "config":{}}"#,
+        )
+        .unwrap();
+        // Each misspelled key used to be dropped, keeping its default, and
+        // each repeated key was read at its first occurrence. `@` marks
+        // where the object takes one more key: a misspelled one, then
+        // one it already holds.
+        for (decode, body, object, misspelled, held, value) in [
+            (
+                recommend,
+                r#"{"title":"T","keywords":["k"],"authors":[{"name":"A"}]@}"#,
+                "the manuscript",
+                "confg",
+                "title",
+                r#""T""#,
+            ),
+            (
+                recommend,
+                r#"{"title":"T","keywords":["k"],"authors":[{"name":"A"},{"name":"B"@}]}"#,
+                "authors[1]",
+                "afiliation",
+                "name",
+                r#""B""#,
+            ),
+            (
+                recommend,
+                r#"{"title":"T","keywords":["k"],"authors":[],"config":{"max_recommendations":3@}}"#,
+                "config",
+                "max_recomendations",
+                "max_recommendations",
+                "3",
+            ),
+            (
+                recommend,
+                r#"{"title":"T","keywords":["k"],"authors":[],"config":{"weights":{"impact":0.5@}}}"#,
+                "config.weights",
+                "impcat",
+                "impact",
+                "0.5",
+            ),
+            (
+                assign,
+                r#"{"manuscripts":[]@}"#,
+                "the batch",
+                "manuscript",
+                "manuscripts",
+                "[]",
+            ),
+            (
+                assign,
+                r#"{"manuscripts":[],"config":{"min_sources":1@}}"#,
+                "config",
+                "min_source",
+                "min_sources",
+                "1",
+            ),
+            (
+                assign,
+                r#"{"manuscripts":[{"title":"T","keywords":[],"authors":[]},
+                    {"title":"U","keywords":[],"authors":[]@}]}"#,
+                "manuscripts[1]",
+                "tilte",
+                "title",
+                r#""U""#,
+            ),
+            (
+                assign,
+                r#"{"manuscripts":[],"spec":{"reviewers_per_paper":2,"max_load":1@}}"#,
+                "spec",
+                "max_laod",
+                "max_load",
+                "1",
+            ),
+            (
+                assign,
+                r#"{"manuscripts":[],"spec":{"coi":{"coauthorship":true@}}}"#,
+                "spec.coi",
+                "coauthor",
+                "coauthorship",
+                "true",
+            ),
+        ] {
+            decode(&body.replace('@', "")).unwrap();
+            for (key, problem) in [(misspelled, "unknown"), (held, "repeated")] {
+                let with_key = body.replace('@', &format!(r#","{key}":{value}"#));
+                let err = decode(&with_key).expect_err(&with_key);
+                assert_eq!(err, format!(r#"{problem} key "{key}" in {object}"#));
+            }
+        }
     }
 }

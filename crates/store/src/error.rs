@@ -103,12 +103,6 @@ impl StoreError {
             source,
         }
     }
-
-    /// True when this is a checksum/corruption failure (as opposed to a
-    /// plain I/O or versioning problem).
-    pub fn is_corruption(&self) -> bool {
-        matches!(self, StoreError::Corrupt { .. })
-    }
 }
 
 #[cfg(test)]
@@ -134,21 +128,5 @@ mod tests {
         let msg = v.to_string();
         assert!(msg.contains("version 9"), "{msg}");
         assert!(msg.contains("up to 1"), "{msg}");
-    }
-
-    #[test]
-    fn corruption_predicate() {
-        assert!(StoreError::Corrupt {
-            path: "x".into(),
-            offset: 7,
-            detail: "bad crc".into()
-        }
-        .is_corruption());
-        assert!(!StoreError::VersionMismatch {
-            what: "w",
-            found: 2,
-            supported: 1
-        }
-        .is_corruption());
     }
 }

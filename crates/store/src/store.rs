@@ -166,12 +166,6 @@ impl Store {
         table::verify(&path)?;
         remove_files(&self.dir, is_old_format, "removing old-format file")
     }
-
-    /// The directory this store lives in.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
 }
 
 #[cfg(test)]

@@ -70,11 +70,6 @@ pub struct AffiliationSpan {
 }
 
 impl AffiliationSpan {
-    /// True when `year` falls inside the span.
-    pub fn covers(&self, year: u32) -> bool {
-        (self.from_year..=self.to_year).contains(&year)
-    }
-
     /// True when the two spans share at least one year.
     pub fn overlaps(&self, other: &AffiliationSpan) -> bool {
         self.from_year <= other.to_year && other.from_year <= self.to_year
@@ -107,15 +102,6 @@ impl Scholar {
         name.push(' ');
         name.push_str(&self.family_name);
         name
-    }
-
-    /// Affiliation current in `year`, if any (the latest covering span).
-    pub fn affiliation_in(&self, year: u32) -> Option<InstitutionId> {
-        self.affiliations
-            .iter()
-            .rev()
-            .find(|a| a.covers(year))
-            .map(|a| a.institution)
     }
 
     /// The scholar's latest affiliation.
@@ -178,12 +164,8 @@ mod tests {
     }
 
     #[test]
-    fn affiliation_lookup_by_year() {
-        let s = scholar();
-        assert_eq!(s.affiliation_in(2005), Some(InstitutionId(0)));
-        assert_eq!(s.affiliation_in(2012), Some(InstitutionId(1)));
-        assert_eq!(s.affiliation_in(1999), None);
-        assert_eq!(s.current_affiliation(), InstitutionId(1));
+    fn current_affiliation_is_the_latest_span() {
+        assert_eq!(scholar().current_affiliation(), InstitutionId(1));
     }
 
     #[test]

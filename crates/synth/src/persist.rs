@@ -769,7 +769,6 @@ mod tests {
         // Spot-check a derived view to confirm reassembly ran.
         for s in world.scholars().iter().take(5) {
             assert_eq!(loaded.papers_of(s.id), world.papers_of(s.id));
-            assert_eq!(loaded.h_index_of(s.id), world.h_index_of(s.id));
         }
         drop(store);
         std::fs::remove_dir_all(dir).unwrap();

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use minaret_ontology::{Ontology, TopicId};
+use minaret_ontology::Ontology;
 
 use crate::ids::{InstitutionId, PaperId, ScholarId, VenueId};
 use crate::model::{Institution, Paper, ReviewRecord, Scholar, Venue};
@@ -12,8 +12,8 @@ use crate::model::{Institution, Paper, ReviewRecord, Scholar, Venue};
 ///
 /// The raw entity tables are the ground truth. Construction derives the
 /// two views serving reads, papers-by-author and reviews-by-scholar.
-/// The views only evaluation and ground truth read (co-author sets,
-/// citation totals, h-indexes) are computed on first call, once each.
+/// The co-author sets, which only evaluation and ground truth read, are
+/// computed on first call, once.
 #[derive(Debug)]
 pub struct World {
     /// The topic ontology the world was generated against.
@@ -30,8 +30,6 @@ pub struct World {
     reviews_by_scholar: Vec<Vec<usize>>,
     // Derived on first call:
     coauthors: OnceLock<Vec<Vec<ScholarId>>>,
-    citations: OnceLock<Vec<u64>>,
-    h_index: OnceLock<Vec<u32>>,
 }
 
 impl World {
@@ -68,8 +66,6 @@ impl World {
             papers_by_author,
             reviews_by_scholar,
             coauthors: OnceLock::new(),
-            citations: OnceLock::new(),
-            h_index: OnceLock::new(),
         }
     }
 
@@ -150,65 +146,11 @@ impl World {
         })[s.index()]
     }
 
-    /// Total citations across the papers of `s`.
-    pub fn citations_of(&self, s: ScholarId) -> u64 {
-        self.citations.get_or_init(|| {
-            self.papers_by_author
-                .iter()
-                .map(|pids| {
-                    pids.iter()
-                        .map(|p| self.papers[p.index()].citations as u64)
-                        .sum()
-                })
-                .collect()
-        })[s.index()]
-    }
-
-    /// h-index of `s`.
-    pub fn h_index_of(&self, s: ScholarId) -> u32 {
-        self.h_index.get_or_init(|| {
-            self.papers_by_author
-                .iter()
-                .map(|pids| {
-                    let mut cites: Vec<u32> = pids
-                        .iter()
-                        .map(|p| self.papers[p.index()].citations)
-                        .collect();
-                    cites.sort_unstable_by(|a, b| b.cmp(a));
-                    cites
-                        .iter()
-                        .enumerate()
-                        .take_while(|(rank, &c)| c as usize > *rank)
-                        .count() as u32
-                })
-                .collect()
-        })[s.index()]
-    }
-
     /// Review records of `s`.
     pub fn reviews_of(&self, s: ScholarId) -> impl Iterator<Item = &ReviewRecord> {
         self.reviews_by_scholar[s.index()]
             .iter()
             .map(move |&i| &self.reviews[i])
-    }
-
-    /// Number of papers `s` published in `venue`.
-    pub fn pubs_in_venue(&self, s: ScholarId, venue: VenueId) -> u32 {
-        self.papers_of(s)
-            .iter()
-            .filter(|&&p| self.paper(p).venue == venue)
-            .count() as u32
-    }
-
-    /// Most recent year `s` published on `topic` (exact topic match),
-    /// ground truth for the recency ranking component.
-    pub fn last_active_on(&self, s: ScholarId, topic: TopicId) -> Option<u32> {
-        self.papers_of(s)
-            .iter()
-            .map(|&p| self.paper(p))
-            .filter(|p| p.topics.contains(&topic))
-            .map(|p| p.year)
-            .max()
     }
 
     /// True when `a` and `b` ever co-authored (ground-truth COI edge).
@@ -378,16 +320,11 @@ mod tests {
         let w = tiny_world();
         assert_eq!(w.papers_of(ScholarId(0)).len(), 2);
         assert_eq!(w.papers_of(ScholarId(2)).len(), 0);
-        assert_eq!(w.citations_of(ScholarId(0)), 11);
-        assert_eq!(w.citations_of(ScholarId(1)), 10);
-        // h-index: citations [10, 1] -> h = 1? rank0: 10>0 yes; rank1: 1>1 no => 1.
-        assert_eq!(w.h_index_of(ScholarId(0)), 1);
-        assert_eq!(w.pubs_in_venue(ScholarId(0), VenueId(0)), 2);
     }
 
     /// `assemble` against the construction it replaced, kept here as the
     /// reference: co-author lists built by a `contains` scan over every
-    /// paper's byline, and per-(scholar, venue) publication counts.
+    /// paper's byline.
     #[test]
     fn derived_tables_match_the_reference_construction() {
         let w = crate::WorldGenerator::new(crate::WorldConfig {
@@ -396,10 +333,8 @@ mod tests {
         })
         .generate();
         let mut coauthors: Vec<Vec<ScholarId>> = vec![Vec::new(); w.scholars().len()];
-        let mut pubs: HashMap<(ScholarId, VenueId), u32> = HashMap::new();
         for p in w.papers() {
             for &a in &p.authors {
-                *pubs.entry((a, p.venue)).or_insert(0) += 1;
                 for &b in &p.authors {
                     if a != b && !coauthors[a.index()].contains(&b) {
                         coauthors[a.index()].push(b);
@@ -411,7 +346,6 @@ mod tests {
             coauthors.iter().any(|c| c.len() > 2),
             "world has co-authors"
         );
-        assert!(pubs.values().any(|&n| n > 1), "some venue repeats");
         for s in w.scholars() {
             assert_eq!(
                 w.coauthors_of(s.id),
@@ -419,15 +353,6 @@ mod tests {
                 "co-authors of {:?}",
                 s.id
             );
-            for v in w.venues() {
-                assert_eq!(
-                    w.pubs_in_venue(s.id, v.id),
-                    pubs.get(&(s.id, v.id)).copied().unwrap_or(0),
-                    "papers of {:?} in {:?}",
-                    s.id,
-                    v.id
-                );
-            }
         }
     }
 
@@ -441,14 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn recency_ground_truth() {
-        let w = tiny_world();
-        let db = w.ontology.resolve("db").unwrap();
-        assert_eq!(w.last_active_on(ScholarId(0), db), Some(2017));
-        assert_eq!(w.last_active_on(ScholarId(2), db), None);
-    }
-
-    #[test]
     fn stats_summarize() {
         let w = tiny_world();
         let s = w.stats();
@@ -456,18 +373,5 @@ mod tests {
         assert_eq!(s.papers, 2);
         assert_eq!(s.colliding_scholars, 0);
         assert!((s.mean_papers_per_scholar - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn h_index_definition_matches_textbook() {
-        // Citations [5,4,4,1]: h = 3 (three papers with >= 3 citations).
-        let mut cites = [5u32, 4, 4, 1];
-        cites.sort_unstable_by(|a, b| b.cmp(a));
-        let h = cites
-            .iter()
-            .enumerate()
-            .take_while(|(rank, &c)| c as usize > *rank)
-            .count();
-        assert_eq!(h, 3);
     }
 }

@@ -599,8 +599,6 @@ fn measure_world_point() -> WorldPoint {
 /// One measured manuscript's allocation counts.
 #[cfg(feature = "count-allocs")]
 struct AllocCounts {
-    /// `(allocs, bytes)` per warm recommendation over cached sources.
-    cached: (u64, u64),
     /// `(allocs, bytes)` per warm recommendation over the uncached
     /// pipeline default.
     uncached: (u64, u64),
@@ -644,13 +642,6 @@ fn measure_allocs() -> [AllocCounts; 2] {
     use minaret::concurrent::MIN_PARALLEL_ITEMS;
     use minaret::eval::harness::{EvalContext, ScenarioConfig};
 
-    fn context(cached: bool) -> EvalContext {
-        let mut scenario = ScenarioConfig::sized(SCHOLARS);
-        scenario.source_latency_micros = 0;
-        scenario.cached = cached;
-        EvalContext::build(scenario)
-    }
-
     fn wide(ctx: &EvalContext) -> ManuscriptDetails {
         let sub = ctx.submissions(1, 0xE7).pop().expect("submission");
         let mut manuscript = ctx.manuscript_for(&sub);
@@ -683,7 +674,7 @@ fn measure_allocs() -> [AllocCounts; 2] {
     }
 
     fn per_rec(ctx: &EvalContext, manuscript: &ManuscriptDetails) -> (u64, u64) {
-        // Warm caches, lazy profile stores and their vocabularies,
+        // Warm the lazy profile stores and their vocabularies, and the
         // worker pools.
         for _ in 0..2 {
             let _ = ctx.minaret.recommend(manuscript).unwrap();
@@ -764,15 +755,16 @@ fn measure_allocs() -> [AllocCounts; 2] {
         (alloc::snapshot().allocs_since(&before), bound)
     }
 
-    let (cached, uncached) = (context(true), context(false));
-    let wide = wide(&uncached);
-    let narrow = narrow(&uncached, &wide);
+    let mut scenario = ScenarioConfig::sized(SCHOLARS);
+    scenario.source_latency_micros = 0;
+    let ctx = EvalContext::build(scenario);
+    let wide = wide(&ctx);
+    let narrow = narrow(&ctx, &wide);
     [wide, narrow].map(|manuscript| {
-        let (per_candidate, candidates) = per_candidate(&uncached, &manuscript);
-        let (merge, merge_bound) = merge(&uncached, &manuscript);
+        let (per_candidate, candidates) = per_candidate(&ctx, &manuscript);
+        let (merge, merge_bound) = merge(&ctx, &manuscript);
         AllocCounts {
-            cached: per_rec(&cached, &manuscript),
-            uncached: per_rec(&uncached, &manuscript),
+            uncached: per_rec(&ctx, &manuscript),
             per_candidate,
             candidates,
             merge,
@@ -793,9 +785,9 @@ fn main() {
         let counts = measure_allocs();
         for ((name, _), c) in ALLOC_MANUSCRIPTS.iter().zip(&counts) {
             println!(
-                "alloc smoke ({name}, {} candidates): warm {} allocs/rec ({} bytes)  uncached {} \
-                 allocs/rec ({} bytes)  filter+rank per-candidate pass {} allocs",
-                c.candidates, c.cached.0, c.cached.1, c.uncached.0, c.uncached.1, c.per_candidate
+                "alloc smoke ({name}, {} candidates): uncached warm {} allocs/rec ({} bytes)  \
+                 filter+rank per-candidate pass {} allocs",
+                c.candidates, c.uncached.0, c.uncached.1, c.per_candidate
             );
         }
         // Exact gate: deciding and scoring candidates derives nothing.
@@ -978,8 +970,6 @@ fn main() {
         #[cfg(feature = "count-allocs")]
         for ((_, prefix), c) in ALLOC_MANUSCRIPTS.iter().zip(&alloc_counts) {
             json = json
-                .set(&format!("{prefix}warm_allocs_per_rec"), c.cached.0)
-                .set(&format!("{prefix}warm_alloc_bytes_per_rec"), c.cached.1)
                 .set(
                     &format!("{prefix}uncached_warm_allocs_per_rec"),
                     c.uncached.0,
@@ -1026,20 +1016,9 @@ fn main() {
     );
 
     #[cfg(feature = "count-allocs")]
-    for (field, measured) in
-        ALLOC_MANUSCRIPTS
-            .iter()
-            .zip(&alloc_counts)
-            .flat_map(|((_, prefix), c)| {
-                [
-                    (format!("{prefix}warm_allocs_per_rec"), c.cached.0),
-                    (
-                        format!("{prefix}uncached_warm_allocs_per_rec"),
-                        c.uncached.0,
-                    ),
-                ]
-            })
-    {
+    for ((_, prefix), c) in ALLOC_MANUSCRIPTS.iter().zip(&alloc_counts) {
+        let field = format!("{prefix}uncached_warm_allocs_per_rec");
+        let measured = c.uncached.0;
         let Some(base) = baseline.get(&field).and_then(|v| v.as_u64()) else {
             eprintln!(
                 "FAIL: baseline {BASELINE_PATH} lacks {field}; re-record with --features count-allocs"

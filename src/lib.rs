@@ -84,9 +84,9 @@ pub mod prelude {
     pub use minaret_disambig::{AuthorQuery, IdentityResolver, ResolutionPolicy};
     pub use minaret_ontology::{ExpansionConfig, KeywordExpander, Ontology};
     pub use minaret_scholarly::{
-        BackoffConfig, BreakerConfig, BreakerState, CachingSource, Clock, FaultSchedule,
-        RegistryConfig, ResilienceConfig, ScholarSource, SimulatedClock, SimulatedSource,
-        SourceKind, SourceRegistry, SourceSpec,
+        BackoffConfig, BreakerConfig, BreakerState, Clock, FaultSchedule, RegistryConfig,
+        ResilienceConfig, ScholarSource, SimulatedClock, SimulatedSource, SourceKind,
+        SourceRegistry, SourceSpec,
     };
     pub use minaret_synth::{ScholarId, World, WorldConfig, WorldGenerator};
 }
