@@ -34,17 +34,14 @@ cargo test -q --test batched_equivalence
 echo "==> telemetry surface (incl. coalescing counter): cargo test --test metrics_endpoint"
 cargo test -q --test metrics_endpoint
 
-echo "==> single-flight coalescing (incl. shard race + leader panic): cargo test -p minaret-scholarly coalesc"
+echo "==> single-flight coalescing (incl. distinct fan-outs in flight at once + leader panic): cargo test -p minaret-scholarly coalesc"
 cargo test -q -p minaret-scholarly coalesc
 
-echo "==> sharded map primitives: cargo test -p minaret-concurrent"
+echo "==> order-preserving parallel map + stable hash: cargo test -p minaret-concurrent"
 cargo test -q -p minaret-concurrent
 
 echo "==> ASCII normalize path equals the char loop (property test): cargo test -p minaret-ontology ascii_path"
 cargo test -q -p minaret-ontology ascii_path
-
-echo "==> sharded vs single-lock equivalence + linearizability smoke: cargo test --test shard_equivalence"
-cargo test -q --test shard_equivalence
 
 echo "==> load shedding: cargo test --test load_shedding"
 cargo test -q --test load_shedding
@@ -154,16 +151,14 @@ rm -rf "$SYNTH_DIR"
 # sweep (100 and 1000 idle keep-alive connections against the epoll
 # reactor) with two same-run gates, serving threads fixed at
 # io_threads + workers (+1 slack) regardless of connection count and the
-# uncached recommend p50 flat (<= 1.5x the 100-connection point); the
-# lock-contention sweep (1, 2, 4, 8 threads), where the sharded map must
-# beat the single lock at 4 threads and keep its 1-thread throughput
-# within 1.25x of the committed baseline; and the 10^5-scholar lazy cold
-# start, which must beat regenerating the world in the same run. Under
-# count-allocs it also gates allocations: none per candidate in decide
-# and score, and a merge whose allocations stay within a constant per
-# candidate (its profile list, plus a bit set per deduped list that
-# drops a copy), however many records the candidate's profiles list.
-echo "==> perf smoke: conn-scaling sweep + lock contention + 10^5 lazy cold start vs regeneration (BENCH_e7_scalability.json)"
+# uncached recommend p50 flat (<= 1.5x the 100-connection point); and
+# the 10^5-scholar lazy cold start, which must beat regenerating the
+# world in the same run. Under count-allocs it also gates allocations:
+# none per candidate in decide and score, and a merge whose allocations
+# stay within a constant per candidate (its profile list, plus a bit
+# set per deduped list that drops a copy), however many records the
+# candidate's profiles list.
+echo "==> perf smoke: conn-scaling sweep + 10^5 lazy cold start vs regeneration"
 cargo run -q --release --example perf_smoke
 
 echo "==> alloc smoke: the perf smoke plus warm-path allocations per recommendation vs BENCH_e7_scalability.json (count-allocs)"

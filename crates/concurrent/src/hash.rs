@@ -1,19 +1,17 @@
-//! Deterministic hashing for shard selection and map buckets.
+//! Deterministic hashing for keys that must be the same in every run.
 //!
 //! `std::collections::HashMap`'s default hasher is seeded per process,
-//! which is the right call for maps keyed by untrusted input but makes
-//! shard placement unobservable: a test cannot construct "two keys on
-//! the same shard". MINARET's concurrent maps key internal data
-//! (vocabulary labels, fingerprints, source kinds), so a fixed-seed
-//! FNV-1a — fast on the short keys these maps carry — is both safe and
-//! what makes the deterministic concurrency suites possible.
+//! which is the right call for maps keyed by untrusted input but gives
+//! a different value for the same text in every run. The vocabulary's
+//! text keys and the name keys are compared across tables and stored
+//! in filters, so they come from a fixed-seed FNV-1a — fast on the
+//! short keys they carry.
 
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::Hasher;
 
 /// FNV-1a, 64-bit, fixed offset basis — byte-for-byte reproducible
 /// across processes and runs.
-#[derive(Debug, Clone)]
-pub struct FnvHasher(u64);
+struct FnvHasher(u64);
 
 impl Default for FnvHasher {
     fn default() -> Self {
@@ -34,13 +32,11 @@ impl Hasher for FnvHasher {
     }
 }
 
-/// Builds [`FnvHasher`]s; usable as a `HashMap` hasher parameter.
-pub type FnvBuildHasher = BuildHasherDefault<FnvHasher>;
-
 /// The deterministic 64-bit hash of `key`, finalized so the **high**
 /// bits avalanche (FNV-1a mixes multiplicatively, which feeds entropy
-/// upward slowly; shard selection reads the top bits, so a
-/// Fibonacci-multiply finalizer spreads short-key entropy there).
+/// upward slowly; the name filters and the keyed tables' filter words
+/// read the top bits, so a Fibonacci-multiply finalizer spreads
+/// short-key entropy there).
 pub fn stable_hash<Q: ?Sized + std::hash::Hash>(key: &Q) -> u64 {
     let mut h = FnvHasher::default();
     key.hash(&mut h);
@@ -58,6 +54,8 @@ mod tests {
         assert_eq!(stable_hash("abc"), stable_hash("abc"));
         assert_ne!(stable_hash("abc"), stable_hash("abd"));
         assert_eq!(stable_hash(&42u64), stable_hash(&42u64));
+        // The same in every build: text and name keys derive from it.
+        assert_eq!(stable_hash("semantic web"), 0xfb1d_05b4_2f68_c34a);
     }
 
     #[test]

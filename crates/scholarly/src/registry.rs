@@ -16,13 +16,13 @@
 //! callers decide how much partial coverage they tolerate.
 
 use std::any::Any;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crossbeam::channel;
-use minaret_concurrent::{ConcurrentMap, ShardedMap};
 use minaret_ontology::{normalize_label_onto, NormalizedLabels};
 use minaret_telemetry::Telemetry;
 // parking_lot throughout (no std lock poisoning): a leader that panics
@@ -194,12 +194,11 @@ struct RegistryShared {
     /// Jobs enqueued on the pool but not yet started.
     queue_depth: AtomicU64,
     /// In-flight single-flight cells, keyed by (source, fan-out key).
-    /// Type-erased so one map serves any fan-out result type. Sharded:
-    /// leader election for one fan-out key never contends with
-    /// unrelated fan-outs — only same-shard keys share a lock, and the
-    /// per-entry leader/follower handoff lives in the cell's own
-    /// `Mutex`/`Condvar`, not the map's.
-    inflight: ShardedMap<(SourceKind, u64), Arc<dyn Any + Send + Sync>>,
+    /// Type-erased so one map serves any fan-out result type. The lock
+    /// guards leader election and removal only; the source call and the
+    /// leader/follower handoff run outside it, in the cell's own
+    /// `Mutex`/`Condvar`.
+    inflight: Mutex<HashMap<(SourceKind, u64), Arc<dyn Any + Send + Sync>>>,
     /// Fan-out slices answered by joining another caller's in-flight
     /// computation instead of issuing their own source call.
     coalesced: AtomicU64,
@@ -352,12 +351,13 @@ impl RegistryShared {
     /// result; callers arriving while it is in flight become
     /// **followers**, wait on the leader's cell, and clone its result —
     /// no second source call, no second breaker/retry/budget charge. The
-    /// cell is removed once the leader publishes, so later fan-outs (a
+    /// leader removes the cell when `run` returns, so later fan-outs (a
     /// cache-miss retry, a changed world) compute fresh.
     ///
-    /// The leader publishes even if `run` panics (the panic is converted
-    /// into the same per-source `Internal` error the fan-out job layer
-    /// would report), so followers can never be stranded on a dead cell.
+    /// The leader publishes to its followers even if `run` panics (the
+    /// panic is converted into the same per-source `Internal` error the
+    /// fan-out job layer would report), so followers can never be
+    /// stranded on a dead cell. With no follower it publishes nothing.
     fn coalesced_call<T: Clone + Send + 'static>(
         &self,
         key: (SourceKind, u64),
@@ -368,16 +368,18 @@ impl RegistryShared {
             done: Mutex<Option<(Result<T, SourceError>, u32)>>,
             cv: Condvar,
         }
-        // Leader election is the sharded map's exactly-one-winner
-        // `get_or_insert_with`: the inserting caller leads, everyone
-        // who found the cell follows. Keys on other shards elect their
-        // leaders concurrently.
-        let (cell, leader) = self.inflight.get_or_insert_with(key, || {
-            Arc::new(Cell::<T> {
-                done: Mutex::new(None),
-                cv: Condvar::new(),
-            })
-        });
+        // The caller that inserts the cell leads; everyone who finds it
+        // follows.
+        let (cell, leader) = match self.inflight.lock().entry(key) {
+            Entry::Occupied(e) => (Arc::clone(e.get()), false),
+            Entry::Vacant(e) => {
+                let cell: Arc<dyn Any + Send + Sync> = Arc::new(Cell::<T> {
+                    done: Mutex::new(None),
+                    cv: Condvar::new(),
+                });
+                (Arc::clone(e.insert(cell)), true)
+            }
+        };
         let cell = cell
             .downcast::<Cell<T>>()
             .expect("one result type per coalescing key");
@@ -387,9 +389,14 @@ impl RegistryShared {
                 Ok(r) => r,
                 Err(payload) => (Err(panic_to_error(key.0, payload)), 0),
             };
-            *cell.done.lock() = Some(result.clone());
-            cell.cv.notify_all();
-            self.inflight.remove(&key);
+            self.inflight.lock().remove(&key);
+            // Followers clone the cell under the map lock, so once it is
+            // out of the map the count is exact: copy the result only
+            // when someone waits for it.
+            if Arc::strong_count(&cell) > 1 {
+                *cell.done.lock() = Some(result.clone());
+                cell.cv.notify_all();
+            }
             result
         } else {
             self.coalesced.fetch_add(1, Ordering::Relaxed);
@@ -696,7 +703,7 @@ impl SourceRegistry {
                 short_circuited: AtomicU64::new(0),
                 queue_depth: AtomicU64::new(0),
                 pool: OnceLock::new(),
-                inflight: ShardedMap::new(),
+                inflight: Mutex::new(HashMap::new()),
                 coalesced: AtomicU64::new(0),
             }),
             request_deadline_micros: None,
@@ -1562,11 +1569,39 @@ mod tests {
             assert_eq!(r.outcomes, reports[0].outcomes);
         }
         assert!(reports[0].by_label.iter().any(|(_, hits)| !hits.is_empty()));
+        assert!(
+            reg.shared.inflight.lock().is_empty(),
+            "the leader removed its cell"
+        );
         let text = telemetry.encode_prometheus();
         assert!(
             text.contains("minaret_fanout_coalesced_total{source=\"gs\"} 3"),
             "{text}"
         );
+    }
+
+    #[test]
+    fn a_coalescing_leader_with_no_follower_copies_nothing() {
+        // Counts the clones of the result: a lone leader hands its own
+        // result back and has no one to copy it for.
+        struct Counted(Arc<AtomicU64>);
+        impl Clone for Counted {
+            fn clone(&self) -> Self {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                Self(Arc::clone(&self.0))
+            }
+        }
+        let reg = SourceRegistry::new(RegistryConfig::default());
+        let clones = Arc::new(AtomicU64::new(0));
+        let (result, calls) =
+            reg.shared
+                .coalesced_call((SourceKind::GoogleScholar, 7), "gs", || {
+                    (Ok(Counted(Arc::clone(&clones))), 1)
+                });
+        assert!(result.is_ok());
+        assert_eq!(calls, 1);
+        assert_eq!(clones.load(Ordering::Relaxed), 0);
+        assert!(reg.shared.inflight.lock().is_empty());
     }
 
     #[test]
@@ -1740,33 +1775,6 @@ mod tests {
         }
     }
 
-    /// Finds two single-label queries whose single-flight keys land on
-    /// shards related by `pick` (same shard / different shards) of the
-    /// registry's `inflight` map. Shard placement is a pure function of
-    /// the key, so the search is deterministic.
-    fn label_pair_by_shard(
-        reg: &SourceRegistry,
-        world: &World,
-        pick: impl Fn(usize, usize) -> bool,
-    ) -> (Vec<String>, Vec<String>) {
-        let labels: Vec<String> = world.ontology.topics().map(|t| t.label.clone()).collect();
-        let shard_of = |label: &String| {
-            let key = (
-                SourceKind::GoogleScholar,
-                batch_fanout_key([minaret_ontology::normalize_label(label).as_str()]),
-            );
-            reg.shared.inflight.shard_index(&key)
-        };
-        for a in &labels {
-            for b in &labels {
-                if a != b && pick(shard_of(a), shard_of(b)) {
-                    return (vec![a.clone()], vec![b.clone()]);
-                }
-            }
-        }
-        panic!("no label pair satisfies the shard relation");
-    }
-
     fn rendezvous_registry(
         w: &Arc<World>,
         gate: &Arc<ArrivalGate>,
@@ -1782,36 +1790,16 @@ mod tests {
     }
 
     #[test]
-    fn fanouts_on_different_shards_run_concurrently() {
-        let w = world();
-        let gate = Arc::new(ArrivalGate::new(2));
-        let inner_calls = Arc::new(AtomicU64::new(0));
-        let reg = rendezvous_registry(&w, &gate, &inner_calls);
-        let (la, lb) = label_pair_by_shard(&reg, &w, |a, b| a != b);
-        let (ra, rb) = {
-            let (reg_a, reg_b) = (reg.clone(), reg.clone());
-            let ha = std::thread::spawn(move || reg_a.search_by_interests_report(&la));
-            let hb = std::thread::spawn(move || reg_b.search_by_interests_report(&lb));
-            (ha.join().unwrap(), hb.join().unwrap())
-        };
-        // Both leaders were inside the source at once (the rendezvous
-        // requires it); neither coalesced onto the other.
-        assert_eq!(inner_calls.load(Ordering::Relaxed), 2);
-        assert_eq!(reg.coalesced_count(), 0);
-        assert_eq!(ra.outcomes[0].status, SourceStatus::Ok);
-        assert_eq!(rb.outcomes[0].status, SourceStatus::Ok);
-    }
-
-    #[test]
-    fn same_shard_distinct_fanouts_run_concurrently_without_coalescing() {
-        // Two *different* questions that happen to share an inflight
-        // shard must each get their own leader — the shard lock guards
+    fn distinct_fanouts_run_concurrently_without_coalescing() {
+        // Two *different* questions must each get their own leader, and
+        // both must be inside the source at once: the map lock guards
         // leader election only, never the in-flight source call.
         let w = world();
         let gate = Arc::new(ArrivalGate::new(2));
         let inner_calls = Arc::new(AtomicU64::new(0));
         let reg = rendezvous_registry(&w, &gate, &inner_calls);
-        let (la, lb) = label_pair_by_shard(&reg, &w, |a, b| a == b);
+        let la = vec!["databases".to_string()];
+        let lb = vec!["machine learning".to_string()];
         let (ra, rb) = {
             let (reg_a, reg_b) = (reg.clone(), reg.clone());
             let ha = std::thread::spawn(move || reg_a.search_by_interests_report(&la));
@@ -1823,7 +1811,7 @@ mod tests {
         assert_eq!(ra.outcomes[0].status, SourceStatus::Ok);
         assert_eq!(rb.outcomes[0].status, SourceStatus::Ok);
         assert!(
-            reg.shared.inflight.is_empty(),
+            reg.shared.inflight.lock().is_empty(),
             "cells removed after publish"
         );
     }
@@ -1833,7 +1821,7 @@ mod tests {
         // Regression for the poisoning hazard: the inflight map used to
         // live behind a `std::sync::Mutex`, so a panic at the wrong
         // moment could poison it and every later fan-out would die in
-        // `expect("inflight map poisoned")`. With parking_lot sharding,
+        // `expect("inflight map poisoned")`. With parking_lot locks,
         // a leader that panics mid-call yields `Internal` errors for its
         // followers and the *next* fan-out computes fresh.
         struct PanicOnceSource {
@@ -1904,7 +1892,7 @@ mod tests {
         }
         // The cell was removed and the map is neither wedged nor
         // poisoned: a fresh fan-out elects a new leader and succeeds.
-        assert!(reg.shared.inflight.is_empty());
+        assert!(reg.shared.inflight.lock().is_empty());
         let retry = reg.search_by_interests_report(&labels);
         assert_eq!(retry.outcomes[0].status, SourceStatus::Ok);
         assert_eq!(calls.load(Ordering::Relaxed), 2, "one panic + one retry");

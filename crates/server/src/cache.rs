@@ -8,27 +8,19 @@
 //! without touching Phases 1–3. Storing the serialized bytes — not the
 //! report — is what makes the hit path byte-identical to the miss path.
 //!
-//! The cache is **sharded**: each shard is an independent
-//! `Mutex<map + FIFO order>`, selected by the high bits of the
-//! fingerprint's avalanche hash. Requests for different manuscripts
-//! almost never touch the same lock, and no operation other than the
-//! aggregate ones ([`ResultCache::len`], [`ResultCache::invalidate_all`])
-//! visits more than one shard. TTL expiry (evict-on-read) and FIFO
-//! capacity are enforced **per shard** — the configured capacity is
-//! split evenly across shards.
+//! One `Mutex` guards the map and its FIFO order. A hit holds it for
+//! one hash lookup and one `Arc` clone; a miss's insert, which follows
+//! a whole pipeline run, also sweeps expired entries under it. The
+//! cache holds at most its configured capacity, evicting oldest first,
+//! and expires entries on read past their TTL.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use minaret_concurrent::stable_hash;
 use minaret_core::{EditorConfig, ManuscriptDetails};
 use minaret_scholarly::{Clock, SystemClock};
 use minaret_telemetry::Telemetry;
 use parking_lot::Mutex;
-
-/// Default shard count: comfortably above the admission controller's
-/// worker count so concurrent distinct requests rarely collide.
-const DEFAULT_SHARDS: usize = 8;
 
 struct Entry {
     body: Arc<Vec<u8>>,
@@ -36,25 +28,21 @@ struct Entry {
 }
 
 #[derive(Default)]
-struct CacheShard {
+struct Entries {
     map: HashMap<u64, Entry>,
-    /// Insertion order for FIFO eviction at per-shard capacity.
+    /// Insertion order for FIFO eviction at capacity.
     order: VecDeque<u64>,
 }
 
-/// A TTL'd, capacity-bounded, sharded cache of serialized `/recommend`
-/// bodies.
+/// A TTL'd, capacity-bounded cache of serialized `/recommend` bodies.
 ///
 /// Reports hit/miss/eviction/invalidation counters and an entry gauge
 /// to telemetry. Time comes from an injectable [`Clock`], so expiry is
-/// testable with a simulated clock instead of wall-time sleeps. Shard
-/// placement is a pure function of the key ([`ResultCache::shard_of`]),
-/// so eviction tests can target a chosen shard deterministically.
+/// testable with a simulated clock instead of wall-time sleeps.
 pub struct ResultCache {
     ttl_micros: u64,
     capacity: usize,
-    shift: u32,
-    shards: Box<[Mutex<CacheShard>]>,
+    entries: Mutex<Entries>,
     clock: Arc<dyn Clock>,
     telemetry: Telemetry,
 }
@@ -63,39 +51,25 @@ impl std::fmt::Debug for ResultCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "ResultCache(ttl {}us, cap {}, {} shards, {} entries)",
+            "ResultCache(ttl {}us, cap {}, {} entries)",
             self.ttl_micros,
             self.capacity,
-            self.shards.len(),
             self.len()
         )
     }
 }
 
 impl ResultCache {
-    /// A cache holding at most `capacity` responses (split evenly
-    /// across the default shard count), each valid for `ttl_micros`
-    /// after insertion.
+    /// A cache holding at most `capacity` responses, each valid for
+    /// `ttl_micros` after insertion.
     pub fn new(ttl_micros: u64, capacity: usize) -> Self {
         Self {
             ttl_micros,
             capacity: capacity.max(1),
-            shift: 0,
-            shards: Box::new([]),
+            entries: Mutex::new(Entries::default()),
             clock: Arc::new(SystemClock::new()),
             telemetry: Telemetry::disabled(),
         }
-        .with_shards(DEFAULT_SHARDS)
-    }
-
-    /// Rebuilds the (empty) cache with `shards` shards, rounded up to a
-    /// power of two and clamped to `1..=1024`. `with_shards(1)` gives
-    /// the old single-lock, global-FIFO behaviour.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        let n = shards.clamp(1, 1024).next_power_of_two();
-        self.shards = (0..n).map(|_| Mutex::new(CacheShard::default())).collect();
-        self.shift = 64 - n.trailing_zeros();
-        self
     }
 
     /// Replaces the clock (share a `SimulatedClock` for deterministic
@@ -111,30 +85,9 @@ impl ResultCache {
         self
     }
 
-    /// Number of shards (a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Which shard `key` lives on — deterministic, so tests can
-    /// construct same-shard and different-shard fingerprints.
-    pub fn shard_of(&self, key: u64) -> usize {
-        if self.shift == 64 {
-            0
-        } else {
-            (stable_hash(&key) >> self.shift) as usize
-        }
-    }
-
-    /// Responses each shard may hold before FIFO eviction.
-    fn shard_capacity(&self) -> usize {
-        (self.capacity / self.shards.len()).max(1)
-    }
-
     /// Entries currently stored (including any not yet expired-on-read).
-    /// Sums per-shard counts, one shard lock at a time.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.entries.lock().map.len()
     }
 
     /// True when nothing is cached.
@@ -162,49 +115,50 @@ impl ResultCache {
     /// expired entry is evicted on read and counts as a miss.
     pub fn get(&self, key: u64) -> Option<Arc<Vec<u8>>> {
         let now = self.clock.now_micros();
-        let mut shard = self.shards[self.shard_of(key)].lock();
-        match shard.map.get(&key) {
+        let mut entries = self.entries.lock();
+        match entries.map.get(&key) {
             Some(entry) if now < entry.expires_at_micros => {
                 let body = entry.body.clone();
-                drop(shard);
+                drop(entries);
                 self.telemetry
                     .counter("minaret_result_cache_hits_total", &[])
                     .inc();
                 Some(body)
             }
             Some(_) => {
-                shard.map.remove(&key);
-                shard.order.retain(|k| *k != key);
-                drop(shard);
+                entries.map.remove(&key);
+                entries.order.retain(|k| *k != key);
+                let len = entries.map.len();
+                drop(entries);
                 self.telemetry
                     .counter("minaret_result_cache_evictions_total", &[("cause", "ttl")])
                     .inc();
-                self.note_miss();
+                self.note_miss(len);
                 None
             }
             None => {
-                drop(shard);
-                self.note_miss();
+                let len = entries.map.len();
+                drop(entries);
+                self.note_miss(len);
                 None
             }
         }
     }
 
     /// Stores a response under `key`. Entries already past their TTL
-    /// are swept from the shard first — dead entries must never crowd
-    /// out a fresh insertion — then the shard's oldest live entries are
-    /// FIFO-evicted past its share of the capacity.
+    /// are swept first — dead entries must never crowd out a fresh
+    /// insertion — then the oldest live entries are FIFO-evicted past
+    /// the capacity.
     pub fn insert(&self, key: u64, body: Vec<u8>) {
         let now = self.clock.now_micros();
         let expires_at_micros = now.saturating_add(self.ttl_micros);
-        let capacity = self.shard_capacity();
-        let mut shard = self.shards[self.shard_of(key)].lock();
-        // Sweep expired entries at insert time. Without this, a shard
+        let mut entries = self.entries.lock();
+        // Sweep expired entries at insert time. Without this, a cache
         // full of TTL-dead entries (written, never re-read) still sits
-        // at capacity and sheds the *fresh* insertion's shardmates via
-        // FIFO instead of the corpses.
+        // at capacity and sheds live entries via FIFO instead of the
+        // corpses.
         let mut expired = 0u64;
-        shard.map.retain(|_, entry| {
+        entries.map.retain(|_, entry| {
             let live = now < entry.expires_at_micros;
             if !live {
                 expired += 1;
@@ -212,10 +166,10 @@ impl ResultCache {
             live
         });
         if expired > 0 {
-            let CacheShard { map, order } = &mut *shard;
+            let Entries { map, order } = &mut *entries;
             order.retain(|k| map.contains_key(k));
         }
-        if shard
+        if entries
             .map
             .insert(
                 key,
@@ -226,17 +180,18 @@ impl ResultCache {
             )
             .is_none()
         {
-            shard.order.push_back(key);
+            entries.order.push_back(key);
         }
         let mut evicted = 0u64;
-        while shard.map.len() > capacity {
-            let Some(oldest) = shard.order.pop_front() else {
+        while entries.map.len() > self.capacity {
+            let Some(oldest) = entries.order.pop_front() else {
                 break;
             };
-            shard.map.remove(&oldest);
+            entries.map.remove(&oldest);
             evicted += 1;
         }
-        drop(shard);
+        let len = entries.map.len();
+        drop(entries);
         if expired > 0 {
             self.telemetry
                 .counter("minaret_result_cache_evictions_total", &[("cause", "ttl")])
@@ -250,7 +205,7 @@ impl ResultCache {
                 )
                 .inc_by(evicted);
         }
-        self.note_entries();
+        self.note_entries(len);
     }
 
     /// Drops the single entry under `key`, if present. Returns whether
@@ -259,12 +214,13 @@ impl ResultCache {
     /// editor invalidating a fingerprint that was never cached — or
     /// already expired — is visible in the metrics.
     pub fn invalidate(&self, key: u64) -> bool {
-        let mut shard = self.shards[self.shard_of(key)].lock();
-        let dropped = shard.map.remove(&key).is_some();
+        let mut entries = self.entries.lock();
+        let dropped = entries.map.remove(&key).is_some();
         if dropped {
-            shard.order.retain(|k| *k != key);
+            entries.order.retain(|k| *k != key);
         }
-        drop(shard);
+        let len = entries.map.len();
+        drop(entries);
         self.telemetry
             .counter(
                 "minaret_result_cache_invalidations_total",
@@ -274,45 +230,38 @@ impl ResultCache {
                 ],
             )
             .inc();
-        self.note_entries();
+        self.note_entries(len);
         dropped
     }
 
-    /// Drops every entry (the invalidation hook for world changes),
-    /// shard by shard — no whole-cache lock. Returns how many entries
-    /// were dropped.
+    /// Drops every entry (the invalidation hook for world changes).
+    /// Returns how many entries were dropped.
     pub fn invalidate_all(&self) -> usize {
-        let dropped = self
-            .shards
-            .iter()
-            .map(|s| {
-                let mut shard = s.lock();
-                let n = shard.map.len();
-                shard.map.clear();
-                shard.order.clear();
-                n
-            })
-            .sum();
+        let dropped = {
+            let mut entries = self.entries.lock();
+            let n = entries.map.len();
+            entries.map.clear();
+            entries.order.clear();
+            n
+        };
         self.telemetry
             .counter("minaret_result_cache_invalidations_total", &[])
             .inc();
-        self.telemetry
-            .gauge("minaret_result_cache_entries", &[])
-            .set(0);
+        self.note_entries(0);
         dropped
     }
 
-    fn note_entries(&self) {
+    fn note_entries(&self, len: usize) {
         self.telemetry
             .gauge("minaret_result_cache_entries", &[])
-            .set(self.len() as i64);
+            .set(len as i64);
     }
 
-    fn note_miss(&self) {
+    fn note_miss(&self, len: usize) {
         self.telemetry
             .counter("minaret_result_cache_misses_total", &[])
             .inc();
-        self.note_entries();
+        self.note_entries(len);
     }
 }
 
@@ -329,16 +278,6 @@ mod tests {
             authors: vec![AuthorInput::named("A. Author")],
             target_venue: "EDBT".into(),
         }
-    }
-
-    /// `n` keys all living on the same shard (the first shard the probe
-    /// sequence hits), for deterministic FIFO tests under sharding.
-    fn same_shard_keys(cache: &ResultCache, n: usize) -> Vec<u64> {
-        let target = cache.shard_of(0);
-        (0u64..)
-            .filter(|k| cache.shard_of(*k) == target)
-            .take(n)
-            .collect()
     }
 
     #[test]
@@ -400,8 +339,7 @@ mod tests {
 
     #[test]
     fn capacity_evicts_oldest_first() {
-        // One shard = the pre-sharding global-FIFO behaviour.
-        let cache = ResultCache::new(1_000_000, 2).with_shards(1);
+        let cache = ResultCache::new(1_000_000, 2);
         cache.insert(1, b"a".to_vec());
         cache.insert(2, b"b".to_vec());
         cache.insert(3, b"c".to_vec());
@@ -412,37 +350,12 @@ mod tests {
     }
 
     #[test]
-    fn capacity_is_enforced_per_shard() {
-        // 4 shards × (capacity 8 / 4 = 2 per shard). Three same-shard
-        // keys overflow their shard — its oldest goes — while an entry
-        // on any other shard is untouched.
-        let cache = ResultCache::new(1_000_000, 8).with_shards(4);
-        assert_eq!(cache.shard_count(), 4);
-        let same = same_shard_keys(&cache, 3);
-        let other = (0u64..)
-            .find(|k| cache.shard_of(*k) != cache.shard_of(same[0]))
-            .unwrap();
-        cache.insert(other, b"elsewhere".to_vec());
-        for k in &same {
-            cache.insert(*k, b"x".to_vec());
-        }
-        assert!(cache.get(same[0]).is_none(), "shard-oldest evicted");
-        assert!(cache.get(same[1]).is_some());
-        assert!(cache.get(same[2]).is_some());
-        assert!(
-            cache.get(other).is_some(),
-            "eviction on one shard must not touch another"
-        );
-    }
-
-    #[test]
     fn insert_sweeps_expired_entries_before_capacity_eviction() {
-        // A shard at capacity with only TTL-dead entries must shed the
-        // corpses — not the fresh insertion's live shardmates.
+        // A cache at capacity with only TTL-dead entries must shed the
+        // corpses — not the fresh insertions.
         let telemetry = Telemetry::new();
         let clock = SimulatedClock::new();
         let cache = ResultCache::new(1_000, 2)
-            .with_shards(1)
             .with_clock(clock.clone())
             .with_telemetry(telemetry.clone());
         cache.insert(1, b"old-a".to_vec());
@@ -503,17 +416,5 @@ mod tests {
         assert_eq!(cache.invalidate_all(), 2);
         assert!(cache.is_empty());
         assert!(cache.get(1).is_none());
-    }
-
-    #[test]
-    fn shard_placement_is_stable_and_spread() {
-        let cache = ResultCache::new(1_000_000, 64);
-        let mut hit = vec![false; cache.shard_count()];
-        for k in 0..4096u64 {
-            let s = cache.shard_of(k);
-            assert_eq!(s, cache.shard_of(k));
-            hit[s] = true;
-        }
-        assert!(hit.iter().all(|&h| h), "keys must reach every shard");
     }
 }

@@ -11,11 +11,6 @@
 //!   sockets cost table entries, not threads), and the uncached
 //!   `/recommend` p50 with 1 000 idle connections stays within
 //!   [`CONN_FLATNESS_HEADROOM`] of the p50 with 100, in the same run.
-//! - The lock-contention sweep runs the single-lock and the sharded map
-//!   at 1, 2, 4 and 8 threads. The sharded map must beat the single
-//!   lock at 4 threads in the same run, and its 1-thread throughput may
-//!   fall at most [`CONTENTION_REGRESSION_HEADROOM`] below the committed
-//!   baseline.
 //! - The world point stream-generates a 10^5-scholar world into an
 //!   embedded store. The lazy cold start over that snapshot must beat
 //!   regenerating the world, in the same run.
@@ -48,7 +43,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -56,13 +51,14 @@ use std::time::{Duration, Instant};
 #[global_allocator]
 static ALLOC: alloc::CountingAllocator = alloc::CountingAllocator;
 
-use minaret::concurrent::{ConcurrentMap, ShardedMap, SingleLockMap};
 #[cfg(feature = "count-allocs")]
 use minaret::core::filter::CandidateFilter;
 #[cfg(feature = "count-allocs")]
 use minaret::core::rank::CandidateScorer;
 use minaret::http::{KeepAliveConfig, Method, Request, Server, ServerConfig};
-use minaret::json::{parse, Value};
+#[cfg(feature = "count-allocs")]
+use minaret::json::parse;
+use minaret::json::Value;
 use minaret::prelude::*;
 #[cfg(feature = "count-allocs")]
 use minaret::scholarly::{merge_profiles, MergedCandidate};
@@ -130,31 +126,6 @@ const CONN_WORKERS: usize = 2;
 /// sweep point (slack for a runtime helper thread, not per-connection
 /// growth).
 const CONN_THREAD_SLACK: usize = 1;
-
-/// Thread counts in the lock-contention sweep.
-const CONTENTION_THREADS: [usize; 4] = [1, 2, 4, 8];
-
-/// Injected cost of a cache-miss build in the contention bench, in
-/// microseconds. Sized like a cheap I/O round trip so the measurement
-/// is dominated by time spent *holding a lock across a blocking build*
-/// — the workload shape sharding helps with — rather than raw CPU,
-/// which keeps the bench meaningful on single-core CI runners: the
-/// single-lock baseline serializes the sleeps, the sharded map
-/// overlaps them.
-const CONTENTION_BUILD_MICROS: u64 = 200;
-
-/// `get_or_insert_with` calls each bench thread performs (all distinct
-/// keys, so every call pays the build cost).
-const CONTENTION_OPS: usize = 64;
-
-/// Timed repetitions of each contention configuration; the minimum
-/// elapsed (maximum throughput) is kept.
-const CONTENTION_RUNS: usize = 3;
-
-/// Allowed single-thread throughput drop for the sharded map against
-/// the committed baseline — the "sharding must not tax the
-/// uncontended path" gate.
-const CONTENTION_REGRESSION_HEADROOM: f64 = 1.25;
 
 #[cfg(feature = "count-allocs")]
 mod alloc {
@@ -250,10 +221,6 @@ mod alloc {
         let after = snapshot();
         after.allocs_since(&before) > 0
     }
-}
-
-fn min_of<F: FnMut() -> Duration>(runs: usize, mut f: F) -> Duration {
-    (0..runs).map(|_| f()).min().expect("runs >= 1")
 }
 
 fn micros(d: Duration) -> u64 {
@@ -454,78 +421,6 @@ fn measure_conn_scaling() -> Vec<ConnPoint> {
     drop(probe);
     server.shutdown();
     points
-}
-
-/// Throughputs (ops/s) at each of [`CONTENTION_THREADS`], in order.
-struct ContentionMeasured {
-    baseline_ops: Vec<f64>,
-    sharded_ops: Vec<f64>,
-}
-
-impl ContentionMeasured {
-    /// `(baseline, sharded)` throughput at `threads` threads.
-    fn at(&self, threads: usize) -> (f64, f64) {
-        let i = CONTENTION_THREADS
-            .iter()
-            .position(|&t| t == threads)
-            .expect("thread count is swept");
-        (self.baseline_ops[i], self.sharded_ops[i])
-    }
-}
-
-/// Throughput (ops/s) of `threads` workers performing distinct-key
-/// `get_or_insert_with` calls whose build blocks for
-/// [`CONTENTION_BUILD_MICROS`]. A fresh map per run keeps every call
-/// on the miss path.
-fn contention_ops_per_sec<M, F>(threads: usize, make_map: F) -> f64
-where
-    M: ConcurrentMap<u64, u64> + Send + Sync + 'static,
-    F: Fn() -> M,
-{
-    let best = min_of(CONTENTION_RUNS, || {
-        let map = Arc::new(make_map());
-        let start = Arc::new(Barrier::new(threads + 1));
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let map = Arc::clone(&map);
-                let start = Arc::clone(&start);
-                thread::spawn(move || {
-                    start.wait();
-                    for i in 0..CONTENTION_OPS {
-                        let key = (t * CONTENTION_OPS + i) as u64;
-                        let _ = map.get_or_insert_with(key, || {
-                            thread::sleep(Duration::from_micros(CONTENTION_BUILD_MICROS));
-                            key
-                        });
-                    }
-                })
-            })
-            .collect();
-        start.wait();
-        let t0 = Instant::now();
-        for handle in handles {
-            handle.join().expect("bench worker completes");
-        }
-        t0.elapsed()
-    });
-    (threads * CONTENTION_OPS) as f64 / best.as_secs_f64().max(1e-9)
-}
-
-/// Lock-contention sweep: single-lock baseline vs the sharded map at
-/// each thread count, same workload.
-fn measure_contention() -> ContentionMeasured {
-    let baseline_ops: Vec<f64> = CONTENTION_THREADS
-        .iter()
-        .map(|&t| contention_ops_per_sec(t, SingleLockMap::new))
-        .collect();
-    let sharded_ops: Vec<f64> = CONTENTION_THREADS
-        .iter()
-        .map(|&t| contention_ops_per_sec(t, ShardedMap::new))
-        .collect();
-    ContentionMeasured {
-        baseline_ops,
-        sharded_ops,
-    }
 }
 
 struct WorldPoint {
@@ -901,44 +796,10 @@ fn main() {
         world.regen.as_secs_f64() * 1e3,
     );
 
-    let contention = measure_contention();
-    for (i, &t) in CONTENTION_THREADS.iter().enumerate() {
-        println!(
-            "contention smoke: threads={t}  baseline={:.0} ops/s  sharded={:.0} ops/s  ratio={:.2}x",
-            contention.baseline_ops[i],
-            contention.sharded_ops[i],
-            contention.sharded_ops[i] / contention.baseline_ops[i].max(1e-9),
-        );
-    }
-    // Same-run separation gate: at 4 threads the sharded map must beat
-    // the single global lock outright. Both sides are measured in this
-    // process moments apart, so no cross-machine headroom is needed.
-    let (single_lock, sharded) = contention.at(4);
-    if sharded <= single_lock {
-        eprintln!(
-            "FAIL: sharded map ({sharded:.0} ops/s) did not beat the single-lock baseline \
-             ({single_lock:.0} ops/s) at 4 threads"
-        );
-        std::process::exit(1);
-    }
-
     if record {
         let mut json = Value::object()
             .set("scholars", SCHOLARS)
-            .set("source_latency_micros", LATENCY_MICROS)
-            .set("contention_build_micros", CONTENTION_BUILD_MICROS)
-            .set("contention_ops_per_thread", CONTENTION_OPS);
-        for (i, &t) in CONTENTION_THREADS.iter().enumerate() {
-            json = json
-                .set(
-                    &format!("contention_baseline_{t}t_ops"),
-                    contention.baseline_ops[i],
-                )
-                .set(
-                    &format!("contention_sharded_{t}t_ops"),
-                    contention.sharded_ops[i],
-                );
-        }
+            .set("source_latency_micros", LATENCY_MICROS);
         for p in &conn_points {
             let n = p.conns;
             json = json
@@ -982,41 +843,22 @@ fn main() {
         std::fs::write(BASELINE_PATH, json.to_pretty_string() + "\n")
             .expect("baseline file is writable");
         println!("recorded baseline to {BASELINE_PATH}");
-        return;
+    } else {
+        #[cfg(feature = "count-allocs")]
+        gate_allocs(&alloc_counts);
     }
+}
 
+/// Fails unless each manuscript's warm allocations per recommendation
+/// stay within [`ALLOC_REGRESSION_HEADROOM`] of the committed baseline.
+#[cfg(feature = "count-allocs")]
+fn gate_allocs(counts: &[AllocCounts]) {
     let raw = std::fs::read_to_string(BASELINE_PATH).unwrap_or_else(|e| {
         eprintln!("FAIL: no committed baseline at {BASELINE_PATH} ({e}); run with --record first");
         std::process::exit(1);
     });
     let baseline = parse(&raw).expect("baseline parses as JSON");
-    // Uncontended-path gate: single-thread sharded throughput must stay
-    // within CONTENTION_REGRESSION_HEADROOM of the committed baseline —
-    // sharding buys contended scaling, it must not tax the common case.
-    let Some(base) = baseline
-        .get("contention_sharded_1t_ops")
-        .and_then(|v| v.as_f64())
-    else {
-        eprintln!("FAIL: baseline {BASELINE_PATH} lacks contention_sharded_1t_ops; re-record");
-        std::process::exit(1);
-    };
-    let floor = base / CONTENTION_REGRESSION_HEADROOM;
-    let (_, measured) = contention.at(1);
-    if measured < floor {
-        eprintln!(
-            "FAIL: single-thread sharded throughput {measured:.0} ops/s fell more than \
-             {:.0}% below baseline {base:.0} ops/s (floor {floor:.0})",
-            (CONTENTION_REGRESSION_HEADROOM - 1.0) * 100.0
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "OK: single-thread sharded throughput {measured:.0} ops/s within {:.0}% of baseline {base:.0}",
-        (CONTENTION_REGRESSION_HEADROOM - 1.0) * 100.0
-    );
-
-    #[cfg(feature = "count-allocs")]
-    for ((_, prefix), c) in ALLOC_MANUSCRIPTS.iter().zip(&alloc_counts) {
+    for ((_, prefix), c) in ALLOC_MANUSCRIPTS.iter().zip(counts) {
         let field = format!("{prefix}uncached_warm_allocs_per_rec");
         let measured = c.uncached.0;
         let Some(base) = baseline.get(&field).and_then(|v| v.as_u64()) else {

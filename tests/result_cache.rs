@@ -225,92 +225,67 @@ fn invalidation_hook_forces_recomputation() {
     );
 }
 
-/// `n` keys that all land on one shard of `cache`, plus one key that
-/// does not. Shard placement is a pure function of the key, so the
-/// probe is deterministic.
-fn shard_targeted_keys(cache: &ResultCache, n: usize) -> (Vec<u64>, u64) {
-    let target = cache.shard_of(0);
-    let same: Vec<u64> = (0u64..)
-        .filter(|k| cache.shard_of(*k) == target)
-        .take(n)
-        .collect();
-    let other = (0u64..)
-        .find(|k| cache.shard_of(*k) != target)
-        .expect("more than one shard");
-    (same, other)
-}
-
 #[test]
 fn ttl_expiry_is_per_entry_and_stays_on_its_shard() {
+    // Expiry is per entry: the one entry past its TTL is evicted on
+    // read, and no other entry goes with it.
     let clock = SimulatedClock::new();
-    let cache = ResultCache::new(1_000, 64)
-        .with_shards(4)
-        .with_clock(clock.clone());
-    let (same, other) = shard_targeted_keys(&cache, 2);
-    // Two entries on one shard inserted 600us apart, plus a late entry
-    // on another shard.
-    cache.insert(same[0], b"early".to_vec());
+    let cache = ResultCache::new(1_000, 64).with_clock(clock.clone());
+    cache.insert(1, b"early".to_vec());
     clock.advance(600);
-    cache.insert(same[1], b"late".to_vec());
-    cache.insert(other, b"elsewhere".to_vec());
-    // At t=1000 the early entry is expired; its shard-mate (inserted
-    // later) and the other shard's entry are still live.
+    cache.insert(2, b"late".to_vec());
+    cache.insert(3, b"also late".to_vec());
+    // At t=1000 the early entry is expired; the later ones are live.
     clock.advance(400);
-    assert!(cache.get(same[0]).is_none(), "expired exactly at the TTL");
-    assert!(cache.get(same[1]).is_some(), "same shard, later insert");
-    assert!(cache.get(other).is_some(), "other shard untouched");
+    assert!(cache.get(1).is_none(), "expired exactly at the TTL");
+    assert!(cache.get(2).is_some(), "later insert");
+    assert!(cache.get(3).is_some(), "later insert");
     assert_eq!(cache.len(), 2, "expired entry evicted on read");
 }
 
 #[test]
 fn fifo_overflow_evicts_within_the_shard_not_across() {
-    // Capacity 8 over 4 shards = 2 per shard: the third same-shard
-    // insert evicts that shard's oldest while both other-shard entries
-    // and newer shard-mates survive.
-    let cache = ResultCache::new(1_000_000, 8).with_shards(4);
-    let (same, other) = shard_targeted_keys(&cache, 3);
-    cache.insert(other, b"elsewhere".to_vec());
-    for k in &same {
-        cache.insert(*k, b"x".to_vec());
+    // The whole cache is one FIFO holding exactly its capacity: past
+    // it, every insert evicts the oldest entry, whatever its key.
+    let cache = ResultCache::new(1_000_000, 8);
+    for k in 0..16u64 {
+        cache.insert(k, b"x".to_vec());
     }
-    assert!(cache.get(same[0]).is_none(), "shard-oldest evicted");
-    assert!(cache.get(same[1]).is_some());
-    assert!(cache.get(same[2]).is_some());
-    assert!(cache.get(other).is_some(), "other shard keeps its entry");
+    assert_eq!(cache.len(), 8, "exactly the capacity");
+    for k in 0..8u64 {
+        assert!(cache.get(k).is_none(), "key {k}: among the oldest");
+    }
+    for k in 8..16u64 {
+        assert!(cache.get(k).is_some(), "key {k}: among the newest");
+    }
 }
 
 #[test]
 fn a_ttl_dead_shard_does_not_shed_fresh_insertions() {
     // Regression: expired entries used to occupy FIFO capacity until
-    // someone happened to *read* them. A shard filled with TTL-dead
+    // someone happened to *read* them. A cache filled with TTL-dead
     // entries (written once, never re-read) stayed "full", so a burst
     // of fresh insertions FIFO-evicted its own newest members instead
     // of the corpses. Inserts now sweep expired entries first.
     let clock = SimulatedClock::new();
-    let cache = ResultCache::new(1_000, 8)
-        .with_shards(4) // 2 entries per shard
-        .with_clock(clock.clone());
-    let (same, other) = shard_targeted_keys(&cache, 4);
-    // Fill one shard to capacity.
-    cache.insert(same[0], b"dead-a".to_vec());
-    cache.insert(same[1], b"dead-b".to_vec());
-    // Both entries expire; nothing reads the shard in between.
+    let cache = ResultCache::new(1_000, 3).with_clock(clock.clone());
+    for k in 0..3u64 {
+        cache.insert(k, b"dead".to_vec());
+    }
+    // Every entry expires; nothing reads the cache in between.
     clock.advance(1_000);
-    // Two fresh entries on the dead shard: both must fit — the sweep
-    // reclaims the expired slots, so neither fresh entry is evicted.
-    // A control entry lands on another shard.
-    cache.insert(same[2], b"fresh-a".to_vec());
-    cache.insert(same[3], b"fresh-b".to_vec());
-    cache.insert(other, b"elsewhere".to_vec());
-    assert!(
-        cache.get(same[2]).is_some(),
-        "fresh entry survives on a previously TTL-dead shard"
-    );
-    assert!(cache.get(same[3]).is_some(), "so does its shard-mate");
-    assert!(cache.get(same[0]).is_none(), "the corpses are gone");
-    assert!(cache.get(same[1]).is_none());
-    assert!(cache.get(other).is_some(), "other shards untouched");
-    assert_eq!(cache.len(), 3, "only the live entries remain anywhere");
+    // Three fresh entries all fit: the sweep reclaims the expired
+    // slots, so no fresh entry is evicted.
+    for k in 3..6u64 {
+        cache.insert(k, b"fresh".to_vec());
+    }
+    for k in 3..6u64 {
+        assert!(cache.get(k).is_some(), "fresh entry {k} survives");
+    }
+    for k in 0..3u64 {
+        assert!(cache.get(k).is_none(), "the corpses are gone");
+    }
+    assert_eq!(cache.len(), 3, "only the live entries remain");
 }
 
 #[test]
@@ -345,7 +320,7 @@ fn single_invalidation_retires_one_fingerprint_and_spares_the_rest() {
     );
 
     // Re-invalidating A (just recomputed) hits; drop-everything then
-    // clears every shard.
+    // clears the rest.
     let resp = post(&h.router, "/cache/invalidate", &body_a);
     let v = minaret::json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
     assert_eq!(v.get("invalidated").and_then(Value::as_u64), Some(1));
