@@ -37,6 +37,9 @@ cargo test -q --test metrics_endpoint
 echo "==> single-flight coalescing (incl. distinct fan-outs in flight at once + leader panic): cargo test -p minaret-scholarly coalesc"
 cargo test -q -p minaret-scholarly coalesc
 
+echo "==> one shared page per paper, listed without the owner, equal to the copying build: cargo test -p minaret-scholarly profiles_list_one_shared_page_per_paper"
+cargo test -q -p minaret-scholarly profiles_list_one_shared_page_per_paper
+
 echo "==> order-preserving parallel map + stable hash: cargo test -p minaret-concurrent"
 cargo test -q -p minaret-concurrent
 
@@ -106,7 +109,7 @@ cargo test -q --test filter_rank_equivalence
 echo "==> candidates that hold their profiles vs the copying merge and key-text retrieval: cargo test --test merge_equivalence"
 cargo test -q --test merge_equivalence
 
-echo "==> request strings never fill a source's id-indexed vocabulary slots or grow its profile store: cargo test --test interner_bound"
+echo "==> request strings never fill the world's id-indexed vocabulary slots or grow a profile store: cargo test --test interner_bound"
 cargo test -q --test interner_bound
 
 # The benchmark program is a package of its own that calls crate APIs
@@ -154,14 +157,15 @@ rm -rf "$SYNTH_DIR"
 # uncached recommend p50 flat (<= 1.5x the 100-connection point); and
 # the 10^5-scholar lazy cold start, which must beat regenerating the
 # world in the same run. Under count-allocs it also gates allocations:
-# none per candidate in decide and score, and a merge whose allocations
+# none per candidate in decide and score, a merge whose allocations
 # stay within a constant per candidate (its profile list, plus a bit
 # set per deduped list that drops a copy), however many records the
-# candidate's profiles list.
+# candidate's profiles list, and the builds of every profile of the six
+# sources against the baseline.
 echo "==> perf smoke: conn-scaling sweep + 10^5 lazy cold start vs regeneration"
 cargo run -q --release --example perf_smoke
 
-echo "==> alloc smoke: the perf smoke plus warm-path allocations per recommendation vs BENCH_e7_scalability.json (count-allocs)"
+echo "==> alloc smoke: the perf smoke plus warm-path allocations per recommendation and profile-build allocations vs BENCH_e7_scalability.json (count-allocs)"
 cargo run -q --release --features count-allocs --example perf_smoke
 
 echo "CI OK"

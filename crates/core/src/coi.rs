@@ -84,7 +84,7 @@ impl AuthorRecord {
             }
             for publ in p.publications() {
                 titles.push(publ.title());
-                coauthors.extend(publ.coauthor_names().iter().map(|n| n.text()));
+                coauthors.extend(publ.coauthor_names().map(|n| n.text()));
             }
         }
         Self::new(name, &institutions, &countries, &titles, &coauthors)
@@ -312,7 +312,7 @@ impl<'a> CoiCheck<'a> {
             if !may_list_unlinked {
                 continue;
             }
-            for coauthor in p.coauthor_names().iter().filter_map(|n| n.parsed()) {
+            for coauthor in p.coauthor_names().filter_map(|n| n.parsed()) {
                 for &(key, _, i) in names {
                     let bit = 1 << (i - first);
                     if key == coauthor.key()

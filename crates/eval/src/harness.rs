@@ -5,9 +5,12 @@ use std::sync::Arc;
 use minaret_core::{EditorConfig, Minaret};
 use minaret_ontology::{seed::curated_cs_ontology, Ontology};
 use minaret_scholarly::{
-    FaultSchedule, RegistryConfig, SimulatedSource, SourceKind, SourceRegistry, SourceSpec,
+    FaultSchedule, RegistryConfig, ScholarSource, SimulatedSource, SourceKind, SourceRegistry,
+    SourceSpec,
 };
-use minaret_synth::{SubmissionGenerator, SubmissionSpec, World, WorldConfig, WorldGenerator};
+use minaret_synth::{
+    SubmissionGenerator, SubmissionSpec, World, WorldConfig, WorldGenerator, WorldHandle,
+};
 
 /// Scenario parameters for one experiment context.
 #[derive(Debug, Clone)]
@@ -80,13 +83,14 @@ impl EvalContext {
         let world = Arc::new(WorldGenerator::new(scenario.world.clone()).generate());
         let ontology = Arc::new(curated_cs_ontology());
         let mut registry = SourceRegistry::new(scenario.registry);
-        let mut sources = Vec::new();
-        for mut spec in SourceSpec::all_defaults() {
+        let specs = SourceSpec::all_defaults().into_iter().map(|mut spec| {
             spec.latency_micros = scenario.source_latency_micros;
             spec.failure_rate = scenario.source_failure_rate;
-            let kind = spec.kind;
-            let mut sim = SimulatedSource::new(spec, world.clone());
-            if scenario.dead_sources.contains(&kind) {
+            spec
+        });
+        let mut sources = Vec::new();
+        for mut sim in SimulatedSource::family(specs, WorldHandle::Eager(world.clone())) {
+            if scenario.dead_sources.contains(&sim.kind()) {
                 sim = sim.with_fault(FaultSchedule::PermanentOutage);
             }
             let sim = Arc::new(sim);

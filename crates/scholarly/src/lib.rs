@@ -33,11 +33,13 @@
 //!   bursts), replacing dice with exact, reproducible fault timelines.
 //! * [`merge_profiles`] — merges per-source profiles into candidate
 //!   records by (normalized name, affiliation), the way a scraper must.
-//! * [`Vocabulary`] — each source's table of shared vocabulary entries
-//!   (venue names, topic labels, countries, institutions, person
-//!   names), each holding its printed text and comparison form, so
-//!   merge, COI and ranking compare forms built once per profile instead
-//!   of re-deriving them per request. Forms carry a 64-bit key
+//! * [`Vocabulary`] — one world's table of shared vocabulary entries
+//!   (venue names, topic labels, countries, institutions, person names
+//!   and one [`PublicationPage`] per paper), each holding its printed
+//!   text and comparison form, shared by the world's sources
+//!   ([`SimulatedSource::family`]), so merge, COI and ranking compare
+//!   forms built once per world instead of re-deriving them per
+//!   request. Forms carry a 64-bit key
 //!   ([`text_key`], [`name::ParsedName::key`]) that readers compare
 //!   first, confirming every key match on the text. Names parse through
 //!   [`name`].
@@ -60,7 +62,8 @@ pub use clock::{Clock, SimulatedClock, SystemClock};
 pub use error::SourceError;
 pub use merge::{merge_profiles, MergedCandidate};
 pub use record::{
-    AffiliationRecord, SourceMetrics, SourceProfile, SourcePublication, SourceReview,
+    AffiliationRecord, PublicationPage, SourceMetrics, SourceProfile, SourcePublication,
+    SourceReview,
 };
 pub use registry::{
     BatchFanOutReport, FanOutReport, RegistryConfig, RegistryStats, SourceOutcome, SourceRegistry,

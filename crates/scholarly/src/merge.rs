@@ -76,15 +76,15 @@ impl MergedCandidate {
             h_index: profiles.iter().filter_map(|p| p.metrics.h_index).max(),
             i10_index: profiles.iter().filter_map(|p| p.metrics.i10_index).max(),
         };
-        // Publications dedupe by their stored title key, confirmed on
-        // the normalized title; reviews by value. The first listed copy
-        // is kept.
+        // Publications dedupe by their stored title key, confirmed by
+        // a shared page or on the normalized title; reviews by value.
+        // The first listed copy is kept.
         let kept_publications = kept_copies(
             &profiles,
             SourceProfile::publications,
             SourceProfile::titles_distinct,
             SourcePublication::title_key,
-            |a, b| a.normalized_title() == b.normalized_title(),
+            |a, b| Arc::ptr_eq(a.page(), b.page()) || a.normalized_title() == b.normalized_title(),
             kept,
         );
         let kept_reviews = kept_copies(
@@ -160,9 +160,9 @@ impl MergedCandidate {
             .map(|i| i.normalized())
     }
 
-    /// Union of publications, deduplicated by normalized title.
-    /// `Arc`-shared with the source profiles that list them.
-    pub fn publications(&self) -> impl Iterator<Item = &Arc<SourcePublication>> + Clone + '_ {
+    /// Union of publications, deduplicated by normalized title: the
+    /// source profiles' own listings.
+    pub fn publications(&self) -> impl Iterator<Item = &SourcePublication> + Clone + '_ {
         selected(
             self.profiles.iter().map(|p| p.publications()),
             self.kept_publications.as_deref(),
@@ -331,19 +331,24 @@ where
     }
 }
 
-/// A copy the dedupe keeps: its key, its profile's index in the bucket
-/// and its index in that profile's list.
-type KeptCopy = (u64, usize, usize);
+/// A listed copy in the dedupe's scratch space: its key, its index among
+/// the bucket's copies in profile order, its profile's index in the
+/// bucket and its index in that profile's list.
+type KeptCopy = (u64, u32, u32, u32);
 
 /// Which copies of the bucket's `list`s the dedupe keeps: the first
 /// copy of each entry, where two copies are one entry when their `key`s
-/// are equal and they are the `same`. Returns one bit per listed copy,
-/// in profile order, or `None` when every copy is kept — always so when
-/// at most one profile lists any and its list is `distinct`. `kept` is
-/// scratch space.
+/// are equal and they are the `same`, an equivalence. Returns one bit
+/// per listed copy, in profile order, or `None` when every copy is kept
+/// — always so when at most one profile lists any and its list is
+/// `distinct`. `kept` is scratch space.
+///
+/// The copies are sorted by key, then by listing order, so a copy is
+/// compared only with the earlier copies that share its key: it is a
+/// duplicate when one of them is the same.
 fn kept_copies<T>(
     profiles: &[Arc<SourceProfile>],
-    list: impl Fn(&SourceProfile) -> &[Arc<T>],
+    list: impl Fn(&SourceProfile) -> &[T],
     distinct: impl Fn(&SourceProfile) -> bool,
     key: impl Fn(&T) -> u64,
     same: impl Fn(&T, &T) -> bool,
@@ -355,45 +360,46 @@ fn kept_copies<T>(
         (Some(p), None) if distinct(p) => return None,
         _ => {}
     }
-    // A bucket lists a few hundred copies at most (221 in the
-    // 10^4-scholar benchmark world), so each copy scans the kept keys
-    // instead of hashing into a per-bucket map.
     kept.clear();
-    let mut listed = 0;
     for (i, p) in profiles.iter().enumerate() {
         for (j, copy) in list(p).iter().enumerate() {
-            let k = key(copy);
-            let duplicate = kept
+            kept.push((key(copy), kept.len() as u32, i as u32, j as u32));
+        }
+    }
+    let listed = kept.len();
+    kept.sort_unstable();
+    let copy = |&(_, _, i, j): &KeptCopy| &list(&profiles[i as usize])[j as usize];
+    let mut bits: Option<Box<[u64]>> = None;
+    for run in kept.chunk_by(|a, b| a.0 == b.0).filter(|run| run.len() > 1) {
+        for (n, later) in run.iter().enumerate().skip(1) {
+            if run[..n]
                 .iter()
-                .any(|&(kk, ki, kj)| kk == k && same(&list(&profiles[ki])[kj], copy));
-            if !duplicate {
-                kept.push((k, i, j));
+                .any(|earlier| same(copy(earlier), copy(later)))
+            {
+                let bits = bits.get_or_insert_with(|| every_copy(listed));
+                let at = later.1 as usize;
+                bits[at / 64] &= !(1 << (at % 64));
             }
         }
-        listed += list(p).len();
     }
-    if kept.len() == listed {
-        return None;
+    bits
+}
+
+/// A bit set keeping each of `listed` copies.
+fn every_copy(listed: usize) -> Box<[u64]> {
+    let mut bits = vec![u64::MAX; listed.div_ceil(64)].into_boxed_slice();
+    if !listed.is_multiple_of(64) {
+        bits[listed / 64] = (1 << (listed % 64)) - 1;
     }
-    let mut bits = vec![0u64; listed.div_ceil(64)].into_boxed_slice();
-    let (mut profile, mut start) = (0, 0);
-    for &(_, i, j) in kept.iter() {
-        while profile < i {
-            start += list(&profiles[profile]).len();
-            profile += 1;
-        }
-        let copy = start + j;
-        bits[copy / 64] |= 1 << (copy % 64);
-    }
-    Some(bits)
+    bits
 }
 
 /// The copies of `lists`, concatenated, that the bit set `kept` keeps;
 /// every copy when there is none.
 fn selected<'a, T: 'a>(
-    lists: impl Iterator<Item = &'a [Arc<T>]> + Clone,
+    lists: impl Iterator<Item = &'a [T]> + Clone,
     kept: Option<&'a [u64]>,
-) -> impl Iterator<Item = &'a Arc<T>> + Clone {
+) -> impl Iterator<Item = &'a T> + Clone {
     lists
         .flatten()
         .enumerate()

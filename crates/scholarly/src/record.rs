@@ -22,32 +22,82 @@ pub struct SourceMetrics {
     pub i10_index: Option<u32>,
 }
 
-/// One publication as listed on a profile page.
+/// The text every listing of one paper shows: its title, with the
+/// normalized title and its [`text_key`], its venue, every author's name
+/// in author order, and its topic keywords.
 ///
-/// Built through [`SourcePublication::new`], which also sets the
-/// normalized title and its key. The fields that carry text in
-/// comparison form are private, so no form can disagree with its text;
-/// `year` and `citations` are plain data. Text and lists are boxed
-/// slices: a record is immutable once built, and every built profile
-/// keeps its publications resident.
-#[derive(Clone, PartialEq, Eq)]
-pub struct SourcePublication {
+/// The sources of one world share one page per paper, built from the
+/// world's text by their [`crate::Vocabulary`], and each profile that
+/// lists the paper holds a [`SourcePublication`] that refers to it. So
+/// a paper's text and its comparison forms exist once per world, however
+/// many co-authors' profiles, on however many sources, list it.
+/// Immutable, so no form can disagree with its text.
+pub struct PublicationPage {
     title: Box<str>,
     normalized_title: Box<str>,
     title_key: u64,
+    venue_name: Arc<Label>,
+    authors: Box<[Arc<PersonName>]>,
+    keywords: Arc<[Arc<Label>]>,
+}
+
+impl PublicationPage {
+    /// The page of a paper titled `title`, in `venue_name`, by
+    /// `authors` in author order, about `keywords`.
+    pub(crate) fn new(
+        title: &str,
+        venue_name: Arc<Label>,
+        authors: Box<[Arc<PersonName>]>,
+        keywords: Arc<[Arc<Label>]>,
+    ) -> Self {
+        let normalized_title: Box<str> = normalize_label(title).into();
+        PublicationPage {
+            title_key: text_key(&normalized_title),
+            normalized_title,
+            title: title.into(),
+            venue_name,
+            authors,
+            keywords,
+        }
+    }
+}
+
+/// One publication as listed on a profile page: a [`PublicationPage`]
+/// seen from one of its authors, with what the listing source adds.
+///
+/// A listing refers to its page, notes which of the page's authors owns
+/// the profile (the co-authors are the others), and carries the year and,
+/// on metric-bearing sources, the citations. It also holds the page's
+/// venue and keyword handles, which the filter and rank phases read for
+/// every publication, and the co-author filter. Profiles store their
+/// listings inline, so listing a paper allocates nothing.
+///
+/// Built through [`SourcePublication::new`], which builds a page of its
+/// own with no owner, or by a source from its world's shared page. The
+/// fields that carry text in comparison form are private, so no form can
+/// disagree with its text; `year` and `citations` are plain data.
+#[derive(Clone)]
+pub struct SourcePublication {
+    page: Arc<PublicationPage>,
+    venue_name: Arc<Label>,
+    keywords: Arc<[Arc<Label>]>,
+    coauthor_filter: u64,
     /// Publication year.
     pub year: u32,
-    venue_name: Arc<Label>,
-    coauthor_names: Box<[Arc<PersonName>]>,
-    coauthor_filter: u64,
-    keywords: Box<[Arc<Label>]>,
+    /// The owner's position among the page's authors; [`NO_OWNER`] for a
+    /// page of its own, whose authors are all co-authors.
+    owner: u32,
     /// Citation count of this publication, when exposed.
     pub citations: Option<u32>,
 }
 
+/// The owner position of a listing whose page lists only co-authors.
+const NO_OWNER: u32 = u32::MAX;
+
 impl SourcePublication {
     /// A publication titled `title`, in the venue `venue_name`, with
-    /// the co-authors and topic keywords the source prints for it.
+    /// the co-authors and topic keywords the source prints for it. The
+    /// listing has a page of its own.
     pub fn new(
         title: String,
         year: u32,
@@ -56,39 +106,54 @@ impl SourcePublication {
         keywords: Vec<Arc<Label>>,
         citations: Option<u32>,
     ) -> Self {
-        let normalized_title: Box<str> = normalize_label(&title).into();
-        let coauthor_filter = coauthor_names
-            .iter()
+        let page = PublicationPage::new(&title, venue_name, coauthor_names.into(), keywords.into());
+        Self::listing(Arc::new(page), None, year, citations)
+    }
+
+    /// `page` as listed on the profile of its author at position
+    /// `owner` (every author is a co-author when `None`).
+    pub(crate) fn listing(
+        page: Arc<PublicationPage>,
+        owner: Option<usize>,
+        year: u32,
+        citations: Option<u32>,
+    ) -> Self {
+        let mut listing = SourcePublication {
+            venue_name: page.venue_name.clone(),
+            keywords: page.keywords.clone(),
+            page,
+            coauthor_filter: 0,
+            year,
+            owner: owner.map_or(NO_OWNER, |i| i as u32),
+            citations,
+        };
+        listing.coauthor_filter = listing
+            .coauthor_names()
             .filter_map(|n| n.parsed())
             .fold(0, |filter, n| filter | key_bits(n.key()));
-        SourcePublication {
-            title_key: text_key(&normalized_title),
-            normalized_title,
-            title: title.into(),
-            year,
-            venue_name,
-            coauthor_names: coauthor_names.into(),
-            coauthor_filter,
-            keywords: keywords.into(),
-            citations,
-        }
+        listing
+    }
+
+    /// The page this listing shows.
+    pub fn page(&self) -> &Arc<PublicationPage> {
+        &self.page
     }
 
     /// Title string.
     pub fn title(&self) -> &str {
-        &self.title
+        &self.page.title
     }
 
     /// The title in normal form: what deduplication and the shared-title
     /// COI signal compare.
     pub fn normalized_title(&self) -> &str {
-        &self.normalized_title
+        &self.page.normalized_title
     }
 
     /// The [`text_key`] of the normalized title: equal titles have equal
     /// keys, so a reader compares titles only when the keys match.
     pub fn title_key(&self) -> u64 {
-        self.title_key
+        self.page.title_key
     }
 
     /// Venue name (not an id — sources expose text).
@@ -96,9 +161,18 @@ impl SourcePublication {
         &self.venue_name
     }
 
-    /// Co-author display names as printed on the page.
-    pub fn coauthor_names(&self) -> &[Arc<PersonName>] {
-        &self.coauthor_names
+    /// Co-author display names as printed on the page: the page's
+    /// authors without the owner, in author order.
+    pub fn coauthor_names(&self) -> impl Iterator<Item = &Arc<PersonName>> + Clone + '_ {
+        let authors = &self.page.authors[..];
+        let (before, after) = match authors.get(self.owner as usize) {
+            Some(_) => (
+                &authors[..self.owner as usize],
+                &authors[self.owner as usize + 1..],
+            ),
+            None => (authors, &[][..]),
+        };
+        before.iter().chain(after)
     }
 
     /// The [`key_bits`] of every co-author's name key, ORed: a name key
@@ -116,15 +190,52 @@ impl SourcePublication {
     }
 }
 
+/// Listings given `Arc`-wrapped, as profiles held them before they
+/// stored listings inline, are moved out or cloned.
+impl From<Arc<SourcePublication>> for SourcePublication {
+    fn from(listing: Arc<SourcePublication>) -> Self {
+        Arc::try_unwrap(listing).unwrap_or_else(|shared| (*shared).clone())
+    }
+}
+
+/// Equal when every printed field and every comparison form is: two
+/// listings of one page by one owner compare no text.
+impl PartialEq for SourcePublication {
+    fn eq(&self, other: &Self) -> bool {
+        let same_text = || {
+            let (a, b) = (&*self.page, &*other.page);
+            a.title == b.title
+                && a.normalized_title == b.normalized_title
+                && a.title_key == b.title_key
+                && self.venue_name == other.venue_name
+                && self.coauthor_names().eq(other.coauthor_names())
+                && self.keywords == other.keywords
+        };
+        let same_listing = Arc::ptr_eq(&self.page, &other.page) && self.owner == other.owner;
+        self.year == other.year
+            && self.citations == other.citations
+            && self.coauthor_filter == other.coauthor_filter
+            && (same_listing || same_text())
+    }
+}
+
+impl Eq for SourcePublication {}
+
 /// Prints the text fields only; the normalized title, its key and the
 /// co-author filter are functions of them.
 impl fmt::Debug for SourcePublication {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Names<I>(I);
+        impl<'a, I: Iterator<Item = &'a Arc<PersonName>> + Clone> fmt::Debug for Names<I> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list().entries(self.0.clone()).finish()
+            }
+        }
         f.debug_struct("SourcePublication")
-            .field("title", &self.title)
+            .field("title", &self.page.title)
             .field("year", &self.year)
             .field("venue_name", &self.venue_name)
-            .field("coauthor_names", &self.coauthor_names)
+            .field("coauthor_names", &Names(self.coauthor_names()))
             .field("keywords", &self.keywords)
             .field("citations", &self.citations)
             .finish()
@@ -253,7 +364,7 @@ pub struct SourceProfile {
     /// empty).
     pub affiliation_history: Vec<AffiliationRecord>,
     interests: Vec<Arc<Label>>,
-    publications: Vec<Arc<SourcePublication>>,
+    publications: Box<[SourcePublication]>,
     titles_distinct: bool,
     /// Citation metrics, when the source exposes them.
     pub metrics: SourceMetrics,
@@ -292,7 +403,7 @@ impl SourceProfile {
             country,
             affiliation_history: Vec::new(),
             interests,
-            publications: Vec::new(),
+            publications: Box::default(),
             titles_distinct: true,
             metrics: SourceMetrics::default(),
             reviews: Vec::new(),
@@ -301,9 +412,14 @@ impl SourceProfile {
         }
     }
 
-    /// The profile listing `publications` instead of its current ones.
+    /// The profile listing `publications` instead of its current ones,
+    /// stored inline. `Arc`-wrapped listings are moved out of their
+    /// `Arc`s; a `Vec` of listings whose capacity is its length becomes
+    /// the profile's list without a copy.
     #[must_use]
-    pub fn with_publications(mut self, publications: Vec<Arc<SourcePublication>>) -> Self {
+    pub fn with_publications<P: Into<SourcePublication>>(mut self, publications: Vec<P>) -> Self {
+        let publications: Box<[SourcePublication]> =
+            publications.into_iter().map(Into::into).collect();
         let mut titles: Vec<(u64, &str)> = publications
             .iter()
             .map(|p| (p.title_key(), p.normalized_title()))
@@ -373,10 +489,11 @@ impl SourceProfile {
         &self.interests
     }
 
-    /// Publications listed on the profile (subset of the truth).
-    /// `Arc`-shared: merged candidates read these records instead of
-    /// deep-copying title/venue/keyword strings every recommendation.
-    pub fn publications(&self) -> &[Arc<SourcePublication>] {
+    /// Publications listed on the profile (subset of the truth), each a
+    /// listing of a shared page: merged candidates read these records
+    /// instead of deep-copying title/venue/keyword strings every
+    /// recommendation.
+    pub fn publications(&self) -> &[SourcePublication] {
         &self.publications
     }
 
@@ -424,10 +541,26 @@ impl fmt::Debug for SourceProfile {
 }
 
 #[cfg(test)]
+impl PublicationPage {
+    /// Title string.
+    pub(crate) fn title(&self) -> &str {
+        &self.title
+    }
+
+    /// Every author's name, in author order.
+    pub(crate) fn authors(&self) -> &[Arc<PersonName>] {
+        &self.authors
+    }
+}
+
+#[cfg(test)]
 impl SourcePublication {
-    /// The same publication with its title filed under `key`.
+    /// The same publication, on a page of its own, with its title filed
+    /// under `key`.
     pub(crate) fn rekeyed(mut self, key: u64) -> Self {
-        self.title_key = key;
+        Arc::get_mut(&mut self.page)
+            .expect("a listing built by `new` has a page of its own")
+            .title_key = key;
         self
     }
 }

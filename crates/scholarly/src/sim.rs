@@ -6,7 +6,7 @@ use std::sync::{Arc, OnceLock};
 
 use minaret_concurrent::{chunked_map, MIN_PARALLEL_ITEMS};
 use minaret_ontology::{normalize_label, normalize_label_onto};
-use minaret_synth::{LazyWorld, ScholarId, World, WorldHandle, WorldScope};
+use minaret_synth::{LazyWorld, Paper, ScholarId, World, WorldHandle, WorldScope};
 use minaret_telemetry::Telemetry;
 
 use crate::clock::{Clock, SystemClock};
@@ -54,9 +54,7 @@ pub trait ScholarSource: Send + Sync {
 
 /// A lazily-built, per-source store of [`Arc`]-shared profiles.
 ///
-/// Building a [`SourceProfile`] clones publication titles out of the
-/// world and derives their comparison forms — dozens of allocations per
-/// profile. A source's view of a scholar is deterministic, so the store
+/// A source's view of a scholar is deterministic, so the store
 /// builds each profile at most once (on first request, lock-free via
 /// [`OnceLock`]) and every subsequent hit anywhere — name search,
 /// interest search, key fetch — is one `Arc` clone.
@@ -179,9 +177,10 @@ pub struct SimulatedSource {
     interest_index: HashMap<String, Vec<ScholarId>>,
     /// Memoized profiles: built on first hit, `Arc`-shared ever after.
     profiles: ProfileStore,
-    /// The entries profiles print venues, topics, institutions and names
-    /// with, one per world id; only building profiles fills it.
-    vocab: Vocabulary,
+    /// The entries profiles print venues, topics, institutions, names
+    /// and publication pages with, one per world id, shared by every
+    /// source of a [`Self::family`]; only building profiles fills it.
+    vocab: Arc<Vocabulary>,
     /// Threads one call's unbuilt profiles build on (`0` = every core).
     build_workers: usize,
     calls: AtomicU64,
@@ -203,7 +202,9 @@ impl std::fmt::Debug for SimulatedSource {
 
 impl SimulatedSource {
     /// Builds the simulated source over a fully materialized world,
-    /// precomputing its coverage and search indexes.
+    /// precomputing its coverage and search indexes. The source prints
+    /// from a vocabulary of its own; [`Self::family`] builds sources that
+    /// share one.
     pub fn new(spec: SourceSpec, world: Arc<World>) -> Self {
         Self::over(spec, WorldHandle::Eager(world))
     }
@@ -217,8 +218,46 @@ impl SimulatedSource {
         Self::over(spec, WorldHandle::Lazy(world))
     }
 
-    /// Builds the simulated source over either world representation.
+    /// Builds the simulated source over either world representation,
+    /// with a vocabulary of its own.
     pub fn over(spec: SourceSpec, world: WorldHandle) -> Self {
+        let vocab = Arc::new(Vocabulary::for_world(&world));
+        Self::sharing(spec, world, vocab)
+    }
+
+    /// One source per spec of `specs`, in order, over `world`, all
+    /// printing from one shared vocabulary: each publication page and
+    /// each name, topic, venue and institution entry is built once for
+    /// the world, not once per source. The sources' indexes build side
+    /// by side, one thread each.
+    pub fn family(specs: impl IntoIterator<Item = SourceSpec>, world: WorldHandle) -> Vec<Self> {
+        let vocab = Arc::new(Vocabulary::for_world(&world));
+        std::thread::scope(|scope| {
+            let builds: Vec<_> = specs
+                .into_iter()
+                .map(|spec| {
+                    let (world, vocab) = (world.clone(), vocab.clone());
+                    scope.spawn(move || Self::sharing(spec, world, vocab))
+                })
+                .collect();
+            builds
+                .into_iter()
+                .map(|build| build.join().expect("a source index build panicked"))
+                .collect()
+        })
+    }
+
+    /// Builds the simulated source over `world`, printing from `vocab`.
+    ///
+    /// # Panics
+    ///
+    /// When `vocab` is sized for another world: its ids would print
+    /// another world's text.
+    fn sharing(spec: SourceSpec, world: WorldHandle, vocab: Arc<Vocabulary>) -> Self {
+        assert!(
+            vocab.fits(&world),
+            "a vocabulary sized for another world cannot serve this one"
+        );
         let salt = hash64(&[spec.kind as u64 + 1, 0x5eed]);
         let mut name_index: HashMap<String, Vec<ScholarId>> = HashMap::new();
         let mut full = String::new();
@@ -267,7 +306,6 @@ impl SimulatedSource {
             .map(|(topic, ids)| (topic.normalized.clone(), ids))
             .collect();
         let profiles = ProfileStore::with_capacity(world.scholar_count());
-        let vocab = Vocabulary::for_world(&world);
         Self {
             spec,
             world,
@@ -323,7 +361,8 @@ impl SimulatedSource {
         self.profiles.built_count()
     }
 
-    /// The source's vocabulary table.
+    /// The vocabulary table the source prints from, shared with the
+    /// other sources of its [`Self::family`].
     pub fn vocabulary(&self) -> &Vocabulary {
         &self.vocab
     }
@@ -505,9 +544,10 @@ impl SimulatedSource {
     /// Builds the profile a page fetch would return for `id`. The same
     /// code serves both world representations through [`WorldScope`],
     /// which is what makes lazy profiles byte-identical to eager ones.
-    /// Every venue, topic, institution and full name comes from the
-    /// source's [`Vocabulary`] by id; only an abbreviated display name
-    /// is built for the profile.
+    /// Every venue, topic, institution, full name and publication page
+    /// comes from the source's [`Vocabulary`] by id; only an abbreviated
+    /// display name is built for the profile, and its publications are
+    /// listings of the shared pages, stored inline.
     fn build_profile(&self, w: &dyn WorldScope, id: ScholarId) -> SourceProfile {
         let s = w.scholar(id);
         let spec = &self.spec;
@@ -545,27 +585,19 @@ impl SimulatedSource {
             Vec::new()
         };
 
-        let mut publications = Vec::new();
-        for p in w.papers_of(id) {
-            if unit(hash64(&[self.salt, 0x9a9e2, p.id.0 as u64])) >= spec.publication_coverage {
-                continue;
-            }
-            publications.push(Arc::new(SourcePublication::new(
-                p.title.clone(),
+        let papers = w.papers_of(id);
+        let listed = |p: &Paper| {
+            unit(hash64(&[self.salt, 0x9a9e2, p.id.0 as u64])) < spec.publication_coverage
+        };
+        // Sized exactly, so the list becomes the profile's without a copy.
+        let mut publications = Vec::with_capacity(papers.iter().filter(|p| listed(p)).count());
+        for p in papers.into_iter().filter(|p| listed(p)) {
+            publications.push(SourcePublication::listing(
+                vocab.page(w, p),
+                p.authors.iter().position(|&a| a == id),
                 p.year,
-                vocab.venue(w, p.venue),
-                p.authors
-                    .iter()
-                    .filter(|&&a| a != id)
-                    .map(|&a| vocab.name(w, a))
-                    .collect(),
-                p.topics.iter().map(|&t| vocab.topic(w, t)).collect(),
-                if spec.has_metrics {
-                    Some(p.citations)
-                } else {
-                    None
-                },
-            )));
+                spec.has_metrics.then_some(p.citations),
+            ));
         }
 
         let metrics = if spec.has_metrics {
@@ -682,7 +714,9 @@ impl ScholarSource for SimulatedSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minaret_synth::{WorldConfig, WorldGenerator};
+    use crate::record::PublicationPage;
+    use crate::vocab::Label;
+    use minaret_synth::{PaperId, WorldConfig, WorldGenerator};
 
     fn world() -> Arc<World> {
         Arc::new(
@@ -1164,11 +1198,7 @@ mod tests {
         for (publication, paper) in p.publications().iter().zip(papers) {
             assert_eq!(publication.title(), paper.title);
             assert_eq!(publication.venue_name().text(), w.venue(paper.venue).name);
-            let coauthors: Vec<&str> = publication
-                .coauthor_names()
-                .iter()
-                .map(|n| n.text())
-                .collect();
+            let coauthors: Vec<&str> = publication.coauthor_names().map(|n| n.text()).collect();
             let expected: Vec<String> = paper
                 .authors
                 .iter()
@@ -1189,9 +1219,11 @@ mod tests {
         assert_eq!(reviews, expected);
     }
 
-    /// Every profile of every source, over a 2 000-scholar world held
-    /// eagerly and lazily: each entry is the world's text for its id,
-    /// and the vocabulary stays within its stated bound.
+    /// Every profile of the six sources, over a 2 000-scholar world held
+    /// eagerly and lazily, each world's sources sharing one vocabulary:
+    /// each entry is the world's text for its id, and the vocabulary
+    /// stays within its stated bound, one entry per topic, venue,
+    /// scholar and paper and two per institution.
     #[test]
     fn vocabulary_entries_are_the_world_texts_of_their_ids_within_the_bound() {
         use minaret_synth::{stream_snapshot_world, LazyWorld, StreamingGenerator};
@@ -1204,14 +1236,19 @@ mod tests {
         );
         stream_snapshot_world(&store, &StreamingGenerator::new(cfg), |_| {}).unwrap();
         let lazy = LazyWorld::open(store).unwrap().unwrap();
-        let bound =
-            w.ontology.len() + w.venues().len() + 2 * w.institutions().len() + w.scholars().len();
-        for spec in SourceSpec::all_defaults() {
-            let sources = [
-                SimulatedSource::new(spec.clone(), w.clone()),
-                SimulatedSource::lazy(spec, lazy.clone()),
-            ];
-            for s in &sources {
+        let bound = w.ontology.len()
+            + w.venues().len()
+            + 2 * w.institutions().len()
+            + w.scholars().len()
+            + w.papers().len();
+        let families = [
+            SimulatedSource::family(SourceSpec::all_defaults(), WorldHandle::Eager(w.clone())),
+            SimulatedSource::family(SourceSpec::all_defaults(), WorldHandle::Lazy(lazy.clone())),
+        ];
+        for sources in &families {
+            assert_eq!(sources.len(), SourceSpec::all_defaults().len());
+            for s in sources {
+                assert!(std::ptr::eq(s.vocabulary(), sources[0].vocabulary()));
                 for sc in w.scholars() {
                     if SimulatedSource::covered_static(s.salt, s.spec.coverage, sc.id) {
                         assert_world_texts(&w, s, sc.id, &s.profile(sc.id));
@@ -1220,10 +1257,107 @@ mod tests {
             }
             let held = sources[0].vocabulary().len();
             assert!(held > 0 && held <= bound, "{held} entries, bound {bound}");
-            assert_eq!(sources[1].vocabulary().len(), held);
+            assert!(sources[0].vocabulary().pages() <= w.papers().len());
         }
+        assert_eq!(
+            families[1][0].vocabulary().len(),
+            families[0][0].vocabulary().len()
+        );
+        drop(families);
         drop(lazy);
         std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// Every listing of every profile of the six sources sharing one
+    /// vocabulary: all listings of one paper, by its co-authors and on
+    /// every source, hold one page; each omits its owner from the
+    /// co-authors; and each equals, field for field and as printed, the
+    /// record built by copying the world's text for that profile.
+    #[test]
+    fn profiles_list_one_shared_page_per_paper() {
+        let w = world();
+        let sources =
+            SimulatedSource::family(SourceSpec::all_defaults(), WorldHandle::Eager(w.clone()));
+        // Per listed paper: its page, and the source of each profile that
+        // lists it, in listing order.
+        let mut pages: HashMap<PaperId, Arc<PublicationPage>> = HashMap::new();
+        let mut listers: HashMap<PaperId, Vec<SourceKind>> = HashMap::new();
+        for s in &sources {
+            for sc in w.scholars() {
+                if !SimulatedSource::covered_static(s.salt, s.spec.coverage, sc.id) {
+                    continue;
+                }
+                let profile = s.profile(sc.id);
+                let papers: Vec<&Paper> = w
+                    .papers_of(sc.id)
+                    .iter()
+                    .map(|&pid| w.paper(pid))
+                    .filter(|paper| {
+                        unit(hash64(&[s.salt, 0x9a9e2, paper.id.0 as u64]))
+                            < s.spec.publication_coverage
+                    })
+                    .collect();
+                assert_eq!(profile.publications().len(), papers.len());
+                let owner = s.vocab.name(w.as_ref(), sc.id);
+                for (listing, paper) in profile.publications().iter().zip(papers) {
+                    let copy = SourcePublication::new(
+                        paper.title.clone(),
+                        paper.year,
+                        Arc::new(Label::new(&w.venue(paper.venue).name)),
+                        paper
+                            .authors
+                            .iter()
+                            .filter(|&&a| a != sc.id)
+                            .map(|&a| Arc::new(PersonName::new(&w.scholar(a).full_name())))
+                            .collect(),
+                        paper
+                            .topics
+                            .iter()
+                            .map(|&t| Arc::new(Label::new(w.ontology.label(t))))
+                            .collect(),
+                        s.spec.has_metrics.then_some(paper.citations),
+                    );
+                    assert_eq!(*listing, copy);
+                    assert_eq!(format!("{listing:?}"), format!("{copy:?}"));
+                    assert_eq!(format!("{listing:#?}"), format!("{copy:#?}"));
+                    assert!(!listing.coauthor_names().any(|n| Arc::ptr_eq(n, &owner)));
+                    assert_eq!(listing.coauthor_names().count() + 1, paper.authors.len());
+                    let page = pages
+                        .entry(paper.id)
+                        .or_insert_with(|| listing.page().clone());
+                    assert!(Arc::ptr_eq(page, listing.page()));
+                    listers.entry(paper.id).or_default().push(s.spec.kind);
+                }
+            }
+        }
+        // Sources list in turn, so one source's listings of a paper are
+        // adjacent.
+        let by_coauthors = listers
+            .values()
+            .filter(|kinds| kinds.windows(2).any(|k| k[0] == k[1]))
+            .count();
+        let across_sources = listers
+            .values()
+            .filter(|kinds| kinds.windows(2).any(|k| k[0] != k[1]))
+            .count();
+        assert!(
+            by_coauthors > 100 && across_sources > 100,
+            "{by_coauthors} papers listed by co-authors on one source, {across_sources} across sources"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "sized for another world")]
+    fn a_vocabulary_sized_for_another_world_is_rejected() {
+        let other = WorldHandle::Eager(Arc::new(
+            WorldGenerator::new(WorldConfig::sized(50)).generate(),
+        ));
+        let vocab = Arc::new(Vocabulary::for_world(&other));
+        SimulatedSource::sharing(
+            SourceSpec::for_kind(SourceKind::Dblp),
+            WorldHandle::Eager(world()),
+            vocab,
+        );
     }
 
     fn lazy_source_pair(

@@ -9,9 +9,10 @@
 //! — the normalized label, the token set or the parsed name — built
 //! once, when a profile first needs it. Readers then only compare.
 //!
-//! Each source keeps one [`Vocabulary`] beside its profile store: one
-//! slot per world id the entries are printed from, so the world bounds
-//! its size and requests never grow it.
+//! The sources of one world share one [`Vocabulary`]: one slot per
+//! world id the entries are printed from, and one publication page per
+//! paper, so the world bounds its size, requests never grow it, and each
+//! entry is built once however many sources print it.
 //!
 //! Every text in comparison form also carries a 64-bit key, the
 //! [`text_key`] of that form, so a reader compares integers first.
@@ -26,9 +27,10 @@ use std::sync::{Arc, OnceLock};
 
 use minaret_concurrent::stable_hash;
 use minaret_ontology::{normalize_label, tokenize, TopicId};
-use minaret_synth::{InstitutionId, ScholarId, VenueId, WorldHandle, WorldScope};
+use minaret_synth::{InstitutionId, Paper, ScholarId, VenueId, WorldHandle, WorldScope};
 
 use crate::name::{parse_name, ParsedName};
+use crate::record::PublicationPage;
 
 /// The key stored with a text in comparison form: the deterministic
 /// [`stable_hash`] of the form. Request-side tables key their entries
@@ -316,22 +318,25 @@ impl fmt::Display for PersonName {
     }
 }
 
-/// One source's shared entries, in slots indexed by world id: topic
+/// One world's shared entries, in slots indexed by world id: topic
 /// labels by [`TopicId`], venue names by [`VenueId`], institutions and
-/// their country labels by [`InstitutionId`], and printed full names by
-/// [`ScholarId`]. A slot's entry is built from the world's text on first
-/// use, and every profile of the source that references the id shares
-/// it. Thread-safe: profiles of one source are built concurrently.
+/// their country labels by [`InstitutionId`], printed full names by
+/// [`ScholarId`], and publication pages by [`minaret_synth::PaperId`].
+/// A slot's entry is built from the world's text on first use, and every
+/// profile, of every source sharing the table, that references the id
+/// shares it. Thread-safe: profiles are built concurrently.
 ///
-/// The bound: the slots are allocated for the world the source serves,
-/// which never changes, so the table holds at most one entry per topic,
-/// venue and scholar and two per institution (its name and country),
-/// whatever the requests. Only profile construction fills it.
+/// The bound: the slots are allocated for one world, which never
+/// changes, so the table holds at most one entry per topic, venue,
+/// scholar and paper and two per institution (its name and country),
+/// however many sources print from it and whatever the requests. Only
+/// profile construction fills it. An empty page slot costs 16 bytes.
 pub struct Vocabulary {
     topics: Slots<Arc<Label>>,
     venues: Slots<Arc<Label>>,
     institutions: Slots<(Arc<Institution>, Arc<Label>)>,
     names: Slots<Arc<PersonName>>,
+    pages: Slots<Arc<PublicationPage>>,
 }
 
 /// One entry slot per id, filled on first use.
@@ -341,16 +346,31 @@ fn slots<E>(n: usize) -> Slots<E> {
     (0..n).map(|_| OnceLock::new()).collect()
 }
 
+fn filled<E>(slots: &[OnceLock<E>]) -> usize {
+    slots.iter().filter(|s| s.get().is_some()).count()
+}
+
 impl Vocabulary {
-    /// An empty table with one slot per topic, venue, institution and
-    /// scholar of `world`.
+    /// An empty table with one slot per topic, venue, institution,
+    /// scholar and paper of `world`.
     pub(crate) fn for_world(world: &WorldHandle) -> Self {
         Vocabulary {
             topics: slots(world.ontology().len()),
             venues: slots(world.venue_count()),
             institutions: slots(world.institution_count()),
             names: slots(world.scholar_count()),
+            pages: slots(world.paper_count()),
         }
+    }
+
+    /// True when the table has one slot per id of `world`: the check a
+    /// source makes before it prints from a table it did not build.
+    pub(crate) fn fits(&self, world: &WorldHandle) -> bool {
+        self.topics.len() == world.ontology().len()
+            && self.venues.len() == world.venue_count()
+            && self.institutions.len() == world.institution_count()
+            && self.names.len() == world.scholar_count()
+            && self.pages.len() == world.paper_count()
     }
 
     /// The entry for topic `id`'s label.
@@ -392,15 +412,35 @@ impl Vocabulary {
             .clone()
     }
 
-    /// Number of entries built so far; an institution's slot holds two.
+    /// The page of `paper`: its title, venue, authors' full names and
+    /// topic labels, each author's and topic's entry shared with every
+    /// other page and profile that prints it.
+    pub(crate) fn page(&self, w: &dyn WorldScope, paper: &Paper) -> Arc<PublicationPage> {
+        self.pages[paper.id.index()]
+            .get_or_init(|| {
+                Arc::new(PublicationPage::new(
+                    &paper.title,
+                    self.venue(w, paper.venue),
+                    paper.authors.iter().map(|&a| self.name(w, a)).collect(),
+                    paper.topics.iter().map(|&t| self.topic(w, t)).collect(),
+                ))
+            })
+            .clone()
+    }
+
+    /// Number of entries built so far, pages included; an institution's
+    /// slot holds two.
     pub fn len(&self) -> usize {
-        fn filled<E>(slots: &[OnceLock<E>]) -> usize {
-            slots.iter().filter(|s| s.get().is_some()).count()
-        }
         filled(&self.topics)
             + filled(&self.venues)
             + 2 * filled(&self.institutions)
             + filled(&self.names)
+            + self.pages()
+    }
+
+    /// Number of publication pages built so far.
+    pub fn pages(&self) -> usize {
+        filled(&self.pages)
     }
 
     /// True when no entry has been built yet.
@@ -433,6 +473,17 @@ mod tests {
         assert_eq!(country.text(), w.institution(InstitutionId(0)).country);
         assert_eq!(v.venue(w, VenueId(2)).text(), w.venue(VenueId(2)).name);
         assert_eq!(v.len(), 5);
+        // A page shares its authors', venue's and topics' entries.
+        let paper = &world.papers()[0];
+        let page = v.page(w, paper);
+        assert!(Arc::ptr_eq(&page, &v.page(w, paper)));
+        assert_eq!(page.title(), paper.title);
+        for (entry, &id) in page.authors().iter().zip(&paper.authors) {
+            assert!(Arc::ptr_eq(entry, &v.name(w, id)));
+        }
+        assert_eq!(v.pages(), 1);
+        let entries = v.len();
+        assert!(entries >= 6 && entries <= 6 + paper.authors.len() + 1 + paper.topics.len());
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub struct Candidate {
     pub country: Option<String>,
     pub affiliation_history: Vec<AffiliationRecord>,
     pub interests: Vec<NormalizedLabel>,
-    pub publications: Vec<Arc<SourcePublication>>,
+    pub publications: Vec<SourcePublication>,
     pub metrics: SourceMetrics,
     pub reviews: Vec<Arc<SourceReview>>,
     pub sources: Vec<SourceKind>,
@@ -115,7 +115,7 @@ fn merge_bucket(mut profiles: Vec<&SourceProfile>) -> Candidate {
 
     let listed: usize = profiles.iter().map(|p| p.publications().len()).sum();
     let mut kept_keys: Vec<u64> = Vec::with_capacity(listed);
-    let mut publications: Vec<Arc<SourcePublication>> = Vec::with_capacity(listed);
+    let mut publications: Vec<SourcePublication> = Vec::with_capacity(listed);
     for publ in profiles.iter().flat_map(|p| p.publications()) {
         let (key, title) = (publ.title_key(), publ.normalized_title());
         let duplicate = kept_keys
@@ -183,8 +183,8 @@ pub fn assert_same(candidate: &MergedCandidate, reference: &Candidate) {
         .affiliation_history()
         .eq(&reference.affiliation_history));
     assert!(candidate.interests().eq(&reference.interests));
-    let publications: Vec<&Arc<SourcePublication>> = candidate.publications().collect();
-    assert!(same_copies(&publications, &reference.publications));
+    let publications: Vec<&SourcePublication> = candidate.publications().collect();
+    assert!(same_listings(&publications, &reference.publications));
     assert_eq!(candidate.publication_count(), reference.publications.len());
     assert_eq!(*candidate.metrics(), reference.metrics);
     let reviews: Vec<&Arc<SourceReview>> = candidate.reviews().collect();
@@ -206,6 +206,15 @@ pub fn assert_same(candidate: &MergedCandidate, reference: &Candidate) {
 
 fn same_copies<T>(a: &[&Arc<T>], b: &[Arc<T>]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| Arc::ptr_eq(x, y))
+}
+
+/// Two listings are one copy when they are equal and show one page:
+/// every listing these suites build has a page of its own.
+fn same_listings(a: &[&SourcePublication], b: &[SourcePublication]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| Arc::ptr_eq(x.page(), y.page()) && *x == y)
 }
 
 /// Asserts that `merged` is `reference`, candidate for candidate, in

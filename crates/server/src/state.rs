@@ -11,7 +11,7 @@ use minaret_scholarly::{
 use minaret_store::{Store, StoreConfig, StoreError};
 use minaret_synth::{
     persist::load_world_streamed, stream_snapshot_world, StreamingGenerator, World, WorldConfig,
-    WorldGenerator,
+    WorldGenerator, WorldHandle,
 };
 use minaret_telemetry::Telemetry;
 
@@ -135,18 +135,12 @@ impl AppState {
             },
             telemetry.clone(),
         );
-        // Each source indexes the whole world; the six builds are
-        // independent, so they run side by side.
-        let sources: Vec<SimulatedSource> = std::thread::scope(|scope| {
-            let builds: Vec<_> = SourceSpec::all_defaults()
-                .into_iter()
-                .map(|spec| scope.spawn(|| SimulatedSource::new(spec, world.clone())))
-                .collect();
-            builds
-                .into_iter()
-                .map(|build| build.join().expect("a source index build panicked"))
-                .collect()
-        });
+        // The six sources print from one shared vocabulary; their
+        // indexes build side by side.
+        let sources = SimulatedSource::family(
+            SourceSpec::all_defaults(),
+            WorldHandle::Eager(world.clone()),
+        );
         for source in sources {
             registry.register(Arc::new(source));
         }

@@ -269,6 +269,11 @@ impl LazyWorld {
         self.meta.scholars as usize
     }
 
+    /// Number of papers in the world; paper ids are dense below it.
+    pub fn paper_count(&self) -> usize {
+        self.meta.papers as usize
+    }
+
     /// The generation seed the snapshot was built from.
     pub fn seed(&self) -> u64 {
         self.meta.seed

@@ -852,6 +852,7 @@ mod tests {
             .unwrap()
             .expect("chunked snapshot present");
         assert_eq!(lazy.scholar_count(), world.scholars().len());
+        assert_eq!(lazy.paper_count(), world.papers().len());
         assert_eq!(lazy.current_year(), world.current_year);
         assert_eq!(lazy.venues(), world.venues());
         assert_eq!(lazy.institutions(), world.institutions());

@@ -107,6 +107,14 @@ impl WorldHandle {
         }
     }
 
+    /// Number of papers in the world.
+    pub fn paper_count(&self) -> usize {
+        match self {
+            WorldHandle::Eager(w) => w.papers().len(),
+            WorldHandle::Lazy(w) => w.paper_count(),
+        }
+    }
+
     /// Number of venues in the world.
     pub fn venue_count(&self) -> usize {
         match self {

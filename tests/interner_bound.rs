@@ -1,15 +1,16 @@
-//! The tables a source keeps for the life of the process must be bounded
-//! by the world, not by the requests it serves. Each source keeps two:
-//! its profile store, and beside it its vocabulary table of shared venue
-//! names, topic labels and co-author names in comparison form. Only
-//! building and decoding profiles fill them. This pins that a whole
-//! recommendation with request strings the world has never seen — the
-//! name searches, the interest fan-out, merge, filter and rank — grows
-//! neither.
+//! The tables the sources keep for the life of the process must be
+//! bounded by the world, not by the requests they serve. Each source
+//! keeps its profile store, and the sources of one world share one
+//! vocabulary table of venue names, topic labels, institutions,
+//! co-author names and publication pages in comparison form. Only
+//! building profiles fills them. This pins that a whole recommendation
+//! with request strings the world has never seen — the name searches,
+//! the interest fan-out, merge, filter and rank — grows none of them.
 
 use std::sync::Arc;
 
 use minaret::prelude::*;
+use minaret::synth::WorldHandle;
 
 const N: usize = 200;
 
@@ -38,21 +39,29 @@ fn recommend(minaret: &Minaret, world_keyword: &str, tag: &str) {
     assert!(report.candidates_retrieved > 0, "the world keyword matches");
 }
 
-/// Per source: its vocabulary table's size and its built-profile count.
-fn resident(sources: &[Arc<SimulatedSource>]) -> Vec<(usize, usize)> {
-    sources
-        .iter()
-        .map(|s| (s.vocabulary().len(), s.built_profiles()))
-        .collect()
+/// The world's vocabulary table's size, and each source's
+/// built-profile count.
+fn resident(sources: &[Arc<SimulatedSource>]) -> (usize, Vec<usize>) {
+    let built = sources.iter().map(|s| s.built_profiles()).collect();
+    (sources[0].vocabulary().len(), built)
 }
 
 #[test]
 fn request_strings_never_grow_the_resident_tables() {
     let world = Arc::new(WorldGenerator::new(WorldConfig::sized(200)).generate());
-    let sources: Vec<Arc<SimulatedSource>> = SourceSpec::all_defaults()
-        .into_iter()
-        .map(|spec| Arc::new(SimulatedSource::new(spec, world.clone())))
-        .collect();
+    let sources: Vec<Arc<SimulatedSource>> = SimulatedSource::family(
+        SourceSpec::all_defaults(),
+        WorldHandle::Eager(world.clone()),
+    )
+    .into_iter()
+    .map(Arc::new)
+    .collect();
+    for source in &sources {
+        assert!(
+            std::ptr::eq(source.vocabulary(), sources[0].vocabulary()),
+            "the world's sources share one vocabulary"
+        );
+    }
     let mut registry = SourceRegistry::new(RegistryConfig::default());
     for source in &sources {
         registry.register(source.clone());
@@ -68,9 +77,7 @@ fn request_strings_never_grow_the_resident_tables() {
     recommend(&minaret, world_keyword, "warm-up");
     let before = resident(&sources);
     assert!(
-        before
-            .iter()
-            .any(|&(entries, built)| entries > 0 && built > 0),
+        before.0 > 0 && before.1.iter().any(|&built| built > 0),
         "the warm-up built no profile: {before:?}"
     );
     for round in 0..3 {
@@ -78,7 +85,7 @@ fn request_strings_never_grow_the_resident_tables() {
         assert_eq!(
             resident(&sources),
             before,
-            "round {round}: a recommendation grew a source's vocabulary table or profile store"
+            "round {round}: a recommendation grew the world's vocabulary table or a profile store"
         );
     }
 }
